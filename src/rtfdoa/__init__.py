@@ -7,19 +7,16 @@ matched against a prototype grid by the frequency-averaged Hermitian
 angle. A scene simulator, scoring harness, and CLI round out the
 package.
 """
-from .activity import (ActivityLabel, SppConfig, classify_frame, oracle_labels,
-                       read_labels, spp, write_labels)
+from .activity import (ActivityLabel, SppConfig, oracle_labels, read_labels,
+                       spp, write_labels)
 from .covariance import (CovarianceState, CovarianceTracker, SmoothingConfig,
-                         head_submatrix, initial_state, update)
-from .doa import (CostSurface, DoaEstimate, PrototypeDatabase, argmin_direction,
-                  argmin_directions, cost_surface, cost_surface_frames,
+                         initial_state, update)
+from .doa import (PrototypeDatabase, argmin_directions, cost_surface_frames,
                   default_grid, generate_prototypes, hermitian_angle,
                   load_database, save_database)
 from .errors import ConfigurationError, NumericalFailure
-from .estimators import (EstimatorConfig, RtfVector, WhitenedTracker, batch_cs,
-                         batch_cw, batch_sc, estimate_cs_head, estimate_cw,
-                         estimate_sc, principal_eigenvector,
-                         regularized_cholesky)
+from .estimators import (EstimatorConfig, WhitenedTracker, batch_cs, batch_cw,
+                         batch_sc)
 from .evaluate import (Metrics, accuracy, angular_error, angular_errors,
                        evaluate_csv, run_scene, run_sweep, score)
 from .geometry import (ArrayGeometry, azimuth_to_unit, binaural_head_positions,

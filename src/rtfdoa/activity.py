@@ -70,19 +70,6 @@ def spp(noisy_power, noise_psd, cfg: SppConfig | None = None) -> np.ndarray:
     return 1.0 / (1.0 + odds_inv)
 
 
-def classify_frame(probabilities, cfg: SppConfig | None = None) -> ActivityLabel:
-    """Average channel probabilities and threshold into an activity label."""
-    cfg = cfg or SppConfig()
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.size == 0:
-        raise ConfigurationError("cannot classify an empty probability vector")
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise ConfigurationError("probabilities must lie in [0, 1]")
-    if float(probs.mean()) > cfg.threshold:
-        return ActivityLabel.SPEECH_PLUS_NOISE
-    return ActivityLabel.NOISE_ONLY
-
-
 def oracle_labels_from_power(clean_power: np.ndarray, noise_power: np.ndarray,
                              margin_db: float = -10.0) -> np.ndarray:
     """Activity grid from reference-channel periodograms (any matching shape)."""

@@ -54,13 +54,20 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown run-config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in data.items() if k in _RUN_SCALARS}
-    if "estimator_config" in data:
-        kwargs["estimator_config"] = EstimatorConfig(**data["estimator_config"])
-    if "spp_config" in data:
-        kwargs["spp_config"] = SppConfig(**data["spp_config"])
-    if "stft" in data:
-        kwargs["stft"] = StftConfig(**data["stft"])
+    for key, cls in (("estimator_config", EstimatorConfig),
+                     ("spp_config", SppConfig), ("stft", StftConfig)):
+        if key in data:
+            kwargs[key] = _nested_config(key, cls, data[key])
     return RunConfig(**kwargs)
+
+
+def _nested_config(key: str, cls, data):
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"run-config '{key}' must be an object")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown '{key}' keys: {sorted(unknown)}")
+    return cls(**data)
 
 
 def _load_json(path: str) -> dict:

@@ -12,7 +12,6 @@ rank-one update so that accumulated rounding cannot break hermitianness.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -90,25 +89,8 @@ def update(state: CovarianceState, y: np.ndarray,
     return replace(state, phi_n=phi_n, frames_seen_n=state.frames_seen_n + 1)
 
 
-def head_submatrix(phi: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Leading principal submatrix covering the head microphones.
-
-    Defaults to dropping the last (external) row and column.
-    """
-    phi = np.asarray(phi)
-    p = phi.shape[-1]
-    m = p - 1 if m is None else m
-    if not 1 <= m <= p:
-        raise ConfigurationError("submatrix size out of range")
-    return phi[..., :m, :m].copy()
-
-
 class CovarianceTracker:
-    """Vectorized per-bin covariance recursion over a whole STFT grid.
-
-    Reads of the noise covariance are counted in ``noise_reads`` so that
-    pipelines can demonstrate which estimators never touch it.
-    """
+    """Vectorized per-bin covariance recursion over a whole STFT grid."""
 
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
@@ -125,7 +107,6 @@ class CovarianceTracker:
         self.n_bins = n_bins
         self.frames_seen_y = np.zeros(n_bins, dtype=np.int64)
         self.frames_seen_n = np.zeros(n_bins, dtype=np.int64)
-        self.noise_reads = 0
 
     @property
     def noisy(self) -> np.ndarray:
@@ -134,8 +115,7 @@ class CovarianceTracker:
 
     @property
     def noise(self) -> np.ndarray:
-        """Noise covariances [K, P, P]. Every access is counted."""
-        self.noise_reads += 1
+        """Noise covariances [K, P, P]. Treat as read-only."""
         return self._phi_n
 
     def update_frame(self, y: np.ndarray, speech_mask: np.ndarray) -> None:
@@ -166,27 +146,3 @@ class CovarianceTracker:
                                phi_n=self._phi_n[k].copy(),
                                frames_seen_y=int(self.frames_seen_y[k]),
                                frames_seen_n=int(self.frames_seen_n[k]))
-
-    def dump(self, path) -> None:
-        """Write the full state as JSON with [re, im] entry pairs."""
-        def mat(m: np.ndarray):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-        payload = {
-            "n_channels": self.n_channels,
-            "n_bins": self.n_bins,
-            "alpha_y": self.smoothing.alpha_y,
-            "alpha_n": self.smoothing.alpha_n,
-            "bins": [
-                {
-                    "k": k,
-                    "frames_seen_y": int(self.frames_seen_y[k]),
-                    "frames_seen_n": int(self.frames_seen_n[k]),
-                    "phi_y": mat(self._phi_y[k]),
-                    "phi_n": mat(self._phi_n[k]),
-                }
-                for k in range(self.n_bins)
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)

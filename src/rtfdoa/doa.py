@@ -100,34 +100,6 @@ class PrototypeDatabase:
         return np.lexsort((dirs, np.abs(dirs)))
 
 
-@dataclass(frozen=True)
-class CostSurface:
-    """Frequency-averaged Hermitian angles, one row per frame [L, I].
-
-    Rows of an invalid frame (no valid bins) are NaN.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ConfigurationError("cost surface must be 2-d [L, I]")
-        finite = vals[np.isfinite(vals)]
-        if finite.size and (finite.min() < 0.0 or finite.max() > np.pi / 2 + 1e-9):
-            raise ConfigurationError("cost entries must lie in [0, pi/2]")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class DoaEstimate:
-    """Per-frame decision: grid azimuth, its cost, and a validity flag."""
-
-    azimuth_deg: float
-    cost: float
-    valid: bool = True
-
-
 def hermitian_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Angle between complex vectors, invariant to complex scaling.
 
@@ -202,16 +174,6 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     return surface
 
 
-def cost_surface(values: np.ndarray, valid: np.ndarray,
-                 db: PrototypeDatabase) -> np.ndarray:
-    """Cost row for a single frame: [K, M] estimates against the grid."""
-    values = _check_against_db(values, db)
-    if values.ndim != 2:
-        raise ConfigurationError("values must be [K, M]")
-    return cost_surface_frames(values[None].astype(np.complex128),
-                               np.asarray(valid, dtype=bool)[None], db)[0]
-
-
 def argmin_directions(surface: np.ndarray, db: PrototypeDatabase
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tie-broken argmin per cost row.
@@ -234,16 +196,6 @@ def argmin_directions(surface: np.ndarray, db: PrototypeDatabase
         azimuths[ok] = db.directions_deg[order][pos]
         costs[ok] = reordered[ok, pos]
     return azimuths, costs, ok
-
-
-def argmin_direction(cost_row: np.ndarray, db: PrototypeDatabase) -> DoaEstimate:
-    """Decision for one frame; invalid when the row contains NaN."""
-    azimuths, costs, ok = argmin_directions(
-        np.asarray(cost_row, dtype=np.float64)[None], db)
-    if not ok[0]:
-        return DoaEstimate(azimuth_deg=float("nan"), cost=float("nan"), valid=False)
-    return DoaEstimate(azimuth_deg=float(azimuths[0]), cost=float(costs[0]),
-                       valid=True)
 
 
 def _sphere_level_term(geometry: ArrayGeometry, directions_deg: np.ndarray,

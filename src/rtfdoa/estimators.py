@@ -17,12 +17,11 @@ head microphone) entry is exactly ``1 + 0j``:
 Batch variants operate on [K, P, P] stacks, one matrix pair per
 frequency bin. Covariance whitening comes in two forms:
 
-* :func:`batch_cw` is exact and one-shot. Its :class:`WhitenedTracker`
-  Cholesky-factors the noise covariance and takes the principal
-  eigenvector of the whitened matrix from a dense Hermitian
-  eigendecomposition, which at these matrix sizes beats iterating per
-  bin. The scalar :func:`principal_eigenvector` keeps the iterative form
-  with an explicit residual tolerance.
+* :func:`batch_cw` is exact and one-shot, the reference the tests
+  compare against. Its :class:`WhitenedTracker` Cholesky-factors the
+  noise covariance and takes the principal eigenvector of the whitened
+  matrix from a dense Hermitian eigendecomposition, which at these
+  matrix sizes beats iterating per bin.
 * :class:`PowerCwTracker` is what the tracking pipeline runs. It takes
   one generalized power step per frame from the previous frame's
   vector, ``w <- phi_n^-1 phi_y w``, and needs neither whitening nor an
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +57,6 @@ class EstimatorConfig:
 
     column_index: int = 0
     diag_load_rel: float = 1e-10
-    eig_tol: float = 1e-8
-    eig_max_iter: int = 100
     denom_floor: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -67,17 +64,6 @@ class EstimatorConfig:
             raise ConfigurationError("column_index must be >= 0")
         if self.diag_load_rel < 0.0 or self.denom_floor < 0.0:
             raise ConfigurationError("loading and floor must be non-negative")
-        if self.eig_tol <= 0.0 or self.eig_max_iter < 1:
-            raise ConfigurationError("eig_tol must be > 0 and eig_max_iter >= 1")
-
-
-@dataclass(frozen=True)
-class RtfVector:
-    """An RTF estimate with its variant tag ('head' or 'extended')."""
-
-    values: np.ndarray
-    variant: str
-    valid: bool = True
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -105,24 +91,6 @@ def _normalize_columns(cols: np.ndarray, scale: np.ndarray,
     return values, valid
 
 
-def regularized_cholesky(phi: np.ndarray, diag_load_rel: float = 1e-10) -> np.ndarray:
-    """Lower Cholesky factor after relative diagonal loading.
-
-    The loading is ``diag_load_rel * trace(phi)/P`` added to the diagonal.
-    Raises :class:`NumericalFailure` when the loaded matrix is still not
-    positive definite.
-    """
-    stack = _check_stack(phi, "phi")
-    p = stack.shape[-1]
-    load = diag_load_rel * np.einsum("kpp->k", stack).real / p
-    loaded = stack + load[:, None, None] * np.eye(p)
-    try:
-        factors = np.linalg.cholesky(loaded)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("matrix not positive definite after loading") from exc
-    return factors[0] if np.asarray(phi).ndim == 2 else factors
-
-
 def _power_start(dim: int) -> np.ndarray:
     # mild ramp avoids starting orthogonal to the principal direction of
     # structured (e.g. sign-symmetric) matrices
@@ -130,107 +98,24 @@ def _power_start(dim: int) -> np.ndarray:
     return (v / np.linalg.norm(v)).astype(np.complex128)
 
 
-def _gershgorin_shift(h: np.ndarray) -> float:
-    """Shift making all eigenvalues of a Hermitian matrix non-negative."""
-    diag = np.diag(h).real
-    radii = np.abs(h).sum(axis=1) - np.abs(np.diag(h))
-    return max(0.0, -(diag - radii).min())
+def _eigh_principal(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense principal eigenvector per bin of a Hermitian stack, and flags.
 
-
-def _eigh_principal(h: np.ndarray, v: np.ndarray, idx: np.ndarray,
-                    ok: np.ndarray) -> None:
-    """Dense principal eigenvectors for the selected bins, written into v.
-
-    Bins where LAPACK fails to converge are flagged in ``ok`` instead of
+    Bins where LAPACK fails to converge are flagged False instead of
     aborting the batch.
     """
+    ok = np.ones(len(h), dtype=bool)
     try:
-        _, vecs = np.linalg.eigh(h[idx])
-        v[idx] = vecs[:, :, -1]
+        return np.ascontiguousarray(np.linalg.eigh(h)[1][:, :, -1]), ok
     except np.linalg.LinAlgError:
-        for k in idx:
+        v = np.zeros(h.shape[:2], dtype=np.complex128)
+        for k in range(len(h)):
             try:
-                _, vecs = np.linalg.eigh(h[k])
-                v[k] = vecs[:, -1]
+                v[k] = np.linalg.eigh(h[k])[1][:, -1]
             except np.linalg.LinAlgError:
                 ok[k] = False
                 log.debug("eigendecomposition failed in bin %d", k)
-
-
-def _principal_eigenvectors(h: np.ndarray, v0: np.ndarray | None = None,
-                            tol: float = 1e-8, max_steps: int = 3
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Principal eigenvector per bin of a positive-semidefinite stack.
-
-    Without a warm start every bin goes through the dense decomposition.
-    With one, a few power steps on ``H^4`` (two matmuls square the
-    operator twice, quadrupling the contraction rate per step) settle the
-    bins whose spectrum has a clear gap; the rest fall back to the dense
-    route, so the residual ``||H v - rho v|| <= tol ||H||_F`` holds either
-    way and the returned flags are False only when LAPACK itself fails.
-    """
-    n = h.shape[0]
-    ok = np.ones(n, dtype=bool)
-    if v0 is None:
-        v = np.zeros(h.shape[:2], dtype=np.complex128)
-        pending = np.arange(n)
-    else:
-        h4 = h @ h
-        h4 = h4 @ h4
-        v = v0.copy()
-        for _ in range(max_steps):
-            w = np.einsum("kpq,kq->kp", h4, v)
-            v = w / np.maximum(np.linalg.norm(w, axis=1), _TINY)[:, None]
-        hv = np.einsum("kpq,kq->kp", h, v)
-        rho = np.einsum("kp,kp->k", v.conj(), hv).real
-        res = np.linalg.norm(hv - rho[:, None] * v, axis=1)
-        thr = tol * np.maximum(_frobenius(h), _TINY)
-        # NaN-safe: non-finite residuals must land in the fallback set
-        pending = np.flatnonzero(~(res <= thr))
-    if pending.size:
-        _eigh_principal(h, v, pending, ok)
-    return v, ok
-
-
-def principal_eigenvector(h: np.ndarray, tol: float = 1e-8,
-                          max_iter: int = 100) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue of a Hermitian matrix.
-
-    Shifted power iteration with a residual stopping rule; the returned
-    vector has unit norm and its largest-modulus entry is made real and
-    positive. Raises :class:`NumericalFailure` if the residual does not
-    reach ``tol * ||H||_F`` within ``max_iter`` iterations.
-    """
-    hm = np.asarray(h, dtype=np.complex128)
-    if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
-        raise ConfigurationError("h must be a square matrix")
-    if not np.isfinite(hm).all():
-        raise NumericalFailure("matrix contains non-finite values")
-    thr = tol * max(np.linalg.norm(hm), _TINY)
-    # the shift makes the algebraically largest eigenvalue dominate in
-    # modulus even for indefinite input
-    shift = _gershgorin_shift(hm)
-    vec = _power_start(hm.shape[0])
-    converged = False
-    for it in range(max_iter + 1):
-        hv = hm @ vec
-        rho = np.vdot(vec, hv).real
-        if np.linalg.norm(hv - rho * vec) <= thr:
-            converged = True
-            break
-        if it == max_iter:
-            break
-        w = hv + shift * vec
-        vec = w / max(np.linalg.norm(w), _TINY)
-    if not converged:
-        raise NumericalFailure(
-            f"power iteration did not converge within {max_iter} iterations")
-    pivot = vec[np.argmax(np.abs(vec))]
-    phase = pivot / abs(pivot) if abs(pivot) > 0 else 1.0
-    vec = vec / phase
-    k = np.argmax(np.abs(vec))
-    vec[k] = vec[k].real + 0.0j
-    return vec
+        return v, ok
 
 
 def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray,
@@ -292,12 +177,12 @@ def _loaded_cholesky(phi_n: np.ndarray, diag_load_rel: float, bins: np.ndarray
 
 
 class WhitenedTracker:
-    """Per-bin covariance-whitening estimator with cached state.
+    """Dense covariance-whitening core of :func:`batch_cw`.
 
     Caches the Cholesky factors of the noise covariance and their
-    inverses, refreshed only for bins whose noise estimate changed, plus
-    the previous frame's eigenvectors as warm starts for the whitened
-    decomposition.
+    inverses, refreshed only for bins whose noise estimate changed. Each
+    :meth:`estimate` whitens every bin and takes its principal
+    eigenvector from a dense decomposition; no state carries over.
     """
 
     def __init__(self, n_bins: int, dim: int,
@@ -310,7 +195,6 @@ class WhitenedTracker:
         self._chol = np.tile(np.eye(dim, dtype=np.complex128), (n_bins, 1, 1))
         self._linv = self._chol.copy()
         self._chol_ok = np.zeros(n_bins, dtype=bool)
-        self._v: np.ndarray | None = None
 
     def refresh_noise(self, phi_n: np.ndarray, changed: np.ndarray | None = None) -> None:
         """Refactor the noise covariance for the given bins (all if None)."""
@@ -329,8 +213,7 @@ class WhitenedTracker:
         cfg = self.cfg
         linv_h = self._linv.conj().transpose(0, 2, 1)
         phi_w = self._linv @ phi_y @ linv_h
-        v, converged = _principal_eigenvectors(phi_w, self._v, cfg.eig_tol)
-        self._v = v
+        v, converged = _eigh_principal(phi_w)
         u = np.einsum("kpq,kq->kp", self._chol, v)
         norm_u = np.linalg.norm(u, axis=1)
         denom = u[:, 0]
@@ -437,31 +320,3 @@ def batch_cw(phi_y: np.ndarray, phi_n: np.ndarray,
     tracker = WhitenedTracker(py.shape[0], py.shape[-1], cfg)
     tracker.refresh_noise(pn)
     return tracker.estimate(py)
-
-
-def _as_rtf(values: np.ndarray, valid: np.ndarray, variant: str) -> RtfVector:
-    return RtfVector(values=values[0], variant=variant, valid=bool(valid[0]))
-
-
-def estimate_cs_head(phi_y_h: np.ndarray, phi_n_h: np.ndarray,
-                     cfg: EstimatorConfig | None = None) -> RtfVector:
-    """Covariance-subtraction estimate on head-microphone covariances."""
-    values, valid = batch_cs(phi_y_h[None], phi_n_h[None], cfg)
-    return _as_rtf(values, valid, "head")
-
-
-def estimate_cw(phi_y: np.ndarray, phi_n: np.ndarray,
-                cfg: EstimatorConfig | None = None,
-                variant: str = "extended") -> RtfVector:
-    """Covariance-whitening estimate; tag the result 'extended' or 'head'."""
-    if variant not in ("extended", "head"):
-        raise ConfigurationError("variant must be 'extended' or 'head'")
-    values, valid = batch_cw(phi_y[None], phi_n[None], cfg)
-    return _as_rtf(values, valid, variant)
-
-
-def estimate_sc(phi_y: np.ndarray,
-                cfg: EstimatorConfig | None = None) -> RtfVector:
-    """Spatial-coherence estimate from the extended noisy covariance."""
-    values, valid = batch_sc(phi_y[None], cfg)
-    return _as_rtf(values, valid, "head")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .activity import oracle_labels_from_power
 from .doa import PrototypeDatabase
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailure
 from .pipeline import DoaTrajectory, RunConfig, track_multi
 from .simulate import SceneOutput, SceneSpec, compose, render_components
 from .stft import AudioClip, analyze
@@ -80,7 +80,6 @@ class Metrics:
     accuracy_pct: float
     rms_error_deg: float | None
     invalid_frames: int
-    noise_reads: int
     real_time_factor: float | None
     errors_deg: tuple
 
@@ -93,7 +92,6 @@ class Metrics:
             "accuracy_pct": self.accuracy_pct,
             "rms_error_deg": self.rms_error_deg,
             "invalid_frames": self.invalid_frames,
-            "noise_reads": self.noise_reads,
             "real_time_factor": self.real_time_factor,
             "errors_deg": list(self.errors_deg),
         }
@@ -141,7 +139,7 @@ def score(traj: DoaTrajectory, truth_deg: np.ndarray,
                    frames_total=traj.n_frames, frames_scored=az.size,
                    accuracy_pct=acc, rms_error_deg=rms,
                    invalid_frames=int(np.count_nonzero(~valid)),
-                   noise_reads=traj.noise_reads, real_time_factor=rtf,
+                   real_time_factor=rtf,
                    errors_deg=errors_out)
 
 
@@ -233,11 +231,21 @@ def evaluate_csv(doa_csv: str | Path, truth_csv: str | Path,
                  estimator: str = "unknown") -> Metrics:
     """Score a written trajectory against a written truth table.
 
-    The CSV carries no timing, so ``real_time_factor`` is null and the
-    output is reproducible byte for byte.
+    The two tables must hold the same frames: a truth row whose
+    ``time_s`` differs from the trajectory's by more than the written
+    precision (1e-6 s) raises :class:`ConfigurationError`. The CSV
+    carries no timing, so ``real_time_factor`` is null and the output is
+    reproducible byte for byte.
     """
     doa = read_trajectory_csv(doa_csv)
     truth = read_truth_csv(truth_csv)
+    if truth["time_s"].size == doa["time_s"].size:
+        off = np.flatnonzero(np.abs(truth["time_s"] - doa["time_s"]) > 1e-6)
+        if off.size:
+            i = off[0]
+            raise ConfigurationError(
+                f"truth frame {i} is at {truth['time_s'][i]:.6f} s, "
+                f"trajectory frame {i} at {doa['time_s'][i]:.6f} s")
     traj = DoaTrajectory(estimator=estimator, azimuth_deg=doa["azimuth_deg"],
                          cost=doa["cost"], valid=doa["valid"],
                          frame_times=doa["time_s"], warmup_frames=warmup_frames)
@@ -260,10 +268,11 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     and ``externals`` as [azimuth_deg, distance_m] pairs. Each scene
     condition (seed, azimuth, reverb proxy, external position) is one
     unit: its components are rendered once and rescaled per SNR, and all
-    estimators share one covariance pass per cell. Failed cells are
-    captured as rows with an ``error`` note instead of aborting the
-    sweep; averaged rows (seed and azimuth columns ``avg``) are appended
-    per remaining condition.
+    estimators share one covariance pass per cell. Cells that fail with
+    :class:`ConfigurationError` or :class:`NumericalFailure` are captured
+    as rows with an ``error`` note instead of aborting the sweep; any
+    other exception propagates. Averaged rows (seed and azimuth columns
+    ``avg``) are appended per remaining condition.
 
     Units run in as many forked worker processes as this process may use
     CPUs (``os.sched_getaffinity``), each worker with one BLAS thread, or
@@ -364,7 +373,7 @@ def _sweep_unit(db: PrototypeDatabase, base: RunConfig,
         ref_noise = AudioClip(comps.noise_unit[:1], spec.sample_rate)
         x2 = np.abs(analyze(ref_clean, base.stft).data[0]) ** 2
         n2_unit = np.abs(analyze(ref_noise, base.stft).data[0]) ** 2
-    except Exception as exc:
+    except (ConfigurationError, NumericalFailure) as exc:
         log.warning("scene %s failed: %s", cond, exc)
         for snr in snrs:
             rows.extend(_error_rows(estimators, cond, snr, exc))
@@ -389,7 +398,7 @@ def _sweep_unit(db: PrototypeDatabase, base: RunConfig,
                     "invalid_frames": metrics.invalid_frames,
                     "error": "",
                 })
-        except Exception as exc:
+        except (ConfigurationError, NumericalFailure) as exc:
             log.warning("cell %s snr=%s failed: %s", cond, snr, exc)
             rows.extend(_error_rows(estimators, cond, snr, exc))
     return rows

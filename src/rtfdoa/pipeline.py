@@ -40,11 +40,6 @@ DEFAULT_TAU_Y_STATIC_S = 0.25
 DEFAULT_TAU_Y_MOVING_S = 0.15
 DEFAULT_TAU_N_S = 0.5
 
-# the pipeline tracks CW with one generalized power step per frame
-# (PowerCwTracker), which has no residual test, so eig_tol no longer
-# affects pipeline runs; it still reaches the CLI's resolved config
-PIPELINE_ESTIMATOR_CONFIG = EstimatorConfig(eig_tol=1e-3)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -67,7 +62,7 @@ class RunConfig:
     faithful_noise_recursion: bool = False
     oracle_margin_db: float = -10.0
     spp_bootstrap_frames: int = 10
-    estimator_config: EstimatorConfig = PIPELINE_ESTIMATOR_CONFIG
+    estimator_config: EstimatorConfig = field(default_factory=EstimatorConfig)
     spp_config: SppConfig = field(default_factory=SppConfig)
     stft: StftConfig = field(default_factory=StftConfig)
 
@@ -106,7 +101,6 @@ class DoaTrajectory:
     valid: np.ndarray
     frame_times: np.ndarray
     warmup_frames: int
-    noise_reads: int = 0
     processing_s: float = 0.0
     cost_surface: np.ndarray | None = None
 
@@ -171,8 +165,6 @@ def track_multi(clip: AudioClip, db: PrototypeDatabase, config: RunConfig,
 
     ``labels`` is the [K, L] oracle speech-activity bitmap, required when
     the detector is 'oracle'. Returns one trajectory per estimator name.
-    The tracker's noise-read count is shared across the estimators of a
-    single call.
     """
     t0 = time.perf_counter()
     names = tuple(estimators) if estimators is not None else (config.estimator,)
@@ -241,7 +233,6 @@ def track_multi(clip: AudioClip, db: PrototypeDatabase, config: RunConfig,
         results[name] = DoaTrajectory(
             estimator=name, azimuth_deg=azimuths, cost=costs, valid=valid,
             frame_times=grid.frame_times, warmup_frames=warmup,
-            noise_reads=tracker.noise_reads,
             cost_surface=surface if keep_cost_surfaces else None)
     elapsed = time.perf_counter() - t0
     results = {name: replace(traj, processing_s=elapsed)

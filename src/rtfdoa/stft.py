@@ -162,9 +162,11 @@ def analyze(clip: AudioClip, cfg: StftConfig | None = None) -> TFGrid:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a multichannel WAV file (PCM16 or float32/float64).
+    """Read a multichannel WAV file (16-, 24- or 32-bit PCM, or float).
 
-    Integer PCM is scaled to [-1, 1). A sample rate other than 16 kHz is
+    Integer PCM is scaled to [-1, 1); scipy returns 24-bit PCM as int32
+    with the samples in the upper three bytes, so it takes the same
+    2^-31 scale as 32-bit PCM. A sample rate other than 16 kHz is
     accepted but logged as a warning.
     """
     rate, data = scipy.io.wavfile.read(path)
@@ -172,6 +174,10 @@ def read_wav(path) -> AudioClip:
         data = data[:, None]
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        # scale in place: a second float64 copy would raise peak memory
+        samples = data.astype(np.float64)
+        samples *= 2.0 ** -31
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
     else:

@@ -16,11 +16,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rtfdoa.cli import main
-from rtfdoa.covariance import (SmoothingConfig, head_submatrix, initial_state,
-                               update)
-from rtfdoa.doa import (argmin_direction, argmin_directions, cost_surface,
-                        cost_surface_frames, hermitian_angle)
-from rtfdoa.estimators import estimate_cs_head, estimate_cw, estimate_sc
+from rtfdoa.covariance import SmoothingConfig, initial_state, update
+from rtfdoa.doa import argmin_directions, cost_surface_frames, hermitian_angle
+from rtfdoa.estimators import batch_cs, batch_cw, batch_sc
 from rtfdoa.evaluate import run_scene, run_sweep
 from rtfdoa.pipeline import RunConfig, track
 from rtfdoa.simulate import (SceneSpec, diffuse_field_check, render_components,
@@ -49,24 +47,24 @@ def test_criterion_1_exact_matrix_recovery(acceptance, rng):
         g, phi_x, phi_n = _random_rank_one(rng)
         phi_y = phi_x * np.outer(g, g.conj()) + phi_n
 
-        cs = estimate_cs_head(head_submatrix(phi_y), head_submatrix(phi_n))
-        cw_e = estimate_cw(phi_y, phi_n)
-        cw_h = estimate_cw(head_submatrix(phi_y), head_submatrix(phi_n),
-                           variant="head")
-        assert cs.valid and cw_e.valid and cw_h.valid
-        worst["cs"] = max(worst["cs"], np.abs(cs.values - g[:4]).max())
-        worst["cw-ext"] = max(worst["cw-ext"], np.abs(cw_e.values - g).max())
-        worst["cw-head"] = max(worst["cw-head"],
-                               np.abs(cw_h.values - g[:4]).max())
+        # one-element stacks through the batched kernels
+        head_y, head_n = phi_y[None, :4, :4], phi_n[None, :4, :4]
+        cs, cs_ok = batch_cs(head_y, head_n)
+        cw_e, cw_e_ok = batch_cw(phi_y[None], phi_n[None])
+        cw_h, cw_h_ok = batch_cw(head_y, head_n)
+        assert cs_ok[0] and cw_e_ok[0] and cw_h_ok[0]
+        worst["cs"] = max(worst["cs"], np.abs(cs[0] - g[:4]).max())
+        worst["cw-ext"] = max(worst["cw-ext"], np.abs(cw_e[0] - g).max())
+        worst["cw-head"] = max(worst["cw-head"], np.abs(cw_h[0] - g[:4]).max())
 
         # the coherence route is exact once the noise has no cross terms
         # between the external and the head microphones
         phi_n_sc = phi_n.copy()
         phi_n_sc[4, :4] = 0.0
         phi_n_sc[:4, 4] = 0.0
-        sc = estimate_sc(phi_x * np.outer(g, g.conj()) + phi_n_sc)
-        assert sc.valid
-        worst["sc"] = max(worst["sc"], np.abs(sc.values - g[:4]).max())
+        sc, sc_ok = batch_sc((phi_x * np.outer(g, g.conj()) + phi_n_sc)[None])
+        assert sc_ok[0]
+        worst["sc"] = max(worst["sc"], np.abs(sc[0] - g[:4]).max())
     elapsed = time.perf_counter() - t0
     ok = (worst["cs"] <= 1e-10 and worst["sc"] <= 1e-10
           and worst["cw-ext"] <= 1e-8 and worst["cw-head"] <= 1e-8
@@ -86,12 +84,12 @@ def test_criterion_2_whitening_equals_subtraction_on_white_noise(acceptance,
         phi_n = sigma2 * np.eye(5)
         phi_y = phi_x * np.outer(g, g.conj()) + phi_n
 
-        cs = estimate_cs_head(head_submatrix(phi_y), head_submatrix(phi_n))
-        cw_h = estimate_cw(head_submatrix(phi_y), head_submatrix(phi_n),
-                           variant="head")
-        cw_e = estimate_cw(phi_y, phi_n)
-        worst = max(worst, np.abs(cw_h.values - cs.values).max(),
-                    np.abs(cw_e.values[:4] - cs.values).max())
+        head_y, head_n = phi_y[None, :4, :4], phi_n[None, :4, :4]
+        cs = batch_cs(head_y, head_n)[0][0]
+        cw_h = batch_cw(head_y, head_n)[0][0]
+        cw_e = batch_cw(phi_y[None], phi_n[None])[0][0]
+        worst = max(worst, np.abs(cw_h - cs).max(),
+                    np.abs(cw_e[:4] - cs).max())
     ok = worst <= 1e-8
     acceptance(2, "CW equals CS under white noise", ok,
                f"{N_DRAWS} draws, max |CW - CS| = {worst:.2e}")
@@ -134,11 +132,12 @@ def test_criterion_3_angle_metric_properties(acceptance, database):
         valid[1] = True
         scales = (r.uniform(1e-3, 1e3, size=257)
                   * np.exp(2j * np.pi * r.random(257)))
-        before = cost_surface(values, valid, database)
-        after = cost_surface(values * scales[:, None], valid, database)
+        before = cost_surface_frames(values[None], valid[None], database)
+        after = cost_surface_frames((values * scales[:, None])[None],
+                                    valid[None], database)
         np.testing.assert_allclose(after, before, atol=1e-9)
-        assert (argmin_direction(after, database).azimuth_deg
-                == argmin_direction(before, database).azimuth_deg)
+        assert (argmin_directions(after, database)[0]
+                == argmin_directions(before, database)[0])
 
     failures = []
     for prop in (_angle_property_bundle, argmin_unchanged_by_bin_rescaling):

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtfdoa.activity import (
-    ActivityLabel,
     SppConfig,
-    classify_frame,
     oracle_labels,
     oracle_labels_from_power,
     read_labels,
     spp,
     write_labels,
 )
+from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError
+from rtfdoa.pipeline import _spp_mask
 from rtfdoa.stft import TFGrid
 
 
@@ -56,29 +56,25 @@ def test_spp_clamps_nonpositive_psd(caplog):
     assert any("clamped" in r.message for r in caplog.records)
 
 
-def test_classify_frame_decisions():
-    assert classify_frame([1.0, 1.0, 1.0, 1.0]) is ActivityLabel.SPEECH_PLUS_NOISE
-    assert classify_frame(np.zeros(4)) is ActivityLabel.NOISE_ONLY
-    # mean 0.45 stays below the 0.5 threshold
-    assert classify_frame([0.6, 0.6, 0.3, 0.3]) is ActivityLabel.NOISE_ONLY
-    # strict inequality: mean exactly at threshold reads noise-only
-    assert classify_frame([0.5, 0.5]) is ActivityLabel.NOISE_ONLY
-    assert classify_frame([0.5, 0.6]) is ActivityLabel.SPEECH_PLUS_NOISE
-
-
-def test_classify_frame_order_invariant(rng):
-    probs = rng.random(16)
-    shuffled = rng.permutation(probs)
-    assert classify_frame(probs) is classify_frame(shuffled)
-
-
-def test_classify_frame_validation():
-    with pytest.raises(ConfigurationError):
-        classify_frame([])
-    with pytest.raises(ConfigurationError):
-        classify_frame([0.5, 1.2])
-    with pytest.raises(ConfigurationError):
-        classify_frame([-0.1])
+def test_spp_mask_thresholds_mean_channel_probability():
+    # per bin, the channel probabilities are averaged and compared with
+    # the threshold; with a unit noise PSD a silent channel reads
+    # 1/(2 + xi) ~ 0.03 and a loud one exactly 1.0
+    tracker = CovarianceTracker(5, 5, SmoothingConfig(0.9, 0.9), eps_init=1.0)
+    loud = np.sqrt(1000.0)
+    y = np.zeros((5, 5), dtype=complex)
+    y[:1, 0] = loud  # one loud channel: mean 0.27
+    y[:2, 1] = loud  # two: mean 0.51
+    y[:3, 2] = loud
+    y[:4, 3] = loud  # all four: mean exactly 1.0
+    y[4, 4] = loud   # only the external channel, which the rule ignores
+    mask = _spp_mask(y, tracker, 4, SppConfig())
+    np.testing.assert_array_equal(mask, [False, True, True, True, False])
+    # the channel order does not matter
+    np.testing.assert_array_equal(
+        _spp_mask(y[[3, 1, 0, 2, 4]], tracker, 4, SppConfig()), mask)
+    # strict inequality: a mean exactly at the threshold reads noise-only
+    assert not _spp_mask(y, tracker, 4, SppConfig(threshold=1.0))[3]
 
 
 def test_spp_config_validation():

@@ -158,6 +158,19 @@ def test_exit_code_on_bad_configuration(workspace, tmp_path):
                  "--output", str(tmp_path / "s.csv")]) == 2
 
 
+def test_exit_code_on_unknown_nested_config_key(workspace, tmp_path, capsys):
+    # eig_tol was an estimator option that older resolved configs carry
+    cfg = tmp_path / "run.json"
+    for section, key in (("estimator_config", "bogus"),
+                         ("estimator_config", "eig_tol"),
+                         ("spp_config", "bogus"), ("stft", "bogus")):
+        cfg.write_text(json.dumps({section: {key: 1}}))
+        assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
+                     "--database", str(workspace["db"]), "--config", str(cfg),
+                     "--output", str(tmp_path / "d.csv")]) == 2
+        assert f"unknown '{section}' keys: ['{key}']" in capsys.readouterr().err
+
+
 def test_exit_code_on_numerical_failure(workspace, tmp_path):
     wav = tmp_path / "nan.wav"
     samples = np.zeros((5, 16000))

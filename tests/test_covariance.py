@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from rtfdoa.activity import ActivityLabel
 from rtfdoa.covariance import (
     CovarianceTracker,
     SmoothingConfig,
-    head_submatrix,
     initial_state,
     update,
 )
@@ -129,21 +127,6 @@ def test_trace_stays_convex_combination(rng):
     assert np.trace(out.phi_y).real == pytest.approx(expected, rel=1e-12)
 
 
-def test_head_submatrix():
-    phi = np.arange(25, dtype=float).reshape(5, 5) + 0j
-    np.testing.assert_array_equal(head_submatrix(phi), phi[:4, :4])
-    np.testing.assert_array_equal(head_submatrix(phi, 2), phi[:2, :2])
-    stacked = np.stack([phi, 2 * phi])
-    np.testing.assert_array_equal(head_submatrix(stacked), stacked[:, :4, :4])
-    with pytest.raises(ConfigurationError):
-        head_submatrix(phi, 0)
-    with pytest.raises(ConfigurationError):
-        head_submatrix(phi, 6)
-    sub = head_submatrix(phi)
-    sub[0, 0] = -1.0
-    assert phi[0, 0] == 0.0
-
-
 def test_smoothed_estimate_converges_to_truth():
     # stationary snapshots: relative Frobenius error of the smoothed
     # estimate settles near sqrt((1-a)/(1+a)) * tr(Phi) / ||Phi||_F
@@ -195,18 +178,6 @@ def test_tracker_faithful_flag_matches_scalar(rng):
                                    atol=1e-13)
 
 
-def test_tracker_counts_noise_reads(rng):
-    tracker = CovarianceTracker(2, 3, SM)
-    y = _random_snapshot(rng, 6).reshape(2, 3)
-    tracker.update_frame(y, np.array([True, False, True]))
-    assert tracker.noise_reads == 0
-    _ = tracker.noisy
-    assert tracker.noise_reads == 0
-    _ = tracker.noise
-    _ = tracker.noise
-    assert tracker.noise_reads == 2
-
-
 def test_tracker_validation(rng):
     tracker = CovarianceTracker(2, 3, SM)
     with pytest.raises(ConfigurationError):
@@ -216,21 +187,3 @@ def test_tracker_validation(rng):
         tracker.update_frame(bad, np.ones(3, bool))
     with pytest.raises(ConfigurationError):
         CovarianceTracker(0, 3, SM)
-
-
-def test_tracker_dump_structure(tmp_path, rng):
-    tracker = CovarianceTracker(2, 2, SM)
-    y = _random_snapshot(rng, 4).reshape(2, 2)
-    tracker.update_frame(y, np.array([True, False]))
-    path = tmp_path / "cov.json"
-    tracker.dump(path)
-    payload = json.loads(path.read_text())
-    assert payload["n_channels"] == 2
-    assert payload["n_bins"] == 2
-    assert payload["alpha_y"] == pytest.approx(SM.alpha_y)
-    assert len(payload["bins"]) == 2
-    first = payload["bins"][0]
-    assert first["k"] == 0
-    assert first["frames_seen_y"] == 1 and first["frames_seen_n"] == 0
-    phi = np.array([[complex(re, im) for re, im in row] for row in first["phi_y"]])
-    np.testing.assert_allclose(phi, tracker.noisy[0], atol=1e-12)

@@ -4,11 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtfdoa.doa import (
-    CostSurface,
     PrototypeDatabase,
-    argmin_direction,
     argmin_directions,
-    cost_surface,
     cost_surface_frames,
     default_grid,
     generate_prototypes,
@@ -135,6 +132,11 @@ def test_tie_break_order_prefers_small_absolute_azimuth():
 
 # ------------------------------------------------------------ cost surface
 
+def _cost_row(values, valid, db):
+    """Cost row of a single [K, M] frame, run as a one-frame stack."""
+    return cost_surface_frames(values[None], valid[None], db)[0]
+
+
 def _loop_surface(values, valid, db):
     n_frames = values.shape[0]
     out = np.full((n_frames, db.n_directions), np.nan)
@@ -166,7 +168,7 @@ def test_cost_surface_single_frame_path(rng):
     values = (rng.standard_normal((db.n_bins, 2))
               + 1j * rng.standard_normal((db.n_bins, 2)))
     valid = np.ones(db.n_bins, dtype=bool)
-    row = cost_surface(values, valid, db)
+    row = _cost_row(values, valid, db)
     np.testing.assert_allclose(row, _loop_surface(values[None], valid[None], db)[0],
                                atol=1e-12)
 
@@ -177,7 +179,7 @@ def test_cost_surface_single_valid_bin_equals_hermitian_angle(rng):
               + 1j * rng.standard_normal((db.n_bins, 2)))
     valid = np.zeros(db.n_bins, dtype=bool)
     valid[2] = True
-    row = cost_surface(values, valid, db)
+    row = _cost_row(values, valid, db)
     for i in range(db.n_directions):
         assert row[i] == pytest.approx(
             hermitian_angle(values[2], db.vectors[i, 2]), abs=1e-12)
@@ -189,14 +191,14 @@ def test_cost_surface_excludes_dc_bin(rng):
     tampered = values.copy()
     tampered[0] = [1.0, -57.0]  # DC-only difference must not matter
     valid = np.ones(db.n_bins, dtype=bool)
-    np.testing.assert_array_equal(cost_surface(values, valid, db),
-                                  cost_surface(tampered, valid, db))
+    np.testing.assert_array_equal(_cost_row(values, valid, db),
+                                  _cost_row(tampered, valid, db))
 
 
 def test_cost_surface_perfect_match_is_zero(rng):
     db = _small_db(rng, n_dirs=3)
     values = db.vectors[1].copy()
-    row = cost_surface(values, np.ones(db.n_bins, dtype=bool), db)
+    row = _cost_row(values, np.ones(db.n_bins, dtype=bool), db)
     assert row[1] <= 1e-7
     assert row[0] > 1e-3 and row[2] > 1e-3
 
@@ -219,17 +221,10 @@ def test_cost_surface_shape_errors(rng):
     with pytest.raises(ConfigurationError):
         cost_surface_frames(good, np.ones((2, db.n_bins + 1), bool), db)
     with pytest.raises(ConfigurationError):
-        cost_surface(np.ones((db.n_bins, 3), dtype=complex),
-                     np.ones(db.n_bins, bool), db)
-
-
-def test_cost_surface_container_validation():
+        cost_surface_frames(np.ones((1, db.n_bins, 3), dtype=complex),
+                            np.ones((1, db.n_bins), bool), db)
     with pytest.raises(ConfigurationError):
-        CostSurface(np.full((2, 3), -0.1))
-    with pytest.raises(ConfigurationError):
-        CostSurface(np.full((2, 3), 2.0))
-    surf = CostSurface(np.full((2, 3), np.nan))  # NaN rows are legal
-    assert np.isnan(surf.values).all()
+        cost_surface_frames(good[0], np.ones(db.n_bins, bool), db)
 
 
 # ----------------------------------------------------------------- argmin
@@ -251,16 +246,16 @@ def test_argmin_examples():
 
 def test_argmin_monotone_row_picks_first_direction(database):
     row = np.linspace(0.1, 1.5, database.n_directions)
-    est = argmin_direction(row, database)
-    assert est.valid
-    assert est.azimuth_deg == -180.0
-    assert est.cost == pytest.approx(0.1)
+    az, cost, ok = argmin_directions(row[None], database)
+    assert ok[0]
+    assert az[0] == -180.0
+    assert cost[0] == pytest.approx(0.1)
 
 
 def test_argmin_invalid_row():
-    est = argmin_direction(np.full(3, np.nan), _small_db())
-    assert not est.valid
-    assert np.isnan(est.azimuth_deg)
+    az, _, ok = argmin_directions(np.full((1, 3), np.nan), _small_db())
+    assert not ok[0]
+    assert np.isnan(az[0])
 
 
 def test_argmin_shape_error():
@@ -280,11 +275,10 @@ def test_argmin_invariant_to_complex_scaling(seed, c):
     values = (rng.standard_normal((db.n_bins, 2))
               + 1j * rng.standard_normal((db.n_bins, 2)))
     valid = np.ones(db.n_bins, dtype=bool)
-    base = cost_surface(values, valid, db)
-    scaled = cost_surface(c * values, valid, db)
+    base = cost_surface_frames(values[None], valid[None], db)
+    scaled = cost_surface_frames(c * values[None], valid[None], db)
     np.testing.assert_allclose(scaled, base, atol=1e-9)
-    assert argmin_direction(base, db).azimuth_deg \
-        == argmin_direction(scaled, db).azimuth_deg
+    assert argmin_directions(base, db)[0] == argmin_directions(scaled, db)[0]
 
 
 # ------------------------------------------------------------- prototypes

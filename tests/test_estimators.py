@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rtfdoa.covariance import head_submatrix
-from rtfdoa.errors import ConfigurationError, NumericalFailure
+from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import (
     EstimatorConfig,
     PowerCwTracker,
     WhitenedTracker,
-    _principal_eigenvectors,
+    _eigh_principal,
+    _loaded_cholesky,
     batch_cs,
     batch_cw,
     batch_sc,
-    estimate_cs_head,
-    estimate_cw,
-    estimate_sc,
-    principal_eigenvector,
-    regularized_cholesky,
 )
 
 
@@ -32,20 +27,26 @@ def _rank_one_plus_noise(g, phi_n, sig2=1.0):
 
 # ---------------------------------------------------------------- cholesky
 
+def _cholesky(stack):
+    # the default relative loading of EstimatorConfig
+    return _loaded_cholesky(stack, 1e-10, np.arange(len(stack)))
+
+
 def test_cholesky_identity():
-    np.testing.assert_allclose(regularized_cholesky(np.eye(3) + 0j), np.eye(3),
-                               atol=1e-9)
+    fac, ok = _cholesky(np.eye(3)[None] + 0j)
+    assert ok[0]
+    np.testing.assert_allclose(fac[0], np.eye(3), atol=1e-9)
 
 
 def test_cholesky_hand_case():
     phi = np.array([[4.0, 2.0], [2.0, 2.0]], dtype=complex)
-    fac = regularized_cholesky(phi)
-    np.testing.assert_allclose(fac, [[2.0, 0.0], [1.0, 1.0]], atol=1e-9)
+    fac, _ = _cholesky(phi[None])
+    np.testing.assert_allclose(fac[0], [[2.0, 0.0], [1.0, 1.0]], atol=1e-9)
 
 
 def test_cholesky_reconstructs_random_pd(rng):
     phi = _random_psd(rng, 5)
-    fac = regularized_cholesky(phi)
+    fac = _cholesky(phi[None])[0][0]
     assert np.allclose(np.triu(fac, 1), 0.0)
     np.testing.assert_allclose(fac @ fac.conj().T, phi,
                                atol=1e-12 * np.linalg.norm(phi))
@@ -53,79 +54,53 @@ def test_cholesky_reconstructs_random_pd(rng):
 
 def test_cholesky_batch_shape(rng):
     stack = np.stack([_random_psd(rng, 3) for _ in range(4)])
-    fac = regularized_cholesky(stack)
-    assert fac.shape == stack.shape
+    fac, ok = _cholesky(stack)
+    assert fac.shape == stack.shape and ok.all()
     np.testing.assert_allclose(fac @ fac.conj().transpose(0, 2, 1), stack,
                                atol=1e-10)
 
 
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NumericalFailure):
-        regularized_cholesky(np.diag([1.0, -1.0]).astype(complex))
+def test_cholesky_rejects_indefinite(rng):
+    # the indefinite bin is flagged and gets an identity factor; the
+    # positive-definite bins around it are still factored
+    good = _random_psd(rng, 2)
+    stack = np.stack([good, np.diag([1.0, -1.0]).astype(complex), good])
+    fac, ok = _cholesky(stack)
+    np.testing.assert_array_equal(ok, [True, False, True])
+    np.testing.assert_array_equal(fac[1], np.eye(2))
+    np.testing.assert_allclose(fac[2] @ fac[2].conj().T, good, atol=1e-10)
 
 
-# ------------------------------------------------------ power iteration
+# ------------------------------------------------- dense principal vector
 
 def test_principal_eigenvector_diagonal():
-    v = principal_eigenvector(np.diag([3.0, 1.0]).astype(complex))
-    np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-7)
+    v, ok = _eigh_principal(np.diag([3.0, 1.0]).astype(complex)[None])
+    assert ok[0]
+    np.testing.assert_allclose(np.abs(v[0]), [1.0, 0.0], atol=1e-12)
 
 
-def test_principal_eigenvector_rank_one_direction(rng):
+def test_principal_eigenvector_rank_one_direction():
     g = np.array([1.0, 0.5 - 0.5j, -0.3j])
     h = np.outer(g, g.conj()) + 0.1 * np.eye(3)
-    v = principal_eigenvector(h)
-    ref = g / np.linalg.norm(g)
-    # align phases before comparing
-    ref = ref * np.exp(-1j * np.angle(ref[np.argmax(np.abs(ref))]))
-    np.testing.assert_allclose(v, ref, atol=1e-7)
-    # largest-modulus entry is pinned real positive
-    pivot = v[np.argmax(np.abs(v))]
-    assert pivot.imag == 0.0 and pivot.real > 0.0
+    v, ok = _eigh_principal(h[None])
+    assert ok[0]
+    # unit norm, and parallel to g up to a phase
+    assert np.linalg.norm(v[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(g / np.linalg.norm(g), v[0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_principal_eigenvector_matches_dense_solver(rng):
-    for _ in range(5):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        h = a + a.conj().T  # indefinite on purpose
-        v = principal_eigenvector(h, tol=1e-8, max_iter=5000)
-        w, vecs = np.linalg.eigh(h)
-        ref = vecs[:, -1]
-        assert abs(np.vdot(ref, v)) == pytest.approx(1.0, abs=1e-6)
-        rho = np.vdot(v, h @ v).real
-        assert np.linalg.norm(h @ v - rho * v) <= 1e-8 * np.linalg.norm(h)
-        assert rho == pytest.approx(w[-1], rel=1e-9)
-
-
-def test_principal_eigenvector_nonconvergence_raises():
-    with pytest.raises(NumericalFailure):
-        principal_eigenvector(np.diag([3.0, 1.0]).astype(complex), max_iter=1)
-
-
-def test_principal_eigenvector_validation():
-    with pytest.raises(ConfigurationError):
-        principal_eigenvector(np.zeros((2, 3), dtype=complex))
-    with pytest.raises(NumericalFailure):
-        principal_eigenvector(np.array([[np.nan, 0], [0, 1]], dtype=complex))
-
-
-def test_batched_eigenvectors_warm_start_matches_dense(rng):
-    stack = np.stack([_random_psd(rng, 4) for _ in range(12)])
-    _, vecs = np.linalg.eigh(stack)
-    ref = vecs[:, :, -1]
-    # small perturbation: the warm path must still land on the dense answer
-    v0 = ref + 0.05 * (rng.standard_normal(ref.shape)
-                       + 1j * rng.standard_normal(ref.shape))
-    v0 /= np.linalg.norm(v0, axis=1)[:, None]
-    v, ok = _principal_eigenvectors(stack, v0, tol=1e-8)
+    # indefinite on purpose: the algebraically largest eigenvalue wins,
+    # not the one of largest modulus
+    h = rng.standard_normal((5, 5, 5)) + 1j * rng.standard_normal((5, 5, 5))
+    h = h + h.conj().transpose(0, 2, 1)
+    v, ok = _eigh_principal(h)
     assert ok.all()
-    overlap = np.abs(np.einsum("kp,kp->k", ref.conj(), v))
-    np.testing.assert_allclose(overlap, 1.0, atol=1e-7)
-    # cold start goes through the dense route directly
-    v_cold, ok_cold = _principal_eigenvectors(stack, None)
-    assert ok_cold.all()
-    overlap = np.abs(np.einsum("kp,kp->k", ref.conj(), v_cold))
-    np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+    for k in range(5):
+        w = np.linalg.eigvalsh(h[k])
+        rho = np.vdot(v[k], h[k] @ v[k]).real
+        assert np.linalg.norm(h[k] @ v[k] - rho * v[k]) <= 1e-8 * np.linalg.norm(h[k])
+        assert rho == pytest.approx(w[-1], rel=1e-9)
 
 
 # ------------------------------------------------------------ subtraction
@@ -155,7 +130,7 @@ def test_cs_extended_head_entries_match_head_only(rng):
     phi_y = np.stack([_random_psd(rng, 5) for _ in range(3)])
     phi_n = np.stack([_random_psd(rng, 5, scale=0.3) for _ in range(3)])
     ext, _ = batch_cs(phi_y, phi_n)
-    head, _ = batch_cs(head_submatrix(phi_y), head_submatrix(phi_n))
+    head, _ = batch_cs(phi_y[:, :4, :4], phi_n[:, :4, :4])
     np.testing.assert_allclose(ext[:, :4], head, atol=1e-13)
 
 
@@ -170,10 +145,10 @@ def test_cs_monte_carlo_sample_covariances(rng):
     y = s[:, None] * g + noise
     phi_y = (y.conj().T @ y).T / n_frames
     phi_n = (noise.conj().T @ noise).T / n_frames
-    vec = estimate_cs_head(phi_y, phi_n)
-    assert vec.valid
-    assert vec.values[0] == 1.0 + 0.0j
-    np.testing.assert_allclose(vec.values, g, atol=0.05)
+    values, valid = batch_cs(phi_y[None], phi_n[None])
+    assert valid[0]
+    assert values[0, 0] == 1.0 + 0.0j
+    np.testing.assert_allclose(values[0], g, atol=0.05)
 
 
 def test_cs_identical_matrices_invalid():
@@ -200,11 +175,11 @@ def test_cw_white_noise_reduces_to_cs(rng):
                             + 1j * rng.standard_normal(p - 1)])
         phi_n = 0.7 * np.eye(p, dtype=complex)
         phi_y = _rank_one_plus_noise(g, phi_n, sig2=1.3)
-        cw = estimate_cw(phi_y, phi_n)
-        cs = estimate_cs_head(phi_y, phi_n)
-        assert cw.valid and cs.valid
-        np.testing.assert_allclose(cw.values, cs.values, atol=1e-8)
-        np.testing.assert_allclose(cw.values, g, atol=1e-8)
+        cw, cw_ok = batch_cw(phi_y[None], phi_n[None])
+        cs, cs_ok = batch_cs(phi_y[None], phi_n[None])
+        assert cw_ok[0] and cs_ok[0]
+        np.testing.assert_allclose(cw[0], cs[0], atol=1e-8)
+        np.testing.assert_allclose(cw[0], g, atol=1e-8)
 
 
 def test_cw_hand_case_unequal_noise_powers():
@@ -213,9 +188,9 @@ def test_cw_hand_case_unequal_noise_powers():
     g = np.array([1.0, 1.0], dtype=complex)
     phi_n = np.diag([1.0, 4.0]).astype(complex)
     phi_y = _rank_one_plus_noise(g, phi_n)
-    vec = estimate_cw(phi_y, phi_n)
-    assert vec.valid
-    np.testing.assert_allclose(vec.values, g, atol=1e-9)
+    values, valid = batch_cw(phi_y[None], phi_n[None])
+    assert valid[0]
+    np.testing.assert_allclose(values[0], g, atol=1e-9)
 
 
 def test_cw_matches_generalized_eig_oracle(rng):
@@ -230,18 +205,9 @@ def test_cw_matches_generalized_eig_oracle(rng):
         x = scipy.linalg.eigh(phi_y, phi_n)[1][:, -1]
         u = phi_n @ x
         ref = u / u[0]
-        vec = estimate_cw(phi_y, phi_n)
-        assert vec.valid
-        np.testing.assert_allclose(vec.values, ref, atol=1e-8 * np.abs(ref).max())
-
-
-def test_cw_variant_tags():
-    phi_n = np.eye(2, dtype=complex)
-    phi_y = _rank_one_plus_noise([1.0, 2.0], phi_n)
-    assert estimate_cw(phi_y, phi_n).variant == "extended"
-    assert estimate_cw(phi_y, phi_n, variant="head").variant == "head"
-    with pytest.raises(ConfigurationError):
-        estimate_cw(phi_y, phi_n, variant="binaural")
+        values, valid = batch_cw(phi_y[None], phi_n[None])
+        assert valid[0]
+        np.testing.assert_allclose(values[0], ref, atol=1e-8 * np.abs(ref).max())
 
 
 def test_cw_indefinite_noise_invalidates_bin(rng):
@@ -287,8 +253,8 @@ def test_whitened_tracker_partial_refresh(rng):
     expected_noise[1] = phi_n_b[1]
     oracle, _ = batch_cw(phi_y, expected_noise)
     np.testing.assert_allclose(mixed, oracle, atol=1e-10)
-    # untouched bins keep their factors (warm-started solve, so not bitwise)
-    np.testing.assert_allclose(mixed[0], base[0], atol=1e-12)
+    # untouched bins keep their factors
+    np.testing.assert_array_equal(mixed[0], base[0])
 
     tracker.refresh_noise(phi_n_b, np.zeros(n_bins, dtype=bool))
     again, _ = tracker.estimate(phi_y)
@@ -372,10 +338,10 @@ def test_power_tracker_validation():
 def test_sc_rank_one_drops_external_entry():
     a = np.array([1.0, 2.0, 0.5], dtype=complex)  # two head mics + external
     phi_y = np.outer(a, a.conj())
-    vec = estimate_sc(phi_y)
-    assert vec.valid
-    assert vec.values.shape == (2,)
-    np.testing.assert_allclose(vec.values, [1.0, 2.0], atol=1e-14)
+    values, valid = batch_sc(phi_y[None])
+    assert valid[0]
+    assert values[0].shape == (2,)
+    np.testing.assert_allclose(values[0], [1.0, 2.0], atol=1e-14)
 
 
 def test_sc_immune_to_uncorrelated_noise():
@@ -385,9 +351,9 @@ def test_sc_immune_to_uncorrelated_noise():
     phi_head_noise[:2, :2] = _random_psd(np.random.default_rng(7), 2)
     phi_head_noise[2, 2] = 3.0
     phi_y = np.outer(a, a.conj()) + phi_head_noise
-    vec = estimate_sc(phi_y)
-    assert vec.valid
-    np.testing.assert_allclose(vec.values, [1.0, 2.0], atol=1e-14)
+    values, valid = batch_sc(phi_y[None])
+    assert valid[0]
+    np.testing.assert_allclose(values[0], [1.0, 2.0], atol=1e-14)
 
 
 def test_sc_bias_grows_with_external_correlation():
@@ -398,8 +364,8 @@ def test_sc_bias_grows_with_external_correlation():
         phi_y = clean.copy()
         phi_y[0, 2] += rho
         phi_y[2, 0] += rho
-        vec = estimate_sc(phi_y)
-        errors.append(np.linalg.norm(vec.values - np.array([1.0, 2.0])))
+        values, _ = batch_sc(phi_y[None])
+        errors.append(np.linalg.norm(values[0] - np.array([1.0, 2.0])))
     assert errors[0] == pytest.approx(0.0, abs=1e-14)
     assert all(e2 > e1 for e1, e2 in zip(errors, errors[1:]))
 
@@ -426,14 +392,14 @@ def test_all_estimators_scale_invariant(rng):
                         + 1j * rng.standard_normal(p - 1)])
     phi_y = _rank_one_plus_noise(g, phi_n)
     c = 3.7e4
-    cs_a = estimate_cs_head(phi_y, phi_n).values
-    cs_b = estimate_cs_head(c * phi_y, c * phi_n).values
+    cs_a = batch_cs(phi_y[None], phi_n[None])[0]
+    cs_b = batch_cs(c * phi_y[None], c * phi_n[None])[0]
     np.testing.assert_allclose(cs_a, cs_b, atol=1e-12)
-    cw_a = estimate_cw(phi_y, phi_n).values
-    cw_b = estimate_cw(c * phi_y, c * phi_n).values
+    cw_a = batch_cw(phi_y[None], phi_n[None])[0]
+    cw_b = batch_cw(c * phi_y[None], c * phi_n[None])[0]
     np.testing.assert_allclose(cw_a, cw_b, atol=1e-10)
-    sc_a = estimate_sc(phi_y).values
-    sc_b = estimate_sc(c * phi_y).values
+    sc_a = batch_sc(phi_y[None])[0]
+    sc_b = batch_sc(c * phi_y[None])[0]
     np.testing.assert_allclose(sc_a, sc_b, atol=1e-12)
 
 
@@ -449,23 +415,8 @@ def test_reference_entry_is_exactly_one(rng):
         assert np.all(values[:, 0] == 1.0 + 0.0j)
 
 
-def test_scalar_wrappers_match_batch(rng):
-    phi_n = _random_psd(rng, 3)
-    phi_y = _rank_one_plus_noise([1.0, -0.5j, 0.25], phi_n)
-    np.testing.assert_array_equal(estimate_cs_head(phi_y, phi_n).values,
-                                  batch_cs(phi_y[None], phi_n[None])[0][0])
-    np.testing.assert_array_equal(estimate_cw(phi_y, phi_n).values,
-                                  batch_cw(phi_y[None], phi_n[None])[0][0])
-    np.testing.assert_array_equal(estimate_sc(phi_y).values,
-                                  batch_sc(phi_y[None])[0][0])
-
-
 def test_estimator_config_validation():
     with pytest.raises(ConfigurationError):
         EstimatorConfig(column_index=-1)
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(eig_tol=0.0)
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(eig_max_iter=0)
     with pytest.raises(ConfigurationError):
         EstimatorConfig(diag_load_rel=-1e-3)

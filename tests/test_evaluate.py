@@ -5,6 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from rtfdoa import evaluate
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.evaluate import (
     SWEEP_COLUMNS,
@@ -138,7 +139,7 @@ def test_score_truth_length_mismatch():
 def test_metrics_json_deterministic(tmp_path):
     m = Metrics(estimator="sc", tolerance_deg=5.0, frames_total=10,
                 frames_scored=5, accuracy_pct=80.0, rms_error_deg=2.5,
-                invalid_frames=1, noise_reads=0, real_time_factor=None,
+                invalid_frames=1, real_time_factor=None,
                 errors_deg=(0.0, None, 2.0))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_metrics_json(a, m)
@@ -147,6 +148,7 @@ def test_metrics_json_deterministic(tmp_path):
     payload = json.loads(a.read_text())
     assert payload["real_time_factor"] is None
     assert payload["errors_deg"] == [0.0, None, 2.0]
+    assert "noise_reads" not in payload
 
 
 # --------------------------------------------------------------- run_scene
@@ -171,8 +173,6 @@ def test_run_scene_noiseless_everyone_perfect(quiet_scene, database):
 def test_run_scene_defaults_to_configured_estimator(quiet_scene, database):
     results = run_scene(quiet_scene, database, RunConfig(estimator="sc"))
     assert set(results) == {"sc"}
-    _, metrics = results["sc"]
-    assert metrics.noise_reads == 0
 
 
 # -------------------------------------------------------------------- CSVs
@@ -233,6 +233,22 @@ def test_evaluate_csv_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_evaluate_csv_rejects_truth_at_another_hop(tmp_path):
+    # same frame count, but the truth was written at half the hop
+    traj = _traj(np.full(10, -35.0), np.ones(10, bool),
+                 times=(np.arange(10) * 256 + 256) / 16000)
+    doa_csv = tmp_path / "doa.csv"
+    truth_csv = tmp_path / "truth.csv"
+    write_trajectory_csv(doa_csv, traj)
+    write_truth_csv(truth_csv, (np.arange(10) * 128 + 256) / 16000,
+                    np.full(10, -35.0))
+    with pytest.raises(ConfigurationError, match="frame 1"):
+        evaluate_csv(doa_csv, truth_csv)
+    # the same grid written again lines up
+    write_truth_csv(truth_csv, traj.frame_times, np.full(10, -35.0))
+    assert evaluate_csv(doa_csv, truth_csv).accuracy_pct == 100.0
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_run_sweep_cells_and_averages(database):
@@ -283,6 +299,21 @@ def test_run_sweep_captures_cell_failures(database):
     assert all(r["error"] for r in rows)
     assert all(r["accuracy_pct"] is None for r in rows)
     assert not any(r["seed"] == "avg" for r in rows)
+
+
+def test_run_sweep_propagates_program_errors(database, monkeypatch):
+    # only configuration and numerical failures become error rows; a
+    # program error leaves run_sweep, from this process and from workers
+    def broken_render(*args, **kwargs):
+        raise TypeError("broken render")
+
+    monkeypatch.setattr(evaluate, "render_components", broken_render)
+    matrix = {"estimators": ["sc"], "snrs_db": [0.0], "seeds": [1],
+              "duration_s": 2.0, "diffuse_order": 12}
+    for azimuths in ([35.0], [35.0, -35.0]):
+        with pytest.raises(TypeError, match="broken render"):
+            run_sweep({**matrix, "azimuths_deg": azimuths}, database)
+        assert multiprocessing.active_children() == []
 
 
 def test_run_sweep_leaves_no_worker_behind(database):

@@ -93,15 +93,20 @@ def test_trajectory_bookkeeping(noiseless):
         assert traj.cost_surface is None
 
 
-def test_sc_never_reads_noise_covariance(database):
+def test_sc_never_reads_noise_covariance(database, monkeypatch):
     out = _scene(seed=43)
+    labels = _labels(out)
     config = RunConfig(estimator="sc")
-    traj = track(out.mixed, database, config, labels=_labels(out))
-    assert traj.noise_reads == 0
-    # the subtraction estimator must read it every frame
-    traj_cs = track(out.mixed, database, RunConfig(estimator="cs-head"),
-                    labels=_labels(out))
-    assert traj_cs.noise_reads == traj_cs.n_frames
+
+    def no_noise(self):
+        raise AssertionError("noise covariance read")
+
+    monkeypatch.setattr(CovarianceTracker, "noise", property(no_noise))
+    traj = track_multi(out.mixed, database, config, ("sc",), labels)["sc"]
+    assert traj.valid.any()
+    # the subtraction estimator reads it, so the guard does fire
+    with pytest.raises(AssertionError, match="noise covariance read"):
+        track_multi(out.mixed, database, config, ("cs-head",), labels)
 
 
 def test_cost_surface_request(database):

@@ -177,6 +177,33 @@ def test_wav_reads_int16_scaled(tmp_path):
         clip.samples[0], [0.0, 0.5, -1.0, 32767 / 32768], atol=1e-9)
 
 
+def test_wav_reads_int32_and_int24_scaled(tmp_path, rng):
+    import wave
+
+    import scipy.io.wavfile as wavfile
+
+    pcm = np.array([[0, 2 ** 30, -2 ** 31, 2 ** 31 - 1],
+                    [1, -1, 256, -2 ** 30]], dtype=np.int32)
+    path = tmp_path / "i32.wav"
+    wavfile.write(path, FS, pcm.T)
+    clip = read_wav(path)
+    np.testing.assert_array_equal(clip.samples, pcm * 2.0 ** -31)
+    # float samples survive a 32-bit PCM round trip to within one step
+    samples = np.clip(rng.standard_normal((2, 1000)) * 0.25, -1.0, 0.999)
+    wavfile.write(path, FS, np.round(samples.T * 2.0 ** 31).astype(np.int32))
+    np.testing.assert_allclose(read_wav(path).samples, samples, atol=2.0 ** -31)
+    # scipy returns 24-bit PCM as int32 in the upper three bytes
+    path24 = tmp_path / "i24.wav"
+    with wave.open(str(path24), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(3)
+        fh.setframerate(FS)
+        fh.writeframes(b"".join(v.to_bytes(3, "little", signed=True)
+                                for v in (0, 2 ** 22, -2 ** 23, 2 ** 23 - 1)))
+    np.testing.assert_array_equal(read_wav(path24).samples[0],
+                                  [0.0, 0.5, -1.0, (2 ** 23 - 1) / 2 ** 23])
+
+
 def test_wav_rejects_unsupported_dtype(tmp_path):
     import scipy.io.wavfile as wavfile
 
