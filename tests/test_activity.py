@@ -56,11 +56,16 @@ def test_spp_clamps_nonpositive_psd(caplog):
     assert any("clamped" in r.message for r in caplog.records)
 
 
-def test_spp_mask_thresholds_mean_channel_probability():
+def _tracker_with_unit_noise(n_bins):
+    return CovarianceTracker(5, n_bins, SmoothingConfig(0.9, 0.9),
+                             eps_init=1.0)
+
+
+def test_classify_frame_decisions():
     # per bin, the channel probabilities are averaged and compared with
     # the threshold; with a unit noise PSD a silent channel reads
     # 1/(2 + xi) ~ 0.03 and a loud one exactly 1.0
-    tracker = CovarianceTracker(5, 5, SmoothingConfig(0.9, 0.9), eps_init=1.0)
+    tracker = _tracker_with_unit_noise(5)
     loud = np.sqrt(1000.0)
     y = np.zeros((5, 5), dtype=complex)
     y[:1, 0] = loud  # one loud channel: mean 0.27
@@ -70,11 +75,22 @@ def test_spp_mask_thresholds_mean_channel_probability():
     y[4, 4] = loud   # only the external channel, which the rule ignores
     mask = _spp_mask(y, tracker, 4, SppConfig())
     np.testing.assert_array_equal(mask, [False, True, True, True, False])
-    # the channel order does not matter
-    np.testing.assert_array_equal(
-        _spp_mask(y[[3, 1, 0, 2, 4]], tracker, 4, SppConfig()), mask)
     # strict inequality: a mean exactly at the threshold reads noise-only
     assert not _spp_mask(y, tracker, 4, SppConfig(threshold=1.0))[3]
+
+
+def test_classify_frame_order_invariant(rng):
+    # permuting the head channels leaves every bin's decision unchanged
+    n_bins = 64
+    tracker = _tracker_with_unit_noise(n_bins)
+    y = (rng.standard_normal((5, n_bins))
+         + 1j * rng.standard_normal((5, n_bins))) * rng.uniform(0.0, 3.0)
+    mask = _spp_mask(y, tracker, 4, SppConfig())
+    assert mask.any() and not mask.all()
+    for _ in range(5):
+        order = np.concatenate([rng.permutation(4), [4]])
+        np.testing.assert_array_equal(
+            _spp_mask(y[order], tracker, 4, SppConfig()), mask)
 
 
 def test_spp_config_validation():
