@@ -17,8 +17,8 @@ from .doa import (PrototypeDatabase, argmin_directions, cost_surface_frames,
 from .errors import ConfigurationError, NumericalFailure
 from .estimators import (EstimatorConfig, WhitenedTracker, batch_cs, batch_cw,
                          batch_sc)
-from .evaluate import (Metrics, accuracy, angular_error, angular_errors,
-                       evaluate_csv, run_scene, run_sweep, score)
+from .evaluate import (Metrics, accuracy, angular_errors, evaluate_csv,
+                       run_scene, run_sweep, score)
 from .geometry import (ArrayGeometry, azimuth_to_unit, binaural_head_positions,
                        default_geometry, plane_wave_delays,
                        plane_wave_delays_3d, SPEED_OF_SOUND)

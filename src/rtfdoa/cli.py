@@ -7,8 +7,8 @@ CSV to metrics JSON), ``sweep`` (condition matrix JSON to results CSV).
 
 Configuration precedence is CLI flag over config file over built-in
 default, and every subcommand writes the fully resolved configuration
-next to its outputs. Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+next to its outputs. Exit codes: 0 success, 2 configuration error (a
+missing or unreadable input file included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -21,17 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .activity import SppConfig, oracle_labels, write_labels, read_labels
+from .activity import write_labels, read_labels
 from .doa import (default_grid, generate_prototypes, load_database,
                   save_database)
 from .errors import ConfigurationError, NumericalFailure
-from .estimators import EstimatorConfig
-from .evaluate import (evaluate_csv, run_sweep, write_metrics_json,
-                       write_sweep_csv, write_trajectory_csv, write_truth_csv)
+from .evaluate import (evaluate_csv, oracle_label_grid, run_sweep,
+                       write_metrics_json, write_sweep_csv,
+                       write_trajectory_csv, write_truth_csv)
 from .geometry import default_geometry
 from .pipeline import DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track
 from .simulate import SceneSpec, synthesize
-from .stft import StftConfig, analyze, read_wav, write_wav
+from .stft import StftConfig, read_wav, write_wav
 
 log = logging.getLogger(__name__)
 
@@ -49,32 +49,38 @@ def run_config_to_dict(config: RunConfig) -> dict:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    known = set(_RUN_SCALARS) | {"estimator_config", "spp_config", "stft"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown run-config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k in _RUN_SCALARS}
-    for key, cls in (("estimator_config", EstimatorConfig),
-                     ("spp_config", SppConfig), ("stft", StftConfig)):
-        if key in data:
-            kwargs[key] = _nested_config(key, cls, data[key])
-    return RunConfig(**kwargs)
+    return _config_from_dict(RunConfig, data, "run-config")
 
 
-def _nested_config(key: str, cls, data):
+def _config_from_dict(cls, data, where: str):
+    """Build a config dataclass from a JSON object. Every key must be a
+    field; a scalar value must have its default's type (an int passes
+    for a float, a bool only for a bool); nested configs recurse."""
     if not isinstance(data, dict):
-        raise ConfigurationError(f"run-config '{key}' must be an object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        raise ConfigurationError(f"'{where}' must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigurationError(f"unknown '{key}' keys: {sorted(unknown)}")
-    return cls(**data)
+        raise ConfigurationError(f"unknown '{where}' keys: {sorted(unknown)}")
+    kwargs = dict(data)
+    for key, value in data.items():
+        default, nested = fields[key].default, fields[key].default_factory
+        if nested is not dataclasses.MISSING:
+            kwargs[key] = _config_from_dict(nested, value, key)
+            continue
+        accepted = (int, float) if isinstance(default, float) else type(default)
+        if default is not None and (
+                isinstance(value, bool) != isinstance(default, bool)
+                or not isinstance(value, accepted)):
+            raise ConfigurationError(
+                f"'{where}' key '{key}' must be a {type(default).__name__}, "
+                f"got {type(value).__name__}")
+    return cls(**kwargs)
 
 
 def _load_json(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"unreadable JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -138,9 +144,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     times = (np.arange(n_frames) * stft_cfg.hop
              + stft_cfg.frame_len / 2.0) / spec.sample_rate
     write_truth_csv(out_dir / "truth.csv", times, scene.truth_doa_deg)
-    clean_grid = analyze(scene.clean, stft_cfg)
-    noise_grid = analyze(scene.noise, stft_cfg)
-    labels = oracle_labels(clean_grid, noise_grid, args.oracle_margin_db)
+    labels = oracle_label_grid(scene, RunConfig(
+        stft=stft_cfg, oracle_margin_db=args.oracle_margin_db))
     write_labels(out_dir / "labels.bin", labels)
     resolved = json.loads(Path(args.scene).read_text())
     spec.to_json(out_dir / "scene.resolved.json")
@@ -292,6 +297,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"configuration error: no such file: {exc.filename}",
+              file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

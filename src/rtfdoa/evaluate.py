@@ -5,6 +5,10 @@ error stays within a tolerance (default 5 degrees); invalid frames count
 as incorrect. Scoring covers the trailing ``eval_window`` fraction of the
 frames, never earlier than the warm-up horizon.
 
+Every simulated scene is scored on one path, :func:`run_scene`: oracle
+labels from :func:`oracle_label_grid`, then ``track_multi``, then
+:func:`score`. The units of :func:`run_sweep` call it once per SNR.
+
 File formats (stable, consumed by the CLI):
 
 * DOA trajectory CSV: ``frame,time_s,azimuth_deg,cost,valid``
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .activity import oracle_labels_from_power
+from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
 from .pipeline import DoaTrajectory, RunConfig, track_multi
@@ -40,15 +44,9 @@ TRAJECTORY_COLUMNS = ("frame", "time_s", "azimuth_deg", "cost", "valid")
 TRUTH_COLUMNS = ("frame_index", "time_s", "azimuth_deg")
 
 
-def angular_error(est_deg: float, truth_deg: float) -> float:
-    """Absolute azimuth difference wrapped into [0, 180] degrees."""
-    if not (np.isfinite(est_deg) and np.isfinite(truth_deg)):
-        raise ConfigurationError("angular_error needs finite inputs")
-    return float(abs((est_deg - truth_deg + 180.0) % 360.0 - 180.0))
-
-
 def angular_errors(est_deg: np.ndarray, truth_deg: np.ndarray) -> np.ndarray:
-    """Vectorized wrap; NaN estimates give NaN errors."""
+    """Absolute azimuth differences wrapped into [0, 180] degrees; NaN
+    estimates give NaN errors."""
     est = np.asarray(est_deg, dtype=np.float64)
     truth = np.asarray(truth_deg, dtype=np.float64)
     return np.abs((est - truth + 180.0) % 360.0 - 180.0)
@@ -112,11 +110,13 @@ def _scored_slice(n_frames: int, warmup: int, eval_window: float) -> slice:
 
 def score(traj: DoaTrajectory, truth_deg: np.ndarray,
           tolerance_deg: float = 5.0, eval_window: float = 0.5,
-          timed: bool = True, duration_s: float | None = None) -> Metrics:
+          duration_s: float | None = None) -> Metrics:
     """Score a trajectory against per-frame truth azimuths.
 
     ``eval_window`` selects the trailing fraction of frames; the window
-    additionally starts no earlier than the trajectory's warm-up.
+    additionally starts no earlier than the trajectory's warm-up. The
+    real-time factor is null unless the trajectory carries a processing
+    time and ``duration_s`` is given.
     """
     truth = np.asarray(truth_deg, dtype=np.float64)
     if truth.size != traj.n_frames:
@@ -133,7 +133,7 @@ def score(traj: DoaTrajectory, truth_deg: np.ndarray,
     if valid.any():
         rms = float(np.sqrt(np.mean(errors[valid] ** 2)))
     rtf = None
-    if timed and traj.processing_s > 0.0 and duration_s is not None:
+    if traj.processing_s > 0.0 and duration_s is not None:
         rtf = float(traj.processing_s / duration_s)
     return Metrics(estimator=traj.estimator, tolerance_deg=tolerance_deg,
                    frames_total=traj.n_frames, frames_scored=az.size,
@@ -144,12 +144,12 @@ def score(traj: DoaTrajectory, truth_deg: np.ndarray,
 
 
 def oracle_label_grid(output: SceneOutput, config: RunConfig) -> np.ndarray:
-    """Reference-channel oracle activity labels for a rendered scene."""
-    clean_ref = AudioClip(output.clean.samples[:1], output.clean.sample_rate)
-    noise_ref = AudioClip(output.noise.samples[:1], output.noise.sample_rate)
-    x2 = np.abs(analyze(clean_ref, config.stft).data[0]) ** 2
-    n2 = np.abs(analyze(noise_ref, config.stft).data[0]) ** 2
-    return oracle_labels_from_power(x2, n2, config.oracle_margin_db)
+    """Oracle activity labels of a rendered scene, from the reference
+    channels of its clean and noise components; the sweep, ``run_scene``
+    and ``rtfdoa simulate`` all label through here."""
+    clean, noise = (analyze(AudioClip(c.samples[:1], c.sample_rate), config.stft)
+                    for c in (output.clean, output.noise))
+    return oracle_labels(clean, noise, config.oracle_margin_db)
 
 
 def run_scene(output: SceneOutput, db: PrototypeDatabase, config: RunConfig,
@@ -249,8 +249,7 @@ def evaluate_csv(doa_csv: str | Path, truth_csv: str | Path,
     traj = DoaTrajectory(estimator=estimator, azimuth_deg=doa["azimuth_deg"],
                          cost=doa["cost"], valid=doa["valid"],
                          frame_times=doa["time_s"], warmup_frames=warmup_frames)
-    return score(traj, truth["azimuth_deg"], tolerance_deg, eval_window,
-                 timed=False)
+    return score(traj, truth["azimuth_deg"], tolerance_deg, eval_window)
 
 
 SWEEP_COLUMNS = ("estimator", "azimuth_deg", "snr_db", "seed",
@@ -267,8 +266,10 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     ``seeds``. Optional axes: ``reverb_proxies_db`` (default anechoic)
     and ``externals`` as [azimuth_deg, distance_m] pairs. Each scene
     condition (seed, azimuth, reverb proxy, external position) is one
-    unit: its components are rendered once and rescaled per SNR, and all
-    estimators share one covariance pass per cell. Cells that fail with
+    unit: its components are rendered once and composed at every SNR,
+    and each composition is one cell, labelled, tracked and scored by
+    :func:`run_scene`, so all estimators share one covariance pass per
+    cell. Cells that fail with
     :class:`ConfigurationError` or :class:`NumericalFailure` are captured
     as rows with an ``error`` note instead of aborting the sweep; any
     other exception propagates. Averaged rows (seed and azimuth columns
@@ -359,7 +360,8 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
 def _sweep_unit(db: PrototypeDatabase, base: RunConfig,
                 estimators: tuple[str, ...], snrs: list, duration: float,
                 diffuse_order: int, cond: dict) -> list[dict]:
-    """Cell rows of one scene condition: one render, every SNR."""
+    """Cell rows of one scene condition: one render, then ``run_scene``
+    on its composition at every SNR."""
     spec = SceneSpec(seed=cond["seed"], duration_s=duration,
                      source_trajectory=((0.0, cond["azimuth_deg"]),),
                      diffuse_order=diffuse_order,
@@ -369,10 +371,6 @@ def _sweep_unit(db: PrototypeDatabase, base: RunConfig,
     rows: list[dict] = []
     try:
         comps = render_components(spec, base.stft)
-        ref_clean = AudioClip(comps.clean[:1], spec.sample_rate)
-        ref_noise = AudioClip(comps.noise_unit[:1], spec.sample_rate)
-        x2 = np.abs(analyze(ref_clean, base.stft).data[0]) ** 2
-        n2_unit = np.abs(analyze(ref_noise, base.stft).data[0]) ** 2
     except (ConfigurationError, NumericalFailure) as exc:
         log.warning("scene %s failed: %s", cond, exc)
         for snr in snrs:
@@ -380,27 +378,18 @@ def _sweep_unit(db: PrototypeDatabase, base: RunConfig,
         return rows
     for snr in snrs:
         try:
-            out = compose(comps, snr)
-            if base.detector == "oracle":
-                labels = oracle_labels_from_power(
-                    x2, n2_unit * out.noise_scale ** 2, base.oracle_margin_db)
-            else:
-                labels = None
-            trajs = track_multi(out.mixed, db, base, estimators, labels)
-            for name, traj in trajs.items():
-                metrics = score(traj, out.truth_doa_deg, base.tolerance_deg,
-                                base.eval_window, timed=False)
-                rows.append({
-                    "estimator": name, "snr_db": snr, **cond,
-                    "frames_scored": metrics.frames_scored,
-                    "accuracy_pct": metrics.accuracy_pct,
-                    "rms_error_deg": metrics.rms_error_deg,
-                    "invalid_frames": metrics.invalid_frames,
-                    "error": "",
-                })
+            results = run_scene(compose(comps, snr), db, base, estimators)
         except (ConfigurationError, NumericalFailure) as exc:
             log.warning("cell %s snr=%s failed: %s", cond, snr, exc)
             rows.extend(_error_rows(estimators, cond, snr, exc))
+            continue
+        rows.extend({"estimator": name, "snr_db": snr, **cond,
+                     "frames_scored": metrics.frames_scored,
+                     "accuracy_pct": metrics.accuracy_pct,
+                     "rms_error_deg": metrics.rms_error_deg,
+                     "invalid_frames": metrics.invalid_frames,
+                     "error": ""}
+                    for name, (_, metrics) in results.items())
     return rows
 
 

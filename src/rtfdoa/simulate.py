@@ -207,7 +207,6 @@ class SceneOutput:
     geometry: ArrayGeometry
     spec: SceneSpec
     oracle_rtf: np.ndarray | None = None
-    noise_scale: float = 0.0
 
 
 def _frame_azimuths(spec: SceneSpec, n_frames: int, cfg: StftConfig) -> np.ndarray:
@@ -394,7 +393,6 @@ def compose(components: SceneComponents,
     clean = components.clean
     if snr_db is None:
         noise = np.zeros_like(clean)
-        scale = 0.0
     else:
         speech_p = _front_power(clean, geometry)
         noise_p = _front_power(components.noise_unit, geometry)
@@ -409,8 +407,7 @@ def compose(components: SceneComponents,
                        noise=AudioClip(noise, rate),
                        truth_doa_deg=components.truth_doa_deg,
                        geometry=geometry, spec=spec,
-                       oracle_rtf=components.oracle_rtf,
-                       noise_scale=scale)
+                       oracle_rtf=components.oracle_rtf)
 
 
 def synthesize(spec: SceneSpec,

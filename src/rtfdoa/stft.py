@@ -167,9 +167,13 @@ def read_wav(path) -> AudioClip:
     Integer PCM is scaled to [-1, 1); scipy returns 24-bit PCM as int32
     with the samples in the upper three bytes, so it takes the same
     2^-31 scale as 32-bit PCM. A sample rate other than 16 kHz is
-    accepted but logged as a warning.
+    accepted but logged as a warning. A file that is not a WAV raises
+    :class:`ConfigurationError`.
     """
-    rate, data = scipy.io.wavfile.read(path)
+    try:
+        rate, data = scipy.io.wavfile.read(path)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} is not a readable WAV: {exc}") from exc
     if data.ndim == 1:
         data = data[:, None]
     if data.dtype == np.int16:

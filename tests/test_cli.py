@@ -171,6 +171,44 @@ def test_exit_code_on_unknown_nested_config_key(workspace, tmp_path, capsys):
         assert f"unknown '{section}' keys: ['{key}']" in capsys.readouterr().err
 
 
+def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for data, key in (({"tau_y_s": "0.3"}, "tau_y_s"),
+                      ({"spp_config": {"prior": "0.5"}}, "prior"),
+                      ({"tau_n_s": True}, "tau_n_s"),
+                      ({"faithful_noise_recursion": 1},
+                       "faithful_noise_recursion"),
+                      ({"stft": {"hop": 128.0}}, "hop")):
+        cfg.write_text(json.dumps(data))
+        assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
+                     "--database", str(workspace["db"]), "--config", str(cfg),
+                     "--output", str(tmp_path / "d.csv")]) == 2
+        assert f"key '{key}' must be a" in capsys.readouterr().err
+    # an int stands for a float
+    assert run_config_from_dict({"tau_y_s": 1}).tau_y_s == 1
+
+
+@pytest.mark.parametrize("command", ["database", "input", "doa", "scene"])
+def test_exit_code_on_missing_or_unreadable_input(workspace, tmp_path, capsys,
+                                                  command):
+    sim, db = workspace["sim"], str(workspace["db"])
+    missing = str(tmp_path / "missing")
+    not_wav = tmp_path / "not.wav"
+    not_wav.write_text("not a RIFF file\n")
+    argv = {
+        "database": ["estimate", "--input", str(sim / "mixed.wav"),
+                     "--database", missing, "--output", str(tmp_path / "d.csv")],
+        "input": ["estimate", "--input", str(not_wav), "--database", db,
+                  "--output", str(tmp_path / "d.csv")],
+        "doa": ["evaluate", "--doa", missing, "--truth", str(sim / "truth.csv"),
+                "--output", str(tmp_path / "m.json")],
+        "scene": ["simulate", "--scene", missing,
+                  "--output-dir", str(tmp_path / "sim")],
+    }[command]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_exit_code_on_numerical_failure(workspace, tmp_path):
     wav = tmp_path / "nan.wav"
     samples = np.zeros((5, 16000))

@@ -11,7 +11,6 @@ from rtfdoa.evaluate import (
     SWEEP_COLUMNS,
     Metrics,
     accuracy,
-    angular_error,
     angular_errors,
     evaluate_csv,
     read_trajectory_csv,
@@ -25,7 +24,7 @@ from rtfdoa.evaluate import (
     write_truth_csv,
 )
 from rtfdoa.pipeline import ESTIMATOR_NAMES, DoaTrajectory, RunConfig
-from rtfdoa.simulate import SceneSpec, synthesize
+from rtfdoa.simulate import SceneSpec, compose, render_components, synthesize
 
 
 def _traj(az, valid, warmup=0, estimator="sc", times=None, **kw):
@@ -41,13 +40,10 @@ def _traj(az, valid, warmup=0, estimator="sc", times=None, **kw):
 # ------------------------------------------------------------------ errors
 
 def test_angular_error_wraps():
-    assert angular_error(10.0, 10.0) == 0.0
-    assert angular_error(175.0, -175.0) == pytest.approx(10.0)
-    assert angular_error(-175.0, 175.0) == pytest.approx(10.0)
-    assert angular_error(0.0, 180.0) == pytest.approx(180.0)
-    assert angular_error(90.0, -90.0) == pytest.approx(180.0)
-    with pytest.raises(ConfigurationError):
-        angular_error(float("nan"), 0.0)
+    errs = angular_errors([10.0, 175.0, -175.0, 0.0, 90.0],
+                          [10.0, -175.0, 175.0, 180.0, -90.0])
+    assert errs[0] == 0.0
+    np.testing.assert_allclose(errs[1:], [10.0, 10.0, 180.0, 180.0])
 
 
 def test_angular_errors_vectorized():
@@ -124,8 +120,8 @@ def test_score_real_time_factor_paths():
     traj = _traj(np.zeros(4), np.ones(4, bool), processing_s=0.5)
     timed = score(traj, np.zeros(4), eval_window=1.0, duration_s=2.0)
     assert timed.real_time_factor == pytest.approx(0.25)
-    untimed = score(traj, np.zeros(4), eval_window=1.0, timed=False,
-                    duration_s=2.0)
+    untimed = score(_traj(np.zeros(4), np.ones(4, bool)), np.zeros(4),
+                    eval_window=1.0, duration_s=2.0)
     assert untimed.real_time_factor is None
     no_duration = score(traj, np.zeros(4), eval_window=1.0)
     assert no_duration.real_time_factor is None
@@ -356,6 +352,31 @@ def test_run_sweep_rows_match_single_unit_sweeps(database):
     assert len(cells) == 2 * 2 * 2 * len(ESTIMATOR_NAMES)
     assert not any(r["error"] for r in cells)
     assert cells == serial
+
+
+@pytest.mark.parametrize("detector", ["oracle", "spp"])
+def test_run_sweep_cells_are_run_scene_metrics(database, detector):
+    # a sweep cell is run_scene on the unit's render composed at its SNR
+    matrix = {"estimators": list(ESTIMATOR_NAMES), "azimuths_deg": [-35.0],
+              "snrs_db": [-5.0, 10.0], "seeds": [3],
+              "reverb_proxies_db": [5.0], "duration_s": 2.0,
+              "diffuse_order": 12, "detector": detector}
+    cells = [r for r in run_sweep(matrix, database) if r["seed"] != "avg"]
+    spec = SceneSpec(seed=3, duration_s=2.0, source_trajectory=((0.0, -35.0),),
+                     diffuse_order=12, reverb_proxy_db=5.0)
+    comps = render_components(spec)
+    config = RunConfig(detector=detector)
+    expected = []
+    for snr in matrix["snrs_db"]:
+        results = run_scene(compose(comps, snr), database, config,
+                            ESTIMATOR_NAMES)
+        expected.extend((name, snr, m.frames_scored, m.accuracy_pct,
+                         m.rms_error_deg, m.invalid_frames)
+                        for name, (_, m) in results.items())
+    assert [(r["estimator"], r["snr_db"], r["frames_scored"],
+             r["accuracy_pct"], r["rms_error_deg"], r["invalid_frames"])
+            for r in cells] == expected
+    assert not any(r["error"] for r in cells)
 
 
 def test_write_sweep_csv_format(tmp_path, database):

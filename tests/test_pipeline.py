@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rtfdoa.activity import oracle_labels
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.doa import argmin_directions, cost_surface_frames
 from rtfdoa.errors import ConfigurationError
@@ -21,7 +20,7 @@ def _scene(seed=41, duration_s=2.0, azimuth=35.0, snr_db=None, **kw):
 
 
 def _labels(output):
-    return oracle_labels(analyze(output.clean), analyze(output.noise))
+    return oracle_label_grid(output, RunConfig())
 
 
 # -------------------------------------------------------------- run config
