@@ -7,13 +7,11 @@ matched against a prototype grid by the frequency-averaged Hermitian
 angle. A scene simulator, scoring harness, and CLI round out the
 package.
 """
-from .activity import (ActivityLabel, SppConfig, oracle_labels, read_labels,
-                       spp, write_labels)
-from .covariance import (CovarianceState, CovarianceTracker, SmoothingConfig,
-                         initial_state, update)
+from .activity import SppConfig, oracle_labels, read_labels, spp, write_labels
+from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import (PrototypeDatabase, argmin_directions, cost_surface_frames,
-                  default_grid, generate_prototypes, hermitian_angle,
-                  load_database, save_database)
+                  default_grid, generate_prototypes, load_database,
+                  save_database)
 from .errors import ConfigurationError, NumericalFailure
 from .estimators import (EstimatorConfig, WhitenedTracker, batch_cs, batch_cw,
                          batch_sc)
@@ -24,9 +22,9 @@ from .geometry import (ArrayGeometry, azimuth_to_unit, binaural_head_positions,
                        plane_wave_delays_3d, SPEED_OF_SOUND)
 from .pipeline import (DoaTrajectory, ESTIMATOR_NAMES, RunConfig, track,
                        track_multi)
-from .simulate import (CoherenceReport, SceneComponents, SceneOutput, SceneSpec,
-                       compose, diffuse_field_check, fibonacci_sphere,
-                       render_components, speech_shaped_noise, synthesize)
+from .simulate import (SceneComponents, SceneOutput, SceneSpec, compose,
+                       fibonacci_sphere, render_components, speech_shaped_noise,
+                       synthesize)
 from .stft import (AudioClip, StftConfig, TFGrid, analyze, num_frames,
                    read_wav, sqrt_hann, write_wav)
 

@@ -6,7 +6,6 @@ covariance (noise only).
 """
 from __future__ import annotations
 
-import enum
 import logging
 import struct
 from dataclasses import dataclass
@@ -19,11 +18,6 @@ from .stft import TFGrid
 log = logging.getLogger(__name__)
 
 _LABEL_MAGIC = b"DOALBL01"
-
-
-class ActivityLabel(enum.IntEnum):
-    NOISE_ONLY = 0
-    SPEECH_PLUS_NOISE = 1
 
 
 @dataclass(frozen=True)

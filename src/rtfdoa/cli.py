@@ -29,7 +29,8 @@ from .evaluate import (evaluate_csv, oracle_label_grid, run_sweep,
                        write_metrics_json, write_sweep_csv,
                        write_trajectory_csv, write_truth_csv)
 from .geometry import default_geometry
-from .pipeline import DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track
+from .pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig,
+                       config_from_dict, track)
 from .simulate import SceneSpec, synthesize
 from .stft import StftConfig, read_wav, write_wav
 
@@ -49,33 +50,7 @@ def run_config_to_dict(config: RunConfig) -> dict:
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    return _config_from_dict(RunConfig, data, "run-config")
-
-
-def _config_from_dict(cls, data, where: str):
-    """Build a config dataclass from a JSON object. Every key must be a
-    field; a scalar value must have its default's type (an int passes
-    for a float, a bool only for a bool); nested configs recurse."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"'{where}' must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigurationError(f"unknown '{where}' keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key, value in data.items():
-        default, nested = fields[key].default, fields[key].default_factory
-        if nested is not dataclasses.MISSING:
-            kwargs[key] = _config_from_dict(nested, value, key)
-            continue
-        accepted = (int, float) if isinstance(default, float) else type(default)
-        if default is not None and (
-                isinstance(value, bool) != isinstance(default, bool)
-                or not isinstance(value, accepted)):
-            raise ConfigurationError(
-                f"'{where}' key '{key}' must be a {type(default).__name__}, "
-                f"got {type(value).__name__}")
-    return cls(**kwargs)
+    return config_from_dict(RunConfig, data, "run-config")
 
 
 def _load_json(path: str) -> dict:
@@ -298,9 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"configuration error: no such file: {exc.filename}",
-              file=sys.stderr)
+    except OSError as exc:
+        # names the file and the reason, e.g. "[Errno 21] Is a directory: 'x'"
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,11 +13,10 @@ rank-one update so that accumulated rounding cannot break hermitianness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .activity import ActivityLabel
 from .errors import ConfigurationError, NumericalFailure
 
 DEFAULT_EPS_INIT = 1e-6
@@ -45,48 +44,8 @@ class SmoothingConfig:
                    alpha_n=math.exp(-hop / (sample_rate * tau_n_s)))
 
 
-@dataclass(frozen=True)
-class CovarianceState:
-    """Tracked pair of Hermitian covariance matrices for a single bin."""
-
-    phi_y: np.ndarray
-    phi_n: np.ndarray
-    frames_seen_y: int = 0
-    frames_seen_n: int = 0
-
-
-def initial_state(n_channels: int, eps: float = DEFAULT_EPS_INIT) -> CovarianceState:
-    if n_channels < 1 or eps <= 0.0:
-        raise ConfigurationError("need n_channels >= 1 and eps > 0")
-    eye = eps * np.eye(n_channels, dtype=np.complex128)
-    return CovarianceState(phi_y=eye.copy(), phi_n=eye.copy())
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
-def update(state: CovarianceState, y: np.ndarray,
-           label: ActivityLabel | bool, smoothing: SmoothingConfig,
-           faithful_noise_recursion: bool = False) -> CovarianceState:
-    """One gated recursion step; returns the new state.
-
-    ``faithful_noise_recursion`` decays the previous *noisy* matrix inside
-    the noise update (a published variant of the recursion) instead of the
-    previous noise matrix.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    if not np.isfinite(y).all():
-        raise NumericalFailure("snapshot contains non-finite values")
-    outer = np.outer(y, y.conj())
-    if bool(label):
-        phi_y = _hermitize(smoothing.alpha_y * state.phi_y
-                           + (1.0 - smoothing.alpha_y) * outer)
-        return replace(state, phi_y=phi_y, frames_seen_y=state.frames_seen_y + 1)
-    base = state.phi_y if faithful_noise_recursion else state.phi_n
-    phi_n = _hermitize(smoothing.alpha_n * base
-                       + (1.0 - smoothing.alpha_n) * outer)
-    return replace(state, phi_n=phi_n, frames_seen_n=state.frames_seen_n + 1)
 
 
 class CovarianceTracker:
@@ -105,8 +64,6 @@ class CovarianceTracker:
         self.faithful_noise_recursion = faithful_noise_recursion
         self.n_channels = n_channels
         self.n_bins = n_bins
-        self.frames_seen_y = np.zeros(n_bins, dtype=np.int64)
-        self.frames_seen_n = np.zeros(n_bins, dtype=np.int64)
 
     @property
     def noisy(self) -> np.ndarray:
@@ -131,18 +88,9 @@ class CovarianceTracker:
         if mask.any():
             upd = _hermitize(a_y * self._phi_y[mask] + (1.0 - a_y) * outer[mask])
             self._phi_y[mask] = upd
-            self.frames_seen_y[mask] += 1
         inv = ~mask
         if inv.any():
             # noise bins were not touched above, so phi_y still holds l-1
             base = self._phi_y[inv] if self.faithful_noise_recursion else self._phi_n[inv]
             upd = _hermitize(a_n * base + (1.0 - a_n) * outer[inv])
             self._phi_n[inv] = upd
-            self.frames_seen_n[inv] += 1
-
-    def state(self, k: int) -> CovarianceState:
-        """Copy of the tracked state of bin ``k``."""
-        return CovarianceState(phi_y=self._phi_y[k].copy(),
-                               phi_n=self._phi_n[k].copy(),
-                               frames_seen_y=int(self.frames_seen_y[k]),
-                               frames_seen_n=int(self.frames_seen_n[k]))

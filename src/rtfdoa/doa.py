@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, plane_wave_delays
-
-log = logging.getLogger(__name__)
 
 DEFAULT_GRID_STEP_DEG = 5.0
 _REF_TOL = 1e-6
@@ -98,24 +95,6 @@ class PrototypeDatabase:
         """
         dirs = self.directions_deg
         return np.lexsort((dirs, np.abs(dirs)))
-
-
-def hermitian_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between complex vectors, invariant to complex scaling.
-
-    ``arccos(|a^H b| / (||a|| ||b||))`` with the argument clamped to
-    [0, 1] against rounding; ranges over [0, pi/2].
-    """
-    av = np.asarray(a, dtype=np.complex128).ravel()
-    bv = np.asarray(b, dtype=np.complex128).ravel()
-    if av.shape != bv.shape:
-        raise ConfigurationError("vectors must have equal length")
-    na = np.linalg.norm(av)
-    nb = np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        raise ConfigurationError("hermitian angle undefined for zero vectors")
-    ratio = np.abs(np.vdot(av, bv)) / (na * nb)
-    return float(np.arccos(np.clip(ratio, 0.0, 1.0)))
 
 
 def _check_against_db(values: np.ndarray, db: PrototypeDatabase) -> np.ndarray:

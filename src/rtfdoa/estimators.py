@@ -179,10 +179,10 @@ def _loaded_cholesky(phi_n: np.ndarray, diag_load_rel: float, bins: np.ndarray
 class WhitenedTracker:
     """Dense covariance-whitening core of :func:`batch_cw`.
 
-    Caches the Cholesky factors of the noise covariance and their
-    inverses, refreshed only for bins whose noise estimate changed. Each
-    :meth:`estimate` whitens every bin and takes its principal
-    eigenvector from a dense decomposition; no state carries over.
+    :meth:`refresh_noise` Cholesky-factors the noise covariance of every
+    bin and inverts the factors. Each :meth:`estimate` whitens every bin
+    and takes its principal eigenvector from a dense decomposition; no
+    state carries over.
     """
 
     def __init__(self, n_bins: int, dim: int,
@@ -196,17 +196,13 @@ class WhitenedTracker:
         self._linv = self._chol.copy()
         self._chol_ok = np.zeros(n_bins, dtype=bool)
 
-    def refresh_noise(self, phi_n: np.ndarray, changed: np.ndarray | None = None) -> None:
-        """Refactor the noise covariance for the given bins (all if None)."""
-        idx = np.arange(self.n_bins) if changed is None else np.flatnonzero(changed)
-        if idx.size == 0:
-            return
-        factors, ok = _loaded_cholesky(phi_n[idx], self.cfg.diag_load_rel, idx)
-        self._chol[idx] = factors
+    def refresh_noise(self, phi_n: np.ndarray) -> None:
+        """Factor the noise covariance [K, P, P] of every bin."""
+        factors, ok = _loaded_cholesky(phi_n, self.cfg.diag_load_rel,
+                                       np.arange(self.n_bins))
         inv = factors.copy()
         inv[ok] = np.linalg.inv(factors[ok])
-        self._linv[idx] = inv
-        self._chol_ok[idx] = ok
+        self._chol, self._linv, self._chol_ok = factors, inv, ok
 
     def estimate(self, phi_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened-eigenvector RTF per bin. Returns (values [K,P], valid [K])."""

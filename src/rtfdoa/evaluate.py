@@ -34,7 +34,7 @@ import numpy as np
 from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
-from .pipeline import DoaTrajectory, RunConfig, track_multi
+from .pipeline import DoaTrajectory, RunConfig, config_from_dict, track_multi
 from .simulate import SceneOutput, SceneSpec, compose, render_components
 from .stft import AudioClip, analyze
 
@@ -303,6 +303,8 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
                  ("detector", "tau_y_s", "tau_n_s", "eval_window",
                   "tolerance_deg") if k in matrix}
     if overrides:
+        # reject entries of the wrong type as a run-config file would
+        config_from_dict(RunConfig, overrides, "sweep matrix")
         base = replace(base, **overrides)
 
     conds = [{"azimuth_deg": azimuth, "seed": seed, "reverb_proxy_db": reverb,

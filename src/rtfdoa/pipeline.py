@@ -17,7 +17,7 @@ the slowest smoothing time constant) are flagged invalid.
 """
 from __future__ import annotations
 
-import logging
+import dataclasses
 import time
 from dataclasses import dataclass, field, replace
 
@@ -30,14 +30,10 @@ from .errors import ConfigurationError
 from .estimators import EstimatorConfig, PowerCwTracker, batch_cs, batch_sc
 from .stft import AudioClip, StftConfig, analyze
 
-log = logging.getLogger(__name__)
-
 ESTIMATOR_NAMES = ("cs-head", "cw-ext", "cw-head", "sc")
 DETECTOR_NAMES = ("oracle", "spp")
 
-# moving sources need a faster noisy-covariance time constant
 DEFAULT_TAU_Y_STATIC_S = 0.25
-DEFAULT_TAU_Y_MOVING_S = 0.15
 DEFAULT_TAU_N_S = 0.5
 
 
@@ -89,6 +85,32 @@ class RunConfig:
     def warmup_frames(self, sample_rate: int) -> int:
         tau = max(self.tau_y_s, self.tau_n_s)
         return int(np.ceil(2.0 * tau * sample_rate / self.stft.hop))
+
+
+def config_from_dict(cls, data, where: str):
+    """Build a config dataclass from a JSON object. Every key must be a
+    field; a scalar value must have its default's type (an int passes
+    for a float, a bool only for a bool); nested configs recurse."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"'{where}' must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigurationError(f"unknown '{where}' keys: {sorted(unknown)}")
+    kwargs = dict(data)
+    for key, value in data.items():
+        default, nested = fields[key].default, fields[key].default_factory
+        if nested is not dataclasses.MISSING:
+            kwargs[key] = config_from_dict(nested, value, key)
+            continue
+        accepted = (int, float) if isinstance(default, float) else type(default)
+        if default is not None and (
+                isinstance(value, bool) != isinstance(default, bool)
+                or not isinstance(value, accepted)):
+            raise ConfigurationError(
+                f"'{where}' key '{key}' must be a {type(default).__name__}, "
+                f"got {type(value).__name__}")
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -20,25 +20,18 @@ does not depend on SNR or target azimuth, the target not on SNR).
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ConfigurationError
-from .geometry import (SPEED_OF_SOUND, ArrayGeometry, azimuth_to_unit,
-                       default_geometry, plane_wave_delays_3d)
+from .geometry import (ArrayGeometry, azimuth_to_unit, default_geometry,
+                       plane_wave_delays_3d)
 from .stft import (DEFAULT_SAMPLE_RATE, AudioClip, StftConfig, num_frames,
                    read_wav)
 
-log = logging.getLogger(__name__)
-
 FOUR_LOUDSPEAKER_AZIMUTHS = (45.0, 135.0, -135.0, -45.0)
-
-# default moving preset sweeps -50 to +50 degrees over 25 s
-MOVING_TRAJECTORY = ((0.0, -50.0), (25.0, 50.0))
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -126,11 +119,6 @@ class SceneSpec:
             raise ConfigurationError("sample_rate must be positive")
         object.__setattr__(self, "source_trajectory", knots)
 
-    @property
-    def is_static(self) -> bool:
-        azimuths = {a for _, a in self.source_trajectory}
-        return len(azimuths) == 1
-
     def geometry(self) -> ArrayGeometry:
         return default_geometry(external_azimuth_deg=self.external_azimuth_deg,
                                 external_distance_m=self.external_distance_m)
@@ -193,7 +181,6 @@ class SceneComponents:
     truth_doa_deg: np.ndarray
     geometry: ArrayGeometry
     spec: SceneSpec
-    oracle_rtf: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,6 @@ class SceneOutput:
     truth_doa_deg: np.ndarray
     geometry: ArrayGeometry
     spec: SceneSpec
-    oracle_rtf: np.ndarray | None = None
 
 
 def _frame_azimuths(spec: SceneSpec, n_frames: int, cfg: StftConfig) -> np.ndarray:
@@ -365,15 +351,9 @@ def render_components(spec: SceneSpec, stft_config: StftConfig | None = None
     noise_unit = _render_noise_field(spec, positions, children[1:1 + n_noise],
                                      cfg, n_samples, freqs)
 
-    oracle = None
-    if spec.is_static:
-        azimuth = spec.source_trajectory[0][1]
-        delay = plane_wave_delays_3d(positions, azimuth_to_unit(azimuth)[None])[0]
-        oracle = np.exp(-2j * np.pi * freqs[:, None] * (delay - delay[0])[None, :])
-
     return SceneComponents(clean=clean, noise_unit=noise_unit,
                            truth_doa_deg=azimuths, geometry=geometry,
-                           spec=spec, oracle_rtf=oracle)
+                           spec=spec)
 
 
 def compose(components: SceneComponents,
@@ -406,54 +386,10 @@ def compose(components: SceneComponents,
                        clean=AudioClip(clean, rate),
                        noise=AudioClip(noise, rate),
                        truth_doa_deg=components.truth_doa_deg,
-                       geometry=geometry, spec=spec,
-                       oracle_rtf=components.oracle_rtf)
+                       geometry=geometry, spec=spec)
 
 
 def synthesize(spec: SceneSpec,
                stft_config: StftConfig | None = None) -> SceneOutput:
     """Render a full scene; pure function of the spec (seed included)."""
     return compose(render_components(spec, stft_config))
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Measured vs. modeled magnitude-squared coherence per mic pair."""
-
-    freqs: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    distances_m: np.ndarray
-    measured: np.ndarray
-    model: np.ndarray
-
-
-def diffuse_field_check(noise: AudioClip, geometry: ArrayGeometry,
-                        pairs: tuple[tuple[int, int], ...] | None = None,
-                        nperseg: int = 512) -> CoherenceReport:
-    """Estimate pairwise coherence and compare with the isotropic model.
-
-    The model is sinc^2(2 f d / c) for microphone distance d. Requires at
-    least 10 s of signal for a stable Welch estimate.
-    """
-    if noise.duration < 10.0:
-        raise ConfigurationError("need at least 10 s of noise for coherence")
-    include_external = noise.n_channels == geometry.n_channels
-    positions = geometry.positions(include_external=include_external)
-    if noise.n_channels != positions.shape[0]:
-        raise ConfigurationError("channel count does not match geometry")
-    if pairs is None:
-        n = positions.shape[0]
-        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    freqs = None
-    measured = []
-    distances = []
-    for i, j in pairs:
-        freqs, coh = sps.coherence(noise.samples[i], noise.samples[j],
-                                   fs=noise.sample_rate, nperseg=nperseg)
-        measured.append(coh)
-        distances.append(np.linalg.norm(positions[i] - positions[j]))
-    distances = np.asarray(distances)
-    model = np.sinc(2.0 * freqs[None, :] * distances[:, None] / SPEED_OF_SOUND) ** 2
-    return CoherenceReport(freqs=freqs, pairs=tuple(pairs),
-                           distances_m=distances,
-                           measured=np.asarray(measured), model=model)

@@ -126,11 +126,6 @@ class TFGrid:
         idx = np.arange(self.n_frames)
         return (idx * self.hop + self.frame_len / 2.0) / self.sample_rate
 
-    @property
-    def bin_freqs(self) -> np.ndarray:
-        """Center frequency of each bin in Hz."""
-        return np.arange(self.n_bins) * self.sample_rate / float(self.frame_len)
-
 
 def num_frames(n_samples: int, cfg: StftConfig) -> int:
     """Number of full analysis frames for a signal of ``n_samples``."""

@@ -16,14 +16,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rtfdoa.cli import main
-from rtfdoa.covariance import SmoothingConfig, initial_state, update
-from rtfdoa.doa import argmin_directions, cost_surface_frames, hermitian_angle
+from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
+from rtfdoa.doa import argmin_directions, cost_surface_frames
 from rtfdoa.estimators import batch_cs, batch_cw, batch_sc
 from rtfdoa.evaluate import run_scene, run_sweep
 from rtfdoa.pipeline import RunConfig, track
-from rtfdoa.simulate import (SceneSpec, diffuse_field_check, render_components,
-                             synthesize)
+from rtfdoa.simulate import SceneSpec, render_components, synthesize
 from rtfdoa.stft import AudioClip
+from reference import diffuse_field_check, hermitian_angle
 
 N_DRAWS = 100
 
@@ -243,16 +243,18 @@ def test_criterion_8_covariance_convergence(acceptance):
     truth = a @ a.conj().T + 0.5 * np.eye(5)
     chol = np.linalg.cholesky(truth)
 
+    # one bin of the shipped tracker, every frame labelled speech
+    speech = np.ones(1, dtype=bool)
     pooled = np.zeros_like(truth)
     for seed in range(1, 11):
         r = np.random.default_rng(seed)
-        state = initial_state(5)
+        tracker = CovarianceTracker(5, 1, smoothing)
         acc = np.zeros_like(truth)
         for t in range(n_frames):
             z = (r.normal(size=5) + 1j * r.normal(size=5)) / np.sqrt(2)
-            state = update(state, chol @ z, True, smoothing)
+            tracker.update_frame((chol @ z)[:, None], speech)
             if t >= frames_per_10_tau:
-                acc += state.phi_y
+                acc += tracker.noisy[0]
         pooled += acc / (n_frames - frames_per_10_tau)
     pooled /= 10.0
     rel = float(np.linalg.norm(pooled - truth) / np.linalg.norm(truth))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,27 +188,44 @@ def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
         assert f"key '{key}' must be a" in capsys.readouterr().err
     # an int stands for a float
     assert run_config_from_dict({"tau_y_s": 1}).tau_y_s == 1
+    # the run-config entries of a sweep matrix get the same check
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({
+        "estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
+        "seeds": [1], "duration_s": 2.0, "diffuse_order": 12,
+        "tau_y_s": "0.3"}))
+    assert main(["sweep", "--matrix", str(matrix),
+                 "--database", str(workspace["db"]),
+                 "--output", str(tmp_path / "s.csv")]) == 2
+    assert "key 'tau_y_s' must be a" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["database", "input", "doa", "scene"])
+@pytest.mark.parametrize("command",
+                         ["database", "input", "doa", "scene", "directory"])
 def test_exit_code_on_missing_or_unreadable_input(workspace, tmp_path, capsys,
                                                   command):
     sim, db = workspace["sim"], str(workspace["db"])
     missing = str(tmp_path / "missing")
     not_wav = tmp_path / "not.wav"
     not_wav.write_text("not a RIFF file\n")
-    argv = {
-        "database": ["estimate", "--input", str(sim / "mixed.wav"),
-                     "--database", missing, "--output", str(tmp_path / "d.csv")],
-        "input": ["estimate", "--input", str(not_wav), "--database", db,
-                  "--output", str(tmp_path / "d.csv")],
-        "doa": ["evaluate", "--doa", missing, "--truth", str(sim / "truth.csv"),
-                "--output", str(tmp_path / "m.json")],
-        "scene": ["simulate", "--scene", missing,
-                  "--output-dir", str(tmp_path / "sim")],
+    folder = tmp_path / "folder.wav"
+    folder.mkdir()
+    argv, culprit = {
+        "database": (["estimate", "--input", str(sim / "mixed.wav"),
+                      "--database", missing,
+                      "--output", str(tmp_path / "d.csv")], missing),
+        "input": (["estimate", "--input", str(not_wav), "--database", db,
+                   "--output", str(tmp_path / "d.csv")], str(not_wav)),
+        "doa": (["evaluate", "--doa", missing, "--truth", str(sim / "truth.csv"),
+                 "--output", str(tmp_path / "m.json")], missing),
+        "scene": (["simulate", "--scene", missing,
+                   "--output-dir", str(tmp_path / "sim")], missing),
+        "directory": (["estimate", "--input", str(folder), "--database", db,
+                       "--output", str(tmp_path / "d.csv")], str(folder)),
     }[command]
     assert main(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and culprit in err
 
 
 def test_exit_code_on_numerical_failure(workspace, tmp_path):
@@ -227,6 +246,17 @@ def test_run_config_dict_roundtrip():
     assert run_config_to_dict(back) == run_config_to_dict(config)
     with pytest.raises(ConfigurationError):
         run_config_from_dict({"no_such_key": 1})
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes most of a second to import; only tests use it
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import rtfdoa.cli, sys; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

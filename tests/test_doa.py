@@ -9,12 +9,12 @@ from rtfdoa.doa import (
     cost_surface_frames,
     default_grid,
     generate_prototypes,
-    hermitian_angle,
     load_database,
     save_database,
 )
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.geometry import SPEED_OF_SOUND, ArrayGeometry, default_geometry
+from reference import hermitian_angle
 
 
 def _small_db(rng=None, n_dirs=3, fft_size=8, n_mics=2):

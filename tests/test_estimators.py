@@ -231,36 +231,6 @@ def test_cw_nonfinite_bin_flagged_invalid(rng):
     assert valid[1]
 
 
-def test_whitened_tracker_partial_refresh(rng):
-    n_bins, p = 4, 3
-    phi_n_a = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
-    phi_n_b = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
-    phi_y = np.stack([
-        _rank_one_plus_noise([1.0, 2.0, 1.0j], phi_n_a[k]) for k in range(n_bins)
-    ])
-
-    tracker = WhitenedTracker(n_bins, p)
-    tracker.refresh_noise(phi_n_a)
-    base, base_ok = tracker.estimate(phi_y)
-    assert base_ok.all()
-
-    changed = np.zeros(n_bins, dtype=bool)
-    changed[1] = True
-    tracker.refresh_noise(phi_n_b, changed)
-    mixed, _ = tracker.estimate(phi_y)
-
-    expected_noise = phi_n_a.copy()
-    expected_noise[1] = phi_n_b[1]
-    oracle, _ = batch_cw(phi_y, expected_noise)
-    np.testing.assert_allclose(mixed, oracle, atol=1e-10)
-    # untouched bins keep their factors
-    np.testing.assert_array_equal(mixed[0], base[0])
-
-    tracker.refresh_noise(phi_n_b, np.zeros(n_bins, dtype=bool))
-    again, _ = tracker.estimate(phi_y)
-    np.testing.assert_allclose(again, mixed, atol=1e-12)
-
-
 def test_whitened_tracker_validation():
     with pytest.raises(ConfigurationError):
         WhitenedTracker(4, 1)

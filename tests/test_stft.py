@@ -146,7 +146,6 @@ def test_stft_config_validation():
 def test_grid_axis_annotations(rng):
     clip = AudioClip(rng.standard_normal((1, 2048)), FS)
     grid = analyze(clip)
-    np.testing.assert_allclose(grid.bin_freqs, np.arange(257) * FS / 512)
     n_fr = grid.data.shape[2]
     expected_times = (np.arange(n_fr) * 256 + 256.0) / FS
     np.testing.assert_allclose(grid.frame_times, expected_times)
