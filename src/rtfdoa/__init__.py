@@ -25,8 +25,8 @@ from .pipeline import (DoaTrajectory, ESTIMATOR_NAMES, RunConfig, track,
 from .simulate import (SceneComponents, SceneOutput, SceneSpec, compose,
                        fibonacci_sphere, render_components, speech_shaped_noise,
                        synthesize)
-from .stft import (AudioClip, StftConfig, TFGrid, analyze, num_frames,
-                   read_wav, sqrt_hann, write_wav)
+from .stft import (AudioClip, StftConfig, TFGrid, WavReader, analyze,
+                   num_frames, read_wav, sqrt_hann, write_wav)
 
 __version__ = "0.1.0"
 

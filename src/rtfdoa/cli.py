@@ -32,7 +32,7 @@ from .geometry import default_geometry
 from .pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig,
                        config_from_dict, track)
 from .simulate import SceneSpec, synthesize
-from .stft import StftConfig, read_wav, write_wav
+from .stft import StftConfig, WavReader, write_wav
 
 log = logging.getLogger(__name__)
 
@@ -138,10 +138,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _resolve_run_config(args)
-    clip = read_wav(args.input)
+    source = WavReader(args.input)
     db = load_database(args.database)
     labels = read_labels(args.labels) if args.labels else None
-    traj = track(clip, db, config, labels,
+    # the CSV is written only once the last block has been tracked, so a
+    # failure anywhere in the recording leaves no partial output
+    traj = track(source, db, config, labels,
                  keep_cost_surfaces=args.cost_surface is not None)
     out = Path(args.output)
     write_trajectory_csv(out, traj)
@@ -153,7 +155,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     resolved["database"] = str(args.database)
     resolved["labels"] = str(args.labels) if args.labels else None
     _write_resolved(out.with_suffix(out.suffix + ".config.json"), resolved)
-    rtf = traj.processing_s / clip.duration
+    rtf = traj.processing_s * source.sample_rate / source.n_samples
     log.info("estimated %d frames (real-time factor %.3f)", traj.n_frames, rtf)
     return 0
 

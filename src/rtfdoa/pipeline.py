@@ -1,12 +1,17 @@
 """Frame-by-frame DOA tracking: detect, track covariances, estimate, match.
 
-One pass over the STFT frames updates the noisy/noise covariance pair
-per bin (gated by the activity detector), feeds the requested RTF
-estimators, and holds each bin's last valid estimate. Cost surfaces and
-grid decisions are computed afterwards in a batched sweep. Several
-estimators can share a single covariance pass, which is how the sweep
-harness keeps multi-estimator comparisons cheap. The whitening
-estimators are tracked with one generalized power step per frame
+The recording is consumed block by block: each block of frames is
+transformed to the STFT, then one pass over its frames updates the
+noisy/noise covariance pair per bin (gated by the activity detector),
+feeds the requested RTF estimators, and holds each bin's last valid
+estimate; the block's cost surfaces and grid decisions are then computed
+in one batched sweep and the block is dropped. Memory therefore does not
+grow with the recording's duration. Across blocks only the covariance
+pair, the estimators' held values and tracker states, the frame index and
+the STFT overlap are carried, so the decisions do not depend on the block
+length. Several estimators can share a single covariance pass, which is
+how the sweep harness keeps multi-estimator comparisons cheap. The
+whitening estimators are tracked with one generalized power step per frame
 (:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly.
 
 Estimates are held per bin across invalid frames ("hold last valid"), so
@@ -19,22 +24,27 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activity import SppConfig, spp
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import PrototypeDatabase, argmin_directions, cost_surface_frames
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailure
 from .estimators import EstimatorConfig, PowerCwTracker, batch_cs, batch_sc
-from .stft import AudioClip, StftConfig, analyze
+from .stft import (AudioClip, StftConfig, WavReader, analyze, frame_times,
+                   num_frames)
 
 ESTIMATOR_NAMES = ("cs-head", "cw-ext", "cw-head", "sc")
 DETECTOR_NAMES = ("oracle", "spp")
 
 DEFAULT_TAU_Y_STATIC_S = 0.25
 DEFAULT_TAU_N_S = 0.5
+
+# frames per block of the streaming pass; the block's STFT, estimate
+# stores and cost surface are the only arrays that scale with it
+BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -179,14 +189,18 @@ def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int,
     return probabilities.mean(axis=0) > cfg.threshold
 
 
-def track_multi(clip: AudioClip, db: PrototypeDatabase, config: RunConfig,
-                estimators: tuple[str, ...] | None = None,
+def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
+                config: RunConfig, estimators: tuple[str, ...] | None = None,
                 labels: np.ndarray | None = None,
                 keep_cost_surfaces: bool = False) -> dict[str, DoaTrajectory]:
     """Run several estimators over one recording with a shared covariance pass.
 
-    ``labels`` is the [K, L] oracle speech-activity bitmap, required when
-    the detector is 'oracle'. Returns one trajectory per estimator name.
+    ``source`` is read block by block (see :mod:`rtfdoa.stft`). ``labels``
+    is the [K, L] oracle speech-activity bitmap, required when the
+    detector is 'oracle'. Faults are raised where the pass meets them: a
+    non-finite sample in its block, a bitmap too short when its columns
+    run out, a bitmap too long at the end. Returns one trajectory per
+    estimator name.
     """
     t0 = time.perf_counter()
     names = tuple(estimators) if estimators is not None else (config.estimator,)
@@ -198,7 +212,7 @@ def track_multi(clip: AudioClip, db: PrototypeDatabase, config: RunConfig,
     if len(set(names)) != len(names):
         raise ConfigurationError("duplicate estimator names")
 
-    n_chan = clip.n_channels
+    n_chan = source.n_channels
     n_head = db.n_mics
     if n_chan not in (n_head, n_head + 1):
         raise ConfigurationError(
@@ -208,63 +222,95 @@ def track_multi(clip: AudioClip, db: PrototypeDatabase, config: RunConfig,
             if name in ("sc", "cw-ext"):
                 raise ConfigurationError(
                     f"estimator '{name}' needs the external microphone channel")
-    if clip.sample_rate != db.sample_rate:
+    if source.sample_rate != db.sample_rate:
         raise ConfigurationError("clip and database sample rates differ")
 
-    grid = analyze(clip, config.stft)
-    data = grid.data  # [P, K, L]
-    n_bins, n_frames = data.shape[1], data.shape[2]
-    if config.detector == "oracle":
-        if labels is None:
-            raise ConfigurationError("oracle detector needs an activity bitmap")
+    stft = config.stft
+    n_bins, n_frames = stft.n_bins, num_frames(source.n_samples, stft)
+    if n_frames == 0:
+        raise ConfigurationError(f"clip of {source.n_samples} samples is shorter "
+                                 f"than one frame ({stft.frame_len})")
+    if config.detector != "oracle":
+        labels = None
+    elif labels is None:
+        raise ConfigurationError("oracle detector needs an activity bitmap")
+    else:
         labels = np.asarray(labels, dtype=bool)
-        if labels.shape != (n_bins, n_frames):
-            raise ConfigurationError(
-                f"labels shaped {labels.shape}, expected {(n_bins, n_frames)}")
+    label_error = ConfigurationError(
+        f"labels shaped {np.shape(labels)}, expected {(n_bins, n_frames)}")
+    if labels is not None and (labels.ndim != 2 or labels.shape[0] != n_bins):
+        raise label_error
 
-    tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(clip.sample_rate),
+    tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
                                 eps_init=config.eps_init,
                                 faithful_noise_recursion=config.faithful_noise_recursion)
     states = [_HeldEstimator(name, n_bins, n_head, n_chan, config.estimator_config)
               for name in names]
-    stores = {name: np.zeros((n_frames, n_bins, n_head), dtype=np.complex64)
-              for name in names}
-    valid_stores = {name: np.zeros((n_frames, n_bins), dtype=bool)
-                    for name in names}
+    decisions = {name: (np.empty(n_frames), np.empty(n_frames),
+                        np.empty(n_frames, dtype=bool)) for name in names}
+    surfaces = {name: np.empty((n_frames, db.n_directions)) for name in names
+                } if keep_cost_surfaces else {}
 
-    for l in range(n_frames):
-        y = np.ascontiguousarray(data[:, :, l])
-        if config.detector == "oracle":
-            mask = labels[:, l]
-        elif l < config.spp_bootstrap_frames:
-            mask = np.zeros(n_bins, dtype=bool)
-        else:
-            mask = _spp_mask(y, tracker, n_head, config.spp_config)
-        tracker.update_frame(y, mask)
-        for state in states:
-            state.step(tracker, mask)
-            stores[state.name][l] = state.held
-            valid_stores[state.name][l] = state.ever_valid
+    tail = np.empty((n_chan, 0))
+    start = 0
+    for block in source.blocks(BLOCK_FRAMES * stft.hop):
+        if not np.isfinite(block).all():
+            raise NumericalFailure("clip contains non-finite samples")
+        # no copy of a first block, which for a short clip is all of it
+        buffer = np.concatenate([tail, block], axis=1) if tail.size else block
+        count = num_frames(buffer.shape[1], stft)
+        if count == 0:
+            tail = buffer
+            continue
+        stop = start + count
+        if labels is not None and labels.shape[1] < stop:
+            raise label_error
+        data = analyze(AudioClip(buffer, source.sample_rate), stft).data
+        tail = buffer[:, count * stft.hop:]
+        stores = [np.empty((count, n_bins, n_head), dtype=np.complex64)
+                  for _ in states]
+        valid_stores = [np.empty((count, n_bins), dtype=bool) for _ in states]
+        for i, l in enumerate(range(start, stop)):
+            y = np.ascontiguousarray(data[:, :, i])
+            if labels is not None:
+                mask = labels[:, l]
+            elif l < config.spp_bootstrap_frames:
+                mask = np.zeros(n_bins, dtype=bool)
+            else:
+                mask = _spp_mask(y, tracker, n_head, config.spp_config)
+            tracker.update_frame(y, mask)
+            for state, store, valid_store in zip(states, stores, valid_stores):
+                state.step(tracker, mask)
+                store[i] = state.held
+                valid_store[i] = state.ever_valid
+        for state, store, valid_store in zip(states, stores, valid_stores):
+            surface = cost_surface_frames(store, valid_store, db)
+            for out, value in zip(decisions[state.name],
+                                  argmin_directions(surface, db)):
+                out[start:stop] = value
+            if keep_cost_surfaces:
+                surfaces[state.name][start:stop] = surface
+        start = stop
+    if labels is not None and labels.shape[1] != n_frames:
+        raise label_error
 
-    warmup = config.warmup_frames(clip.sample_rate)
+    warmup = config.warmup_frames(source.sample_rate)
+    times = frame_times(n_frames, stft.frame_len, stft.hop, source.sample_rate)
+    elapsed = time.perf_counter() - t0
     results: dict[str, DoaTrajectory] = {}
     for name in names:
-        surface = cost_surface_frames(stores[name], valid_stores[name], db)
-        azimuths, costs, ok = argmin_directions(surface, db)
-        valid = ok & (np.arange(n_frames) >= warmup)
+        azimuths, costs, ok = decisions[name]
         results[name] = DoaTrajectory(
-            estimator=name, azimuth_deg=azimuths, cost=costs, valid=valid,
-            frame_times=grid.frame_times, warmup_frames=warmup,
-            cost_surface=surface if keep_cost_surfaces else None)
-    elapsed = time.perf_counter() - t0
-    results = {name: replace(traj, processing_s=elapsed)
-               for name, traj in results.items()}
+            estimator=name, azimuth_deg=azimuths, cost=costs,
+            valid=ok & (np.arange(n_frames) >= warmup), frame_times=times,
+            warmup_frames=warmup, processing_s=elapsed,
+            cost_surface=surfaces.get(name))
     return results
 
 
-def track(clip: AudioClip, db: PrototypeDatabase, config: RunConfig,
+def track(source: AudioClip | WavReader, db: PrototypeDatabase, config: RunConfig,
           labels: np.ndarray | None = None,
           keep_cost_surfaces: bool = False) -> DoaTrajectory:
     """Run the configured estimator over one recording."""
-    return track_multi(clip, db, config, (config.estimator,), labels,
+    return track_multi(source, db, config, (config.estimator,), labels,
                        keep_cost_surfaces)[config.estimator]

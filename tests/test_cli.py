@@ -10,8 +10,9 @@ import pytest
 from rtfdoa.cli import main, run_config_from_dict, run_config_to_dict
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.evaluate import read_trajectory_csv, read_truth_csv
-from rtfdoa.pipeline import RunConfig
+from rtfdoa.pipeline import BLOCK_FRAMES, RunConfig
 from rtfdoa.stft import AudioClip, write_wav
+from wavfiles import IEEE_FLOAT, fmt_chunk, wav_header
 
 SCENE = {
     "seed": 7,
@@ -200,8 +201,8 @@ def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
     assert "key 'tau_y_s' must be a" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command",
-                         ["database", "input", "doa", "scene", "directory"])
+@pytest.mark.parametrize("command", ["database", "input", "doa", "scene",
+                                     "directory", "truncated"])
 def test_exit_code_on_missing_or_unreadable_input(workspace, tmp_path, capsys,
                                                   command):
     sim, db = workspace["sim"], str(workspace["db"])
@@ -210,6 +211,8 @@ def test_exit_code_on_missing_or_unreadable_input(workspace, tmp_path, capsys,
     not_wav.write_text("not a RIFF file\n")
     folder = tmp_path / "folder.wav"
     folder.mkdir()
+    truncated = tmp_path / "truncated.wav"
+    truncated.write_bytes((sim / "mixed.wav").read_bytes()[:-1000])
     argv, culprit = {
         "database": (["estimate", "--input", str(sim / "mixed.wav"),
                       "--database", missing,
@@ -222,6 +225,8 @@ def test_exit_code_on_missing_or_unreadable_input(workspace, tmp_path, capsys,
                    "--output-dir", str(tmp_path / "sim")], missing),
         "directory": (["estimate", "--input", str(folder), "--database", db,
                        "--output", str(tmp_path / "d.csv")], str(folder)),
+        "truncated": (["estimate", "--input", str(truncated), "--database", db,
+                       "--output", str(tmp_path / "d.csv")], str(truncated)),
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -238,6 +243,19 @@ def test_exit_code_on_numerical_failure(workspace, tmp_path):
                "--labels", str(workspace["sim"] / "labels.bin"),
                "--estimator", "sc", "--output", str(tmp_path / "d.csv")])
     assert rc == 3
+    # a NaN in the last of several blocks: earlier blocks were tracked, but
+    # nothing is written
+    samples = np.random.default_rng(3).standard_normal((5, (3 * BLOCK_FRAMES + 2) * 256))
+    samples[1, -300] = np.nan
+    write_wav(wav, AudioClip(0.1 * samples, 16000))
+    out = tmp_path / "late.csv"
+    assert main(["estimate", "--input", str(wav), "--database", str(workspace["db"]),
+                 "--detector", "spp", "--estimator", "sc", "--output", str(out)]) == 3
+    assert list(tmp_path.glob("late.csv*")) == []
+    # a recording shorter than one frame is a configuration error
+    write_wav(wav, AudioClip(np.zeros((5, 511)), 16000))
+    assert main(["estimate", "--input", str(wav), "--database", str(workspace["db"]),
+                 "--detector", "spp", "--estimator", "sc", "--output", str(out)]) == 2
 
 
 def test_run_config_dict_roundtrip():
@@ -249,14 +267,50 @@ def test_run_config_dict_roundtrip():
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes most of a second to import; only tests use it
+    # scipy.signal takes most of a second to import and only tests use it;
+    # scipy.io (which loads scipy.sparse) is imported only to write WAVs
     src = Path(__file__).resolve().parents[1] / "src"
+    modules = ("scipy.signal", "scipy.io", "scipy.sparse")
     out = subprocess.run(
         [sys.executable, "-c",
-         "import rtfdoa.cli, sys; print('scipy.signal' in sys.modules)"],
+         f"import rtfdoa.cli, sys; print([m for m in {modules} if m in sys.modules])"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_estimate_peak_memory_is_flat_in_duration(workspace, tmp_path):
+    # the recording is streamed block by block, so 8 times the audio must
+    # not raise the process's peak RSS by more than 10 %. A small launcher
+    # takes the peak from os.wait4: a child's ru_maxrss also counts the
+    # memory of the process that started it (Linux folds the high-water
+    # mark of the pre-exec address space into it), here the test runner's
+    launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+                "_, status, usage = os.wait4(p.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    rng = np.random.default_rng(11)
+    peaks = {}
+    for seconds in (20, 160):
+        wav = tmp_path / f"noise_{seconds}s.wav"
+        n_samples = seconds * 16000
+        with open(wav, "wb") as fh:
+            fh.write(wav_header(fmt_chunk(IEEE_FLOAT, 5, 32), n_samples * 5 * 4))
+            for start in range(0, n_samples, 1 << 16):
+                block = rng.standard_normal((min(1 << 16, n_samples - start), 5))
+                fh.write((0.1 * block).astype("<f4").tobytes())
+        out = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "rtfdoa",
+             "estimate", "--input", str(wav), "--database", str(workspace["db"]),
+             "--detector", "spp", "--estimator", "sc",
+             "--output", str(tmp_path / f"{seconds}.csv")],
+            capture_output=True, text=True, env=env)
+        code, peak_kb = map(int, out.stdout.split())
+        assert code == 0, out.stderr
+        peaks[seconds] = peak_kb
+        wav.unlink()
+    assert peaks[160] <= 1.10 * peaks[20], peaks
 
 
 def test_module_entry_point(tmp_path):

@@ -6,7 +6,9 @@ from rtfdoa.doa import argmin_directions, cost_surface_frames
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import batch_cw
 from rtfdoa.evaluate import angular_errors, oracle_label_grid
-from rtfdoa.pipeline import ESTIMATOR_NAMES, RunConfig, track, track_multi
+from rtfdoa import pipeline
+from rtfdoa.pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track,
+                             track_multi)
 from rtfdoa.simulate import SceneSpec, synthesize
 from rtfdoa.stft import AudioClip, analyze
 
@@ -166,6 +168,30 @@ def test_track_multi_validation(database):
     too_many = AudioClip(np.vstack([out.mixed.samples, out.mixed.samples[:1]]), FS)
     with pytest.raises(ConfigurationError):
         track(too_many, database, config, labels=labels)
+
+
+@pytest.mark.parametrize("detector", DETECTOR_NAMES)
+def test_block_length_leaves_every_output_unchanged(database, monkeypatch, detector):
+    # a scene one default block and a bit long; blocks of 1 and 7 frames
+    # put seams inside the 10-frame SPP bootstrap and the 63-frame warm-up
+    out = _scene(seed=50, duration_s=(pipeline.BLOCK_FRAMES + 40) * 256 / FS,
+                 snr_db=5.0)
+    labels = _labels(out)
+    config = RunConfig(detector=detector)
+
+    def run():
+        return track_multi(out.mixed, database, config, ESTIMATOR_NAMES, labels,
+                           keep_cost_surfaces=True)
+
+    whole = run()
+    assert whole["sc"].n_frames > pipeline.BLOCK_FRAMES
+    for block_frames in (1, 7):
+        monkeypatch.setattr(pipeline, "BLOCK_FRAMES", block_frames)
+        for name, traj in run().items():
+            for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
+                assert np.array_equal(getattr(traj, field),
+                                      getattr(whole[name], field), equal_nan=True), \
+                    (block_frames, name, field)
 
 
 def test_spp_detector_smoke(database):

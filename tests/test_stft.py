@@ -5,12 +5,14 @@ from rtfdoa.errors import ConfigurationError, NumericalFailure
 from rtfdoa.stft import (
     AudioClip,
     StftConfig,
+    WavReader,
     analyze,
     num_frames,
     read_wav,
     sqrt_hann,
     write_wav,
 )
+from wavfiles import IEEE_FLOAT, PCM, chunk, fmt_chunk, wav_bytes
 
 FS = 16000
 
@@ -191,7 +193,7 @@ def test_wav_reads_int32_and_int24_scaled(tmp_path, rng):
     samples = np.clip(rng.standard_normal((2, 1000)) * 0.25, -1.0, 0.999)
     wavfile.write(path, FS, np.round(samples.T * 2.0 ** 31).astype(np.int32))
     np.testing.assert_allclose(read_wav(path).samples, samples, atol=2.0 ** -31)
-    # scipy returns 24-bit PCM as int32 in the upper three bytes
+    # 24-bit PCM is widened to int32 in the upper three bytes
     path24 = tmp_path / "i24.wav"
     with wave.open(str(path24), "wb") as fh:
         fh.setnchannels(1)
@@ -210,3 +212,55 @@ def test_wav_rejects_unsupported_dtype(tmp_path):
     wavfile.write(path, FS, np.zeros(64, dtype=np.uint8))
     with pytest.raises(ConfigurationError):
         read_wav(path)
+    for fmt in (fmt_chunk(PCM, 2, 64),        # 64-bit PCM
+                fmt_chunk(6, 1, 8),           # A-law
+                fmt_chunk(6, 2, 8, extensible=True),
+                fmt_chunk(IEEE_FLOAT, 1, 16)):
+        path.write_bytes(wav_bytes(fmt, bytes(64)))
+        with pytest.raises(ConfigurationError, match="unsupported WAV sample format"):
+            read_wav(path)
+
+
+def _int24_bytes(pcm: np.ndarray) -> bytes:
+    """[channels, samples] integers in [-2^23, 2^23) as interleaved 24-bit PCM."""
+    wide = np.ascontiguousarray(pcm.T, dtype="<i4").view(np.uint8).reshape(-1, 4)
+    return wide[:, :3].tobytes()
+
+
+def test_wav_reads_extensible_five_channel_pcm_and_float(tmp_path, rng):
+    path = tmp_path / "ext.wav"
+    pcm = rng.integers(-2 ** 23, 2 ** 23, size=(5, 300))
+    path.write_bytes(wav_bytes(fmt_chunk(PCM, 5, 24, extensible=True),
+                               _int24_bytes(pcm)))
+    np.testing.assert_array_equal(read_wav(path).samples, pcm * 2.0 ** -23)
+    floats = rng.standard_normal((5, 300)).astype(np.float32)
+    path.write_bytes(wav_bytes(fmt_chunk(IEEE_FLOAT, 5, 32, extensible=True),
+                               floats.T.tobytes()))
+    clip = read_wav(path)
+    assert (clip.n_channels, clip.n_samples, clip.sample_rate) == (5, 300, FS)
+    np.testing.assert_array_equal(clip.samples, floats.astype(np.float64))
+    # blocks that do not divide the length concatenate to the whole file
+    blocks = list(WavReader(path).blocks(7))
+    assert [b.shape for b in blocks[-2:]] == [(5, 7), (5, 300 % 7)]
+    np.testing.assert_array_equal(np.concatenate(blocks, axis=1), clip.samples)
+
+
+def test_wav_skips_list_and_odd_sized_chunks(tmp_path):
+    samples = np.array([[0.5, -0.25, 0.125], [-1.0, 0.75, 0.0]])
+    info = chunk(b"LIST", b"INFO" + chunk(b"ISFT", b"rtfdoa tests\0"))
+    odd = chunk(b"junk", b"abc")  # three bytes and a pad byte
+    assert len(odd) % 2 == 0 and len(odd) == 8 + 3 + 1
+    path = tmp_path / "chunks.wav"
+    path.write_bytes(wav_bytes(fmt_chunk(IEEE_FLOAT, 2, 64), samples.T.tobytes(),
+                               extra=(info, odd)))
+    np.testing.assert_array_equal(read_wav(path).samples, samples)
+
+
+def test_wav_rejects_truncated_data_chunk(tmp_path):
+    whole = wav_bytes(fmt_chunk(PCM, 5, 16), bytes(5 * 2 * 1000))
+    path = tmp_path / "cut.wav"
+    path.write_bytes(whole[:-10])
+    with pytest.raises(ConfigurationError, match="truncated"):
+        WavReader(path)
+    path.write_bytes(whole)
+    assert WavReader(path).n_samples == 1000
