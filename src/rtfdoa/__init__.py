@@ -7,7 +7,8 @@ matched against a prototype grid by the frequency-averaged Hermitian
 angle. A scene simulator, scoring harness, and CLI round out the
 package.
 """
-from .activity import SppConfig, oracle_labels, read_labels, spp, write_labels
+from .activity import (LabelBitmap, SppConfig, oracle_labels, read_labels, spp,
+                       write_labels)
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import (PrototypeDatabase, argmin_directions, cost_surface_frames,
                   default_grid, generate_prototypes, load_database,
@@ -22,9 +23,10 @@ from .geometry import (ArrayGeometry, azimuth_to_unit, binaural_head_positions,
                        plane_wave_delays_3d, SPEED_OF_SOUND)
 from .pipeline import (DoaTrajectory, ESTIMATOR_NAMES, RunConfig, track,
                        track_multi)
-from .simulate import (SceneComponents, SceneOutput, SceneSpec, compose,
-                       fibonacci_sphere, render_components, speech_shaped_noise,
-                       synthesize)
+from .simulate import (AzimuthFreeParts, SceneComponents, SceneOutput,
+                       SceneSpec, compose, fibonacci_sphere,
+                       render_azimuth_free, render_components,
+                       speech_shaped_noise, steer, synthesize)
 from .stft import (AudioClip, StftConfig, TFGrid, WavReader, analyze,
                    num_frames, read_wav, sqrt_hann, write_wav)
 

@@ -107,17 +107,43 @@ def write_labels(path, labels: np.ndarray) -> None:
         fh.write(payload.tobytes())
 
 
-def read_labels(path) -> np.ndarray:
-    """Read a label bitmap written by :func:`write_labels`."""
+class LabelBitmap:
+    """A [K, L] label grid held as the packed bits of a label file.
+
+    Only :meth:`columns` unpacks, so a caller that reads a block of
+    frames at a time holds one bit per bin and frame for the whole
+    recording and one byte per bin and frame for the block. ``np.asarray``
+    unpacks the whole grid.
+    """
+
+    ndim = 2
+
+    def __init__(self, bits: np.ndarray, n_bins: int, n_frames: int) -> None:
+        if bits.size != (n_bins * n_frames + 7) // 8:
+            raise ConfigurationError("label bitmap payload size mismatch")
+        self._bits = bits
+        self.shape = (n_bins, n_frames)
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """Labels of frames ``start`` to ``stop`` (exclusive), [K, n] bool."""
+        n_bins, n_frames = self.shape
+        if not 0 <= start <= stop <= n_frames:
+            raise ConfigurationError(
+                f"frames {start}:{stop} outside a bitmap of {n_frames}")
+        # bit of bin k, frame l: k * L + l, most significant bit first
+        bit = np.arange(n_bins)[:, None] * n_frames + np.arange(start, stop)
+        return ((self._bits[bit >> 3] << (bit & 7)) & 0x80) != 0
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        grid = self.columns(0, self.shape[1])
+        return grid if dtype is None else grid.astype(dtype)
+
+
+def read_labels(path) -> LabelBitmap:
+    """Read a label bitmap written by :func:`write_labels`, still packed."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:8] != _LABEL_MAGIC:
         raise ConfigurationError("not a label bitmap (bad magic)")
     k, l = struct.unpack("<II", blob[8:16])
-    n_bits = k * l
-    expected = (n_bits + 7) // 8
-    payload = np.frombuffer(blob[16:], dtype=np.uint8)
-    if payload.size != expected:
-        raise ConfigurationError("label bitmap payload size mismatch")
-    bits = np.unpackbits(payload, count=n_bits)
-    return bits.reshape(k, l).astype(bool)
+    return LabelBitmap(np.frombuffer(blob, dtype=np.uint8, offset=16), k, l)

@@ -7,7 +7,7 @@ frames, never earlier than the warm-up horizon.
 
 Every simulated scene is scored on one path, :func:`run_scene`: oracle
 labels from :func:`oracle_label_grid`, then ``track_multi``, then
-:func:`score`. The units of :func:`run_sweep` call it once per SNR.
+:func:`score`. Each cell of :func:`run_sweep` is one call.
 
 File formats (stable, consumed by the CLI):
 
@@ -24,9 +24,10 @@ import ctypes
 import json
 import logging
 import multiprocessing
+import numbers
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,8 @@ from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
 from .pipeline import DoaTrajectory, RunConfig, config_from_dict, track_multi
-from .simulate import SceneOutput, SceneSpec, compose, render_components
-from .stft import AudioClip, analyze
+from .simulate import SceneOutput, SceneSpec, compose, render_azimuth_free, steer
+from .stft import AudioClip, analyze, num_frames
 
 log = logging.getLogger(__name__)
 
@@ -100,12 +101,10 @@ def write_metrics_json(path: str | Path, metrics: Metrics) -> None:
         json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _scored_slice(n_frames: int, warmup: int, eval_window: float) -> slice:
-    n_eval = int(round(eval_window * n_frames))
-    start = max(warmup, n_frames - n_eval)
-    if start >= n_frames:
-        raise ConfigurationError("scoring window is empty")
-    return slice(start, n_frames)
+def _scored_start(n_frames: int, warmup: int, eval_window: float) -> int:
+    """First scored frame: the trailing ``eval_window`` fraction of the
+    frames, never earlier than the warm-up horizon."""
+    return max(warmup, n_frames - int(round(eval_window * n_frames)))
 
 
 def score(traj: DoaTrajectory, truth_deg: np.ndarray,
@@ -122,7 +121,10 @@ def score(traj: DoaTrajectory, truth_deg: np.ndarray,
     if truth.size != traj.n_frames:
         raise ConfigurationError(
             f"truth holds {truth.size} frames, trajectory {traj.n_frames}")
-    window = _scored_slice(traj.n_frames, traj.warmup_frames, eval_window)
+    start = _scored_start(traj.n_frames, traj.warmup_frames, eval_window)
+    if start >= traj.n_frames:
+        raise ConfigurationError("scoring window is empty")
+    window = slice(start, traj.n_frames)
     az = traj.azimuth_deg[window]
     valid = traj.valid[window]
     tr = truth[window]
@@ -155,11 +157,23 @@ def oracle_label_grid(output: SceneOutput, config: RunConfig) -> np.ndarray:
 def run_scene(output: SceneOutput, db: PrototypeDatabase, config: RunConfig,
               estimators: tuple[str, ...] | None = None
               ) -> dict[str, tuple[DoaTrajectory, Metrics]]:
-    """Track a rendered scene and score every estimator against its truth."""
+    """Track a rendered scene and score every estimator against its truth.
+
+    Only the frames that :func:`score` reads are costed: ``track_multi``
+    gets the start of the scoring window as its ``cost_from``. The
+    returned trajectories therefore hold NaN azimuth and cost, and are
+    invalid, before that frame; from it on they equal a run that costs
+    every frame.
+    """
     labels = None
     if config.detector == "oracle":
         labels = oracle_label_grid(output, config)
-    trajs = track_multi(output.mixed, db, config, estimators, labels)
+    mixed = output.mixed
+    cost_from = _scored_start(num_frames(mixed.n_samples, config.stft),
+                              config.warmup_frames(mixed.sample_rate),
+                              config.eval_window)
+    trajs = track_multi(mixed, db, config, estimators, labels,
+                        cost_from=cost_from)
     results = {}
     for name, traj in trajs.items():
         metrics = score(traj, output.truth_doa_deg, config.tolerance_deg,
@@ -258,41 +272,99 @@ SWEEP_COLUMNS = ("estimator", "azimuth_deg", "snr_db", "seed",
                  "rms_error_deg", "invalid_frames", "error")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_number_or_null(value) -> bool:
+    return value is None or _is_number(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_external(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_is_number(v) for v in value))
+
+
+# sweep-matrix axes: (required, what each entry must be, check of an entry)
+_SWEEP_AXES = {
+    "estimators": (True, "estimator names", lambda v: isinstance(v, str)),
+    "azimuths_deg": (True, "numbers", _is_number),
+    "snrs_db": (True, "numbers or null", _is_number_or_null),
+    "seeds": (True, "integers", _is_integer),
+    "reverb_proxies_db": (False, "numbers or null", _is_number_or_null),
+    "externals": (False, "[azimuth_deg, distance_m] pairs", _is_external),
+}
+# scalar sweep-matrix entries: (what the value must be, check)
+_SWEEP_SCALARS = {
+    "duration_s": ("a number", _is_number),
+    "diffuse_order": ("an integer", _is_integer),
+    "reverb_proxy_db": ("a number or null", _is_number_or_null),
+}
+
+
+def _check_sweep_matrix(matrix: dict) -> None:
+    """Raise :class:`ConfigurationError`, naming the key, for a missing
+    required axis or an axis or scalar entry of the wrong shape or type."""
+    for key, (required, what, check) in _SWEEP_AXES.items():
+        if key not in matrix:
+            if required:
+                raise ConfigurationError(f"sweep matrix misses '{key}'")
+            continue
+        axis = matrix[key]
+        if not isinstance(axis, (list, tuple)) or not all(map(check, axis)):
+            raise ConfigurationError(
+                f"sweep matrix key '{key}' must be a list of {what}")
+    for key, (what, check) in _SWEEP_SCALARS.items():
+        if key in matrix and not check(matrix[key]):
+            raise ConfigurationError(f"sweep matrix key '{key}' must be {what}")
+
+
 def run_sweep(matrix: dict, db: PrototypeDatabase,
               base_config: RunConfig | None = None) -> list[dict]:
     """Cross product of sweep axes on static scenes.
 
     Required axes: ``estimators``, ``azimuths_deg``, ``snrs_db``,
     ``seeds``. Optional axes: ``reverb_proxies_db`` (default anechoic)
-    and ``externals`` as [azimuth_deg, distance_m] pairs. Each scene
-    condition (seed, azimuth, reverb proxy, external position) is one
-    unit: its components are rendered once and composed at every SNR,
-    and each composition is one cell, labelled, tracked and scored by
-    :func:`run_scene`, so all estimators share one covariance pass per
-    cell. Cells that fail with
+    and ``externals`` as [azimuth_deg, distance_m] pairs. Every axis is
+    checked before any cell runs; a missing axis, or one that is not a
+    list of entries of its type, raises :class:`ConfigurationError`
+    naming the key.
+
+    A cell is one seed, azimuth, reverb proxy, external position and SNR:
+    the scene is steered to its azimuth, composed at its SNR, and
+    labelled, tracked and scored by :func:`run_scene`, so all estimators
+    share one covariance pass per cell. Cells are dispatched
+    (seed, reverb proxy, external position)-major, because those three
+    fix the azimuth-free render (:func:`~rtfdoa.simulate.render_azimuth_free`)
+    that every cell of the group shares. Each process keeps the last such
+    render in a one-entry cache that lives only for the call, so a render
+    is made at most once per process for each group and memory does not
+    grow with the matrix. Cells that fail with
     :class:`ConfigurationError` or :class:`NumericalFailure` are captured
     as rows with an ``error`` note instead of aborting the sweep; any
     other exception propagates. Averaged rows (seed and azimuth columns
     ``avg``) are appended per remaining condition.
 
-    Units run in as many forked worker processes as this process may use
-    CPUs (``os.sched_getaffinity``), each worker with one BLAS thread, or
-    in this process when that is one CPU or there is a single unit.
-    Workers inherit the database instead of receiving a copy. Rows come
-    back in the serial order (seed, then azimuth, reverb proxy, external
-    position, SNR, estimator) with the values a serial run gives, and no
-    worker outlives the call. A forked worker holds only the calling
-    thread, so call this from a process whose other threads hold no
-    locks the workers need.
+    Cells run in as many forked worker processes as this process may use
+    CPUs (``os.sched_getaffinity``), each worker with one BLAS thread and
+    its own cache, or in this process when that is one CPU or there is a
+    single cell. Workers inherit the database instead of receiving a copy.
+    Rows come back in the serial order (seed, then azimuth, reverb proxy,
+    external position, SNR, estimator) with the values a serial run
+    gives, and no worker outlives the call. A forked worker holds only
+    the calling thread, so call this from a process whose other threads
+    hold no locks the workers need.
     """
     base = base_config or RunConfig()
-    try:
-        estimators = tuple(matrix["estimators"])
-        azimuths = [float(a) for a in matrix["azimuths_deg"]]
-        snrs = [None if s is None else float(s) for s in matrix["snrs_db"]]
-        seeds = [int(s) for s in matrix["seeds"]]
-    except KeyError as exc:
-        raise ConfigurationError(f"sweep matrix misses {exc}") from exc
+    _check_sweep_matrix(matrix)
+    estimators = tuple(matrix["estimators"])
+    azimuths = [float(a) for a in matrix["azimuths_deg"]]
+    snrs = [None if s is None else float(s) for s in matrix["snrs_db"]]
+    seeds = [int(s) for s in matrix["seeds"]]
     if not (estimators and azimuths and snrs and seeds):
         raise ConfigurationError("sweep axes must be non-empty")
     reverbs = matrix.get("reverb_proxies_db", [matrix.get("reverb_proxy_db")])
@@ -307,28 +379,33 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
         config_from_dict(RunConfig, overrides, "sweep matrix")
         base = replace(base, **overrides)
 
-    conds = [{"azimuth_deg": azimuth, "seed": seed, "reverb_proxy_db": reverb,
-              "external_azimuth_deg": ext_az, "external_distance_m": ext_dist}
-             for seed in seeds for azimuth in azimuths for reverb in reverbs
-             for ext_az, ext_dist in externals]
-    run_unit = partial(_sweep_unit, db, base, estimators, snrs, duration,
-                       diffuse_order)
-    workers = min(len(os.sched_getaffinity(0)), len(conds))
+    run_cell = _SweepCells(db, base, estimators, (seeds, azimuths, reverbs,
+                                                  externals, snrs),
+                           duration, diffuse_order)
+    # axis positions (seed, azimuth, reverb, external, SNR) of each cell,
+    # in dispatch order: the cells of one azimuth-free render back to back
+    positions = [(s, a, r, e, n) for s in range(len(seeds))
+                 for r in range(len(reverbs)) for e in range(len(externals))
+                 for a in range(len(azimuths)) for n in range(len(snrs))]
+    workers = min(len(os.sched_getaffinity(0)), len(positions))
     if workers <= 1:
-        chunks = [run_unit(cond) for cond in conds]
+        chunks = [run_cell(cell) for cell in positions]
     else:
-        # fork: workers inherit run_unit and the database it holds
+        # fork: workers inherit run_cell and the database it holds
         pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_init_sweep_worker, initargs=(run_unit,))
+            workers, initializer=_init_sweep_worker, initargs=(run_cell,))
         try:
-            chunks = pool.map(_run_sweep_worker_unit, conds, chunksize=1)
+            chunks = pool.map(_run_sweep_worker_cell, positions, chunksize=1)
             pool.close()
         except BaseException:
             pool.terminate()
             raise
         finally:
             pool.join()
-    rows: list[dict] = [row for chunk in chunks for row in chunk]
+    # back to the serial order: axis positions compare lexicographically
+    rows: list[dict] = [row for _, chunk in sorted(zip(positions, chunks),
+                                                   key=itemgetter(0))
+                        for row in chunk]
 
     for name in estimators:
         for snr in snrs:
@@ -359,54 +436,77 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     return rows
 
 
-def _sweep_unit(db: PrototypeDatabase, base: RunConfig,
-                estimators: tuple[str, ...], snrs: list, duration: float,
-                diffuse_order: int, cond: dict) -> list[dict]:
-    """Cell rows of one scene condition: one render, then ``run_scene``
-    on its composition at every SNR."""
-    spec = SceneSpec(seed=cond["seed"], duration_s=duration,
-                     source_trajectory=((0.0, cond["azimuth_deg"]),),
-                     diffuse_order=diffuse_order,
-                     reverb_proxy_db=cond["reverb_proxy_db"],
-                     external_azimuth_deg=cond["external_azimuth_deg"],
-                     external_distance_m=cond["external_distance_m"])
-    rows: list[dict] = []
-    try:
-        comps = render_components(spec, base.stft)
-    except (ConfigurationError, NumericalFailure) as exc:
-        log.warning("scene %s failed: %s", cond, exc)
-        for snr in snrs:
-            rows.extend(_error_rows(estimators, cond, snr, exc))
-        return rows
-    for snr in snrs:
-        try:
-            results = run_scene(compose(comps, snr), db, base, estimators)
-        except (ConfigurationError, NumericalFailure) as exc:
-            log.warning("cell %s snr=%s failed: %s", cond, snr, exc)
-            rows.extend(_error_rows(estimators, cond, snr, exc))
-            continue
-        rows.extend({"estimator": name, "snr_db": snr, **cond,
-                     "frames_scored": metrics.frames_scored,
-                     "accuracy_pct": metrics.accuracy_pct,
-                     "rms_error_deg": metrics.rms_error_deg,
-                     "invalid_frames": metrics.invalid_frames,
-                     "error": ""}
-                    for name, (_, metrics) in results.items())
-    return rows
+class _SweepCells:
+    """Rows of one sweep cell, given its positions on the sweep axes.
+
+    Holds the last azimuth-free render, or the error that rendering it
+    raised, keyed by its (seed, reverb, external) positions.
+    """
+
+    def __init__(self, db: PrototypeDatabase, base: RunConfig,
+                 estimators: tuple[str, ...], axes: tuple,
+                 duration: float, diffuse_order: int) -> None:
+        self.db = db
+        self.base = base
+        self.estimators = estimators
+        self.axes = axes
+        self.duration = duration
+        self.diffuse_order = diffuse_order
+        self._key = None
+        self._parts = None
+
+    def __call__(self, cell: tuple) -> list[dict]:
+        s, a, r, e, n = cell
+        seeds, azimuths, reverbs, externals, snrs = self.axes
+        ext_az, ext_dist = externals[e]
+        cond = {"azimuth_deg": azimuths[a], "seed": seeds[s],
+                "reverb_proxy_db": reverbs[r], "external_azimuth_deg": ext_az,
+                "external_distance_m": ext_dist}
+        snr = snrs[n]
+        spec = SceneSpec(seed=seeds[s], duration_s=self.duration,
+                         source_trajectory=((0.0, azimuths[a]),),
+                         diffuse_order=self.diffuse_order,
+                         reverb_proxy_db=reverbs[r],
+                         external_azimuth_deg=ext_az,
+                         external_distance_m=ext_dist)
+        if self._key != (s, r, e):
+            self._key, self._parts = None, None  # free the old render first
+            try:
+                self._parts = render_azimuth_free(spec, self.base.stft)
+            except (ConfigurationError, NumericalFailure) as exc:
+                self._parts = exc
+            self._key = (s, r, e)
+        failure = self._parts if isinstance(self._parts, Exception) else None
+        if failure is None:
+            try:
+                results = run_scene(compose(steer(self._parts, spec), snr),
+                                    self.db, self.base, self.estimators)
+            except (ConfigurationError, NumericalFailure) as exc:
+                failure = exc
+        if failure is not None:
+            log.warning("cell %s snr=%s failed: %s", cond, snr, failure)
+            return _error_rows(self.estimators, cond, snr, failure)
+        return [{"estimator": name, "snr_db": snr, **cond,
+                 "frames_scored": metrics.frames_scored,
+                 "accuracy_pct": metrics.accuracy_pct,
+                 "rms_error_deg": metrics.rms_error_deg,
+                 "invalid_frames": metrics.invalid_frames,
+                 "error": ""}
+                for name, (_, metrics) in results.items()]
 
 
 # set in each forked sweep worker by its pool initializer
-_worker_unit = None
+_worker_cells = None
 
 
-def _init_sweep_worker(run_unit) -> None:
-    global _worker_unit
-    _worker_unit = run_unit
+def _init_sweep_worker(run_cell) -> None:
+    global _worker_cells
+    _worker_cells = run_cell
     _single_blas_thread()
 
 
-def _run_sweep_worker_unit(cond: dict) -> list[dict]:
-    return _worker_unit(cond)
+def _run_sweep_worker_cell(cell: tuple) -> list[dict]:
+    return _worker_cells(cell)
 
 
 def _single_blas_thread() -> None:

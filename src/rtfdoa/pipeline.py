@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import SppConfig, spp
+from .activity import LabelBitmap, SppConfig, spp
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import PrototypeDatabase, argmin_directions, cost_surface_frames
 from .errors import ConfigurationError, NumericalFailure
@@ -191,16 +191,23 @@ def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int,
 
 def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
                 config: RunConfig, estimators: tuple[str, ...] | None = None,
-                labels: np.ndarray | None = None,
-                keep_cost_surfaces: bool = False) -> dict[str, DoaTrajectory]:
+                labels: np.ndarray | LabelBitmap | None = None,
+                keep_cost_surfaces: bool = False,
+                cost_from: int = 0) -> dict[str, DoaTrajectory]:
     """Run several estimators over one recording with a shared covariance pass.
 
     ``source`` is read block by block (see :mod:`rtfdoa.stft`). ``labels``
-    is the [K, L] oracle speech-activity bitmap, required when the
-    detector is 'oracle'. Faults are raised where the pass meets them: a
-    non-finite sample in its block, a bitmap too short when its columns
-    run out, a bitmap too long at the end. Returns one trajectory per
-    estimator name.
+    is the [K, L] oracle speech-activity grid, required when the detector
+    is 'oracle'; a packed :class:`~rtfdoa.activity.LabelBitmap` is
+    unpacked one block of columns at a time. Faults are raised where the
+    pass meets them: a non-finite sample in its block, a bitmap too short
+    when its columns run out, a bitmap too long at the end.
+
+    ``cost_from`` is the first frame whose cost surface and grid decision
+    are computed. Every frame still updates the covariances and the
+    estimators, so the frames from ``cost_from`` on are exactly those of a
+    run from 0; earlier frames get NaN azimuth and cost (and cost surface)
+    and are invalid. Returns one trajectory per estimator name.
     """
     t0 = time.perf_counter()
     names = tuple(estimators) if estimators is not None else (config.estimator,)
@@ -211,6 +218,8 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             raise ConfigurationError(f"unknown estimator '{name}'")
     if len(set(names)) != len(names):
         raise ConfigurationError("duplicate estimator names")
+    if cost_from < 0:
+        raise ConfigurationError("cost_from must not be negative")
 
     n_chan = source.n_channels
     n_head = db.n_mics
@@ -234,7 +243,7 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         labels = None
     elif labels is None:
         raise ConfigurationError("oracle detector needs an activity bitmap")
-    else:
+    elif not isinstance(labels, LabelBitmap):
         labels = np.asarray(labels, dtype=bool)
     label_error = ConfigurationError(
         f"labels shaped {np.shape(labels)}, expected {(n_bins, n_frames)}")
@@ -246,10 +255,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
                                 faithful_noise_recursion=config.faithful_noise_recursion)
     states = [_HeldEstimator(name, n_bins, n_head, n_chan, config.estimator_config)
               for name in names]
-    decisions = {name: (np.empty(n_frames), np.empty(n_frames),
-                        np.empty(n_frames, dtype=bool)) for name in names}
-    surfaces = {name: np.empty((n_frames, db.n_directions)) for name in names
-                } if keep_cost_surfaces else {}
+    decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),
+                        np.zeros(n_frames, dtype=bool)) for name in names}
+    surfaces = {name: np.full((n_frames, db.n_directions), np.nan)
+                for name in names} if keep_cost_surfaces else {}
 
     tail = np.empty((n_chan, 0))
     start = 0
@@ -265,6 +274,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         stop = start + count
         if labels is not None and labels.shape[1] < stop:
             raise label_error
+        if isinstance(labels, LabelBitmap):
+            block_labels = labels.columns(start, stop)
+        elif labels is not None:
+            block_labels = labels[:, start:stop]
         data = analyze(AudioClip(buffer, source.sample_rate), stft).data
         tail = buffer[:, count * stft.hop:]
         stores = [np.empty((count, n_bins, n_head), dtype=np.complex64)
@@ -273,7 +286,7 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         for i, l in enumerate(range(start, stop)):
             y = np.ascontiguousarray(data[:, :, i])
             if labels is not None:
-                mask = labels[:, l]
+                mask = block_labels[:, i]
             elif l < config.spp_bootstrap_frames:
                 mask = np.zeros(n_bins, dtype=bool)
             else:
@@ -283,13 +296,18 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
                 state.step(tracker, mask)
                 store[i] = state.held
                 valid_store[i] = state.ever_valid
+        # frames before cost_from keep NaN azimuth and cost and stay invalid
+        first = max(cost_from, start)
         for state, store, valid_store in zip(states, stores, valid_stores):
-            surface = cost_surface_frames(store, valid_store, db)
+            if first >= stop:
+                continue
+            surface = cost_surface_frames(store[first - start:],
+                                          valid_store[first - start:], db)
             for out, value in zip(decisions[state.name],
                                   argmin_directions(surface, db)):
-                out[start:stop] = value
+                out[first:stop] = value
             if keep_cost_surfaces:
-                surfaces[state.name][start:stop] = surface
+                surfaces[state.name][first:stop] = surface
         start = stop
     if labels is not None and labels.shape[1] != n_frames:
         raise label_error
@@ -309,7 +327,7 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
 
 
 def track(source: AudioClip | WavReader, db: PrototypeDatabase, config: RunConfig,
-          labels: np.ndarray | None = None,
+          labels: np.ndarray | LabelBitmap | None = None,
           keep_cost_surfaces: bool = False) -> DoaTrajectory:
     """Run the configured estimator over one recording."""
     return track_multi(source, db, config, (config.estimator,), labels,

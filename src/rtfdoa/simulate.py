@@ -13,9 +13,20 @@ diffuse copy of the target into all channels at a configurable
 direct-to-diffuse ratio.
 
 Everything is a pure function of (spec, seed): equal specs give
-bit-identical output. Rendering is split into ``render_components`` and
-``compose`` so sweeps can reuse the expensive parts (the noise field
-does not depend on SNR or target azimuth, the target not on SNR).
+bit-identical output. Rendering is split in three so that sweeps reuse
+the expensive parts:
+
+* ``render_azimuth_free`` renders what the source's direction does not
+  change: the source signal and its STFT, the reverb proxy's diffuse copy
+  and the unit noise field (most of the work, the noise field above all);
+* ``steer`` steers the source along the spec's trajectory and mixes in
+  the reverb copy;
+* ``compose`` scales the noise to an SNR and mixes.
+
+``render_components`` is ``steer`` after ``render_azimuth_free``, and
+``synthesize`` is ``compose`` after that. The split changes no sample:
+each part is computed by the same operations in the same order as one
+whole render.
 """
 from __future__ import annotations
 
@@ -168,6 +179,24 @@ class SceneSpec:
 
 
 @dataclass(frozen=True)
+class AzimuthFreeParts:
+    """The parts of a scene that its source trajectory and SNR leave alone.
+
+    ``source_stft`` is the target's mono [K, L] STFT; ``diffuse`` its
+    reverb-proxy copy on every channel, [P, T] float64, or ``None`` when
+    the spec is anechoic; ``noise_unit`` the diffuse field before any SNR
+    scaling, [P, T] float64. ``spec`` is the spec they were rendered for.
+    """
+
+    source_stft: np.ndarray
+    diffuse: np.ndarray | None
+    noise_unit: np.ndarray
+    geometry: ArrayGeometry
+    spec: SceneSpec
+    stft_config: StftConfig
+
+
+@dataclass(frozen=True)
 class SceneComponents:
     """Unscaled building blocks of a scene.
 
@@ -208,13 +237,23 @@ def _mono_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
 
 def _overlap_add(spectra: np.ndarray, cfg: StftConfig, n_samples: int) -> np.ndarray:
-    """Weighted overlap-add of one channel's [K, L] STFT back to time."""
+    """Weighted overlap-add of one channel's [K, L] STFT back to time.
+
+    Output and frames are cut into hop-long segments: segment ``r`` of
+    frame ``l`` lands on output segment ``l + r``. One strided add per
+    in-frame segment, taken from the last segment to the first, gives
+    every output sample its frames' contributions in frame order, the
+    order of a frame-by-frame overlap-add, so the sums are bit-identical
+    to it.
+    """
     frames = np.fft.irfft(spectra, n=cfg.frame_len, axis=0) * cfg.window[:, None]
-    out = np.zeros(n_samples + cfg.frame_len)
-    for l in range(frames.shape[1]):
-        start = l * cfg.hop
-        out[start:start + cfg.frame_len] += frames[:, l]
-    return out[:n_samples]
+    hop, n_frames = cfg.hop, frames.shape[1]
+    n_segments = -(-cfg.frame_len // hop)
+    out = np.zeros((n_frames + n_segments, hop))
+    for r in reversed(range(n_segments)):
+        segment = frames[r * hop:(r + 1) * hop]  # [<= hop, L]
+        out[r:r + n_frames, :segment.shape[0]] += segment.T
+    return out.reshape(-1)[:n_samples]
 
 
 def _steer_moving(source_stft: np.ndarray, positions: np.ndarray,
@@ -308,16 +347,19 @@ def _front_power(signals: np.ndarray, geometry: ArrayGeometry) -> float:
     return float(np.mean(front ** 2))
 
 
-def render_components(spec: SceneSpec, stft_config: StftConfig | None = None
-                      ) -> SceneComponents:
-    """Render the unscaled clean target and unit diffuse noise field."""
+def render_azimuth_free(spec: SceneSpec, stft_config: StftConfig | None = None
+                        ) -> AzimuthFreeParts:
+    """Render the source STFT, its reverb copy and the unit noise field.
+
+    None of them depends on the spec's trajectory or SNR, so specs that
+    differ only there share one render (see :func:`steer`).
+    """
     cfg = stft_config or StftConfig()
     geometry = spec.geometry()
     positions = geometry.positions(include_external=True)
     n_samples = int(round(spec.duration_s * spec.sample_rate))
     if n_samples < cfg.frame_len:
         raise ConfigurationError("scene shorter than one analysis frame")
-    n_frames = num_frames(n_samples, cfg)
     freqs = np.fft.rfftfreq(cfg.fft_size, d=1.0 / spec.sample_rate)
 
     n_noise = (len(spec.noise_azimuths_deg) if spec.noise_azimuths_deg is not None
@@ -336,24 +378,55 @@ def render_components(spec: SceneSpec, stft_config: StftConfig | None = None
         source = speech_shaped_noise(rng, n_samples, spec.sample_rate)
 
     source_stft = _mono_stft(source, cfg)
-    azimuths = _frame_azimuths(spec, n_frames, cfg)
-    clean = _steer_moving(source_stft, positions, azimuths, freqs, cfg, n_samples)
-
+    diffuse = None
     if spec.reverb_proxy_db is not None:
         diffuse = _reverb_copy(source_stft, positions, spec,
                                children[1 + n_noise:], cfg, n_samples, freqs)
-        direct_p = _front_power(clean, geometry)
-        diffuse_p = _front_power(diffuse, geometry)
-        if diffuse_p > 0.0:
-            gain = np.sqrt(direct_p / (diffuse_p * 10.0 ** (spec.reverb_proxy_db / 10.0)))
-            clean = clean + gain * diffuse
 
     noise_unit = _render_noise_field(spec, positions, children[1:1 + n_noise],
                                      cfg, n_samples, freqs)
 
-    return SceneComponents(clean=clean, noise_unit=noise_unit,
+    return AzimuthFreeParts(source_stft=source_stft, diffuse=diffuse,
+                            noise_unit=noise_unit, geometry=geometry,
+                            spec=spec, stft_config=cfg)
+
+
+def steer(parts: AzimuthFreeParts, spec: SceneSpec) -> SceneComponents:
+    """Steer the rendered source along ``spec``'s trajectory and mix in
+    the reverb copy.
+
+    ``spec`` may differ from the spec of ``parts`` in its trajectory and
+    SNR only; anything else raises :class:`ConfigurationError`.
+    """
+    if replace(spec, source_trajectory=parts.spec.source_trajectory,
+               snr_db=parts.spec.snr_db) != parts.spec:
+        raise ConfigurationError(
+            "spec differs from the rendered one beyond trajectory and SNR")
+    cfg = parts.stft_config
+    geometry = parts.geometry
+    positions = geometry.positions(include_external=True)
+    n_samples = parts.noise_unit.shape[1]
+    freqs = np.fft.rfftfreq(cfg.fft_size, d=1.0 / spec.sample_rate)
+    azimuths = _frame_azimuths(spec, parts.source_stft.shape[1], cfg)
+    clean = _steer_moving(parts.source_stft, positions, azimuths, freqs, cfg,
+                          n_samples)
+
+    if parts.diffuse is not None:
+        direct_p = _front_power(clean, geometry)
+        diffuse_p = _front_power(parts.diffuse, geometry)
+        if diffuse_p > 0.0:
+            gain = np.sqrt(direct_p / (diffuse_p * 10.0 ** (spec.reverb_proxy_db / 10.0)))
+            clean = clean + gain * parts.diffuse
+
+    return SceneComponents(clean=clean, noise_unit=parts.noise_unit,
                            truth_doa_deg=azimuths, geometry=geometry,
                            spec=spec)
+
+
+def render_components(spec: SceneSpec, stft_config: StftConfig | None = None
+                      ) -> SceneComponents:
+    """Render the unscaled clean target and unit diffuse noise field."""
+    return steer(render_azimuth_free(spec, stft_config), spec)
 
 
 def compose(components: SceneComponents,

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtfdoa.activity import write_labels
 from rtfdoa.cli import main, run_config_from_dict, run_config_to_dict
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.evaluate import read_trajectory_csv, read_truth_csv
@@ -189,16 +190,19 @@ def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
         assert f"key '{key}' must be a" in capsys.readouterr().err
     # an int stands for a float
     assert run_config_from_dict({"tau_y_s": 1}).tau_y_s == 1
-    # the run-config entries of a sweep matrix get the same check
+    # the run-config entries of a sweep matrix get the same check, and its
+    # axes are checked before any cell runs
     matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps({
-        "estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
-        "seeds": [1], "duration_s": 2.0, "diffuse_order": 12,
-        "tau_y_s": "0.3"}))
-    assert main(["sweep", "--matrix", str(matrix),
-                 "--database", str(workspace["db"]),
-                 "--output", str(tmp_path / "s.csv")]) == 2
-    assert "key 'tau_y_s' must be a" in capsys.readouterr().err
+    good = {"estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
+            "seeds": [1], "duration_s": 2.0, "diffuse_order": 12}
+    for key, value in (("tau_y_s", "0.3"), ("duration_s", "abc"),
+                       ("seeds", ["x"]), ("reverb_proxies_db", ["5"]),
+                       ("externals", [[45]]), ("azimuths_deg", 35)):
+        matrix.write_text(json.dumps({**good, key: value}))
+        assert main(["sweep", "--matrix", str(matrix),
+                     "--database", str(workspace["db"]),
+                     "--output", str(tmp_path / "s.csv")]) == 2, key
+        assert f"key '{key}' must be a" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["database", "input", "doa", "scene",
@@ -280,11 +284,12 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_estimate_peak_memory_is_flat_in_duration(workspace, tmp_path):
-    # the recording is streamed block by block, so 8 times the audio must
-    # not raise the process's peak RSS by more than 10 %. A small launcher
-    # takes the peak from os.wait4: a child's ru_maxrss also counts the
-    # memory of the process that started it (Linux folds the high-water
-    # mark of the pre-exec address space into it), here the test runner's
+    # the recording is streamed block by block, and an oracle bitmap is
+    # unpacked block by block, so 8 times the audio must not raise the
+    # process's peak RSS by more than 10 %. A small launcher takes the peak
+    # from os.wait4: a child's ru_maxrss also counts the memory of the
+    # process that started it (Linux folds the high-water mark of the
+    # pre-exec address space into it), here the test runner's
     launcher = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
                 "_, status, usage = os.wait4(p.pid, 0); "
                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
@@ -300,17 +305,22 @@ def test_estimate_peak_memory_is_flat_in_duration(workspace, tmp_path):
             for start in range(0, n_samples, 1 << 16):
                 block = rng.standard_normal((min(1 << 16, n_samples - start), 5))
                 fh.write((0.1 * block).astype("<f4").tobytes())
-        out = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-m", "rtfdoa",
-             "estimate", "--input", str(wav), "--database", str(workspace["db"]),
-             "--detector", "spp", "--estimator", "sc",
-             "--output", str(tmp_path / f"{seconds}.csv")],
-            capture_output=True, text=True, env=env)
-        code, peak_kb = map(int, out.stdout.split())
-        assert code == 0, out.stderr
-        peaks[seconds] = peak_kb
+        labels = tmp_path / f"labels_{seconds}s.bin"
+        write_labels(labels, rng.random((257, (n_samples - 512) // 256 + 1)) < 0.5)
+        for detector in ("spp", "oracle"):
+            out = subprocess.run(
+                [sys.executable, "-c", launcher, sys.executable, "-m", "rtfdoa",
+                 "estimate", "--input", str(wav), "--database", str(workspace["db"]),
+                 "--detector", detector, "--estimator", "sc",
+                 *(["--labels", str(labels)] if detector == "oracle" else []),
+                 "--output", str(tmp_path / f"{seconds}_{detector}.csv")],
+                capture_output=True, text=True, env=env)
+            code, peak_kb = map(int, out.stdout.split())
+            assert code == 0, out.stderr
+            peaks[detector, seconds] = peak_kb
         wav.unlink()
-    assert peaks[160] <= 1.10 * peaks[20], peaks
+    for detector in ("spp", "oracle"):
+        assert peaks[detector, 160] <= 1.10 * peaks[detector, 20], peaks
 
 
 def test_module_entry_point(tmp_path):

@@ -5,7 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from rtfdoa import evaluate
+from rtfdoa import evaluate, pipeline
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.evaluate import (
     SWEEP_COLUMNS,
@@ -13,6 +13,7 @@ from rtfdoa.evaluate import (
     accuracy,
     angular_errors,
     evaluate_csv,
+    oracle_label_grid,
     read_trajectory_csv,
     read_truth_csv,
     run_scene,
@@ -23,7 +24,7 @@ from rtfdoa.evaluate import (
     write_trajectory_csv,
     write_truth_csv,
 )
-from rtfdoa.pipeline import ESTIMATOR_NAMES, DoaTrajectory, RunConfig
+from rtfdoa.pipeline import ESTIMATOR_NAMES, DoaTrajectory, RunConfig, track_multi
 from rtfdoa.simulate import SceneSpec, compose, render_components, synthesize
 
 
@@ -171,6 +172,31 @@ def test_run_scene_defaults_to_configured_estimator(quiet_scene, database):
     assert set(results) == {"sc"}
 
 
+@pytest.mark.parametrize("block_frames", [pipeline.BLOCK_FRAMES, 40])
+def test_run_scene_costs_only_the_scored_window(database, monkeypatch,
+                                                block_frames):
+    # 186 frames: the half window starts at frame 93, past the 63-frame
+    # warm-up; with 40-frame blocks it starts inside the third block
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", block_frames)
+    scene = synthesize(SceneSpec(seed=62, duration_s=3.0, diffuse_order=12,
+                                 source_trajectory=((0.0, 35.0),), snr_db=5.0))
+    config = RunConfig()
+    results = run_scene(scene, database, config, ESTIMATOR_NAMES)
+    full = track_multi(scene.mixed, database, config, ESTIMATOR_NAMES,
+                       oracle_label_grid(scene, config))
+    for name, (traj, metrics) in results.items():
+        start = traj.n_frames - metrics.frames_scored
+        assert (traj.n_frames, start) == (186, 93)
+        assert np.isnan(traj.azimuth_deg[:start]).all(), name
+        assert np.isnan(traj.cost[:start]).all(), name
+        assert not traj.valid[:start].any(), name
+        for field in ("azimuth_deg", "cost", "valid"):
+            assert np.array_equal(getattr(traj, field)[start:],
+                                  getattr(full[name], field)[start:],
+                                  equal_nan=True), (name, field)
+        assert full[name].valid[config.warmup_frames(16000):start].any(), name
+
+
 # -------------------------------------------------------------------- CSVs
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -303,7 +329,7 @@ def test_run_sweep_propagates_program_errors(database, monkeypatch):
     def broken_render(*args, **kwargs):
         raise TypeError("broken render")
 
-    monkeypatch.setattr(evaluate, "render_components", broken_render)
+    monkeypatch.setattr(evaluate, "render_azimuth_free", broken_render)
     matrix = {"estimators": ["sc"], "snrs_db": [0.0], "seeds": [1],
               "duration_s": 2.0, "diffuse_order": 12}
     for azimuths in ([35.0], [35.0, -35.0]):
@@ -333,11 +359,15 @@ def test_run_sweep_leaves_no_worker_behind(database):
 
 
 def test_run_sweep_rows_match_single_unit_sweeps(database):
+    # cells run (seed, reverb, external)-major, so the rows of the whole
+    # matrix must be put back in the serial order
     matrix = {
         "estimators": list(ESTIMATOR_NAMES),
         "azimuths_deg": [35.0, -145.0],
         "snrs_db": [-5.0, 5.0],
         "seeds": [1, 2],
+        "reverb_proxies_db": [None, 5.0],
+        "externals": [[45.0, 1.6], [-60.0, 1.2]],
         "duration_s": 2.0,
         "diffuse_order": 12,
     }
@@ -349,9 +379,34 @@ def test_run_sweep_rows_match_single_unit_sweeps(database):
             unit = run_sweep({**matrix, "seeds": [seed],
                               "azimuths_deg": [azimuth]}, database)
             serial.extend(r for r in unit if r["seed"] != "avg")
-    assert len(cells) == 2 * 2 * 2 * len(ESTIMATOR_NAMES)
+    assert len(cells) == 2 * 2 * 2 * 2 * 2 * len(ESTIMATOR_NAMES)
     assert not any(r["error"] for r in cells)
     assert cells == serial
+
+
+def test_serial_sweep_renders_once_per_seed_reverb_and_external(database,
+                                                                monkeypatch):
+    # one CPU: every cell runs in this process, through one render cache
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+    render = evaluate.render_azimuth_free
+
+    def counted(spec, stft_config=None):
+        calls.append((spec.seed, spec.reverb_proxy_db,
+                      spec.external_azimuth_deg, spec.external_distance_m))
+        return render(spec, stft_config)
+
+    monkeypatch.setattr(evaluate, "render_azimuth_free", counted)
+    rows = run_sweep({"estimators": ["sc"], "azimuths_deg": [35.0, -145.0],
+                      "snrs_db": [0.0, 10.0], "seeds": [1, 2],
+                      "reverb_proxies_db": [None, 5.0],
+                      "externals": [[45.0, 1.6], [-60.0, 1.2]],
+                      "duration_s": 2.0, "diffuse_order": 12}, database)
+    cells = [r for r in rows if r["seed"] != "avg"]
+    assert len(cells) == 32 and not any(r["error"] for r in cells)
+    assert calls == [(seed, reverb, *ext) for seed in (1, 2)
+                     for reverb in (None, 5.0)
+                     for ext in ((45.0, 1.6), (-60.0, 1.2))]
 
 
 @pytest.mark.parametrize("detector", ["oracle", "spp"])
