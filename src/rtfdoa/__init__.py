@@ -24,11 +24,11 @@ from .geometry import (ArrayGeometry, azimuth_to_unit, binaural_head_positions,
 from .pipeline import (DoaTrajectory, ESTIMATOR_NAMES, RunConfig, track,
                        track_multi)
 from .simulate import (AzimuthFreeParts, SceneComponents, SceneOutput,
-                       SceneSpec, compose, fibonacci_sphere,
+                       SceneSpec, azimuth_free, compose, fibonacci_sphere,
                        render_azimuth_free, render_components,
                        speech_shaped_noise, steer, synthesize)
-from .stft import (AudioClip, StftConfig, TFGrid, WavReader, analyze,
-                   num_frames, read_wav, sqrt_hann, write_wav)
+from .stft import (AudioClip, StftConfig, WavReader, analyze, num_frames,
+                   read_wav, sqrt_hann, write_wav)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .stft import TFGrid
 
 log = logging.getLogger(__name__)
 
@@ -75,19 +74,20 @@ def oracle_labels_from_power(clean_power: np.ndarray, noise_power: np.ndarray,
     return clean_power > margin * noise_power
 
 
-def oracle_labels(clean: TFGrid, noise: TFGrid, margin_db: float = -10.0) -> np.ndarray:
+def oracle_labels(clean: np.ndarray, noise: np.ndarray,
+                  margin_db: float = -10.0) -> np.ndarray:
     """Ground-truth activity grid from the separated scene components.
 
+    ``clean`` and ``noise`` are the [C, K, L] STFTs of the two components.
     A bin is labeled speech-plus-noise when the reference-channel speech
     periodogram exceeds the noise periodogram by ``margin_db``:
     ``|X1|^2 > 10^(margin_db/10) * |N1|^2``. Returns a boolean [K, L] grid
     (True = speech plus noise).
     """
-    if clean.data.shape[1:] != noise.data.shape[1:]:
+    if clean.shape[1:] != noise.shape[1:]:
         raise ConfigurationError("clean and noise grids must share [K, L] shape")
-    x2 = np.abs(clean.data[0]) ** 2
-    n2 = np.abs(noise.data[0]) ** 2
-    return oracle_labels_from_power(x2, n2, margin_db)
+    return oracle_labels_from_power(np.abs(clean[0]) ** 2,
+                                    np.abs(noise[0]) ** 2, margin_db)
 
 
 def write_labels(path, labels: np.ndarray) -> None:

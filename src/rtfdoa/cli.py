@@ -32,19 +32,14 @@ from .geometry import default_geometry
 from .pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig,
                        config_from_dict, track)
 from .simulate import SceneSpec, synthesize
-from .stft import StftConfig, WavReader, write_wav
+from .stft import StftConfig, WavReader, frame_times, write_wav
 
 log = logging.getLogger(__name__)
 
-_RUN_SCALARS = ("estimator", "detector", "tau_y_s", "tau_n_s", "eval_window",
-                "tolerance_deg", "eps_init", "faithful_noise_recursion",
-                "oracle_margin_db", "spp_bootstrap_frames")
-
 
 def run_config_to_dict(config: RunConfig) -> dict:
-    out = {name: getattr(config, name) for name in _RUN_SCALARS}
-    out["estimator_config"] = dataclasses.asdict(config.estimator_config)
-    out["spp_config"] = dataclasses.asdict(config.spp_config)
+    out = dataclasses.asdict(config)
+    # the window follows from frame_len and is not written
     out["stft"] = {"frame_len": config.stft.frame_len, "hop": config.stft.hop}
     return out
 
@@ -115,9 +110,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_wav(out_dir / "mixed.wav", scene.mixed)
     write_wav(out_dir / "clean.wav", scene.clean)
     write_wav(out_dir / "noise.wav", scene.noise)
-    n_frames = scene.truth_doa_deg.size
-    times = (np.arange(n_frames) * stft_cfg.hop
-             + stft_cfg.frame_len / 2.0) / spec.sample_rate
+    times = frame_times(scene.truth_doa_deg.size, stft_cfg.frame_len,
+                        stft_cfg.hop, spec.sample_rate)
     write_truth_csv(out_dir / "truth.csv", times, scene.truth_doa_deg)
     labels = oracle_label_grid(scene, RunConfig(
         stft=stft_cfg, oracle_margin_db=args.oracle_margin_db))
@@ -187,6 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.output)
     write_sweep_csv(out, rows)
     resolved = run_config_to_dict(base)
+    del resolved["estimator"]  # the matrix's estimators run, recorded below
     resolved["matrix"] = matrix
     resolved["database"] = str(args.database)
     _write_resolved(out.with_suffix(out.suffix + ".config.json"), resolved)
@@ -254,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--database", required=True)
     p.add_argument("--output", required=True, help="results CSV path")
     p.add_argument("--config", default=None, help="run-config JSON file")
-    p.add_argument("--estimator", choices=ESTIMATOR_NAMES, default=None)
     p.add_argument("--detector", choices=DETECTOR_NAMES, default=None)
     p.add_argument("--tau-y", type=float, default=None)
     p.add_argument("--tau-n", type=float, default=None)

@@ -206,19 +206,14 @@ class WhitenedTracker:
 
     def estimate(self, phi_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened-eigenvector RTF per bin. Returns (values [K,P], valid [K])."""
-        cfg = self.cfg
         linv_h = self._linv.conj().transpose(0, 2, 1)
         phi_w = self._linv @ phi_y @ linv_h
         v, converged = _eigh_principal(phi_w)
         u = np.einsum("kpq,kq->kp", self._chol, v)
-        norm_u = np.linalg.norm(u, axis=1)
-        denom = u[:, 0]
-        valid = (self._chol_ok & converged
-                 & (np.abs(denom) >= np.maximum(cfg.denom_floor * norm_u, _TINY)))
-        safe = np.where(valid, denom, 1.0)
-        values = u / safe[:, None]
+        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1),
+                                           self.cfg.denom_floor)
+        valid &= self._chol_ok & converged
         values[~valid] = 0.0
-        values[valid, 0] = 1.0
         return values, valid
 
 

@@ -24,9 +24,9 @@ import ctypes
 import json
 import logging
 import multiprocessing
-import numbers
 import os
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,7 +36,8 @@ from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
 from .pipeline import DoaTrajectory, RunConfig, config_from_dict, track_multi
-from .simulate import SceneOutput, SceneSpec, compose, render_azimuth_free, steer
+from .simulate import (SceneOutput, SceneSpec, azimuth_free, compose, is_integer,
+                       is_number, render_azimuth_free, steer)
 from .stft import AudioClip, analyze, num_frames
 
 log = logging.getLogger(__name__)
@@ -272,43 +273,30 @@ SWEEP_COLUMNS = ("estimator", "azimuth_deg", "snr_db", "seed",
                  "rms_error_deg", "invalid_frames", "error")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _is_number_or_null(value) -> bool:
-    return value is None or _is_number(value)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return value is None or is_number(value)
 
 
 def _is_external(value) -> bool:
     return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_number(v) for v in value))
+            and all(map(is_number, value)))
 
 
 # sweep-matrix axes: (required, what each entry must be, check of an entry)
 _SWEEP_AXES = {
     "estimators": (True, "estimator names", lambda v: isinstance(v, str)),
-    "azimuths_deg": (True, "numbers", _is_number),
+    "azimuths_deg": (True, "numbers", is_number),
     "snrs_db": (True, "numbers or null", _is_number_or_null),
-    "seeds": (True, "integers", _is_integer),
+    "seeds": (True, "integers", is_integer),
     "reverb_proxies_db": (False, "numbers or null", _is_number_or_null),
     "externals": (False, "[azimuth_deg, distance_m] pairs", _is_external),
-}
-# scalar sweep-matrix entries: (what the value must be, check)
-_SWEEP_SCALARS = {
-    "duration_s": ("a number", _is_number),
-    "diffuse_order": ("an integer", _is_integer),
-    "reverb_proxy_db": ("a number or null", _is_number_or_null),
 }
 
 
 def _check_sweep_matrix(matrix: dict) -> None:
     """Raise :class:`ConfigurationError`, naming the key, for a missing
-    required axis or an axis or scalar entry of the wrong shape or type."""
+    required axis or an axis of the wrong shape or type. The scalar scene
+    entries are checked by the :class:`SceneSpec` they go into."""
     for key, (required, what, check) in _SWEEP_AXES.items():
         if key not in matrix:
             if required:
@@ -318,9 +306,6 @@ def _check_sweep_matrix(matrix: dict) -> None:
         if not isinstance(axis, (list, tuple)) or not all(map(check, axis)):
             raise ConfigurationError(
                 f"sweep matrix key '{key}' must be a list of {what}")
-    for key, (what, check) in _SWEEP_SCALARS.items():
-        if key in matrix and not check(matrix[key]):
-            raise ConfigurationError(f"sweep matrix key '{key}' must be {what}")
 
 
 def run_sweep(matrix: dict, db: PrototypeDatabase,
@@ -334,15 +319,17 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     list of entries of its type, raises :class:`ConfigurationError`
     naming the key.
 
-    A cell is one seed, azimuth, reverb proxy, external position and SNR:
-    the scene is steered to its azimuth, composed at its SNR, and
+    A cell is one seed, azimuth, reverb proxy, external position and SNR.
+    Every cell's :class:`~rtfdoa.simulate.SceneSpec`, SNR included, is
+    built before any cell runs, so a value it rejects (a NaN SNR, say)
+    raises :class:`ConfigurationError` first; a null SNR is a noiseless
+    cell. A cell is steered to its azimuth, composed at its SNR, and
     labelled, tracked and scored by :func:`run_scene`, so all estimators
-    share one covariance pass per cell. Cells are dispatched
-    (seed, reverb proxy, external position)-major, because those three
-    fix the azimuth-free render (:func:`~rtfdoa.simulate.render_azimuth_free`)
-    that every cell of the group shares. Each process keeps the last such
-    render in a one-entry cache that lives only for the call, so a render
-    is made at most once per process for each group and memory does not
+    share one covariance pass per cell. Cells are grouped by their
+    :func:`~rtfdoa.simulate.azimuth_free` spec, which fixes the render they
+    share, and groups run in the order they first occur: (seed, reverb
+    proxy, external position)-major. Each process keeps the last render in
+    a one-entry cache that lives only for the call, so memory does not
     grow with the matrix. Cells that fail with
     :class:`ConfigurationError` or :class:`NumericalFailure` are captured
     as rows with an ``error`` note instead of aborting the sweep; any
@@ -369,8 +356,8 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
         raise ConfigurationError("sweep axes must be non-empty")
     reverbs = matrix.get("reverb_proxies_db", [matrix.get("reverb_proxy_db")])
     externals = [tuple(e) for e in matrix.get("externals", [(45.0, 1.6)])]
-    duration = float(matrix.get("duration_s", 30.0))
-    diffuse_order = int(matrix.get("diffuse_order", 96))
+    duration = matrix.get("duration_s", 30.0)
+    diffuse_order = matrix.get("diffuse_order", 96)
     overrides = {k: matrix[k] for k in
                  ("detector", "tau_y_s", "tau_n_s", "eval_window",
                   "tolerance_deg") if k in matrix}
@@ -379,114 +366,109 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
         config_from_dict(RunConfig, overrides, "sweep matrix")
         base = replace(base, **overrides)
 
-    run_cell = _SweepCells(db, base, estimators, (seeds, azimuths, reverbs,
-                                                  externals, snrs),
-                           duration, diffuse_order)
-    # axis positions (seed, azimuth, reverb, external, SNR) of each cell,
-    # in dispatch order: the cells of one azimuth-free render back to back
-    positions = [(s, a, r, e, n) for s in range(len(seeds))
-                 for r in range(len(reverbs)) for e in range(len(externals))
-                 for a in range(len(azimuths)) for n in range(len(snrs))]
-    workers = min(len(os.sched_getaffinity(0)), len(positions))
+    # every cell's scene in the serial order, then its index in the order
+    # of dispatch: the cells of one azimuth-free render back to back
+    specs = [SceneSpec(seed=seed, duration_s=duration,
+                       source_trajectory=((0.0, azimuth),), snr_db=snr,
+                       diffuse_order=diffuse_order, reverb_proxy_db=reverb,
+                       external_azimuth_deg=ext_az, external_distance_m=ext_dist)
+             for seed, azimuth, reverb, (ext_az, ext_dist), snr
+             in product(seeds, azimuths, reverbs, externals, snrs)]
+    groups: dict[SceneSpec, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(azimuth_free(spec), []).append(i)
+    order = [i for group in groups.values() for i in group]
+
+    run_cell = _SweepCells(db, base, estimators)
+    workers = min(len(os.sched_getaffinity(0)), len(specs))
     if workers <= 1:
-        chunks = [run_cell(cell) for cell in positions]
+        chunks = [run_cell(specs[i]) for i in order]
     else:
         # fork: workers inherit run_cell and the database it holds
         pool = multiprocessing.get_context("fork").Pool(
             workers, initializer=_init_sweep_worker, initargs=(run_cell,))
         try:
-            chunks = pool.map(_run_sweep_worker_cell, positions, chunksize=1)
+            chunks = pool.map(_run_sweep_worker_cell, [specs[i] for i in order],
+                              chunksize=1)
             pool.close()
         except BaseException:
             pool.terminate()
             raise
         finally:
             pool.join()
-    # back to the serial order: axis positions compare lexicographically
-    rows: list[dict] = [row for _, chunk in sorted(zip(positions, chunks),
+    # back to the serial order
+    rows: list[dict] = [row for _, chunk in sorted(zip(order, chunks),
                                                    key=itemgetter(0))
                         for row in chunk]
 
-    for name in estimators:
-        for snr in snrs:
-            for reverb in reverbs:
-                for ext_az, ext_dist in externals:
-                    cells = [r for r in rows
-                             if r["estimator"] == name and r["snr_db"] == snr
-                             and r["reverb_proxy_db"] == reverb
-                             and r["external_azimuth_deg"] == ext_az
-                             and r["external_distance_m"] == ext_dist
-                             and r["seed"] != "avg" and not r["error"]]
-                    if not cells:
-                        continue
-                    rows.append({
-                        "estimator": name, "azimuth_deg": "avg", "snr_db": snr,
-                        "seed": "avg", "reverb_proxy_db": reverb,
-                        "external_azimuth_deg": ext_az,
-                        "external_distance_m": ext_dist,
-                        "frames_scored": int(np.sum([c["frames_scored"]
-                                                     for c in cells])),
-                        "accuracy_pct": float(np.mean([c["accuracy_pct"]
-                                                       for c in cells])),
-                        "rms_error_deg": None,
-                        "invalid_frames": int(np.sum([c["invalid_frames"]
-                                                      for c in cells])),
-                        "error": "",
-                    })
+    averaged: dict[tuple, list[dict]] = {}
+    for r in rows:
+        if not r["error"]:
+            averaged.setdefault((r["estimator"], r["snr_db"], r["reverb_proxy_db"],
+                                 r["external_azimuth_deg"],
+                                 r["external_distance_m"]), []).append(r)
+    for name, snr, reverb, (ext_az, ext_dist) in product(estimators, snrs,
+                                                          reverbs, externals):
+        cells = averaged.get((name, snr, reverb, ext_az, ext_dist))
+        if not cells:
+            continue
+        rows.append({
+            "estimator": name, "azimuth_deg": "avg", "snr_db": snr,
+            "seed": "avg", "reverb_proxy_db": reverb,
+            "external_azimuth_deg": ext_az, "external_distance_m": ext_dist,
+            "frames_scored": int(np.sum([c["frames_scored"] for c in cells])),
+            "accuracy_pct": float(np.mean([c["accuracy_pct"] for c in cells])),
+            "rms_error_deg": None,
+            "invalid_frames": int(np.sum([c["invalid_frames"] for c in cells])),
+            "error": "",
+        })
     return rows
 
 
 class _SweepCells:
-    """Rows of one sweep cell, given its positions on the sweep axes.
+    """Rows of one sweep cell, given its scene spec.
 
     Holds the last azimuth-free render, or the error that rendering it
-    raised, keyed by its (seed, reverb, external) positions.
+    raised, keyed by its :func:`~rtfdoa.simulate.azimuth_free` spec.
     """
 
     def __init__(self, db: PrototypeDatabase, base: RunConfig,
-                 estimators: tuple[str, ...], axes: tuple,
-                 duration: float, diffuse_order: int) -> None:
+                 estimators: tuple[str, ...]) -> None:
         self.db = db
         self.base = base
         self.estimators = estimators
-        self.axes = axes
-        self.duration = duration
-        self.diffuse_order = diffuse_order
         self._key = None
         self._parts = None
 
-    def __call__(self, cell: tuple) -> list[dict]:
-        s, a, r, e, n = cell
-        seeds, azimuths, reverbs, externals, snrs = self.axes
-        ext_az, ext_dist = externals[e]
-        cond = {"azimuth_deg": azimuths[a], "seed": seeds[s],
-                "reverb_proxy_db": reverbs[r], "external_azimuth_deg": ext_az,
-                "external_distance_m": ext_dist}
-        snr = snrs[n]
-        spec = SceneSpec(seed=seeds[s], duration_s=self.duration,
-                         source_trajectory=((0.0, azimuths[a]),),
-                         diffuse_order=self.diffuse_order,
-                         reverb_proxy_db=reverbs[r],
-                         external_azimuth_deg=ext_az,
-                         external_distance_m=ext_dist)
-        if self._key != (s, r, e):
+    def __call__(self, spec: SceneSpec) -> list[dict]:
+        key = azimuth_free(spec)
+        if self._key != key:
             self._key, self._parts = None, None  # free the old render first
             try:
                 self._parts = render_azimuth_free(spec, self.base.stft)
             except (ConfigurationError, NumericalFailure) as exc:
                 self._parts = exc
-            self._key = (s, r, e)
+            self._key = key
+        cond = {"snr_db": spec.snr_db,
+                "azimuth_deg": spec.source_trajectory[0][1], "seed": spec.seed,
+                "reverb_proxy_db": spec.reverb_proxy_db,
+                "external_azimuth_deg": spec.external_azimuth_deg,
+                "external_distance_m": spec.external_distance_m}
         failure = self._parts if isinstance(self._parts, Exception) else None
         if failure is None:
             try:
-                results = run_scene(compose(steer(self._parts, spec), snr),
+                results = run_scene(compose(steer(self._parts, spec)),
                                     self.db, self.base, self.estimators)
             except (ConfigurationError, NumericalFailure) as exc:
                 failure = exc
         if failure is not None:
-            log.warning("cell %s snr=%s failed: %s", cond, snr, failure)
-            return _error_rows(self.estimators, cond, snr, failure)
-        return [{"estimator": name, "snr_db": snr, **cond,
+            log.warning("cell %s failed: %s", cond, failure)
+            return [{"estimator": name, **cond, "frames_scored": 0,
+                     "accuracy_pct": None, "rms_error_deg": None,
+                     "invalid_frames": 0,
+                     "error": f"{type(failure).__name__}: {failure}"}
+                    for name in self.estimators]
+        return [{"estimator": name, **cond,
                  "frames_scored": metrics.frames_scored,
                  "accuracy_pct": metrics.accuracy_pct,
                  "rms_error_deg": metrics.rms_error_deg,
@@ -505,8 +487,8 @@ def _init_sweep_worker(run_cell) -> None:
     _single_blas_thread()
 
 
-def _run_sweep_worker_cell(cell: tuple) -> list[dict]:
-    return _worker_cells(cell)
+def _run_sweep_worker_cell(spec: SceneSpec) -> list[dict]:
+    return _worker_cells(spec)
 
 
 def _single_blas_thread() -> None:
@@ -534,13 +516,6 @@ def _single_blas_thread() -> None:
                 setter.restype = None
                 setter(1)
                 return
-
-
-def _error_rows(estimators, cond: dict, snr, exc) -> list[dict]:
-    return [{"estimator": name, "snr_db": snr, **cond, "frames_scored": 0,
-             "accuracy_pct": None, "rms_error_deg": None, "invalid_frames": 0,
-             "error": f"{type(exc).__name__}: {exc}"}
-            for name in estimators]
 
 
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:

@@ -278,7 +278,7 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             block_labels = labels.columns(start, stop)
         elif labels is not None:
             block_labels = labels[:, start:stop]
-        data = analyze(AudioClip(buffer, source.sample_rate), stft).data
+        data = analyze(AudioClip(buffer, source.sample_rate), stft)
         tail = buffer[:, count * stft.hop:]
         stores = [np.empty((count, n_bins, n_head), dtype=np.complex64)
                   for _ in states]

@@ -16,22 +16,25 @@ Everything is a pure function of (spec, seed): equal specs give
 bit-identical output. Rendering is split in three so that sweeps reuse
 the expensive parts:
 
-* ``render_azimuth_free`` renders what the source's direction does not
-  change: the source signal and its STFT, the reverb proxy's diffuse copy
-  and the unit noise field (most of the work, the noise field above all);
+* ``render_azimuth_free`` renders what only :func:`azimuth_free` (the
+  spec without trajectory and SNR) fixes: the source signal and its STFT,
+  the reverb proxy's diffuse copy and the unit noise field (most of the
+  work, the noise field above all);
 * ``steer`` steers the source along the spec's trajectory and mixes in
   the reverb copy;
-* ``compose`` scales the noise to an SNR and mixes.
+* ``compose`` scales the noise to the spec's SNR and mixes.
 
 ``render_components`` is ``steer`` after ``render_azimuth_free``, and
 ``synthesize`` is ``compose`` after that. The split changes no sample:
 each part is computed by the same operations in the same order as one
-whole render.
+whole render. Every STFT is :func:`~rtfdoa.stft.analyze`'s.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +42,55 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (ArrayGeometry, azimuth_to_unit, default_geometry,
                        plane_wave_delays_3d)
-from .stft import (DEFAULT_SAMPLE_RATE, AudioClip, StftConfig, num_frames,
-                   read_wav)
+from .stft import (DEFAULT_SAMPLE_RATE, AudioClip, StftConfig, analyze,
+                   frame_times, num_frames, read_wav)
 
 FOUR_LOUDSPEAKER_AZIMUTHS = (45.0, 135.0, -135.0, -45.0)
+
+
+def is_number(value) -> bool:
+    """A real number, and not a bool (JSON's true and false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """An integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return is_number(value) and math.isfinite(value)
+
+
+def _finite_or_none(value) -> bool:
+    return value is None or _finite(value)
+
+
+def _finite_list(value) -> bool:
+    """A non-empty list of finite numbers."""
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and all(map(_finite, value)))
+
+
+# scene keys: (what the value must be, check)
+_SCENE_KEYS = {
+    "seed": ("a non-negative integer", lambda v: is_integer(v) and v >= 0),
+    "duration_s": ("a positive number", lambda v: _finite(v) and v > 0),
+    "source_trajectory": (
+        "a non-empty list of [time_s, azimuth_deg] pairs",
+        lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+        and all(_finite_list(k) and len(k) == 2 for k in v)),
+    "snr_db": ("a finite number or null", _finite_or_none),
+    "diffuse_order": ("an integer of at least 8",
+                      lambda v: is_integer(v) and v >= 8),
+    "reverb_proxy_db": ("a finite number or null", _finite_or_none),
+    "noise_azimuths_deg": ("a non-empty list of finite numbers or null",
+                           lambda v: v is None or _finite_list(v)),
+    "external_azimuth_deg": ("a finite number", _finite),
+    "external_distance_m": ("a finite number", _finite),
+    "sample_rate": ("a positive integer", lambda v: is_integer(v) and v > 0),
+    "source_wav": ("a path or null", lambda v: v is None or isinstance(v, str)),
+}
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -96,7 +144,9 @@ class SceneSpec:
     ``reverb_proxy_db`` is the direct-to-diffuse power ratio of the
     target, ``None`` for anechoic. ``noise_azimuths_deg`` overrides the
     isotropic field with horizontal plane waves from the given azimuths
-    (for example ``FOUR_LOUDSPEAKER_AZIMUTHS``).
+    (for example ``FOUR_LOUDSPEAKER_AZIMUTHS``). A value of the wrong type,
+    or a number that is not finite, raises :class:`ConfigurationError`
+    naming its key.
     """
 
     seed: int
@@ -112,44 +162,27 @@ class SceneSpec:
     source_wav: str | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
-            raise ConfigurationError("duration_s must be positive")
-        if self.diffuse_order < 8:
-            raise ConfigurationError("diffuse_order must be at least 8")
+        for name, (what, check) in _SCENE_KEYS.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ConfigurationError(
+                    f"scene key '{name}' must be {what}, got {value!r}")
         knots = tuple((float(t), float(a)) for t, a in self.source_trajectory)
-        if not knots:
-            raise ConfigurationError("source_trajectory needs at least one knot")
         times = [t for t, _ in knots]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ConfigurationError("trajectory knots must be time-sorted")
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ConfigurationError("snr_db must be finite or None")
-        if self.noise_azimuths_deg is not None and len(self.noise_azimuths_deg) < 1:
-            raise ConfigurationError("noise_azimuths_deg must not be empty")
-        if self.sample_rate <= 0:
-            raise ConfigurationError("sample_rate must be positive")
         object.__setattr__(self, "source_trajectory", knots)
+        if self.noise_azimuths_deg is not None:
+            object.__setattr__(self, "noise_azimuths_deg",
+                               tuple(self.noise_azimuths_deg))
 
     def geometry(self) -> ArrayGeometry:
         return default_geometry(external_azimuth_deg=self.external_azimuth_deg,
                                 external_distance_m=self.external_distance_m)
 
     def to_json(self, path: str | Path) -> None:
-        data = {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "source_trajectory": [list(k) for k in self.source_trajectory],
-            "snr_db": self.snr_db,
-            "diffuse_order": self.diffuse_order,
-            "reverb_proxy_db": self.reverb_proxy_db,
-            "noise_azimuths_deg": (None if self.noise_azimuths_deg is None
-                                   else list(self.noise_azimuths_deg)),
-            "external_azimuth_deg": self.external_azimuth_deg,
-            "external_distance_m": self.external_distance_m,
-            "sample_rate": self.sample_rate,
-            "source_wav": self.source_wav,
-        }
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(
+            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SceneSpec":
@@ -170,12 +203,14 @@ class SceneSpec:
             if name not in known:
                 raise ConfigurationError(f"unknown scene field '{key}'")
             kwargs[name] = value
-        if "source_trajectory" in kwargs:
-            kwargs["source_trajectory"] = tuple(
-                tuple(k) for k in kwargs["source_trajectory"])
-        if kwargs.get("noise_azimuths_deg") is not None:
-            kwargs["noise_azimuths_deg"] = tuple(kwargs["noise_azimuths_deg"])
         return cls(**kwargs)
+
+
+def azimuth_free(spec: SceneSpec) -> SceneSpec:
+    """``spec`` with its trajectory and SNR dropped: everything that
+    :func:`render_azimuth_free` reads. Specs with equal azimuth-free specs
+    share one render."""
+    return replace(spec, source_trajectory=((0.0, 0.0),), snr_db=None)
 
 
 @dataclass(frozen=True)
@@ -225,15 +260,10 @@ class SceneOutput:
 
 
 def _frame_azimuths(spec: SceneSpec, n_frames: int, cfg: StftConfig) -> np.ndarray:
-    times = (np.arange(n_frames) * cfg.hop + cfg.frame_len / 2.0) / spec.sample_rate
+    times = frame_times(n_frames, cfg.frame_len, cfg.hop, spec.sample_rate)
     knot_t = np.array([t for t, _ in spec.source_trajectory])
     knot_a = np.array([a for _, a in spec.source_trajectory])
     return np.interp(times, knot_t, knot_a)
-
-
-def _mono_stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[::cfg.hop]
-    return np.fft.rfft(frames * cfg.window, axis=1).T  # [K, L]
 
 
 def _overlap_add(spectra: np.ndarray, cfg: StftConfig, n_samples: int) -> np.ndarray:
@@ -316,7 +346,8 @@ def _render_noise_field(spec: SceneSpec, positions: np.ndarray,
     def waves():
         for child in children:
             rng = np.random.Generator(np.random.PCG64(child))
-            yield _mono_stft(rng.standard_normal(n_samples), cfg)
+            white = AudioClip(rng.standard_normal(n_samples), spec.sample_rate)
+            yield analyze(white, cfg)[0]
 
     return _steered_sum(waves(), units, positions, freqs, cfg, n_samples)
 
@@ -351,8 +382,10 @@ def render_azimuth_free(spec: SceneSpec, stft_config: StftConfig | None = None
                         ) -> AzimuthFreeParts:
     """Render the source STFT, its reverb copy and the unit noise field.
 
-    None of them depends on the spec's trajectory or SNR, so specs that
-    differ only there share one render (see :func:`steer`).
+    They depend on ``spec`` only through :func:`azimuth_free`, so specs
+    that differ only in trajectory and SNR share one render (see
+    :func:`steer`). A source WAV with a non-finite sample raises
+    :class:`NumericalFailure`.
     """
     cfg = stft_config or StftConfig()
     geometry = spec.geometry()
@@ -377,7 +410,7 @@ def render_azimuth_free(spec: SceneSpec, stft_config: StftConfig | None = None
         rng = np.random.Generator(np.random.PCG64(children[0]))
         source = speech_shaped_noise(rng, n_samples, spec.sample_rate)
 
-    source_stft = _mono_stft(source, cfg)
+    source_stft = analyze(AudioClip(source, spec.sample_rate), cfg)[0]
     diffuse = None
     if spec.reverb_proxy_db is not None:
         diffuse = _reverb_copy(source_stft, positions, spec,
@@ -396,10 +429,10 @@ def steer(parts: AzimuthFreeParts, spec: SceneSpec) -> SceneComponents:
     the reverb copy.
 
     ``spec`` may differ from the spec of ``parts`` in its trajectory and
-    SNR only; anything else raises :class:`ConfigurationError`.
+    SNR only (its :func:`azimuth_free` spec must be the same); anything
+    else raises :class:`ConfigurationError`.
     """
-    if replace(spec, source_trajectory=parts.spec.source_trajectory,
-               snr_db=parts.spec.snr_db) != parts.spec:
+    if azimuth_free(spec) != azimuth_free(parts.spec):
         raise ConfigurationError(
             "spec differs from the rendered one beyond trajectory and SNR")
     cfg = parts.stft_config
@@ -429,29 +462,26 @@ def render_components(spec: SceneSpec, stft_config: StftConfig | None = None
     return steer(render_azimuth_free(spec, stft_config), spec)
 
 
-def compose(components: SceneComponents,
-            snr_db: float | None = None) -> SceneOutput:
-    """Scale the noise to the requested SNR and mix.
+def compose(components: SceneComponents) -> SceneOutput:
+    """Scale the noise to the SNR of ``components.spec`` and mix; a null
+    SNR mixes no noise at all.
 
-    ``snr_db`` overrides the spec's value when given, letting SNR sweeps
-    reuse one rendering. The scale equates the broadband speech-to-noise
-    power ratio at the mean of the two front head microphones.
+    The scale equates the broadband speech-to-noise power ratio at the
+    mean of the two front head microphones. An SNR sweep steers one
+    azimuth-free render once per SNR (:func:`steer`), with the SNR in
+    each spec.
     """
     spec = components.spec
-    if snr_db is None:
-        snr_db = spec.snr_db
-    else:
-        spec = replace(spec, snr_db=snr_db)
     geometry = components.geometry
     clean = components.clean
-    if snr_db is None:
+    if spec.snr_db is None:
         noise = np.zeros_like(clean)
     else:
         speech_p = _front_power(clean, geometry)
         noise_p = _front_power(components.noise_unit, geometry)
         if noise_p <= 0.0 or speech_p <= 0.0:
             raise ConfigurationError("cannot scale SNR of a silent component")
-        scale = float(np.sqrt(speech_p / (noise_p * 10.0 ** (snr_db / 10.0))))
+        scale = float(np.sqrt(speech_p / (noise_p * 10.0 ** (spec.snr_db / 10.0))))
         noise = components.noise_unit * scale
     mixed = clean + noise
     rate = spec.sample_rate

@@ -123,39 +123,6 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
 
-@dataclass(frozen=True)
-class TFGrid:
-    """One-sided STFT coefficients, shaped [channels, bins, frames]."""
-
-    data: np.ndarray
-    sample_rate: int
-    frame_len: int
-    hop: int
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        if data.ndim != 3 or not np.iscomplexobj(data):
-            raise ConfigurationError("TFGrid data must be a complex [C,K,L] array")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def frame_times(self) -> np.ndarray:
-        """Center time of each frame in seconds."""
-        return frame_times(self.n_frames, self.frame_len, self.hop, self.sample_rate)
-
-
 def num_frames(n_samples: int, cfg: StftConfig) -> int:
     """Number of full analysis frames for a signal of ``n_samples``."""
     if n_samples < cfg.frame_len:
@@ -170,11 +137,14 @@ def frame_times(n_frames: int, frame_len: int, hop: int,
     return (idx * hop + frame_len / 2.0) / sample_rate
 
 
-def analyze(clip: AudioClip, cfg: StftConfig | None = None) -> TFGrid:
-    """Windowed one-sided STFT of all channels.
+def analyze(clip: AudioClip, cfg: StftConfig | None = None) -> np.ndarray:
+    """Windowed one-sided STFT of all channels, [channels, bins, frames]
+    complex128; every STFT of the package is this one.
 
-    Raises :class:`ConfigurationError` when the clip is shorter than one
-    frame and :class:`NumericalFailure` on non-finite samples.
+    The result is a transposed view of a [channels, frames, bins] array,
+    not a contiguous one. Raises :class:`ConfigurationError` when the
+    clip is shorter than one frame and :class:`NumericalFailure` on
+    non-finite samples.
     """
     cfg = cfg or StftConfig()
     x = clip.samples
@@ -186,10 +156,7 @@ def analyze(clip: AudioClip, cfg: StftConfig | None = None) -> TFGrid:
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len, axis=1)
     frames = frames[:, ::cfg.hop, :]                      # [C, L, N]
     spec = np.fft.rfft(frames * cfg.window, axis=-1)      # [C, L, K]
-    return TFGrid(data=np.ascontiguousarray(spec.transpose(0, 2, 1)),
-                  sample_rate=clip.sample_rate,
-                  frame_len=cfg.frame_len,
-                  hop=cfg.hop)
+    return spec.transpose(0, 2, 1)
 
 
 class WavReader:

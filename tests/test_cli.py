@@ -136,6 +136,17 @@ def test_sweep_command(workspace, tmp_path):
     assert len(lines) == 3  # header, one cell, one average
     resolved = json.loads((tmp_path / "s1.csv.config.json").read_text())
     assert resolved["matrix"]["estimators"] == ["sc"]
+    assert "estimator" not in resolved
+
+
+def test_sweep_rejects_estimator_flag(workspace, tmp_path, capsys):
+    # the matrix's estimators run; a flag naming one would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--matrix", str(tmp_path / "m.json"),
+              "--database", str(workspace["db"]), "--estimator", "cw-ext",
+              "--output", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "--estimator" in capsys.readouterr().err
 
 
 def test_exit_code_on_bad_configuration(workspace, tmp_path):
@@ -203,6 +214,14 @@ def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
                      "--database", str(workspace["db"]),
                      "--output", str(tmp_path / "s.csv")]) == 2, key
         assert f"key '{key}' must be a" in capsys.readouterr().err
+    # scene files are checked field by field
+    scene = tmp_path / "scene.json"
+    for key, value in (("seed", "x"), ("seed", 1.5), ("duration_s", "abc"),
+                       ("reverb_proxy_db", "5"), ("diffuse_order", 12.5)):
+        scene.write_text(json.dumps({**SCENE, key: value}))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "sim")]) == 2, (key, value)
+        assert f"scene key '{key}' must be a" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["database", "input", "doa", "scene",

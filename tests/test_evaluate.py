@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from rtfdoa.evaluate import (
     write_truth_csv,
 )
 from rtfdoa.pipeline import ESTIMATOR_NAMES, DoaTrajectory, RunConfig, track_multi
-from rtfdoa.simulate import SceneSpec, compose, render_components, synthesize
+from rtfdoa.simulate import (SceneSpec, compose, render_azimuth_free, steer,
+                             synthesize)
 
 
 def _traj(az, valid, warmup=0, estimator="sc", times=None, **kw):
@@ -411,7 +413,8 @@ def test_serial_sweep_renders_once_per_seed_reverb_and_external(database,
 
 @pytest.mark.parametrize("detector", ["oracle", "spp"])
 def test_run_sweep_cells_are_run_scene_metrics(database, detector):
-    # a sweep cell is run_scene on the unit's render composed at its SNR
+    # a sweep cell is run_scene on the group's render, steered to a spec
+    # that holds the cell's SNR
     matrix = {"estimators": list(ESTIMATOR_NAMES), "azimuths_deg": [-35.0],
               "snrs_db": [-5.0, 10.0], "seeds": [3],
               "reverb_proxies_db": [5.0], "duration_s": 2.0,
@@ -419,12 +422,12 @@ def test_run_sweep_cells_are_run_scene_metrics(database, detector):
     cells = [r for r in run_sweep(matrix, database) if r["seed"] != "avg"]
     spec = SceneSpec(seed=3, duration_s=2.0, source_trajectory=((0.0, -35.0),),
                      diffuse_order=12, reverb_proxy_db=5.0)
-    comps = render_components(spec)
+    parts = render_azimuth_free(spec)
     config = RunConfig(detector=detector)
     expected = []
     for snr in matrix["snrs_db"]:
-        results = run_scene(compose(comps, snr), database, config,
-                            ESTIMATOR_NAMES)
+        results = run_scene(compose(steer(parts, replace(spec, snr_db=snr))),
+                            database, config, ESTIMATOR_NAMES)
         expected.extend((name, snr, m.frames_scored, m.accuracy_pct,
                          m.rms_error_deg, m.invalid_frames)
                         for name, (_, m) in results.items())
@@ -432,6 +435,24 @@ def test_run_sweep_cells_are_run_scene_metrics(database, detector):
              r["accuracy_pct"], r["rms_error_deg"], r["invalid_frames"])
             for r in cells] == expected
     assert not any(r["error"] for r in cells)
+
+
+def test_null_snr_sweep_cell_is_noiseless(database):
+    # a null SNR is a noiseless cell, not the spec's default SNR
+    matrix = {"estimators": ["cs-head", "sc"], "azimuths_deg": [35.0],
+              "snrs_db": [None], "seeds": [4], "duration_s": 2.0,
+              "diffuse_order": 12}
+    cells = [r for r in run_sweep(matrix, database) if r["seed"] != "avg"]
+    scene = synthesize(SceneSpec(seed=4, duration_s=2.0, snr_db=None,
+                                 source_trajectory=((0.0, 35.0),),
+                                 diffuse_order=12))
+    assert not scene.noise.samples.any()
+    results = run_scene(scene, database, RunConfig(), ("cs-head", "sc"))
+    assert [(r["estimator"], r["snr_db"], r["frames_scored"],
+             r["accuracy_pct"], r["rms_error_deg"], r["invalid_frames"])
+            for r in cells] == [
+        (name, None, m.frames_scored, m.accuracy_pct, m.rms_error_deg,
+         m.invalid_frames) for name, (_, m) in results.items()]
 
 
 def test_write_sweep_csv_format(tmp_path, database):

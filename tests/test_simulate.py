@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from rtfdoa.simulate import (
     SceneSpec,
     compose,
     fibonacci_sphere,
+    render_azimuth_free,
     render_components,
     speech_shaped_noise,
+    steer,
     synthesize,
 )
 from rtfdoa.stft import StftConfig, num_frames, write_wav, AudioClip
@@ -153,9 +156,9 @@ def test_snr_none_disables_noise():
 
 def test_compose_reuses_components_for_snr_sweeps():
     spec = SceneSpec(seed=9, duration_s=1.0, diffuse_order=12, snr_db=0.0)
-    comp = render_components(spec)
-    out0 = compose(comp)
-    out5 = compose(comp, snr_db=5.0)
+    parts = render_azimuth_free(spec)
+    out0 = compose(steer(parts, spec))
+    out5 = compose(steer(parts, replace(spec, snr_db=5.0)))
     # same rendering, different scaling only
     np.testing.assert_array_equal(out0.clean.samples, out5.clean.samples)
     np.testing.assert_allclose(out0.noise.samples,

@@ -7,6 +7,7 @@ from rtfdoa.stft import (
     StftConfig,
     WavReader,
     analyze,
+    frame_times,
     num_frames,
     read_wav,
     sqrt_hann,
@@ -54,7 +55,7 @@ def test_analyze_matches_naive_dft(rng):
     samples = rng.standard_normal((3, 200))
     grid = analyze(AudioClip(samples, FS), cfg)
     n_fr = num_frames(200, cfg)
-    assert grid.data.shape == (3, 33, n_fr)
+    assert grid.shape == (3, 33, n_fr)
 
     k = np.arange(64)
     for ch in range(3):
@@ -62,14 +63,14 @@ def test_analyze_matches_naive_dft(rng):
             seg = samples[ch, l * 32:l * 32 + 64] * cfg.window
             for b in range(33):
                 ref = np.sum(seg * np.exp(-2j * np.pi * b * k / 64))
-                assert grid.data[ch, b, l] == pytest.approx(ref, abs=1e-10)
+                assert grid[ch, b, l] == pytest.approx(ref, abs=1e-10)
 
 
 def test_analyze_zero_input_and_exact_length():
     clip = AudioClip(np.zeros((2, 512)), FS)
     grid = analyze(clip)
-    assert grid.data.shape == (2, 257, 1)
-    assert np.all(grid.data == 0)
+    assert grid.shape == (2, 257, 1)
+    assert np.all(grid == 0)
 
 
 def test_cosine_at_bin_center_and_window_leakage():
@@ -80,7 +81,7 @@ def test_cosine_at_bin_center_and_window_leakage():
     c = 128
     t = np.arange(512)
     clip = AudioClip(np.cos(2 * np.pi * c * t / 512)[None, :], FS)
-    spec = np.abs(analyze(clip, cfg).data[0, :, 0])
+    spec = np.abs(analyze(clip, cfg)[0, :, 0])
 
     peak = w.sum() / 2
     assert spec[c] == pytest.approx(peak, rel=1e-3)
@@ -99,7 +100,7 @@ def test_cosine_at_bin_center_and_window_leakage():
 def test_single_frame_parseval(rng):
     cfg = StftConfig()
     x = rng.standard_normal(512)
-    spec = analyze(AudioClip(x[None, :], FS), cfg).data[0, :, 0]
+    spec = analyze(AudioClip(x[None, :], FS), cfg)[0, :, 0]
     # rfft double-counts interior bins once mirrored
     weights = np.full(257, 2.0)
     weights[0] = weights[-1] = 1.0
@@ -112,16 +113,16 @@ def test_analyze_is_linear(rng):
     cfg = StftConfig(frame_len=64, hop=32, window=sqrt_hann(64))
     a = rng.standard_normal((2, 300))
     b = rng.standard_normal((2, 300))
-    ga = analyze(AudioClip(a, FS), cfg).data
-    gb = analyze(AudioClip(b, FS), cfg).data
-    gsum = analyze(AudioClip(2.0 * a - 0.5 * b, FS), cfg).data
+    ga = analyze(AudioClip(a, FS), cfg)
+    gb = analyze(AudioClip(b, FS), cfg)
+    gsum = analyze(AudioClip(2.0 * a - 0.5 * b, FS), cfg)
     np.testing.assert_allclose(gsum, 2.0 * ga - 0.5 * gb, atol=1e-12 * np.abs(ga).max())
 
 
 def test_analyze_deterministic(rng):
     samples = rng.standard_normal((5, 4000))
-    g1 = analyze(AudioClip(samples, FS)).data
-    g2 = analyze(AudioClip(samples.copy(), FS)).data
+    g1 = analyze(AudioClip(samples, FS))
+    g2 = analyze(AudioClip(samples.copy(), FS))
     assert np.array_equal(g1, g2)
 
 
@@ -148,9 +149,9 @@ def test_stft_config_validation():
 def test_grid_axis_annotations(rng):
     clip = AudioClip(rng.standard_normal((1, 2048)), FS)
     grid = analyze(clip)
-    n_fr = grid.data.shape[2]
+    n_fr = grid.shape[2]
     expected_times = (np.arange(n_fr) * 256 + 256.0) / FS
-    np.testing.assert_allclose(grid.frame_times, expected_times)
+    np.testing.assert_allclose(frame_times(n_fr, 512, 256, FS), expected_times)
 
 
 def test_audio_clip_duration():
