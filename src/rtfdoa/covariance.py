@@ -7,8 +7,13 @@ exponentially smoothed convex combination::
 
     phi <- alpha * phi + (1 - alpha) * y y^H
 
-Both matrices start from ``eps * I`` and are re-symmetrized after every
-rank-one update so that accumulated rounding cannot break hermitianness.
+Both matrices start from ``eps * I`` and stay exactly Hermitian in
+floating point without re-symmetrization: entry (q, p) of ``y y^H`` is
+computed from the same two products as entry (p, q), with the imaginary
+difference taken in the opposite order, so it is the exact conjugate
+(and the diagonal is exactly real); scaling by a real factor and adding
+two Hermitian matrices entry by entry keep that symmetry bit for bit.
+``tests/test_covariance.py`` pins this over long random runs.
 """
 from __future__ import annotations
 
@@ -42,10 +47,6 @@ class SmoothingConfig:
             raise ConfigurationError("time constants must be positive")
         return cls(alpha_y=math.exp(-hop / (sample_rate * tau_y_s)),
                    alpha_n=math.exp(-hop / (sample_rate * tau_n_s)))
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 class CovarianceTracker:
@@ -86,11 +87,9 @@ class CovarianceTracker:
         a_y = self.smoothing.alpha_y
         a_n = self.smoothing.alpha_n
         if mask.any():
-            upd = _hermitize(a_y * self._phi_y[mask] + (1.0 - a_y) * outer[mask])
-            self._phi_y[mask] = upd
+            self._phi_y[mask] = a_y * self._phi_y[mask] + (1.0 - a_y) * outer[mask]
         inv = ~mask
         if inv.any():
             # noise bins were not touched above, so phi_y still holds l-1
             base = self._phi_y[inv] if self.faithful_noise_recursion else self._phi_n[inv]
-            upd = _hermitize(a_n * base + (1.0 - a_n) * outer[inv])
-            self._phi_n[inv] = upd
+            self._phi_n[inv] = a_n * base + (1.0 - a_n) * outer[inv]

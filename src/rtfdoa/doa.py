@@ -114,11 +114,17 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     and fast), ``valid`` is [L, K]. The DC bin and invalid bins are
     excluded from the mean; frames with no valid bin get a NaN row.
     Angles are computed bin-chunk by bin-chunk to bound memory.
+
+    A bin's angles are computed only in the frames where its value
+    differs from the previous frame's (held estimates repeat while a bin
+    is gated off); the other frames reuse them. Each angle depends on its
+    own value alone, so the surface is bit-identical to computing every
+    frame, which is what a chunk does when it would save nothing.
     """
     values = _check_against_db(values, db)
     if values.ndim != 3:
         raise ConfigurationError("values must be [L, K, M]")
-    n_frames, n_bins, _ = values.shape
+    n_frames, n_bins, n_mics = values.shape
     valid = np.asarray(valid, dtype=bool)
     if valid.shape != (n_frames, n_bins):
         raise ConfigurationError("valid mask must be [L, K]")
@@ -134,15 +140,41 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     mask[:, 0] = False  # DC carries no usable phase difference
     counts = mask.sum(axis=1)
 
+    # changed[l, k]: bin k's value differs from frame l-1's (frame 0 always);
+    # slots[l, k] is the position of frame l's angles among bin k's
+    # computed ones, so unchanged frames point at the last computed frame
+    changed = np.zeros((n_frames, n_bins), dtype=bool)
+    changed[:1] = True
+    for entry in values.transpose(2, 0, 1):  # faster than any() over M
+        changed[1:] |= entry[1:] != entry[:-1]
+    slots = np.cumsum(changed, axis=0) - 1
+    per_bin = changed.sum(axis=0)
+
     total = np.zeros((n_frames, db.n_directions), dtype=np.float64)
     for start in range(1, n_bins, chunk_bins):
         stop = min(start + chunk_bins, n_bins)
-        est = values[:, start:stop].transpose(1, 0, 2).astype(cdtype, copy=False)
+        width = stop - start
+        n = int(per_bin[start:stop].max())
+        if n == n_frames:
+            est = values[:, start:stop].transpose(1, 0, 2)
+        else:
+            # gather each bin's changed frames into [c, n, M], padded
+            # with frame 0, whose angles are never read
+            rows, frames = np.nonzero(changed[:, start:stop].T)
+            gather = np.zeros((width, n), dtype=np.intp)
+            gather[rows, slots[frames, start + rows]] = frames
+            gather = gather * n_bins + np.arange(start, stop)[:, None]
+            est = np.take(values.reshape(-1, n_mics), gather, axis=0)
+        est = est.astype(cdtype, copy=False)
         norms = np.maximum(np.linalg.norm(est, axis=2), tiny)
         est = est.conj() / norms[:, :, None]
-        ang = np.abs(est @ proto[start:stop])  # [c, L, I] cosines
+        ang = np.abs(est @ proto[start:stop])  # [c, n, I] cosines
         np.minimum(ang, rdtype(1.0), out=ang)
         np.arccos(ang, out=ang)
+        if n != n_frames:
+            # every frame takes the angles of its bin's slot, [c, L, I]
+            fill = slots[:, start:stop].T + n * np.arange(width)[:, None]
+            ang = np.take(ang.reshape(width * n, -1), fill, axis=0)
         # masked sum over the bin chunk in one contraction
         total += np.einsum("cli,lc->li",
                            ang, mask[:, start:stop].astype(rdtype))

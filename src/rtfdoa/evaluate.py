@@ -327,10 +327,10 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     labelled, tracked and scored by :func:`run_scene`, so all estimators
     share one covariance pass per cell. Cells are grouped by their
     :func:`~rtfdoa.simulate.azimuth_free` spec, which fixes the render they
-    share, and groups run in the order they first occur: (seed, reverb
-    proxy, external position)-major. Each process keeps the last render in
-    a one-entry cache that lives only for the call, so memory does not
-    grow with the matrix. Cells that fail with
+    share, and groups run in the order they first occur: (seed,
+    reverberant or not, external position)-major. Each process keeps the
+    last render in a one-entry cache that lives only for the call, so
+    memory does not grow with the matrix. Cells that fail with
     :class:`ConfigurationError` or :class:`NumericalFailure` are captured
     as rows with an ``error`` note instead of aborting the sweep; any
     other exception propagates. Averaged rows (seed and azimuth columns

@@ -19,6 +19,12 @@ a bin keeps contributing its most recent usable RTF while the detector
 gates its updates off. Bins that never produced a valid estimate are
 excluded from the cost mean. Frames before the warm-up horizon (twice
 the slowest smoothing time constant) are flagged invalid.
+
+Only what moved is recomputed, with unchanged results: ``sc`` reads only
+the noisy matrix, so each frame re-estimates only the bins gated as
+speech, and the cost surface recomputes a bin's angles only in the
+frames where its held estimate changed (see
+:func:`~rtfdoa.doa.cost_surface_frames`).
 """
 from __future__ import annotations
 
@@ -158,9 +164,17 @@ class _HeldEstimator:
     def step(self, tracker: CovarianceTracker, speech_mask: np.ndarray) -> None:
         m = self.n_head
         if self.name == "sc":
-            values, valid = batch_sc(tracker.noisy, self.cfg)
-            values = values[:, :m]
-        elif self.name == "cs-head":
+            # phi_y moved only in the speech bins; elsewhere batch_sc would
+            # return the held values again, and a bin never gated as speech
+            # still holds eps * I, whose zero reference entry is invalid
+            if not speech_mask.any():
+                return
+            values, valid = batch_sc(tracker.noisy[speech_mask], self.cfg)
+            bins = np.flatnonzero(speech_mask)[valid]
+            self.held[bins] = values[valid, :m].astype(np.complex64)
+            self.ever_valid[bins] = True
+            return
+        if self.name == "cs-head":
             values, valid = batch_cs(tracker.noisy[:, :m, :m],
                                      tracker.noise[:, :m, :m], self.cfg)
         else:
@@ -183,7 +197,7 @@ class _HeldEstimator:
 def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int,
               cfg: SppConfig) -> np.ndarray:
     """Per-bin speech decision from the tracked noise PSD, [K] bool."""
-    noise_psd = np.einsum("kpp->kp", tracker.noise).real[:, :n_head].T
+    noise_psd = tracker.noise.diagonal(axis1=1, axis2=2).real[:, :n_head].T
     noisy_power = np.abs(y[:n_head]) ** 2
     probabilities = spp(noisy_power, noise_psd, cfg)
     return probabilities.mean(axis=0) > cfg.threshold

@@ -17,11 +17,11 @@ bit-identical output. Rendering is split in three so that sweeps reuse
 the expensive parts:
 
 * ``render_azimuth_free`` renders what only :func:`azimuth_free` (the
-  spec without trajectory and SNR) fixes: the source signal and its STFT,
-  the reverb proxy's diffuse copy and the unit noise field (most of the
-  work, the noise field above all);
+  spec without trajectory, SNR and reverb level) fixes: the source
+  signal and its STFT, the reverb proxy's diffuse copy and the unit
+  noise field (most of the work, the noise field above all);
 * ``steer`` steers the source along the spec's trajectory and mixes in
-  the reverb copy;
+  the reverb copy at the spec's level;
 * ``compose`` scales the noise to the spec's SNR and mixes.
 
 ``render_components`` is ``steer`` after ``render_azimuth_free``, and
@@ -207,15 +207,20 @@ class SceneSpec:
 
 
 def azimuth_free(spec: SceneSpec) -> SceneSpec:
-    """``spec`` with its trajectory and SNR dropped: everything that
-    :func:`render_azimuth_free` reads. Specs with equal azimuth-free specs
-    share one render."""
-    return replace(spec, source_trajectory=((0.0, 0.0),), snr_db=None)
+    """``spec`` with its trajectory and SNR dropped and its reverb proxy
+    reduced to whether there is one: everything that
+    :func:`render_azimuth_free` reads (:func:`steer` scales the reverb
+    copy by the level). Specs with equal azimuth-free specs share one
+    render."""
+    reverb = None if spec.reverb_proxy_db is None else 0.0
+    return replace(spec, source_trajectory=((0.0, 0.0),), snr_db=None,
+                   reverb_proxy_db=reverb)
 
 
 @dataclass(frozen=True)
 class AzimuthFreeParts:
-    """The parts of a scene that its source trajectory and SNR leave alone.
+    """The parts of a scene that its source trajectory, SNR and reverb
+    level leave alone.
 
     ``source_stft`` is the target's mono [K, L] STFT; ``diffuse`` its
     reverb-proxy copy on every channel, [P, T] float64, or ``None`` when
@@ -383,8 +388,8 @@ def render_azimuth_free(spec: SceneSpec, stft_config: StftConfig | None = None
     """Render the source STFT, its reverb copy and the unit noise field.
 
     They depend on ``spec`` only through :func:`azimuth_free`, so specs
-    that differ only in trajectory and SNR share one render (see
-    :func:`steer`). A source WAV with a non-finite sample raises
+    that differ only in trajectory, SNR and reverb level share one render
+    (see :func:`steer`). A source WAV with a non-finite sample raises
     :class:`NumericalFailure`.
     """
     cfg = stft_config or StftConfig()
@@ -426,15 +431,15 @@ def render_azimuth_free(spec: SceneSpec, stft_config: StftConfig | None = None
 
 def steer(parts: AzimuthFreeParts, spec: SceneSpec) -> SceneComponents:
     """Steer the rendered source along ``spec``'s trajectory and mix in
-    the reverb copy.
+    the reverb copy at ``spec``'s reverb level.
 
-    ``spec`` may differ from the spec of ``parts`` in its trajectory and
-    SNR only (its :func:`azimuth_free` spec must be the same); anything
-    else raises :class:`ConfigurationError`.
+    ``spec`` may differ from the spec of ``parts`` in its trajectory, SNR
+    and reverb level only (its :func:`azimuth_free` spec must be the
+    same); anything else raises :class:`ConfigurationError`.
     """
     if azimuth_free(spec) != azimuth_free(parts.spec):
-        raise ConfigurationError(
-            "spec differs from the rendered one beyond trajectory and SNR")
+        raise ConfigurationError("spec differs from the rendered one beyond "
+                                 "trajectory, SNR and reverb level")
     cfg = parts.stft_config
     geometry = parts.geometry
     positions = geometry.positions(include_external=True)

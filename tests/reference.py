@@ -15,10 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import signal as sps
 
-from rtfdoa.covariance import DEFAULT_EPS_INIT, SmoothingConfig, _hermitize
+from rtfdoa.covariance import DEFAULT_EPS_INIT, SmoothingConfig
 from rtfdoa.errors import ConfigurationError, NumericalFailure
 from rtfdoa.geometry import SPEED_OF_SOUND, ArrayGeometry
 from rtfdoa.stft import AudioClip
+
+
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

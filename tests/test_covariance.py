@@ -170,6 +170,20 @@ def test_tracker_faithful_flag_matches_scalar(rng):
                                    atol=1e-13)
 
 
+@pytest.mark.parametrize("faithful", [False, True])
+def test_tracker_stays_exactly_hermitian(rng, faithful):
+    # update_frame does not re-symmetrize: the recursion itself must keep
+    # every entry the exact conjugate of its mirror, bit for bit
+    n_bins, p = 33, 5
+    tracker = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-4.0, 4.0)
+        y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
+        tracker.update_frame(y, rng.random(n_bins) < 0.3)
+    for phi in (tracker.noisy, tracker.noise):
+        assert np.array_equal(phi, phi.conj().swapaxes(-1, -2))
+
+
 def test_tracker_validation(rng):
     tracker = CovarianceTracker(2, 3, SM)
     with pytest.raises(ConfigurationError):

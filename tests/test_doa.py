@@ -213,6 +213,40 @@ def test_cost_surface_single_precision_path(rng):
     np.testing.assert_allclose(fast, exact, atol=1e-4)
 
 
+def _held_block(rng, n_frames, n_bins, n_mics, change_share):
+    # held estimates: each bin keeps its value until it changes, as a bin
+    # gated off by the detector does
+    fresh = (rng.standard_normal((n_frames, n_bins, n_mics))
+             + 1j * rng.standard_normal((n_frames, n_bins, n_mics)))
+    changed = rng.random((n_frames, n_bins)) < change_share
+    changed[0] = True
+    source = np.maximum.accumulate(
+        np.where(changed, np.arange(n_frames)[:, None], 0), axis=0)
+    return np.take_along_axis(fresh, source[:, :, None], axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("change_share", [0.08, 0.5, 1.0])
+def test_cost_surface_skipping_repeated_values_is_exact(database, rng, dtype,
+                                                        change_share):
+    # a single frame has nothing to skip, so frame-by-frame calls are the
+    # reference for a block whose bins repeat their values in runs
+    n_frames = 24
+    values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
+                         change_share).astype(dtype)
+    values[:, 1:20] = values[:1, 1:20]  # a chunk with one computed frame
+    values[:, 40:70] = rng.standard_normal(values[:, 40:70].shape)  # all new
+    values[::3, 100:130, -1] += 1.0  # changes in one entry only
+    valid = rng.random((n_frames, database.n_bins)) < 0.7  # toggles
+    valid[5] = False  # a frame with no usable bin
+    got = cost_surface_frames(values, valid, database)
+    want = np.concatenate([cost_surface_frames(values[l:l + 1], valid[l:l + 1],
+                                               database)
+                           for l in range(n_frames)])
+    assert np.isnan(got[5]).all()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_cost_surface_shape_errors(rng):
     db = _small_db(rng)
     good = np.ones((2, db.n_bins, 2), dtype=complex)

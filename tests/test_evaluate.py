@@ -411,6 +411,31 @@ def test_serial_sweep_renders_once_per_seed_reverb_and_external(database,
                      for ext in ((45.0, 1.6), (-60.0, 1.2))]
 
 
+def test_serial_sweep_renders_reverb_levels_once(database, monkeypatch):
+    # the render only reads whether a scene is reverberant; steer scales
+    # the reverb copy to each cell's level
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0})
+    matrix = {"estimators": ["sc", "cw-ext"], "azimuths_deg": [35.0],
+              "snrs_db": [0.0, 10.0], "seeds": [1], "duration_s": 2.0,
+              "diffuse_order": 12}
+    single = [r for reverb in (3.0, 5.0, 8.0)
+              for r in run_sweep({**matrix, "reverb_proxies_db": [reverb]},
+                                 database) if r["seed"] != "avg"]
+    calls = []
+    render = evaluate.render_azimuth_free
+
+    def counted(spec, stft_config=None):
+        calls.append(spec.reverb_proxy_db)
+        return render(spec, stft_config)
+
+    monkeypatch.setattr(evaluate, "render_azimuth_free", counted)
+    rows = run_sweep({**matrix, "reverb_proxies_db": [3.0, 5.0, 8.0]}, database)
+    assert calls == [3.0]
+    cells = [r for r in rows if r["seed"] != "avg"]
+    assert len(cells) == 12 and not any(r["error"] for r in cells)
+    assert repr(cells) == repr(single)
+
+
 @pytest.mark.parametrize("detector", ["oracle", "spp"])
 def test_run_sweep_cells_are_run_scene_metrics(database, detector):
     # a sweep cell is run_scene on the group's render, steered to a spec
