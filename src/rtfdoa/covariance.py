@@ -14,6 +14,37 @@ difference taken in the opposite order, so it is the exact conjugate
 (and the diagonal is exactly real); scaling by a real factor and adding
 two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
+
+On request the tracker also follows the inverse noise covariance
+``M = phi_n^-1``, which the covariance-whitening estimators step with.
+The noise update is a scaled rank-one update, so ``M`` follows by
+Sherman-Morrison in O(P^2) per bin, the recursive-inverse step of RLS::
+
+    g = M y,   d = alpha / (1 - alpha) + Re(y^H g),
+    M <- (M - g g^H / d) / alpha
+
+starting from ``I / eps``. Rounding errors in the anti-Hermitian part of
+``M`` can grow by up to ``1/alpha`` every step, so this recursion is
+stable only if ``M`` stays exactly Hermitian (M. Verhaegen, Automatica,
+1989): ``g g^H`` is therefore formed by ``einsum``, whose products are
+exact conjugates of their mirrors. A broadcast product such as
+``g[:, :, None] * g.conj()[:, None, :]`` is not (the imaginary parts of
+mirrored entries can differ in the last bit), and with it the inverse
+drifts away from ``phi_n^-1`` within a few hundred frames. Under the
+faithful noise recursion the noise update starts from ``phi_y``, so
+``phi_y^-1`` is tracked too, by the same step in the speech bins.
+
+The recursion alone cannot recover from a stretch of exact digital zeros:
+each silent frame scales ``phi`` by ``alpha`` and ``M`` by ``1/alpha``,
+so ``M`` eventually overflows, and when the signal returns after a
+shorter silence the update cancels a huge ``M`` down to a moderate one
+and keeps mostly rounding error. A dead channel does the same to every
+bin for as long as it stays dead. So every update checks the bins it
+touched, and a bin whose inverse is not finite, has a trace that is
+not positive, or belongs to a ``phi`` too ill-conditioned to invert
+reliably (judged by ``tr(M) tr(phi)``, which lies between ``cond(phi)``
+and ``P^2 cond(phi)``) is re-seeded from an eigendecomposition of its current ``phi``, with the
+eigenvalues floored at a small share of their mean.
 """
 from __future__ import annotations
 
@@ -49,18 +80,81 @@ class SmoothingConfig:
                    alpha_n=math.exp(-hop / (sample_rate * tau_n_s)))
 
 
+# A tracked inverse is re-seeded once tr(M) tr(phi) passes this bound. The
+# re-seed floors the eigenvalues of phi at _RESEED_FLOOR_REL of their mean
+# (the relative diagonal loading of the exact CW), which leaves the product
+# at most P^2 / _RESEED_FLOOR_REL, below the bound for P < 30.
+_TRACE_PRODUCT_BOUND = 1e13
+_RESEED_FLOOR_REL = 1e-10
+
+
+def _floored_inverse(phi: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian inverses of a [K, P, P] stack of Hermitian
+    matrices, with their eigenvalues floored at ``_RESEED_FLOOR_REL`` of
+    their mean (and at the smallest normal number, should ``phi`` have
+    underflowed to zero)."""
+    lam, vec = np.linalg.eigh(phi)
+    floor = np.maximum(_RESEED_FLOOR_REL * lam.mean(axis=1), np.finfo(np.float64).tiny)
+    scaled = vec / np.sqrt(np.maximum(lam, floor[:, None]))[:, None, :]
+    return np.einsum("kpi,kqi->kpq", scaled, scaled.conj())
+
+
+def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
+                      phi: np.ndarray) -> np.ndarray:
+    """Inverses of ``phi = alpha * phi_prev + (1 - alpha) y y^H`` from
+    ``inv = phi_prev^-1``.
+
+    ``inv`` and ``phi`` are Hermitian [K, P, P] stacks, ``y`` is [K, P].
+    The result is exactly Hermitian again; see the module docstring for
+    why it must be, and for the bins that are re-seeded from ``phi``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.einsum("kpq,kq->kp", inv, y)
+        d = alpha / (1.0 - alpha) + np.einsum("kp,kp->k", y.conj(), g).real
+        out = np.einsum("kp,kq->kpq", g, g.conj())
+        out *= (1.0 / d)[:, None, None]
+        np.subtract(inv, out, out=out)
+        out *= 1.0 / alpha
+        # a non-finite entry of inv makes g, and through y^H g also d,
+        # non-finite; an overflow in the update shows on the diagonal
+        trace = np.einsum("kpp->k", out).real
+        usable = (np.isfinite(d) & (trace > 0.0)
+                  & (trace * np.einsum("kpp->k", phi).real <= _TRACE_PRODUCT_BOUND))
+    if not usable.all():
+        stale = np.flatnonzero(~usable)
+        out[stale] = _floored_inverse(phi[stale])
+    return out
+
+
 class CovarianceTracker:
-    """Vectorized per-bin covariance recursion over a whole STFT grid."""
+    """Vectorized per-bin covariance recursion over a whole STFT grid.
+
+    With ``track_noise_inverse`` the tracker also keeps ``phi_n^-1`` per
+    bin (:attr:`noise_inverse`), updated in the noise-gated bins of every
+    frame; otherwise that attribute is None and nothing is spent on it.
+    A bin whose tracked inverse is no longer usable is re-seeded from its
+    covariance (see the module docstring), so the inverse is finite after
+    every update.
+    """
 
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
                  eps_init: float = DEFAULT_EPS_INIT,
-                 faithful_noise_recursion: bool = False) -> None:
+                 faithful_noise_recursion: bool = False,
+                 track_noise_inverse: bool = False) -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
+        if track_noise_inverse and (smoothing.alpha_n == 0.0 or (
+                faithful_noise_recursion and smoothing.alpha_y == 0.0)):
+            raise ConfigurationError(
+                "a tracked inverse needs smoothing factors above 0")
         eye = np.eye(n_channels, dtype=np.complex128)
         self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
         self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1))
+        self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1)) \
+            if track_noise_inverse else None
+        self._inv_y = self._inv_n.copy() \
+            if track_noise_inverse and faithful_noise_recursion else None
         self.smoothing = smoothing
         self.faithful_noise_recursion = faithful_noise_recursion
         self.n_channels = n_channels
@@ -76,6 +170,12 @@ class CovarianceTracker:
         """Noise covariances [K, P, P]. Treat as read-only."""
         return self._phi_n
 
+    @property
+    def noise_inverse(self) -> np.ndarray | None:
+        """Inverse noise covariances [K, P, P] if tracked, else None.
+        Treat as read-only."""
+        return self._inv_n
+
     def update_frame(self, y: np.ndarray, speech_mask: np.ndarray) -> None:
         """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K]."""
         if y.shape != (self.n_channels, self.n_bins):
@@ -86,10 +186,20 @@ class CovarianceTracker:
         outer = np.einsum("pk,qk->kpq", y, y.conj())
         a_y = self.smoothing.alpha_y
         a_n = self.smoothing.alpha_n
-        if mask.any():
-            self._phi_y[mask] = a_y * self._phi_y[mask] + (1.0 - a_y) * outer[mask]
-        inv = ~mask
-        if inv.any():
+        speech = np.flatnonzero(mask)
+        if speech.size:
+            phi = a_y * self._phi_y[speech] + (1.0 - a_y) * outer[speech]
+            self._phi_y[speech] = phi
+            if self._inv_y is not None:
+                self._inv_y[speech] = _rank_one_inverse(self._inv_y[speech],
+                                                        y[:, speech].T, a_y, phi)
+        noise = np.flatnonzero(~mask)
+        if noise.size:
             # noise bins were not touched above, so phi_y still holds l-1
-            base = self._phi_y[inv] if self.faithful_noise_recursion else self._phi_n[inv]
-            self._phi_n[inv] = a_n * base + (1.0 - a_n) * outer[inv]
+            base = self._phi_y[noise] if self.faithful_noise_recursion else self._phi_n[noise]
+            phi = a_n * base + (1.0 - a_n) * outer[noise]
+            self._phi_n[noise] = phi
+            if self._inv_n is not None:
+                base = self._inv_n if self._inv_y is None else self._inv_y
+                self._inv_n[noise] = _rank_one_inverse(base[noise], y[:, noise].T,
+                                                       a_n, phi)

@@ -25,10 +25,13 @@ frequency bin. Covariance whitening comes in two forms:
 * :class:`PowerCwTracker` is what the tracking pipeline runs. It takes
   one generalized power step per frame from the previous frame's
   vector, ``w <- phi_n^-1 phi_y w``, and needs neither whitening nor an
-  eigensolver. It refreshes its noise matrices only in the bins whose
-  noise estimate changed. Its result converges to the exact one for a
-  steady covariance pair and lags it where the principal generalized
-  eigenvalue barely stands out, at low SNR.
+  eigensolver. The inverse noise covariance it steps with is tracked by
+  the covariance recursion through rank-one updates
+  (:class:`~rtfdoa.covariance.CovarianceTracker`), so no noise matrix is
+  factored per frame; :func:`schur_head_inverse` gives the head-only
+  variant its inverse from the same tracked one. Its result converges to
+  the exact one for a steady covariance pair and lags it where the
+  principal generalized eigenvalue barely stands out, at low SNR.
 """
 from __future__ import annotations
 
@@ -51,7 +54,9 @@ class EstimatorConfig:
     ``column_index`` selects the covariance column used by the
     subtraction estimator (0 = reference microphone). ``diag_load_rel``
     scales the diagonal loading of the noise covariance relative to its
-    mean eigenvalue before factorization. ``denom_floor`` invalidates
+    mean eigenvalue before the Cholesky factorization of the exact
+    :func:`batch_cw`; the tracked CW of the pipeline steps with the
+    unloaded tracked inverse instead. ``denom_floor`` invalidates
     estimates whose normalizer is tiny relative to the matrix scale.
     """
 
@@ -217,48 +222,45 @@ class WhitenedTracker:
         return values, valid
 
 
-def _cholesky_solve(chol_t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L L^H x = b`` in every bin by forward and back substitution.
+def schur_head_inverse(inv: np.ndarray, dim: int) -> np.ndarray:
+    """Inverses of the leading ``dim`` x ``dim`` blocks of a [K, P, P] stack
+    of matrices, from the stack of their inverses ``inv``.
 
-    ``chol_t`` holds the lower factors laid out [P, P, K] and ``b`` is
-    [P, K]. At P <= 5 these elementwise loops over the bins take a
-    quarter of the time of a batched ``np.linalg.solve`` on the loaded
-    matrices.
+    Takes the Schur complement of the trailing entry,
+    ``M11 - m12 m21 / m22``, so only ``dim = P - 1`` is supported; for
+    ``dim = P`` the stack is returned as it is.
     """
-    p = b.shape[0]
-    x = np.array(b, order="C")
-    for i in range(p):
-        for j in range(i):
-            x[i] -= chol_t[i, j] * x[j]
-        x[i] /= chol_t[i, i]
-    for i in reversed(range(p)):
-        for j in range(i + 1, p):
-            x[i] -= chol_t[j, i].conj() * x[j]
-        x[i] /= chol_t[i, i]  # real diagonal
-    return x
+    p = inv.shape[-1]
+    if dim == p:
+        return inv
+    if dim != p - 1:
+        raise ConfigurationError("head inverse drops exactly one trailing channel")
+    head = inv[:, :dim, :dim]
+    return head - np.einsum("kp,kq->kpq", inv[:, :dim, dim],
+                            inv[:, dim, :dim] / inv[:, dim, dim, None])
 
 
 class PowerCwTracker:
     """Covariance whitening tracked with one generalized power step per frame.
 
-    Keeps per bin the Cholesky factor of the diagonally loaded noise
-    covariance ``phi_n``, refreshed only for bins whose noise estimate
-    changed, and a unit vector ``w`` carried from frame to frame. Each
-    frame takes one step ``w <- solve(phi_n, phi_y w)`` through the cached
-    factor, normalized. This tracks the principal generalized eigenvector
-    of the pair ``(phi_y, phi_n)``: subspace tracking in the sense of PAST
-    (B. Yang, IEEE Trans. Signal Process. 1995) for a single vector. The RTF is ``phi_n w`` divided by its
-    reference entry. That product equals ``phi_y w_prev`` up to scale, so
-    it is formed from the latter without a second product. At a fixed
-    point this is the de-whitened principal eigenvector that
-    :func:`batch_cw` computes exactly. Each step shrinks the error by the
-    ratio of the two largest generalized eigenvalues, so the tracker lags
-    where that ratio nears one, i.e. at low SNR.
+    Keeps per bin a unit vector ``w`` carried from frame to frame. Each
+    frame takes one step ``w <- phi_n^-1 (phi_y w)``, normalized, from an
+    inverse noise covariance that the caller tracks (see
+    :class:`~rtfdoa.covariance.CovarianceTracker`), so a step is two
+    matrix-vector products with no factorization and no solve. This
+    tracks the principal generalized eigenvector of the pair
+    ``(phi_y, phi_n)``: subspace tracking in the sense of PAST (B. Yang,
+    IEEE Trans. Signal Process. 1995) for a single vector. The RTF is
+    ``phi_n w`` divided by its reference entry. That product equals
+    ``phi_y w_prev`` up to scale, so it is formed from the latter without
+    a second product. At a fixed point this is the de-whitened principal
+    eigenvector that :func:`batch_cw` computes exactly. Each step shrinks
+    the error by the ratio of the two largest generalized eigenvalues, so
+    the tracker lags where that ratio nears one, i.e. at low SNR.
 
-    A bin is invalid while its loaded noise covariance is not positive
-    definite, when the step gives a zero or non-finite vector (``w`` then
-    restarts), or when the reference entry falls below ``denom_floor``
-    times the norm of the estimate.
+    A bin is invalid when the step gives a zero or non-finite vector
+    (``w`` then restarts), or when the reference entry falls below
+    ``denom_floor`` times the norm of the estimate.
     """
 
     def __init__(self, n_bins: int, dim: int,
@@ -267,36 +269,22 @@ class PowerCwTracker:
             raise ConfigurationError("whitening needs at least two channels")
         self.cfg = cfg or EstimatorConfig()
         self.dim = dim
-        self.n_bins = n_bins
-        # lower Cholesky factors of the loaded noise covariances, laid out
-        # [P, P, K] for the substitution; bins that are not positive
-        # definite hold the identity
-        self._chol_t = np.zeros((dim, dim, n_bins), dtype=np.complex128)
-        self._chol_t[np.arange(dim), np.arange(dim)] = 1.0
-        self._noise_ok = np.zeros(n_bins, dtype=bool)
         self._start = _power_start(dim)
         self._w = np.tile(self._start, (n_bins, 1))
 
-    def refresh_noise(self, phi_n: np.ndarray, changed: np.ndarray | None = None) -> None:
-        """Reload the noise covariance for the given bins (all if None)."""
-        idx = np.arange(self.n_bins) if changed is None else np.flatnonzero(changed)
-        if idx.size == 0:
-            return
-        factors, ok = _loaded_cholesky(phi_n[idx], self.cfg.diag_load_rel, idx)
-        self._chol_t[:, :, idx] = factors.transpose(1, 2, 0)
-        self._noise_ok[idx] = ok
-
-    def estimate(self, phi_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One power step, then the RTF per bin. Returns (values [K,P], valid [K])."""
+    def estimate(self, phi_y: np.ndarray, noise_inverse: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """One power step, then the RTF per bin. ``phi_y`` and
+        ``noise_inverse`` are [K, P, P]. Returns (values [K,P], valid [K])."""
         u = np.einsum("kpq,kq->kp", phi_y, self._w)
-        w = _cholesky_solve(self._chol_t, u.T).T
+        w = np.einsum("kpq,kq->kp", noise_inverse, u)
         norm = np.linalg.norm(w, axis=1)
         stepped = np.isfinite(norm) & (norm > _TINY)
         self._w = np.where(stepped[:, None],
                            w / np.where(stepped, norm, 1.0)[:, None], self._start)
         values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1),
                                            self.cfg.denom_floor)
-        valid &= self._noise_ok & stepped
+        valid &= stepped
         values[~valid] = 0.0
         return values, valid
 

@@ -12,7 +12,11 @@ the STFT overlap are carried, so the decisions do not depend on the block
 length. Several estimators can share a single covariance pass, which is
 how the sweep harness keeps multi-estimator comparisons cheap. The
 whitening estimators are tracked with one generalized power step per frame
-(:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly.
+(:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly; they step
+with the inverse noise covariance, which the covariance tracker updates by
+rank-one steps in the noise-gated bins only when a whitening estimator
+runs. Both whitening variants share that one inverse: ``cw-head`` reads
+its head block's inverse from it through a Schur complement.
 
 Estimates are held per bin across invalid frames ("hold last valid"), so
 a bin keeps contributing its most recent usable RTF while the detector
@@ -38,7 +42,8 @@ from .activity import LabelBitmap, SppConfig, spp
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import PrototypeDatabase, argmin_directions, cost_surface_frames
 from .errors import ConfigurationError, NumericalFailure
-from .estimators import EstimatorConfig, PowerCwTracker, batch_cs, batch_sc
+from .estimators import (EstimatorConfig, PowerCwTracker, batch_cs, batch_sc,
+                         schur_head_inverse)
 from .stft import (AudioClip, StftConfig, WavReader, analyze, frame_times,
                    num_frames)
 
@@ -159,7 +164,6 @@ class _HeldEstimator:
         self.ever_valid = np.zeros(n_bins, dtype=bool)
         dim = n_channels if name == "cw-ext" else n_head
         self.cw = PowerCwTracker(n_bins, dim, cfg) if name.startswith("cw") else None
-        self._primed = False
 
     def step(self, tracker: CovarianceTracker, speech_mask: np.ndarray) -> None:
         m = self.n_head
@@ -179,15 +183,9 @@ class _HeldEstimator:
                                      tracker.noise[:, :m, :m], self.cfg)
         else:
             dim = self.cw.dim
-            changed = ~speech_mask
-            if not self._primed:
-                # factor the initial noise state too, otherwise bins that
-                # never see a noise-labeled frame would stay invalid forever
-                changed = np.ones_like(changed)
-                self._primed = True
-            if changed.any():
-                self.cw.refresh_noise(tracker.noise[:, :dim, :dim], changed)
-            values, valid = self.cw.estimate(tracker.noisy[:, :dim, :dim])
+            values, valid = self.cw.estimate(
+                tracker.noisy[:, :dim, :dim],
+                schur_head_inverse(tracker.noise_inverse, dim))
             values = values[:, :m]
         if valid.any():
             self.held[valid] = values[valid].astype(np.complex64)
@@ -266,7 +264,9 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
 
     tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
                                 eps_init=config.eps_init,
-                                faithful_noise_recursion=config.faithful_noise_recursion)
+                                faithful_noise_recursion=config.faithful_noise_recursion,
+                                track_noise_inverse=any(
+                                    name.startswith("cw") for name in names))
     states = [_HeldEstimator(name, n_bins, n_head, n_chan, config.estimator_config)
               for name in names]
     decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),

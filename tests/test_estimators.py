@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import (
     EstimatorConfig,
@@ -12,6 +13,7 @@ from rtfdoa.estimators import (
     batch_cs,
     batch_cw,
     batch_sc,
+    schur_head_inverse,
 )
 
 
@@ -246,9 +248,9 @@ def test_power_tracker_converges_to_exact_cw(rng):
     assert exact_ok.all()
 
     tracker = PowerCwTracker(n_bins, p)
-    tracker.refresh_noise(phi_n)
+    noise_inverse = np.linalg.inv(phi_n)
     for _ in range(60):
-        values, valid = tracker.estimate(phi_y)
+        values, valid = tracker.estimate(phi_y, noise_inverse)
     assert valid.all()
     np.testing.assert_allclose(values, exact, atol=1e-8)
     # the rank-one model's RTF is its gain over the reference entry
@@ -257,45 +259,97 @@ def test_power_tracker_converges_to_exact_cw(rng):
 
 
 def test_power_tracker_partial_refresh_keeps_other_bins(rng):
+    # the inverse the tracker steps with moves only in the bins gated as
+    # noise; the other bins keep theirs, and every bin converges to the
+    # exact CW of the noise covariance it actually holds
     n_bins, p = 3, 4
-    phi_n_a = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
-    phi_n_b = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
-    phi_y = np.stack([_rank_one_plus_noise([1.0, 2.0, 1.0j, -0.5], phi_n_a[k], 10.0)
+    mix_a = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
+    mix_b = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
+    cov = CovarianceTracker(p, n_bins, SmoothingConfig(0.9, 0.9),
+                            track_noise_inverse=True)
+
+    def frames(mix, mask):
+        for _ in range(200):
+            z = rng.standard_normal((n_bins, p)) + 1j * rng.standard_normal((n_bins, p))
+            cov.update_frame(np.einsum("kpq,kq->pk", mix, z), mask)
+
+    frames(mix_a, np.zeros(n_bins, dtype=bool))
+    kept = cov.noise_inverse.copy()
+    frames(mix_b, np.array([True, False, True]))
+    np.testing.assert_array_equal(cov.noise_inverse[[0, 2]], kept[[0, 2]])
+    assert not np.allclose(cov.noise_inverse[1], kept[1])
+
+    phi_y = np.stack([_rank_one_plus_noise([1.0, 2.0, 1.0j, -0.5], cov.noise[k], 10.0)
                       for k in range(n_bins)])
     tracker = PowerCwTracker(n_bins, p)
-    tracker.refresh_noise(phi_n_a)
-    changed = np.array([False, True, False])
     for _ in range(60):
-        tracker.refresh_noise(phi_n_b, changed)
-        values, valid = tracker.estimate(phi_y)
-    expected_noise = phi_n_a.copy()
-    expected_noise[1] = phi_n_b[1]
-    exact, _ = batch_cw(phi_y, expected_noise)
+        values, valid = tracker.estimate(phi_y, cov.noise_inverse)
+    exact, _ = batch_cw(phi_y, cov.noise)
     assert valid.all()
     np.testing.assert_allclose(values, exact, atol=1e-8)
 
 
 def test_power_tracker_invalid_bins(rng):
-    phi_n = np.stack([np.diag([1.0, -1.0, 1.0]).astype(complex),
-                      np.eye(3, dtype=complex), np.eye(3, dtype=complex)])
     phi_y = np.stack([_rank_one_plus_noise([1.0, 1.0j, 2.0], np.eye(3))] * 3)
+    noise_inverse = np.stack([np.eye(3, dtype=complex)] * 3)
+    noise_inverse[0] = 0.0  # a zero step
     tracker = PowerCwTracker(3, 3)
-    tracker.refresh_noise(phi_n)
     broken = phi_y.copy()
     broken[1, 0, 0] = np.nan
-    values, valid = tracker.estimate(broken)
-    # indefinite noise, then a non-finite step; the third bin is fine
+    values, valid = tracker.estimate(broken, noise_inverse)
+    # a zero step, then a non-finite step; the third bin is fine
     np.testing.assert_array_equal(valid, [False, False, True])
     assert np.all(values[:2] == 0.0)
     # the non-finite step restarts the bin instead of poisoning it
-    values, valid = tracker.estimate(phi_y)
+    values, valid = tracker.estimate(phi_y, noise_inverse)
     np.testing.assert_array_equal(valid, [False, True, True])
     assert np.isfinite(values).all()
-    # a noise matrix that turns positive definite makes its bin valid again
-    tracker.refresh_noise(np.stack([np.eye(3, dtype=complex)] * 3),
-                          np.array([True, False, False]))
-    _, valid = tracker.estimate(phi_y)
+    # an inverse that turns non-zero makes its bin valid again
+    _, valid = tracker.estimate(phi_y, np.stack([np.eye(3, dtype=complex)] * 3))
     assert valid.all()
+
+
+def test_schur_head_inverse_matches_direct_inverse(rng):
+    p = 5
+    phi = np.stack([_random_psd(rng, p) for _ in range(4)])
+    inv = np.linalg.inv(phi)
+    head = schur_head_inverse(inv, p - 1)
+    np.testing.assert_allclose(head, np.linalg.inv(phi[:, :p - 1, :p - 1]),
+                               rtol=1e-10, atol=1e-10 * np.abs(head).max())
+    assert schur_head_inverse(inv, p) is inv
+    with pytest.raises(ConfigurationError):
+        schur_head_inverse(inv, p - 2)
+
+
+@pytest.mark.parametrize("faithful", [False, True])
+def test_schur_head_inverse_ignores_a_dead_channel(rng, faithful):
+    # an all-zero last channel: its entry of the tracked inverse grows by
+    # 1/alpha every noise frame and, at alpha = 0.5, would overflow after
+    # about 1000 of them. The tracker re-seeds it instead, and the head
+    # block read through the Schur complement stays the inverse that a
+    # tracker without the channel follows, as do the CW steps taken with it
+    n_bins, p = 6, 5
+    smoothing = SmoothingConfig(0.5, 0.5)
+    full = CovarianceTracker(p, n_bins, smoothing, faithful_noise_recursion=faithful,
+                             track_noise_inverse=True)
+    head = CovarianceTracker(p - 1, n_bins, smoothing,
+                             faithful_noise_recursion=faithful,
+                             track_noise_inverse=True)
+    cw_full, cw_head = PowerCwTracker(n_bins, p - 1), PowerCwTracker(n_bins, p - 1)
+    for frame in range(1500):
+        y = rng.standard_normal((p, n_bins)) + 1j * rng.standard_normal((p, n_bins))
+        y[-1] = 0.0
+        mask = rng.random(n_bins) < 0.3
+        full.update_frame(y, mask)
+        head.update_frame(y[:-1], mask)
+        inverse = schur_head_inverse(full.noise_inverse, p - 1)
+        values, valid = cw_full.estimate(full.noisy[:, :-1, :-1], inverse)
+        expected, expected_valid = cw_head.estimate(head.noisy, head.noise_inverse)
+        np.testing.assert_array_equal(valid, expected_valid)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-8)
+        if frame % 100 == 0:
+            np.testing.assert_allclose(inverse, head.noise_inverse, rtol=0,
+                                       atol=1e-10 * np.abs(head.noise_inverse).max())
 
 
 def test_power_tracker_validation():

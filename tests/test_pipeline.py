@@ -227,7 +227,8 @@ def _exact_cw_decisions(clip, labels, database, config, name):
     dim = clip.n_channels if name == "cw-ext" else n_head
     tracker = CovarianceTracker(clip.n_channels, n_bins,
                                 config.smoothing(clip.sample_rate),
-                                eps_init=config.eps_init)
+                                eps_init=config.eps_init,
+                                faithful_noise_recursion=config.faithful_noise_recursion)
     held = np.zeros((n_bins, n_head), dtype=np.complex64)
     ever = np.zeros(n_bins, dtype=bool)
     store = np.zeros((n_frames, n_bins, n_head), dtype=np.complex64)
@@ -282,3 +283,55 @@ def test_tracked_cw_agrees_with_exact_cw_at_minus_15_db(database):
     # 96.6 % and 94.5 % when the one-step tracker landed
     assert shares["cw-ext"] >= 0.96
     assert shares["cw-head"] >= 0.94
+
+
+def test_tracked_cw_agrees_with_exact_cw_under_faithful_recursion(database):
+    # under the faithful recursion phi_n blends from phi_y. At -15 dB the
+    # exact CW of that pair is itself mostly wrong (34 % of frames within
+    # 5 degrees on seed 3, against 85 % tracked), and the two agree in
+    # only 14 % of frames, so the case runs at 0 dB, where both are right
+    scene = synthesize(SceneSpec(seed=3, duration_s=10.0, snr_db=0.0,
+                                 source_trajectory=((0.0, 35.0),)))
+    config = RunConfig(faithful_noise_recursion=True)
+    shares = _decision_agreement(scene, database, config, ("cw-ext",))
+    assert shares["cw-ext"] >= 0.96
+
+
+@pytest.mark.parametrize("faithful", [False, True])
+def test_cw_head_decides_alike_with_and_without_external_channel(database, faithful):
+    # with the external channel the head-block inverse comes from the
+    # tracked 5x5 inverse by a Schur complement; without it the tracker
+    # follows the 4x4 inverse directly
+    out = synthesize(SceneSpec(seed=46, duration_s=4.0, snr_db=0.0,
+                               source_trajectory=((0.0, -50.0), (4.0, 50.0))))
+    labels = _labels(out)
+    config = RunConfig(estimator="cw-head", faithful_noise_recursion=faithful)
+    full = track(out.mixed, database, config, labels=labels)
+    head = track(AudioClip(out.mixed.samples[:4], FS), database, config,
+                 labels=labels)
+    np.testing.assert_array_equal(full.azimuth_deg, head.azimuth_deg)
+    np.testing.assert_array_equal(full.valid, head.valid)
+    np.testing.assert_allclose(full.cost, head.cost, rtol=0, atol=1e-6)
+
+
+def test_cw_head_ignores_a_dead_external_channel(database):
+    # an all-zero external channel leaves phi_n singular in its direction,
+    # so its entry of the tracked 5x5 inverse grows by 1/alpha_n every
+    # noise frame. At tau_n = 14 ms (alpha_n = 0.32) it would overflow
+    # after about 600 noise frames, and this -10 dB scene gates a bin as
+    # noise in 76 % of its 750 frames. The tracker re-seeds it, so the
+    # head block's inverse, and with it every decision of cw-head, stays
+    # as it is without the channel
+    out = synthesize(SceneSpec(seed=46, duration_s=12.0, snr_db=-10.0,
+                               source_trajectory=((0.0, -50.0), (12.0, 50.0))))
+    labels = _labels(out)
+    samples = out.mixed.samples.copy()
+    samples[4] = 0.0
+    for faithful in (False, True):
+        config = RunConfig(estimator="cw-head", tau_n_s=0.0139,
+                           faithful_noise_recursion=faithful)
+        full = track(AudioClip(samples, FS), database, config, labels=labels)
+        head = track(AudioClip(samples[:4], FS), database, config, labels=labels)
+        np.testing.assert_array_equal(full.azimuth_deg, head.azimuth_deg)
+        np.testing.assert_array_equal(full.valid, head.valid)
+        np.testing.assert_allclose(full.cost, head.cost, rtol=0, atol=1e-6)
