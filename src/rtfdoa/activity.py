@@ -64,7 +64,7 @@ def spp(noisy_power, noise_psd, cfg: SppConfig | None = None) -> np.ndarray:
 
 
 def oracle_labels_from_power(clean_power: np.ndarray, noise_power: np.ndarray,
-                             margin_db: float = -10.0) -> np.ndarray:
+                             margin_db: float) -> np.ndarray:
     """Activity grid from reference-channel periodograms (any matching shape)."""
     clean_power = np.asarray(clean_power)
     noise_power = np.asarray(noise_power)
@@ -75,12 +75,13 @@ def oracle_labels_from_power(clean_power: np.ndarray, noise_power: np.ndarray,
 
 
 def oracle_labels(clean: np.ndarray, noise: np.ndarray,
-                  margin_db: float = -10.0) -> np.ndarray:
+                  margin_db: float) -> np.ndarray:
     """Ground-truth activity grid from the separated scene components.
 
     ``clean`` and ``noise`` are the [C, K, L] STFTs of the two components.
     A bin is labeled speech-plus-noise when the reference-channel speech
-    periodogram exceeds the noise periodogram by ``margin_db``:
+    periodogram exceeds the noise periodogram by ``margin_db`` (a run's
+    is ``RunConfig.oracle_margin_db``):
     ``|X1|^2 > 10^(margin_db/10) * |N1|^2``. Returns a boolean [K, L] grid
     (True = speech plus noise).
     """

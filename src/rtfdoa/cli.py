@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .activity import write_labels, read_labels
-from .doa import (default_grid, generate_prototypes, load_database,
-                  save_database)
+from .doa import (DEFAULT_GRID_STEP_DEG, default_grid, generate_prototypes,
+                  load_database, save_database)
 from .errors import ConfigurationError, NumericalFailure
 from .evaluate import (evaluate_csv, oracle_label_grid, run_sweep,
                        write_metrics_json, write_sweep_csv,
@@ -32,16 +32,14 @@ from .geometry import default_geometry
 from .pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig,
                        config_from_dict, track)
 from .simulate import SceneSpec, synthesize
-from .stft import StftConfig, WavReader, frame_times, write_wav
+from .stft import (DEFAULT_SAMPLE_RATE, StftConfig, WavReader, frame_times,
+                   write_wav)
 
 log = logging.getLogger(__name__)
 
 
 def run_config_to_dict(config: RunConfig) -> dict:
-    out = dataclasses.asdict(config)
-    # the window follows from frame_len and is not written
-    out["stft"] = {"frame_len": config.stft.frame_len, "hop": config.stft.hop}
-    return out
+    return dataclasses.asdict(config)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
@@ -63,20 +61,13 @@ def _write_resolved(path: Path, payload: dict) -> None:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    data = _load_json(args.config) if getattr(args, "config", None) else {}
-    overrides = {
-        "estimator": getattr(args, "estimator", None),
-        "detector": getattr(args, "detector", None),
-        "tau_y_s": getattr(args, "tau_y", None),
-        "tau_n_s": getattr(args, "tau_n", None),
-        "eval_window": getattr(args, "eval_window", None),
-        "tolerance_deg": getattr(args, "tolerance", None),
-        "oracle_margin_db": getattr(args, "oracle_margin_db", None),
-        "faithful_noise_recursion": getattr(args, "faithful_noise_recursion", None),
-    }
-    for key, value in overrides.items():
+    """Config file entries, overridden by the flags that were given: each
+    run-config flag's ``dest`` is the :class:`RunConfig` field it sets."""
+    data = _load_json(args.config) if args.config else {}
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
+            data[f.name] = value
     return run_config_from_dict(data)
 
 
@@ -121,7 +112,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _write_resolved(out_dir / "config.json", {
         "scene_file": str(args.scene),
         "scene": resolved,
-        "stft": {"frame_len": stft_cfg.frame_len, "hop": stft_cfg.hop},
+        "stft": dataclasses.asdict(stft_cfg),
         "oracle_margin_db": args.oracle_margin_db,
         "outputs": ["mixed.wav", "clean.wav", "noise.wav", "truth.csv",
                     "labels.bin", "scene.resolved.json"],
@@ -156,7 +147,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     metrics = evaluate_csv(args.doa, args.truth,
-                           tolerance_deg=args.tolerance,
+                           tolerance_deg=args.tolerance_deg,
                            eval_window=args.eval_window,
                            warmup_frames=args.warmup_frames,
                            estimator=args.estimator_label)
@@ -164,7 +155,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     write_metrics_json(out, metrics)
     _write_resolved(out.with_suffix(out.suffix + ".config.json"), {
         "doa": str(args.doa), "truth": str(args.truth),
-        "tolerance_deg": args.tolerance, "eval_window": args.eval_window,
+        "tolerance_deg": args.tolerance_deg, "eval_window": args.eval_window,
         "warmup_frames": args.warmup_frames,
         "estimator_label": args.estimator_label,
     })
@@ -199,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prototypes", help="build a prototype database file")
     p.add_argument("--output", required=True)
-    p.add_argument("--step-deg", type=float, default=5.0)
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--frame-len", type=int, default=512)
+    p.add_argument("--step-deg", type=float, default=DEFAULT_GRID_STEP_DEG)
+    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
     p.add_argument("--head-shadow", action="store_true",
                    help="add a rigid-sphere level term")
     p.add_argument("--encoding", choices=("base64", "raw"), default="base64")
@@ -210,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="render a scene from a JSON spec")
     p.add_argument("--scene", required=True, help="SceneSpec JSON file")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--frame-len", type=int, default=512)
-    p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--oracle-margin-db", type=float, default=-10.0)
+    p.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
+    p.add_argument("--hop", type=int, default=StftConfig.hop)
+    p.add_argument("--oracle-margin-db", type=float,
+                   default=RunConfig.oracle_margin_db)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="per-frame DOA from a WAV recording")
@@ -223,11 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="run-config JSON file")
     p.add_argument("--estimator", choices=ESTIMATOR_NAMES, default=None)
     p.add_argument("--detector", choices=DETECTOR_NAMES, default=None)
-    p.add_argument("--tau-y", type=float, default=None,
+    p.add_argument("--tau-y", dest="tau_y_s", type=float, default=None,
                    help="noisy-covariance time constant in seconds")
-    p.add_argument("--tau-n", type=float, default=None,
+    p.add_argument("--tau-n", dest="tau_n_s", type=float, default=None,
                    help="noise-covariance time constant in seconds")
-    p.add_argument("--oracle-margin-db", type=float, default=None)
     p.add_argument("--faithful-noise-recursion",
                    action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--cost-surface", default=None,
@@ -238,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doa", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--output", required=True, help="metrics JSON path")
-    p.add_argument("--tolerance", type=float, default=5.0)
-    p.add_argument("--eval-window", type=float, default=0.5)
+    p.add_argument("--tolerance", dest="tolerance_deg", type=float,
+                   default=RunConfig.tolerance_deg)
+    p.add_argument("--eval-window", type=float, default=RunConfig.eval_window)
     p.add_argument("--warmup-frames", type=int, default=0)
     p.add_argument("--estimator-label", default="unknown")
     p.set_defaults(func=_cmd_evaluate)
@@ -250,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="results CSV path")
     p.add_argument("--config", default=None, help="run-config JSON file")
     p.add_argument("--detector", choices=DETECTOR_NAMES, default=None)
-    p.add_argument("--tau-y", type=float, default=None)
-    p.add_argument("--tau-n", type=float, default=None)
+    p.add_argument("--tau-y", dest="tau_y_s", type=float, default=None)
+    p.add_argument("--tau-n", dest="tau_n_s", type=float, default=None)
     p.add_argument("--eval-window", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", dest="tolerance_deg", type=float, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalFailure
+from .estimators import DIAG_LOAD_REL
 
 DEFAULT_EPS_INIT = 1e-6
 
@@ -85,7 +86,7 @@ class SmoothingConfig:
 # (the relative diagonal loading of the exact CW), which leaves the product
 # at most P^2 / _RESEED_FLOOR_REL, below the bound for P < 30.
 _TRACE_PRODUCT_BOUND = 1e13
-_RESEED_FLOOR_REL = 1e-10
+_RESEED_FLOOR_REL = DIAG_LOAD_REL
 
 
 def _floored_inverse(phi: np.ndarray) -> np.ndarray:

@@ -46,29 +46,29 @@ log = logging.getLogger(__name__)
 
 _TINY = np.finfo(np.float64).tiny
 
+# noise covariance loading of the exact batch_cw, relative to its mean
+# eigenvalue; the pipeline's tracked CW steps with the unloaded inverse
+DIAG_LOAD_REL = 1e-10
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Numerical knobs shared by the estimators.
 
     ``column_index`` selects the covariance column used by the
-    subtraction estimator (0 = reference microphone). ``diag_load_rel``
-    scales the diagonal loading of the noise covariance relative to its
-    mean eigenvalue before the Cholesky factorization of the exact
-    :func:`batch_cw`; the tracked CW of the pipeline steps with the
-    unloaded tracked inverse instead. ``denom_floor`` invalidates
-    estimates whose normalizer is tiny relative to the matrix scale.
+    subtraction estimator (0 = reference microphone). ``denom_floor``
+    invalidates estimates whose normalizer is tiny relative to the
+    matrix scale.
     """
 
     column_index: int = 0
-    diag_load_rel: float = 1e-10
     denom_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.column_index < 0:
             raise ConfigurationError("column_index must be >= 0")
-        if self.diag_load_rel < 0.0 or self.denom_floor < 0.0:
-            raise ConfigurationError("loading and floor must be non-negative")
+        if self.denom_floor < 0.0:
+            raise ConfigurationError("denom_floor must be non-negative")
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -154,16 +154,15 @@ def batch_sc(phi_y: np.ndarray,
     return values[:, :-1], valid
 
 
-def _loaded_cholesky(phi_n: np.ndarray, diag_load_rel: float, bins: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _loaded_cholesky(phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a diagonally loaded stack, and PD flags.
 
-    The loading is ``diag_load_rel * trace(phi_n)/P`` per matrix. Bins
+    The loading is ``DIAG_LOAD_REL * trace(phi_n)/P`` per matrix. Bins
     whose loaded matrix is not positive definite get identity factors and
-    a False flag; ``bins`` holds their indices for the debug log.
+    a False flag.
     """
     p = phi_n.shape[-1]
-    load = diag_load_rel * np.einsum("kpp->k", phi_n).real / p
+    load = DIAG_LOAD_REL * np.einsum("kpp->k", phi_n).real / p
     loaded = phi_n + load[:, None, None] * np.eye(p)
     try:
         factors = np.linalg.cholesky(loaded)
@@ -177,7 +176,7 @@ def _loaded_cholesky(phi_n: np.ndarray, diag_load_rel: float, bins: np.ndarray
                 factors[i] = np.linalg.cholesky(loaded[i])
                 ok[i] = True
             except np.linalg.LinAlgError:
-                log.debug("noise covariance not PD in bin %d", bins[i])
+                log.debug("noise covariance not PD in bin %d", i)
     return factors, ok
 
 
@@ -203,8 +202,7 @@ class WhitenedTracker:
 
     def refresh_noise(self, phi_n: np.ndarray) -> None:
         """Factor the noise covariance [K, P, P] of every bin."""
-        factors, ok = _loaded_cholesky(phi_n, self.cfg.diag_load_rel,
-                                       np.arange(self.n_bins))
+        factors, ok = _loaded_cholesky(phi_n)
         inv = factors.copy()
         inv[ok] = np.linalg.inv(factors[ok])
         self._chol, self._linv, self._chol_ok = factors, inv, ok

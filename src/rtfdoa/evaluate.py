@@ -35,7 +35,8 @@ import numpy as np
 from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
-from .pipeline import DoaTrajectory, RunConfig, config_from_dict, track_multi
+from .pipeline import (DoaTrajectory, RunConfig, check_scoring, config_from_dict,
+                       track_multi)
 from .simulate import (SceneOutput, SceneSpec, azimuth_free, compose, is_integer,
                        is_number, render_azimuth_free, steer)
 from .stft import AudioClip, analyze, num_frames
@@ -55,7 +56,8 @@ def angular_errors(est_deg: np.ndarray, truth_deg: np.ndarray) -> np.ndarray:
 
 
 def accuracy(azimuth_deg: np.ndarray, valid: np.ndarray,
-             truth_deg: np.ndarray, tolerance_deg: float = 5.0) -> float:
+             truth_deg: np.ndarray,
+             tolerance_deg: float = RunConfig.tolerance_deg) -> float:
     """Percent of frames localized within tolerance; invalid frames fail."""
     azimuth = np.asarray(azimuth_deg, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -109,15 +111,18 @@ def _scored_start(n_frames: int, warmup: int, eval_window: float) -> int:
 
 
 def score(traj: DoaTrajectory, truth_deg: np.ndarray,
-          tolerance_deg: float = 5.0, eval_window: float = 0.5,
+          tolerance_deg: float = RunConfig.tolerance_deg,
+          eval_window: float = RunConfig.eval_window,
           duration_s: float | None = None) -> Metrics:
     """Score a trajectory against per-frame truth azimuths.
 
     ``eval_window`` selects the trailing fraction of frames; the window
-    additionally starts no earlier than the trajectory's warm-up. The
+    additionally starts no earlier than the trajectory's warm-up. Both it
+    and ``tolerance_deg`` obey :func:`~rtfdoa.pipeline.check_scoring`. The
     real-time factor is null unless the trajectory carries a processing
     time and ``duration_s`` is given.
     """
+    check_scoring(eval_window, tolerance_deg)
     truth = np.asarray(truth_deg, dtype=np.float64)
     if truth.size != traj.n_frames:
         raise ConfigurationError(
@@ -198,16 +203,27 @@ def write_trajectory_csv(path: str | Path, traj: DoaTrajectory) -> None:
             ])
 
 
-def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
+def _read_table(path: str | Path, columns: tuple[str, ...], what: str) -> np.ndarray:
+    """The float rows of the CSV ``what`` under the header ``columns``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header) != TRAJECTORY_COLUMNS:
-            raise ConfigurationError(f"unexpected trajectory header: {header}")
+        if header is None or tuple(header) != columns:
+            raise ConfigurationError(f"unexpected {what} header: {header}")
         rows = list(reader)
     if not rows:
-        raise ConfigurationError("trajectory CSV holds no frames")
-    data = np.array([[float(c) for c in row] for row in rows])
+        raise ConfigurationError(f"{what} CSV holds no frames")
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise ConfigurationError(f"{what} CSV row {i} holds {len(row)} cells")
+    try:
+        return np.array([[float(c) for c in row] for row in rows])
+    except ValueError as exc:
+        raise ConfigurationError(f"{what} CSV: {exc}") from exc
+
+
+def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
+    data = _read_table(path, TRAJECTORY_COLUMNS, "trajectory")
     return {
         "frame": data[:, 0].astype(int),
         "time_s": data[:, 1],
@@ -227,23 +243,15 @@ def write_truth_csv(path: str | Path, frame_times: np.ndarray,
 
 
 def read_truth_csv(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRUTH_COLUMNS:
-            raise ConfigurationError(f"unexpected truth header: {header}")
-        rows = list(reader)
-    if not rows:
-        raise ConfigurationError("truth CSV holds no frames")
-    data = np.array([[float(c) for c in row] for row in rows])
+    data = _read_table(path, TRUTH_COLUMNS, "truth")
     return {"frame_index": data[:, 0].astype(int), "time_s": data[:, 1],
             "azimuth_deg": data[:, 2]}
 
 
 def evaluate_csv(doa_csv: str | Path, truth_csv: str | Path,
-                 tolerance_deg: float = 5.0, eval_window: float = 0.5,
-                 warmup_frames: int = 0,
-                 estimator: str = "unknown") -> Metrics:
+                 tolerance_deg: float = RunConfig.tolerance_deg,
+                 eval_window: float = RunConfig.eval_window,
+                 warmup_frames: int = 0, estimator: str = "unknown") -> Metrics:
     """Score a written trajectory against a written truth table.
 
     The two tables must hold the same frames: a truth row whose

@@ -58,6 +58,15 @@ DEFAULT_TAU_N_S = 0.5
 BLOCK_FRAMES = 128
 
 
+def check_scoring(eval_window: float, tolerance_deg: float) -> None:
+    """The scoring rule of run configs and of :func:`~rtfdoa.evaluate.score`:
+    ``eval_window`` in (0, 1], ``tolerance_deg`` positive."""
+    if not 0.0 < eval_window <= 1.0:
+        raise ConfigurationError("eval_window must lie in (0, 1]")
+    if not tolerance_deg > 0.0:
+        raise ConfigurationError("tolerance_deg must be positive")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a tracking run needs besides the signals.
@@ -92,10 +101,7 @@ class RunConfig:
                 f"detector must be one of {DETECTOR_NAMES}, got '{self.detector}'")
         if self.tau_y_s <= 0.0 or self.tau_n_s <= 0.0:
             raise ConfigurationError("time constants must be positive")
-        if not 0.0 < self.eval_window <= 1.0:
-            raise ConfigurationError("eval_window must lie in (0, 1]")
-        if self.tolerance_deg <= 0.0:
-            raise ConfigurationError("tolerance_deg must be positive")
+        check_scoring(self.eval_window, self.tolerance_deg)
         if self.spp_bootstrap_frames < 1:
             raise ConfigurationError("spp_bootstrap_frames must be >= 1")
 
@@ -125,8 +131,7 @@ def config_from_dict(cls, data, where: str):
             kwargs[key] = config_from_dict(nested, value, key)
             continue
         accepted = (int, float) if isinstance(default, float) else type(default)
-        if default is not None and (
-                isinstance(value, bool) != isinstance(default, bool)
+        if (isinstance(value, bool) != isinstance(default, bool)
                 or not isinstance(value, accepted)):
             raise ConfigurationError(
                 f"'{where}' key '{key}' must be a {type(default).__name__}, "
@@ -211,9 +216,9 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
     ``source`` is read block by block (see :mod:`rtfdoa.stft`). ``labels``
     is the [K, L] oracle speech-activity grid, required when the detector
     is 'oracle'; a packed :class:`~rtfdoa.activity.LabelBitmap` is
-    unpacked one block of columns at a time. Faults are raised where the
-    pass meets them: a non-finite sample in its block, a bitmap too short
-    when its columns run out, a bitmap too long at the end.
+    unpacked one block of columns at a time; its shape must be
+    ``(n_bins, n_frames)``, which is checked before the first block. A
+    non-finite sample is raised in the block that holds it.
 
     ``cost_from`` is the first frame whose cost surface and grid decision
     are computed. Every frame still updates the covariances and the
@@ -257,10 +262,9 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         raise ConfigurationError("oracle detector needs an activity bitmap")
     elif not isinstance(labels, LabelBitmap):
         labels = np.asarray(labels, dtype=bool)
-    label_error = ConfigurationError(
-        f"labels shaped {np.shape(labels)}, expected {(n_bins, n_frames)}")
-    if labels is not None and (labels.ndim != 2 or labels.shape[0] != n_bins):
-        raise label_error
+    if labels is not None and labels.shape != (n_bins, n_frames):
+        raise ConfigurationError(
+            f"labels shaped {labels.shape}, expected {(n_bins, n_frames)}")
 
     tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
                                 eps_init=config.eps_init,
@@ -286,8 +290,6 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             tail = buffer
             continue
         stop = start + count
-        if labels is not None and labels.shape[1] < stop:
-            raise label_error
         if isinstance(labels, LabelBitmap):
             block_labels = labels.columns(start, stop)
         elif labels is not None:
@@ -323,8 +325,6 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             if keep_cost_surfaces:
                 surfaces[state.name][first:stop] = surface
         start = stop
-    if labels is not None and labels.shape[1] != n_frames:
-        raise label_error
 
     warmup = config.warmup_frames(source.sample_rate)
     times = frame_times(n_frames, stft.frame_len, stft.hop, source.sample_rate)

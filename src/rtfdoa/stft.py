@@ -17,7 +17,7 @@ import logging
 import os
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,27 +92,16 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Framing parameters. ``fft_size`` equals ``frame_len`` (no zero padding)."""
+    """Framing parameters. ``fft_size`` equals ``frame_len`` (no zero padding).
+    ``window``, set on construction, is always ``sqrt_hann(frame_len)``."""
 
     frame_len: int = 512
     hop: int = 256
-    window: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.frame_len < 2:
-            raise ConfigurationError("frame_len must be >= 2")
+        object.__setattr__(self, "window", sqrt_hann(self.frame_len))
         if not 0 < self.hop <= self.frame_len:
             raise ConfigurationError("hop must satisfy 0 < hop <= frame_len")
-        win = self.window
-        if win is None:
-            win = sqrt_hann(self.frame_len)
-        else:
-            win = np.asarray(win, dtype=np.float64)
-            if win.shape != (self.frame_len,):
-                raise ConfigurationError("window length must equal frame_len")
-            if win.min() < 0.0 or win.max() > 1.0:
-                raise ConfigurationError("window values must lie in [0, 1]")
-        object.__setattr__(self, "window", win)
 
     @property
     def fft_size(self) -> int:

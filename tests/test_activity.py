@@ -110,19 +110,19 @@ def test_oracle_labels_from_power_margin():
     out = oracle_labels_from_power(clean, noise, margin_db=-10.0)
     np.testing.assert_array_equal(out, [[True, False, True]])
     with pytest.raises(ConfigurationError):
-        oracle_labels_from_power(clean, noise[:, :2])
+        oracle_labels_from_power(clean, noise[:, :2], -10.0)
 
 
 def test_oracle_labels_extremes(rng):
     data = rng.standard_normal((2, 5, 7)) + 1j * rng.standard_normal((2, 5, 7))
     zeros = np.zeros_like(data)
-    assert oracle_labels(data, zeros).all()
-    assert not oracle_labels(zeros, data).any()
+    assert oracle_labels(data, zeros, -10.0).all()
+    assert not oracle_labels(zeros, data, -10.0).any()
     # only channel 0 decides
     other = data.copy()
     other[1] *= 100.0
-    np.testing.assert_array_equal(oracle_labels(data, zeros),
-                                  oracle_labels(other, zeros))
+    np.testing.assert_array_equal(oracle_labels(data, zeros, -10.0),
+                                  oracle_labels(other, zeros, -10.0))
 
 
 def test_label_bitmap_roundtrip(tmp_path, rng):

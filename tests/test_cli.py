@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtfdoa.activity import write_labels
+from rtfdoa.activity import SppConfig, write_labels
 from rtfdoa.cli import main, run_config_from_dict, run_config_to_dict
 from rtfdoa.errors import ConfigurationError
-from rtfdoa.evaluate import read_trajectory_csv, read_truth_csv
-from rtfdoa.pipeline import BLOCK_FRAMES, RunConfig
-from rtfdoa.stft import AudioClip, write_wav
+from rtfdoa.estimators import EstimatorConfig
+from rtfdoa.evaluate import (read_trajectory_csv, read_truth_csv,
+                             write_trajectory_csv)
+from rtfdoa.pipeline import BLOCK_FRAMES, DoaTrajectory, RunConfig
+from rtfdoa.stft import AudioClip, StftConfig, write_wav
 from wavfiles import IEEE_FLOAT, fmt_chunk, wav_header
 
 SCENE = {
@@ -171,14 +174,45 @@ def test_exit_code_on_bad_configuration(workspace, tmp_path):
     assert main(["sweep", "--matrix", str(matrix),
                  "--database", str(workspace["db"]),
                  "--output", str(tmp_path / "s.csv")]) == 2
+    # a scoring window or tolerance that a run config rejects is rejected
+    # by evaluate too
+    truth = workspace["sim"] / "truth.csv"
+    table = read_truth_csv(truth)
+    doa = tmp_path / "doa.csv"
+    write_trajectory_csv(doa, DoaTrajectory(
+        estimator="sc", azimuth_deg=table["azimuth_deg"],
+        cost=np.zeros(table["time_s"].size), valid=np.ones(table["time_s"].size, bool),
+        frame_times=table["time_s"], warmup_frames=0))
+    evaluate = ["evaluate", "--doa", str(doa), "--truth", str(truth),
+                "--output", str(tmp_path / "m.json")]
+    assert main(evaluate) == 0
+    matrix.write_text(json.dumps({
+        "estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
+        "seeds": [1], "duration_s": 2.0, "diffuse_order": 12}))
+    for flag, value in (("--eval-window", "1.5"), ("--eval-window", "0"),
+                        ("--tolerance", "-1"), ("--tolerance", "nan")):
+        assert main(evaluate + [flag, value]) == 2, (flag, value)
+        assert main(["sweep", "--matrix", str(matrix),
+                     "--database", str(workspace["db"]),
+                     "--output", str(tmp_path / "s.csv"), flag, value]) == 2
+    # a flag that only changed the resolved config is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
+              "--database", str(workspace["db"]), "--oracle-margin-db", "20",
+              "--output", str(tmp_path / "d.csv")])
+    assert exc.value.code == 2
 
 
 def test_exit_code_on_unknown_nested_config_key(workspace, tmp_path, capsys):
     # eig_tol was an estimator option that older resolved configs carry
     cfg = tmp_path / "run.json"
+    # stft.window and estimator_config.diag_load_rel were run-config keys
+    # that took no effect or could not be reproduced
     for section, key in (("estimator_config", "bogus"),
                          ("estimator_config", "eig_tol"),
-                         ("spp_config", "bogus"), ("stft", "bogus")):
+                         ("estimator_config", "diag_load_rel"),
+                         ("spp_config", "bogus"), ("stft", "bogus"),
+                         ("stft", "window")):
         cfg.write_text(json.dumps({section: {key: 1}}))
         assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
                      "--database", str(workspace["db"]), "--config", str(cfg),
@@ -261,9 +295,11 @@ def test_exit_code_on_numerical_failure(workspace, tmp_path):
     samples = np.zeros((5, 16000))
     samples[2, 4000] = np.nan
     write_wav(wav, AudioClip(samples, 16000))
+    # a bitmap that fits the recording: a misfit one exits 2 before any frame
+    labels = tmp_path / "labels.bin"
+    write_labels(labels, np.ones((257, (16000 - 512) // 256 + 1), dtype=bool))
     rc = main(["estimate", "--input", str(wav),
-               "--database", str(workspace["db"]),
-               "--labels", str(workspace["sim"] / "labels.bin"),
+               "--database", str(workspace["db"]), "--labels", str(labels),
                "--estimator", "sc", "--output", str(tmp_path / "d.csv")])
     assert rc == 3
     # a NaN in the last of several blocks: earlier blocks were tracked, but
@@ -281,12 +317,59 @@ def test_exit_code_on_numerical_failure(workspace, tmp_path):
                  "--detector", "spp", "--estimator", "sc", "--output", str(out)]) == 2
 
 
+def _leaves(config, prefix=""):
+    """(dotted name, value, default) of every settable run-config value."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value, f.default
+
+
 def test_run_config_dict_roundtrip():
-    config = RunConfig(estimator="cw-head", tau_y_s=0.3)
-    back = run_config_from_dict(run_config_to_dict(config))
-    assert run_config_to_dict(back) == run_config_to_dict(config)
+    config = RunConfig(
+        estimator="cw-head", detector="spp", tau_y_s=0.3, tau_n_s=0.7,
+        eval_window=0.8, tolerance_deg=10.0, eps_init=1e-5,
+        faithful_noise_recursion=True, oracle_margin_db=-5.0,
+        spp_bootstrap_frames=3,
+        estimator_config=EstimatorConfig(column_index=1, denom_floor=1e-9),
+        spp_config=SppConfig(prior=0.4, fixed_snr_db=12.0, threshold=0.6,
+                             noise_psd_floor=1e-10),
+        stft=StftConfig(frame_len=256, hop=128))
+    leaves = list(_leaves(config))
+    assert len(leaves) == 18
+    assert [name for name, value, default in leaves if value == default] == []
+    back = run_config_from_dict(json.loads(json.dumps(run_config_to_dict(config))))
+    assert back == config
+    assert hash(back) == hash(config)
+    assert back != RunConfig()
+    assert RunConfig() == RunConfig() and hash(RunConfig()) == hash(RunConfig())
     with pytest.raises(ConfigurationError):
         run_config_from_dict({"no_such_key": 1})
+
+
+def test_resolved_config_reproduces_the_estimate(workspace, tmp_path):
+    sim, db = workspace["sim"], workspace["db"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"spp_config": {"threshold": 0.6},
+                               "eps_init": 1e-5}))
+    first = tmp_path / "first.csv"
+    assert main(["estimate", "--input", str(sim / "mixed.wav"),
+                 "--database", str(db), "--config", str(cfg),
+                 "--estimator", "cw-ext", "--detector", "spp", "--tau-y", "0.2",
+                 "--tau-n", "0.6", "--faithful-noise-recursion",
+                 "--output", str(first)]) == 0
+    resolved = json.loads((tmp_path / "first.csv.config.json").read_text())
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    cfg.write_text(json.dumps({k: v for k, v in resolved.items() if k in fields}))
+    second = tmp_path / "second.csv"
+    assert main(["estimate", "--input", str(sim / "mixed.wav"),
+                 "--database", str(db), "--config", str(cfg),
+                 "--output", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    again = json.loads((tmp_path / "second.csv.config.json").read_text())
+    assert {k: again[k] for k in fields} == {k: resolved[k] for k in fields}
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

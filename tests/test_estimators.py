@@ -29,26 +29,21 @@ def _rank_one_plus_noise(g, phi_n, sig2=1.0):
 
 # ---------------------------------------------------------------- cholesky
 
-def _cholesky(stack):
-    # the default relative loading of EstimatorConfig
-    return _loaded_cholesky(stack, 1e-10, np.arange(len(stack)))
-
-
 def test_cholesky_identity():
-    fac, ok = _cholesky(np.eye(3)[None] + 0j)
+    fac, ok = _loaded_cholesky(np.eye(3)[None] + 0j)
     assert ok[0]
     np.testing.assert_allclose(fac[0], np.eye(3), atol=1e-9)
 
 
 def test_cholesky_hand_case():
     phi = np.array([[4.0, 2.0], [2.0, 2.0]], dtype=complex)
-    fac, _ = _cholesky(phi[None])
+    fac, _ = _loaded_cholesky(phi[None])
     np.testing.assert_allclose(fac[0], [[2.0, 0.0], [1.0, 1.0]], atol=1e-9)
 
 
 def test_cholesky_reconstructs_random_pd(rng):
     phi = _random_psd(rng, 5)
-    fac = _cholesky(phi[None])[0][0]
+    fac = _loaded_cholesky(phi[None])[0][0]
     assert np.allclose(np.triu(fac, 1), 0.0)
     np.testing.assert_allclose(fac @ fac.conj().T, phi,
                                atol=1e-12 * np.linalg.norm(phi))
@@ -56,7 +51,7 @@ def test_cholesky_reconstructs_random_pd(rng):
 
 def test_cholesky_batch_shape(rng):
     stack = np.stack([_random_psd(rng, 3) for _ in range(4)])
-    fac, ok = _cholesky(stack)
+    fac, ok = _loaded_cholesky(stack)
     assert fac.shape == stack.shape and ok.all()
     np.testing.assert_allclose(fac @ fac.conj().transpose(0, 2, 1), stack,
                                atol=1e-10)
@@ -67,7 +62,7 @@ def test_cholesky_rejects_indefinite(rng):
     # positive-definite bins around it are still factored
     good = _random_psd(rng, 2)
     stack = np.stack([good, np.diag([1.0, -1.0]).astype(complex), good])
-    fac, ok = _cholesky(stack)
+    fac, ok = _loaded_cholesky(stack)
     np.testing.assert_array_equal(ok, [True, False, True])
     np.testing.assert_array_equal(fac[1], np.eye(2))
     np.testing.assert_allclose(fac[2] @ fac[2].conj().T, good, atol=1e-10)
@@ -442,5 +437,3 @@ def test_reference_entry_is_exactly_one(rng):
 def test_estimator_config_validation():
     with pytest.raises(ConfigurationError):
         EstimatorConfig(column_index=-1)
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(diag_load_rel=-1e-3)

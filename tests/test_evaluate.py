@@ -98,6 +98,11 @@ def test_score_window_selection():
     assert m_full.frames_scored == 6
     with pytest.raises(ConfigurationError):
         score(_traj(np.zeros(10), np.ones(10, bool), warmup=12), truth)
+    # the window and tolerance obey the rule a run config obeys
+    for kwargs in ({"eval_window": 1.5}, {"eval_window": 0.0},
+                   {"tolerance_deg": -1.0}, {"tolerance_deg": np.nan}):
+        with pytest.raises(ConfigurationError):
+            score(traj, truth, **kwargs)
 
 
 def test_score_rms_over_valid_frames_only():
@@ -228,14 +233,22 @@ def test_truth_csv_roundtrip(tmp_path):
 def test_csv_header_validation(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="unexpected trajectory header"):
         read_trajectory_csv(bad)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="unexpected truth header"):
         read_truth_csv(bad)
     empty = tmp_path / "empty.csv"
     empty.write_text("frame,time_s,azimuth_deg,cost,valid\n")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="trajectory CSV holds no frames"):
         read_trajectory_csv(empty)
+    empty.write_text("frame_index,time_s,azimuth_deg\n")
+    with pytest.raises(ConfigurationError, match="truth CSV holds no frames"):
+        read_truth_csv(empty)
+    # a cell that is not a number, or a row of the wrong length
+    for row in ("0,0.016,abc", "0,0.016", "0,0.016,35.0,1"):
+        bad.write_text(f"frame_index,time_s,azimuth_deg\n0,0.0,35.0\n{row}\n")
+        with pytest.raises(ConfigurationError, match="truth CSV"):
+            read_truth_csv(bad)
 
 
 def test_evaluate_csv_reproducible(tmp_path):

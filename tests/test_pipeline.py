@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtfdoa.activity import read_labels, write_labels
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.doa import argmin_directions, cost_surface_frames
 from rtfdoa.errors import ConfigurationError
@@ -169,6 +170,25 @@ def test_track_multi_validation(database):
     too_many = AudioClip(np.vstack([out.mixed.samples, out.mixed.samples[:1]]), FS)
     with pytest.raises(ConfigurationError):
         track(too_many, database, config, labels=labels)
+
+
+def test_label_grid_of_the_wrong_length_fails_before_tracking(database,
+                                                              monkeypatch, tmp_path):
+    # a bitmap's length is known from its header, so one frame too many is
+    # rejected before the first frame is tracked, like one frame too few
+    out = _scene(seed=47, duration_s=1.0)
+    labels = _labels(out)
+    too_long = np.hstack([labels, labels[:, :1]])
+    path = tmp_path / "labels.bin"
+    write_labels(path, too_long)
+
+    def no_update(self, y, speech_mask):
+        raise AssertionError("a frame was tracked")
+
+    monkeypatch.setattr(CovarianceTracker, "update_frame", no_update)
+    for grid in (too_long, read_labels(path), labels[:, :-1], labels[:-1]):
+        with pytest.raises(ConfigurationError, match="labels shaped"):
+            track(out.mixed, database, RunConfig(), labels=grid)
 
 
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)

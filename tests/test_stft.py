@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_num_frames_formula():
 
 
 def test_analyze_matches_naive_dft(rng):
-    cfg = StftConfig(frame_len=64, hop=32, window=sqrt_hann(64))
+    cfg = StftConfig(frame_len=64, hop=32)
     samples = rng.standard_normal((3, 200))
     grid = analyze(AudioClip(samples, FS), cfg)
     n_fr = num_frames(200, cfg)
@@ -110,7 +112,7 @@ def test_single_frame_parseval(rng):
 
 
 def test_analyze_is_linear(rng):
-    cfg = StftConfig(frame_len=64, hop=32, window=sqrt_hann(64))
+    cfg = StftConfig(frame_len=64, hop=32)
     a = rng.standard_normal((2, 300))
     b = rng.standard_normal((2, 300))
     ga = analyze(AudioClip(a, FS), cfg)
@@ -141,9 +143,19 @@ def test_stft_config_validation():
     with pytest.raises(ConfigurationError):
         StftConfig(frame_len=512, hop=513)
     with pytest.raises(ConfigurationError):
-        StftConfig(frame_len=512, hop=256, window=np.ones(100))
-    with pytest.raises(ConfigurationError):
-        StftConfig(frame_len=4, hop=2, window=np.array([0.0, 1.0, 2.0, 1.0]))
+        StftConfig(frame_len=511, hop=256)
+
+
+def test_stft_config_window_is_derived_once():
+    # the window is no setting: sqrt-Hann of frame_len, made on construction
+    cfg = StftConfig(frame_len=64, hop=32)
+    np.testing.assert_array_equal(cfg.window, sqrt_hann(64))
+    assert cfg.window is cfg.window
+    assert [f.name for f in dataclasses.fields(cfg)] == ["frame_len", "hop"]
+    assert cfg == StftConfig(frame_len=64, hop=32)
+    assert hash(cfg) == hash(StftConfig(frame_len=64, hop=32))
+    with pytest.raises(TypeError):
+        StftConfig(window=np.ones(512))
 
 
 def test_grid_axis_annotations(rng):
