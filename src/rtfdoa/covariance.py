@@ -15,8 +15,20 @@ difference taken in the opposite order, so it is the exact conjugate
 two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
 
-On request the tracker also follows the inverse noise covariance
-``M = phi_n^-1``, which the covariance-whitening estimators step with.
+The tracker keeps only as much of the noise as its readers need
+(``noise_stats``): ``"psd"`` keeps the per-channel noise PSD, the real
+diagonal of ``phi_n``, which is all the speech presence detector and
+``sc`` read; ``"covariance"`` keeps ``phi_n`` (``cs-head``);
+``"inverse"`` keeps ``phi_n`` and its inverse (the ``cw-*`` estimators).
+The PSD follows the same recursion with ``|y_p|^2`` in place of
+``y y^H``, computed by ``einsum`` so that it equals the diagonal of the
+outer product bit for bit (a plain ``(y * y.conj()).real`` does not: its
+complex product may be fused differently); so the detector sees the same
+values in every mode. Keeping only the PSD, the tracker forms outer
+products only in the bins gated as speech.
+
+With ``"inverse"`` the tracker also follows ``M = phi_n^-1``, which the
+covariance-whitening estimators step with.
 The noise update is a scaled rank-one update, so ``M`` follows by
 Sherman-Morrison in O(P^2) per bin, the recursive-inverse step of RLS::
 
@@ -89,6 +101,11 @@ _TRACE_PRODUCT_BOUND = 1e13
 _RESEED_FLOOR_REL = DIAG_LOAD_REL
 
 
+def _outer(y: np.ndarray) -> np.ndarray:
+    """Outer products ``y y^H`` of the columns of a [P, K] frame, [K, P, P]."""
+    return np.einsum("pk,qk->kpq", y, y.conj())
+
+
 def _floored_inverse(phi: np.ndarray) -> np.ndarray:
     """Exactly Hermitian inverses of a [K, P, P] stack of Hermitian
     matrices, with their eigenvalues floored at ``_RESEED_FLOOR_REL`` of
@@ -127,35 +144,46 @@ def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
     return out
 
 
+# what the tracker keeps of the noise, from least to most
+NOISE_STATS = ("psd", "covariance", "inverse")
+
+
 class CovarianceTracker:
     """Vectorized per-bin covariance recursion over a whole STFT grid.
 
-    With ``track_noise_inverse`` the tracker also keeps ``phi_n^-1`` per
-    bin (:attr:`noise_inverse`), updated in the noise-gated bins of every
-    frame; otherwise that attribute is None and nothing is spent on it.
-    A bin whose tracked inverse is no longer usable is re-seeded from its
-    covariance (see the module docstring), so the inverse is finite after
-    every update.
+    ``noise_stats`` names what is kept of the noise (see the module
+    docstring). :attr:`noise_psd` serves every mode; :attr:`noise` needs
+    ``"covariance"`` or ``"inverse"``; :attr:`noise_inverse` is None
+    unless ``"inverse"``, and then is updated in the noise-gated bins of
+    every frame. A bin whose tracked inverse is no longer usable is
+    re-seeded from its covariance (see the module docstring), so the
+    inverse is finite after every update.
     """
 
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
                  eps_init: float = DEFAULT_EPS_INIT,
                  faithful_noise_recursion: bool = False,
-                 track_noise_inverse: bool = False) -> None:
+                 noise_stats: str = "covariance") -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
-        if track_noise_inverse and (smoothing.alpha_n == 0.0 or (
+        if noise_stats not in NOISE_STATS:
+            raise ConfigurationError(
+                f"noise_stats must be one of {NOISE_STATS}, got '{noise_stats}'")
+        inverse = noise_stats == "inverse"
+        if inverse and (smoothing.alpha_n == 0.0 or (
                 faithful_noise_recursion and smoothing.alpha_y == 0.0)):
             raise ConfigurationError(
                 "a tracked inverse needs smoothing factors above 0")
         eye = np.eye(n_channels, dtype=np.complex128)
         self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
-        self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1))
-        self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1)) \
-            if track_noise_inverse else None
+        self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1)) \
+            if noise_stats != "psd" else None
+        self._psd = np.full((n_bins, n_channels), eps_init) \
+            if noise_stats == "psd" else None
+        self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1)) if inverse else None
         self._inv_y = self._inv_n.copy() \
-            if track_noise_inverse and faithful_noise_recursion else None
+            if inverse and faithful_noise_recursion else None
         self.smoothing = smoothing
         self.faithful_noise_recursion = faithful_noise_recursion
         self.n_channels = n_channels
@@ -169,7 +197,18 @@ class CovarianceTracker:
     @property
     def noise(self) -> np.ndarray:
         """Noise covariances [K, P, P]. Treat as read-only."""
+        if self._phi_n is None:
+            raise ConfigurationError(
+                "this tracker keeps only the noise PSD, not the noise covariance")
         return self._phi_n
+
+    @property
+    def noise_psd(self) -> np.ndarray:
+        """Per-channel noise PSDs [K, P], the diagonal of :attr:`noise`.
+        Treat as read-only."""
+        if self._psd is not None:
+            return self._psd
+        return self._phi_n.diagonal(axis1=1, axis2=2).real
 
     @property
     def noise_inverse(self) -> np.ndarray | None:
@@ -184,19 +223,29 @@ class CovarianceTracker:
         if not np.isfinite(y).all():
             raise NumericalFailure("frame contains non-finite values")
         mask = np.asarray(speech_mask, dtype=bool)
-        outer = np.einsum("pk,qk->kpq", y, y.conj())
         a_y = self.smoothing.alpha_y
         a_n = self.smoothing.alpha_n
+        # with phi_n kept every bin absorbs an outer product, and one einsum
+        # over all bins costs less than one per gated subset of them
+        outer = _outer(y) if self._phi_n is not None else None
         speech = np.flatnonzero(mask)
         if speech.size:
-            phi = a_y * self._phi_y[speech] + (1.0 - a_y) * outer[speech]
+            fresh = outer[speech] if outer is not None else _outer(y[:, speech])
+            phi = a_y * self._phi_y[speech] + (1.0 - a_y) * fresh
             self._phi_y[speech] = phi
             if self._inv_y is not None:
                 self._inv_y[speech] = _rank_one_inverse(self._inv_y[speech],
                                                         y[:, speech].T, a_y, phi)
+        # the noise bins were not touched above, so phi_y still holds l-1 there
+        if outer is None:
+            power = np.einsum("pk,pk->kp", y, y.conj()).real
+            base = self._phi_y.diagonal(axis1=1, axis2=2).real \
+                if self.faithful_noise_recursion else self._psd
+            self._psd = np.where(mask[:, None], self._psd,
+                                 a_n * base + (1.0 - a_n) * power)
+            return
         noise = np.flatnonzero(~mask)
         if noise.size:
-            # noise bins were not touched above, so phi_y still holds l-1
             base = self._phi_y[noise] if self.faithful_noise_recursion else self._phi_n[noise]
             phi = a_n * base + (1.0 - a_n) * outer[noise]
             self._phi_n[noise] = phi

@@ -29,6 +29,13 @@ the noisy matrix, so each frame re-estimates only the bins gated as
 speech, and the cost surface recomputes a bin's angles only in the
 frames where its held estimate changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
+
+Only what is read is kept: the covariance tracker keeps the noise
+statistic that the estimator set needs and no more. ``sc`` alone leaves
+the per-channel noise PSD, the only noise statistic the SPP detector
+reads; any ``cs-head`` needs the noise covariance; any ``cw-*`` needs the
+covariance and its tracked inverse. The PSD equals the covariance's
+diagonal bit for bit, so every decision is the same in each mode.
 """
 from __future__ import annotations
 
@@ -197,10 +204,20 @@ class _HeldEstimator:
             self.ever_valid |= valid
 
 
+def _noise_stats(names: tuple[str, ...]) -> str:
+    """The least the covariance tracker must keep of the noise for these
+    estimators: the ``cw-*`` ones step with the inverse noise covariance,
+    ``cs-head`` subtracts the covariance, and ``sc`` reads no noise
+    statistic at all, so it leaves the PSD that the SPP detector reads."""
+    if any(name.startswith("cw") for name in names):
+        return "inverse"
+    return "covariance" if "cs-head" in names else "psd"
+
+
 def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int,
               cfg: SppConfig) -> np.ndarray:
     """Per-bin speech decision from the tracked noise PSD, [K] bool."""
-    noise_psd = tracker.noise.diagonal(axis1=1, axis2=2).real[:, :n_head].T
+    noise_psd = tracker.noise_psd[:, :n_head].T
     noisy_power = np.abs(y[:n_head]) ** 2
     probabilities = spp(noisy_power, noise_psd, cfg)
     return probabilities.mean(axis=0) > cfg.threshold
@@ -269,8 +286,7 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
     tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
                                 eps_init=config.eps_init,
                                 faithful_noise_recursion=config.faithful_noise_recursion,
-                                track_noise_inverse=any(
-                                    name.startswith("cw") for name in names))
+                                noise_stats=_noise_stats(names))
     states = [_HeldEstimator(name, n_bins, n_head, n_chan, config.estimator_config)
               for name in names]
     decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),

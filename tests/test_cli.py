@@ -12,10 +12,10 @@ from rtfdoa.activity import SppConfig, write_labels
 from rtfdoa.cli import main, run_config_from_dict, run_config_to_dict
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import EstimatorConfig
-from rtfdoa.evaluate import (read_trajectory_csv, read_truth_csv,
-                             write_trajectory_csv)
+from rtfdoa.evaluate import (angular_errors, read_trajectory_csv,
+                             read_truth_csv, write_trajectory_csv)
 from rtfdoa.pipeline import BLOCK_FRAMES, DoaTrajectory, RunConfig
-from rtfdoa.stft import AudioClip, StftConfig, write_wav
+from rtfdoa.stft import AudioClip, StftConfig, read_wav, write_wav
 from wavfiles import IEEE_FLOAT, fmt_chunk, wav_header
 
 SCENE = {
@@ -315,6 +315,37 @@ def test_exit_code_on_numerical_failure(workspace, tmp_path):
     write_wav(wav, AudioClip(np.zeros((5, 511)), 16000))
     assert main(["estimate", "--input", str(wav), "--database", str(workspace["db"]),
                  "--detector", "spp", "--estimator", "sc", "--output", str(out)]) == 2
+
+
+def test_estimate_with_an_all_zero_external_channel(workspace, tmp_path):
+    # a dead external microphone: sc, whose reference it is, flags every
+    # frame invalid; the estimators that can do without it still lock on
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"seed": 4, "duration_s": 4.0, "snr_db": 5.0,
+                                 "source_trajectory": [[0.0, 35.0]]}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(scene), "--output-dir", str(sim)]) == 0
+    clip = read_wav(sim / "mixed.wav")
+    samples = clip.samples.copy()
+    samples[4] = 0.0
+    wav = tmp_path / "dead_ext.wav"
+    write_wav(wav, AudioClip(samples, clip.sample_rate))
+    for detector in ("oracle", "spp"):
+        for estimator in ("sc", "cs-head", "cw-ext"):
+            out = tmp_path / f"{detector}-{estimator}.csv"
+            assert main(["estimate", "--input", str(wav),
+                         "--database", str(workspace["db"]),
+                         "--labels", str(sim / "labels.bin"),
+                         "--detector", detector, "--estimator", estimator,
+                         "--output", str(out)]) == 0, (detector, estimator)
+            traj = read_trajectory_csv(out)
+            if estimator == "sc":
+                assert not traj["valid"].any(), detector
+                continue
+            half = traj["frame"] >= traj["frame"].size // 2
+            hits = traj["valid"][half] & (
+                angular_errors(traj["azimuth_deg"][half], 35.0) <= 5.0)
+            assert hits.mean() >= 0.9, (detector, estimator, hits.mean())
 
 
 def _leaves(config, prefix=""):

@@ -177,7 +177,7 @@ def test_tracker_stays_exactly_hermitian(rng, faithful):
     # must the rank-one update of the tracked inverse
     n_bins, p = 33, 5
     tracker = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful,
-                                track_noise_inverse=True)
+                                noise_stats="inverse")
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-4.0, 4.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
@@ -187,10 +187,32 @@ def test_tracker_stays_exactly_hermitian(rng, faithful):
 
 
 @pytest.mark.parametrize("faithful", [False, True])
+def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng, faithful):
+    # a tracker that keeps only the noise PSD sees the same noisy matrices
+    # and the same PSD as one that keeps the whole noise covariance, over
+    # random gating and snapshot scales spanning sixteen decades
+    n_bins, p = 33, 5
+    psd = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful,
+                            noise_stats="psd")
+    full = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful)
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
+        mask = rng.random(n_bins) < rng.random()
+        psd.update_frame(y, mask)
+        full.update_frame(y, mask)
+        assert np.array_equal(psd.noise_psd,
+                              full.noise.diagonal(axis1=1, axis2=2).real)
+        assert np.array_equal(psd.noisy, full.noisy)
+    assert np.array_equal(full.noise_psd, psd.noise_psd)
+    assert psd.noise_inverse is None
+
+
+@pytest.mark.parametrize("faithful", [False, True])
 def test_tracked_inverse_matches_inverse_of_noise(rng, faithful):
     n_bins, p = 9, 5
     tracker = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful,
-                                track_noise_inverse=True)
+                                noise_stats="inverse")
     for _ in range(200):
         y = _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
         tracker.update_frame(y, rng.random(n_bins) < 0.3)
@@ -220,7 +242,7 @@ def test_tracked_inverse_does_not_drift(faithful):
     speech_share = 0.2 if faithful else 0.0
     tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.95, 0.97),
                                 faithful_noise_recursion=faithful,
-                                track_noise_inverse=True)
+                                noise_stats="inverse")
     errors = []
     frame = 0
     while frame < n_frames:
@@ -258,7 +280,7 @@ def test_tracked_inverse_recovers_after_digital_silence(rng, faithful, n_silent)
     n_bins, p = 6, 5
     tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.5, 0.5),
                                 faithful_noise_recursion=faithful,
-                                track_noise_inverse=True)
+                                noise_stats="inverse")
 
     def frames(n, scale):
         for _ in range(n):
@@ -285,9 +307,13 @@ def test_tracker_validation(rng):
         tracker.update_frame(bad, np.ones(3, bool))
     with pytest.raises(ConfigurationError):
         CovarianceTracker(0, 3, SM)
+    with pytest.raises(ConfigurationError, match="noise_stats"):
+        CovarianceTracker(2, 3, SM, noise_stats="cholesky")
+    with pytest.raises(ConfigurationError, match="only the noise PSD"):
+        CovarianceTracker(2, 3, SM, noise_stats="psd").noise
     with pytest.raises(ConfigurationError):
         CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0),
-                          track_noise_inverse=True)
+                          noise_stats="inverse")
     with pytest.raises(ConfigurationError):
         CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.0, alpha_n=0.9),
-                          faithful_noise_recursion=True, track_noise_inverse=True)
+                          faithful_noise_recursion=True, noise_stats="inverse")

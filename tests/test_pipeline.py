@@ -97,19 +97,31 @@ def test_trajectory_bookkeeping(noiseless):
 
 
 def test_sc_never_reads_noise_covariance(database, monkeypatch):
-    out = _scene(seed=43)
+    # neither sc nor the SPP detector, which reads only the noise PSD,
+    # touches the noise covariance
+    out = _scene(seed=43, snr_db=5.0)
     labels = _labels(out)
-    config = RunConfig(estimator="sc")
 
     def no_noise(self):
         raise AssertionError("noise covariance read")
 
-    monkeypatch.setattr(CovarianceTracker, "noise", property(no_noise))
-    traj = track_multi(out.mixed, database, config, ("sc",), labels)["sc"]
-    assert traj.valid.any()
-    # the subtraction estimator reads it, so the guard does fire
-    with pytest.raises(AssertionError, match="noise covariance read"):
-        track_multi(out.mixed, database, config, ("cs-head",), labels)
+    for detector in DETECTOR_NAMES:
+        config = RunConfig(estimator="sc", detector=detector)
+        # beside cs-head the tracker keeps the whole noise covariance
+        beside = track_multi(out.mixed, database, config, ("sc", "cs-head"),
+                             labels, keep_cost_surfaces=True)["sc"]
+        with monkeypatch.context() as patch:
+            patch.setattr(CovarianceTracker, "noise", property(no_noise))
+            alone = track_multi(out.mixed, database, config, ("sc",), labels,
+                                keep_cost_surfaces=True)["sc"]
+            # the subtraction estimator reads it, so the guard does fire
+            with pytest.raises(AssertionError, match="noise covariance read"):
+                track_multi(out.mixed, database, config, ("cs-head",), labels)
+        assert alone.valid.any(), detector
+        for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
+            np.testing.assert_array_equal(getattr(alone, field),
+                                          getattr(beside, field),
+                                          err_msg=f"{detector} {field}")
 
 
 def test_cost_surface_request(database):
