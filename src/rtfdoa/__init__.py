@@ -7,15 +7,14 @@ matched against a prototype grid by the frequency-averaged Hermitian
 angle. A scene simulator, scoring harness, and CLI round out the
 package.
 """
-from .activity import (LabelBitmap, SppConfig, oracle_labels, read_labels, spp,
+from .activity import (LabelBitmap, oracle_labels, read_labels, spp,
                        write_labels)
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import (PrototypeDatabase, argmin_directions, cost_surface_frames,
                   default_grid, generate_prototypes, load_database,
                   save_database)
 from .errors import ConfigurationError, NumericalFailure
-from .estimators import (EstimatorConfig, WhitenedTracker, batch_cs, batch_cw,
-                         batch_sc)
+from .estimators import WhitenedTracker, batch_cs, batch_cw, batch_sc
 from .evaluate import (Metrics, accuracy, angular_errors, evaluate_csv,
                        run_scene, run_sweep, score)
 from .geometry import (ArrayGeometry, azimuth_to_unit, binaural_head_positions,

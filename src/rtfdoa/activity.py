@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,48 +17,33 @@ log = logging.getLogger(__name__)
 
 _LABEL_MAGIC = b"DOALBL01"
 
-
-@dataclass(frozen=True)
-class SppConfig:
-    """Fixed-prior Gaussian speech presence probability model.
-
-    ``prior`` is the a-priori speech presence probability q and
-    ``fixed_snr_db`` the fixed optimal a-priori SNR of the active state.
-    """
-
-    prior: float = 0.5
-    fixed_snr_db: float = 15.0
-    threshold: float = 0.5
-    noise_psd_floor: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.prior < 1.0:
-            raise ConfigurationError("prior must lie strictly inside (0, 1)")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigurationError("threshold must lie in [0, 1]")
-        if self.noise_psd_floor <= 0.0:
-            raise ConfigurationError("noise_psd_floor must be positive")
+# the fixed-prior detector of Gerkmann & Hendriks (IEEE TASLP 2012): a-priori
+# speech presence probability q and a-priori SNR xi of the active state
+SPP_PRIOR = 0.5
+SPP_FIXED_SNR_DB = 15.0
+# non-positive noise PSD values are clamped to this before dividing
+NOISE_PSD_FLOOR = 1e-12
 
 
-def spp(noisy_power, noise_psd, cfg: SppConfig | None = None) -> np.ndarray:
+def spp(noisy_power, noise_psd) -> np.ndarray:
     """Speech presence probability of noisy periodogram values.
 
-    With a-posteriori SNR ``gamma = noisy_power / noise_psd`` and fixed
-    a-priori SNR ``xi``::
+    With a-posteriori SNR ``gamma = noisy_power / noise_psd``, prior ``q``
+    (:data:`SPP_PRIOR`) and fixed a-priori SNR ``xi``
+    (:data:`SPP_FIXED_SNR_DB`)::
 
         p = 1 / (1 + (1-q)/q * (1+xi) * exp(-gamma * xi / (1+xi)))
 
-    Non-positive noise PSD values are clamped to the configured floor.
+    Non-positive noise PSD values are clamped to :data:`NOISE_PSD_FLOOR`.
     """
-    cfg = cfg or SppConfig()
     power = np.asarray(noisy_power, dtype=np.float64)
     psd = np.asarray(noise_psd, dtype=np.float64)
     if np.any(psd <= 0.0):
-        log.warning("non-positive noise PSD clamped to floor %.1e", cfg.noise_psd_floor)
-        psd = np.maximum(psd, cfg.noise_psd_floor)
-    xi = 10.0 ** (cfg.fixed_snr_db / 10.0)
+        log.warning("non-positive noise PSD clamped to floor %.1e", NOISE_PSD_FLOOR)
+        psd = np.maximum(psd, NOISE_PSD_FLOOR)
+    xi = 10.0 ** (SPP_FIXED_SNR_DB / 10.0)
     gamma = power / psd
-    odds_inv = (1.0 - cfg.prior) / cfg.prior * (1.0 + xi) * np.exp(-gamma * xi / (1.0 + xi))
+    odds_inv = (1.0 - SPP_PRIOR) / SPP_PRIOR * (1.0 + xi) * np.exp(-gamma * xi / (1.0 + xi))
     return 1.0 / (1.0 + odds_inv)
 
 

@@ -38,10 +38,6 @@ from .stft import (DEFAULT_SAMPLE_RATE, StftConfig, WavReader, frame_times,
 log = logging.getLogger(__name__)
 
 
-def run_config_to_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
     return config_from_dict(RunConfig, data, "run-config")
 
@@ -134,7 +130,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     write_trajectory_csv(out, traj)
     if args.cost_surface is not None:
         np.save(args.cost_surface, traj.cost_surface)
-    resolved = run_config_to_dict(config)
+    resolved = dataclasses.asdict(config)
     resolved["warmup_frames"] = traj.warmup_frames
     resolved["input"] = str(args.input)
     resolved["database"] = str(args.database)
@@ -171,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(matrix, db, base)
     out = Path(args.output)
     write_sweep_csv(out, rows)
-    resolved = run_config_to_dict(base)
+    resolved = dataclasses.asdict(base)
     del resolved["estimator"]  # the matrix's estimators run, recorded below
     resolved["matrix"] = matrix
     resolved["database"] = str(args.database)
@@ -219,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noisy-covariance time constant in seconds")
     p.add_argument("--tau-n", dest="tau_n_s", type=float, default=None,
                    help="noise-covariance time constant in seconds")
-    p.add_argument("--faithful-noise-recursion",
-                   action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--cost-surface", default=None,
                    help="optional .npy dump of the full cost surface")
     p.set_defaults(func=_cmd_estimate)

@@ -7,7 +7,8 @@ exponentially smoothed convex combination::
 
     phi <- alpha * phi + (1 - alpha) * y y^H
 
-Both matrices start from ``eps * I`` and stay exactly Hermitian in
+This is the paper's plain gated recursion: each matrix decays only its
+own previous value, and the other one is left as it was. Both matrices start from ``eps * I`` and stay exactly Hermitian in
 floating point without re-symmetrization: entry (q, p) of ``y y^H`` is
 computed from the same two products as entry (p, q), with the imaginary
 difference taken in the opposite order, so it is the exact conjugate
@@ -42,9 +43,7 @@ stable only if ``M`` stays exactly Hermitian (M. Verhaegen, Automatica,
 exact conjugates of their mirrors. A broadcast product such as
 ``g[:, :, None] * g.conj()[:, None, :]`` is not (the imaginary parts of
 mirrored entries can differ in the last bit), and with it the inverse
-drifts away from ``phi_n^-1`` within a few hundred frames. Under the
-faithful noise recursion the noise update starts from ``phi_y``, so
-``phi_y^-1`` is tracked too, by the same step in the speech bins.
+drifts away from ``phi_n^-1`` within a few hundred frames.
 
 The recursion alone cannot recover from a stretch of exact digital zeros:
 each silent frame scales ``phi`` by ``alpha`` and ``M`` by ``1/alpha``,
@@ -163,7 +162,6 @@ class CovarianceTracker:
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
                  eps_init: float = DEFAULT_EPS_INIT,
-                 faithful_noise_recursion: bool = False,
                  noise_stats: str = "covariance") -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
@@ -171,10 +169,9 @@ class CovarianceTracker:
             raise ConfigurationError(
                 f"noise_stats must be one of {NOISE_STATS}, got '{noise_stats}'")
         inverse = noise_stats == "inverse"
-        if inverse and (smoothing.alpha_n == 0.0 or (
-                faithful_noise_recursion and smoothing.alpha_y == 0.0)):
+        if inverse and smoothing.alpha_n == 0.0:
             raise ConfigurationError(
-                "a tracked inverse needs smoothing factors above 0")
+                "a tracked inverse needs a noise smoothing factor above 0")
         eye = np.eye(n_channels, dtype=np.complex128)
         self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
         self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1)) \
@@ -182,10 +179,7 @@ class CovarianceTracker:
         self._psd = np.full((n_bins, n_channels), eps_init) \
             if noise_stats == "psd" else None
         self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1)) if inverse else None
-        self._inv_y = self._inv_n.copy() \
-            if inverse and faithful_noise_recursion else None
         self.smoothing = smoothing
-        self.faithful_noise_recursion = faithful_noise_recursion
         self.n_channels = n_channels
         self.n_bins = n_bins
 
@@ -231,25 +225,16 @@ class CovarianceTracker:
         speech = np.flatnonzero(mask)
         if speech.size:
             fresh = outer[speech] if outer is not None else _outer(y[:, speech])
-            phi = a_y * self._phi_y[speech] + (1.0 - a_y) * fresh
-            self._phi_y[speech] = phi
-            if self._inv_y is not None:
-                self._inv_y[speech] = _rank_one_inverse(self._inv_y[speech],
-                                                        y[:, speech].T, a_y, phi)
-        # the noise bins were not touched above, so phi_y still holds l-1 there
+            self._phi_y[speech] = a_y * self._phi_y[speech] + (1.0 - a_y) * fresh
         if outer is None:
             power = np.einsum("pk,pk->kp", y, y.conj()).real
-            base = self._phi_y.diagonal(axis1=1, axis2=2).real \
-                if self.faithful_noise_recursion else self._psd
             self._psd = np.where(mask[:, None], self._psd,
-                                 a_n * base + (1.0 - a_n) * power)
+                                 a_n * self._psd + (1.0 - a_n) * power)
             return
         noise = np.flatnonzero(~mask)
         if noise.size:
-            base = self._phi_y[noise] if self.faithful_noise_recursion else self._phi_n[noise]
-            phi = a_n * base + (1.0 - a_n) * outer[noise]
+            phi = a_n * self._phi_n[noise] + (1.0 - a_n) * outer[noise]
             self._phi_n[noise] = phi
             if self._inv_n is not None:
-                base = self._inv_n if self._inv_y is None else self._inv_y
-                self._inv_n[noise] = _rank_one_inverse(base[noise], y[:, noise].T,
-                                                       a_n, phi)
+                self._inv_n[noise] = _rank_one_inverse(self._inv_n[noise],
+                                                       y[:, noise].T, a_n, phi)

@@ -3,7 +3,7 @@
 All estimators return RTF vectors normalized so the reference (first
 head microphone) entry is exactly ``1 + 0j``:
 
-* covariance subtraction (``cs``): selected column of the difference
+* covariance subtraction (``cs``): reference column of the difference
   ``phi_y - phi_n``, normalized by its reference entry;
 * covariance whitening (``cw``): the noise covariance is Cholesky
   factored as ``phi_n = L L^H``, the principal eigenvector ``v`` of the
@@ -14,8 +14,9 @@ head microphone) entry is exactly ``1 + 0j``:
   Needs no noise statistics, assuming noise at the external microphone
   is uncorrelated with noise at the head.
 
-Batch variants operate on [K, P, P] stacks, one matrix pair per
-frequency bin. Covariance whitening comes in two forms:
+An estimate is invalid where its normalizer is tiny against the matrix
+scale (:data:`DENOM_FLOOR`). Batch variants operate on [K, P, P] stacks,
+one matrix pair per frequency bin. Covariance whitening comes in two forms:
 
 * :func:`batch_cw` is exact and one-shot, the reference the tests
   compare against. Its :class:`WhitenedTracker` Cholesky-factors the
@@ -36,8 +37,6 @@ frequency bin. Covariance whitening comes in two forms:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -50,25 +49,9 @@ _TINY = np.finfo(np.float64).tiny
 # eigenvalue; the pipeline's tracked CW steps with the unloaded inverse
 DIAG_LOAD_REL = 1e-10
 
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Numerical knobs shared by the estimators.
-
-    ``column_index`` selects the covariance column used by the
-    subtraction estimator (0 = reference microphone). ``denom_floor``
-    invalidates estimates whose normalizer is tiny relative to the
-    matrix scale.
-    """
-
-    column_index: int = 0
-    denom_floor: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.column_index < 0:
-            raise ConfigurationError("column_index must be >= 0")
-        if self.denom_floor < 0.0:
-            raise ConfigurationError("denom_floor must be non-negative")
+# an estimate is invalid when its normalizer falls below this share of the
+# matrix scale (the Frobenius norm of phi_y, or the norm of the CW vector)
+DENOM_FLOOR = 1e-12
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -84,11 +67,12 @@ def _check_stack(phi: np.ndarray, name: str) -> np.ndarray:
     return phi
 
 
-def _normalize_columns(cols: np.ndarray, scale: np.ndarray,
-                       floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each row by its first entry; flag rows with tiny normalizers."""
+def _normalize_columns(cols: np.ndarray,
+                       scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each row by its first entry; flag rows whose normalizer is
+    tiny against ``scale``."""
     denom = cols[:, 0]
-    valid = np.abs(denom) >= np.maximum(floor * scale, _TINY)
+    valid = np.abs(denom) >= np.maximum(DENOM_FLOOR * scale, _TINY)
     safe = np.where(valid, denom, 1.0)
     values = cols / safe[:, None]
     values[~valid] = 0.0
@@ -123,34 +107,29 @@ def _eigh_principal(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return v, ok
 
 
-def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray,
-             cfg: EstimatorConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance-subtraction RTF per bin: column ``j`` of ``phi_y - phi_n``
-    divided by its reference entry. Returns (values [K,P], valid [K])."""
-    cfg = cfg or EstimatorConfig()
+def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance-subtraction RTF per bin: the reference column of
+    ``phi_y - phi_n`` divided by its reference entry. Returns
+    (values [K,P], valid [K])."""
     py = _check_stack(phi_y, "phi_y")
     pn = _check_stack(phi_n, "phi_n")
     if py.shape != pn.shape:
         raise ConfigurationError("phi_y and phi_n shapes differ")
-    if cfg.column_index >= py.shape[-1]:
-        raise ConfigurationError("column_index outside matrix dimension")
-    cols = (py - pn)[:, :, cfg.column_index]
-    return _normalize_columns(cols, _frobenius(py), cfg.denom_floor)
+    cols = (py - pn)[:, :, 0]
+    return _normalize_columns(cols, _frobenius(py))
 
 
-def batch_sc(phi_y: np.ndarray,
-             cfg: EstimatorConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def batch_sc(phi_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spatial-coherence RTF per bin from the external-microphone column.
 
     Uses only ``phi_y``: head entries of ``phi_y e_P`` divided by the
     reference entry of that column. Returns (values [K,P-1], valid [K]).
     """
-    cfg = cfg or EstimatorConfig()
     py = _check_stack(phi_y, "phi_y")
     if py.shape[-1] < 2:
         raise ConfigurationError("spatial coherence needs at least two channels")
     cols = py[:, :, -1]
-    values, valid = _normalize_columns(cols, _frobenius(py), cfg.denom_floor)
+    values, valid = _normalize_columns(cols, _frobenius(py))
     return values[:, :-1], valid
 
 
@@ -189,11 +168,9 @@ class WhitenedTracker:
     state carries over.
     """
 
-    def __init__(self, n_bins: int, dim: int,
-                 cfg: EstimatorConfig | None = None) -> None:
+    def __init__(self, n_bins: int, dim: int) -> None:
         if dim < 2:
             raise ConfigurationError("whitening needs at least two channels")
-        self.cfg = cfg or EstimatorConfig()
         self.dim = dim
         self.n_bins = n_bins
         self._chol = np.tile(np.eye(dim, dtype=np.complex128), (n_bins, 1, 1))
@@ -213,8 +190,7 @@ class WhitenedTracker:
         phi_w = self._linv @ phi_y @ linv_h
         v, converged = _eigh_principal(phi_w)
         u = np.einsum("kpq,kq->kp", self._chol, v)
-        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1),
-                                           self.cfg.denom_floor)
+        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1))
         valid &= self._chol_ok & converged
         values[~valid] = 0.0
         return values, valid
@@ -258,14 +234,12 @@ class PowerCwTracker:
 
     A bin is invalid when the step gives a zero or non-finite vector
     (``w`` then restarts), or when the reference entry falls below
-    ``denom_floor`` times the norm of the estimate.
+    ``DENOM_FLOOR`` times the norm of the estimate.
     """
 
-    def __init__(self, n_bins: int, dim: int,
-                 cfg: EstimatorConfig | None = None) -> None:
+    def __init__(self, n_bins: int, dim: int) -> None:
         if dim < 2:
             raise ConfigurationError("whitening needs at least two channels")
-        self.cfg = cfg or EstimatorConfig()
         self.dim = dim
         self._start = _power_start(dim)
         self._w = np.tile(self._start, (n_bins, 1))
@@ -280,20 +254,18 @@ class PowerCwTracker:
         stepped = np.isfinite(norm) & (norm > _TINY)
         self._w = np.where(stepped[:, None],
                            w / np.where(stepped, norm, 1.0)[:, None], self._start)
-        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1),
-                                           self.cfg.denom_floor)
+        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1))
         valid &= stepped
         values[~valid] = 0.0
         return values, valid
 
 
-def batch_cw(phi_y: np.ndarray, phi_n: np.ndarray,
-             cfg: EstimatorConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def batch_cw(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-shot covariance-whitening RTF per bin (no carried state)."""
     py = _check_stack(phi_y, "phi_y")
     pn = _check_stack(phi_n, "phi_n")
     if py.shape != pn.shape:
         raise ConfigurationError("phi_y and phi_n shapes differ")
-    tracker = WhitenedTracker(py.shape[0], py.shape[-1], cfg)
+    tracker = WhitenedTracker(py.shape[0], py.shape[-1])
     tracker.refresh_noise(pn)
     return tracker.estimate(py)

@@ -25,7 +25,7 @@ import json
 import logging
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
@@ -85,23 +85,10 @@ class Metrics:
     real_time_factor: float | None
     errors_deg: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "tolerance_deg": self.tolerance_deg,
-            "frames_total": self.frames_total,
-            "frames_scored": self.frames_scored,
-            "accuracy_pct": self.accuracy_pct,
-            "rms_error_deg": self.rms_error_deg,
-            "invalid_frames": self.invalid_frames,
-            "real_time_factor": self.real_time_factor,
-            "errors_deg": list(self.errors_deg),
-        }
-
 
 def write_metrics_json(path: str | Path, metrics: Metrics) -> None:
     Path(path).write_text(
-        json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n")
+        json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n")
 
 
 def _scored_start(n_frames: int, warmup: int, eval_window: float) -> int:
@@ -299,12 +286,21 @@ _SWEEP_AXES = {
     "reverb_proxies_db": (False, "numbers or null", _is_number_or_null),
     "externals": (False, "[azimuth_deg, distance_m] pairs", _is_external),
 }
+# run-config entries a matrix may override, and scene entries shared by its cells
+_SWEEP_OVERRIDES = ("detector", "tau_y_s", "tau_n_s", "eval_window",
+                    "tolerance_deg")
+_SWEEP_SCENE_KEYS = ("reverb_proxy_db", "duration_s", "diffuse_order")
 
 
 def _check_sweep_matrix(matrix: dict) -> None:
-    """Raise :class:`ConfigurationError`, naming the key, for a missing
-    required axis or an axis of the wrong shape or type. The scalar scene
-    entries are checked by the :class:`SceneSpec` they go into."""
+    """Raise :class:`ConfigurationError`, naming the key, for an unknown
+    key, a missing required axis or an axis of the wrong shape or type.
+    The scalar scene entries are checked by the :class:`SceneSpec` they go
+    into."""
+    unknown = set(matrix) - set(_SWEEP_AXES) - set(_SWEEP_OVERRIDES) \
+        - set(_SWEEP_SCENE_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown sweep matrix keys: {sorted(unknown)}")
     for key, (required, what, check) in _SWEEP_AXES.items():
         if key not in matrix:
             if required:
@@ -322,10 +318,14 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
 
     Required axes: ``estimators``, ``azimuths_deg``, ``snrs_db``,
     ``seeds``. Optional axes: ``reverb_proxies_db`` (default anechoic)
-    and ``externals`` as [azimuth_deg, distance_m] pairs. Every axis is
-    checked before any cell runs; a missing axis, or one that is not a
-    list of entries of its type, raises :class:`ConfigurationError`
-    naming the key.
+    and ``externals`` as [azimuth_deg, distance_m] pairs. Besides the
+    axes a matrix may hold the run-config entries ``detector``,
+    ``tau_y_s``, ``tau_n_s``, ``eval_window`` and ``tolerance_deg``, which
+    override ``base_config``, and the scene entries ``reverb_proxy_db``
+    (used without ``reverb_proxies_db``), ``duration_s`` and
+    ``diffuse_order``. Every key is checked before any cell runs; an
+    unknown key, a missing axis, or an axis that is not a list of entries
+    of its type raises :class:`ConfigurationError` naming the key.
 
     A cell is one seed, azimuth, reverb proxy, external position and SNR.
     Every cell's :class:`~rtfdoa.simulate.SceneSpec`, SNR included, is
@@ -366,9 +366,7 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     externals = [tuple(e) for e in matrix.get("externals", [(45.0, 1.6)])]
     duration = matrix.get("duration_s", 30.0)
     diffuse_order = matrix.get("diffuse_order", 96)
-    overrides = {k: matrix[k] for k in
-                 ("detector", "tau_y_s", "tau_n_s", "eval_window",
-                  "tolerance_deg") if k in matrix}
+    overrides = {k: matrix[k] for k in _SWEEP_OVERRIDES if k in matrix}
     if overrides:
         # reject entries of the wrong type as a run-config file would
         config_from_dict(RunConfig, overrides, "sweep matrix")

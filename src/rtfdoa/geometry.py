@@ -111,9 +111,7 @@ def plane_wave_delays(positions: np.ndarray, azimuth_deg) -> np.ndarray:
     ``tau = -(p . u) / c`` is negative. Returns seconds, shaped like the
     broadcast of ``azimuth_deg`` with a trailing microphone axis.
     """
-    u = azimuth_to_unit(azimuth_deg)
-    pos = np.asarray(positions, dtype=np.float64)
-    return -(u @ pos.T) / SPEED_OF_SOUND
+    return plane_wave_delays_3d(positions, azimuth_to_unit(azimuth_deg))
 
 
 def plane_wave_delays_3d(positions: np.ndarray, unit_vectors: np.ndarray) -> np.ndarray:

@@ -18,6 +18,13 @@ rank-one steps in the noise-gated bins only when a whitening estimator
 runs. Both whitening variants share that one inverse: ``cw-head`` reads
 its head block's inverse from it through a Schur complement.
 
+The detector is either the oracle labels or the fixed-prior SPP of
+:func:`~rtfdoa.activity.spp`, whose model and decision rule are module
+constants, not run-config entries: the SPP gates every bin as noise for
+the first :data:`SPP_BOOTSTRAP_FRAMES` frames and then marks a bin as
+speech when its head channels' mean probability exceeds
+:data:`SPP_THRESHOLD`.
+
 Estimates are held per bin across invalid frames ("hold last valid"), so
 a bin keeps contributing its most recent usable RTF while the detector
 gates its updates off. Bins that never produced a valid estimate are
@@ -45,12 +52,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import LabelBitmap, SppConfig, spp
+from .activity import LabelBitmap, spp
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import PrototypeDatabase, argmin_directions, cost_surface_frames
 from .errors import ConfigurationError, NumericalFailure
-from .estimators import (EstimatorConfig, PowerCwTracker, batch_cs, batch_sc,
-                         schur_head_inverse)
+from .estimators import PowerCwTracker, batch_cs, batch_sc, schur_head_inverse
 from .stft import (AudioClip, StftConfig, WavReader, analyze, frame_times,
                    num_frames)
 
@@ -63,6 +69,12 @@ DEFAULT_TAU_N_S = 0.5
 # frames per block of the streaming pass; the block's STFT, estimate
 # stores and cost surface are the only arrays that scale with it
 BLOCK_FRAMES = 128
+
+# the SPP detector gates the first frames as noise, so that the noise PSD
+# it divides by has absorbed some frames before it decides
+SPP_BOOTSTRAP_FRAMES = 10
+# a bin is speech when its head channels' mean SPP exceeds this
+SPP_THRESHOLD = 0.5
 
 
 def check_scoring(eval_window: float, tolerance_deg: float) -> None:
@@ -80,9 +92,7 @@ class RunConfig:
 
     ``eval_window`` is the trailing fraction of frames that scoring uses
     (0.5 reproduces the second-half convention for static scenes, 1.0
-    scores everything after warm-up). ``faithful_noise_recursion``
-    switches the noise update to decay the noisy matrix instead of the
-    previous noise matrix; see the covariance module.
+    scores everything after warm-up).
     """
 
     estimator: str = "cw-ext"
@@ -91,12 +101,7 @@ class RunConfig:
     tau_n_s: float = DEFAULT_TAU_N_S
     eval_window: float = 0.5
     tolerance_deg: float = 5.0
-    eps_init: float = 1e-6
-    faithful_noise_recursion: bool = False
     oracle_margin_db: float = -10.0
-    spp_bootstrap_frames: int = 10
-    estimator_config: EstimatorConfig = field(default_factory=EstimatorConfig)
-    spp_config: SppConfig = field(default_factory=SppConfig)
     stft: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self) -> None:
@@ -109,8 +114,6 @@ class RunConfig:
         if self.tau_y_s <= 0.0 or self.tau_n_s <= 0.0:
             raise ConfigurationError("time constants must be positive")
         check_scoring(self.eval_window, self.tolerance_deg)
-        if self.spp_bootstrap_frames < 1:
-            raise ConfigurationError("spp_bootstrap_frames must be >= 1")
 
     def smoothing(self, sample_rate: int) -> SmoothingConfig:
         return SmoothingConfig.from_time_constants(
@@ -167,15 +170,13 @@ class DoaTrajectory:
 class _HeldEstimator:
     """Wraps a batch estimator with per-bin hold-last-valid storage."""
 
-    def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int,
-                 cfg: EstimatorConfig) -> None:
+    def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int) -> None:
         self.name = name
         self.n_head = n_head
-        self.cfg = cfg
         self.held = np.zeros((n_bins, n_head), dtype=np.complex64)
         self.ever_valid = np.zeros(n_bins, dtype=bool)
         dim = n_channels if name == "cw-ext" else n_head
-        self.cw = PowerCwTracker(n_bins, dim, cfg) if name.startswith("cw") else None
+        self.cw = PowerCwTracker(n_bins, dim) if name.startswith("cw") else None
 
     def step(self, tracker: CovarianceTracker, speech_mask: np.ndarray) -> None:
         m = self.n_head
@@ -185,14 +186,14 @@ class _HeldEstimator:
             # still holds eps * I, whose zero reference entry is invalid
             if not speech_mask.any():
                 return
-            values, valid = batch_sc(tracker.noisy[speech_mask], self.cfg)
+            values, valid = batch_sc(tracker.noisy[speech_mask])
             bins = np.flatnonzero(speech_mask)[valid]
             self.held[bins] = values[valid, :m].astype(np.complex64)
             self.ever_valid[bins] = True
             return
         if self.name == "cs-head":
             values, valid = batch_cs(tracker.noisy[:, :m, :m],
-                                     tracker.noise[:, :m, :m], self.cfg)
+                                     tracker.noise[:, :m, :m])
         else:
             dim = self.cw.dim
             values, valid = self.cw.estimate(
@@ -214,13 +215,12 @@ def _noise_stats(names: tuple[str, ...]) -> str:
     return "covariance" if "cs-head" in names else "psd"
 
 
-def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int,
-              cfg: SppConfig) -> np.ndarray:
+def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int) -> np.ndarray:
     """Per-bin speech decision from the tracked noise PSD, [K] bool."""
     noise_psd = tracker.noise_psd[:, :n_head].T
     noisy_power = np.abs(y[:n_head]) ** 2
-    probabilities = spp(noisy_power, noise_psd, cfg)
-    return probabilities.mean(axis=0) > cfg.threshold
+    probabilities = spp(noisy_power, noise_psd)
+    return probabilities.mean(axis=0) > SPP_THRESHOLD
 
 
 def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
@@ -284,11 +284,8 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             f"labels shaped {labels.shape}, expected {(n_bins, n_frames)}")
 
     tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
-                                eps_init=config.eps_init,
-                                faithful_noise_recursion=config.faithful_noise_recursion,
                                 noise_stats=_noise_stats(names))
-    states = [_HeldEstimator(name, n_bins, n_head, n_chan, config.estimator_config)
-              for name in names]
+    states = [_HeldEstimator(name, n_bins, n_head, n_chan) for name in names]
     decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),
                         np.zeros(n_frames, dtype=bool)) for name in names}
     surfaces = {name: np.full((n_frames, db.n_directions), np.nan)
@@ -319,10 +316,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             y = np.ascontiguousarray(data[:, :, i])
             if labels is not None:
                 mask = block_labels[:, i]
-            elif l < config.spp_bootstrap_frames:
+            elif l < SPP_BOOTSTRAP_FRAMES:
                 mask = np.zeros(n_bins, dtype=bool)
             else:
-                mask = _spp_mask(y, tracker, n_head, config.spp_config)
+                mask = _spp_mask(y, tracker, n_head)
             tracker.update_frame(y, mask)
             for state, store, valid_store in zip(states, stores, valid_stores):
                 state.step(tracker, mask)

@@ -43,14 +43,8 @@ def initial_state(n_channels: int, eps: float = DEFAULT_EPS_INIT) -> CovarianceS
 
 
 def update(state: CovarianceState, y: np.ndarray,
-           label: bool, smoothing: SmoothingConfig,
-           faithful_noise_recursion: bool = False) -> CovarianceState:
-    """One gated recursion step; returns the new state.
-
-    ``faithful_noise_recursion`` decays the previous *noisy* matrix inside
-    the noise update (a published variant of the recursion) instead of the
-    previous noise matrix.
-    """
+           label: bool, smoothing: SmoothingConfig) -> CovarianceState:
+    """One gated recursion step; returns the new state."""
     y = np.asarray(y, dtype=np.complex128)
     if not np.isfinite(y).all():
         raise NumericalFailure("snapshot contains non-finite values")
@@ -59,8 +53,7 @@ def update(state: CovarianceState, y: np.ndarray,
         phi_y = _hermitize(smoothing.alpha_y * state.phi_y
                            + (1.0 - smoothing.alpha_y) * outer)
         return replace(state, phi_y=phi_y, frames_seen_y=state.frames_seen_y + 1)
-    base = state.phi_y if faithful_noise_recursion else state.phi_n
-    phi_n = _hermitize(smoothing.alpha_n * base
+    phi_n = _hermitize(smoothing.alpha_n * state.phi_n
                        + (1.0 - smoothing.alpha_n) * outer)
     return replace(state, phi_n=phi_n, frames_seen_n=state.frames_seen_n + 1)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtfdoa.activity import (
-    SppConfig,
     oracle_labels,
     oracle_labels_from_power,
     read_labels,
@@ -15,6 +14,7 @@ from rtfdoa.activity import (
 )
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError
+from rtfdoa import pipeline
 from rtfdoa.pipeline import _spp_mask
 
 
@@ -60,7 +60,7 @@ def _tracker_with_unit_noise(n_bins):
                              eps_init=1.0)
 
 
-def test_classify_frame_decisions():
+def test_classify_frame_decisions(monkeypatch):
     # per bin, the channel probabilities are averaged and compared with
     # the threshold; with a unit noise PSD a silent channel reads
     # 1/(2 + xi) ~ 0.03 and a loud one exactly 1.0
@@ -72,10 +72,11 @@ def test_classify_frame_decisions():
     y[:3, 2] = loud
     y[:4, 3] = loud  # all four: mean exactly 1.0
     y[4, 4] = loud   # only the external channel, which the rule ignores
-    mask = _spp_mask(y, tracker, 4, SppConfig())
+    mask = _spp_mask(y, tracker, 4)
     np.testing.assert_array_equal(mask, [False, True, True, True, False])
     # strict inequality: a mean exactly at the threshold reads noise-only
-    assert not _spp_mask(y, tracker, 4, SppConfig(threshold=1.0))[3]
+    monkeypatch.setattr(pipeline, "SPP_THRESHOLD", 1.0)
+    assert not _spp_mask(y, tracker, 4)[3]
 
 
 def test_classify_frame_order_invariant(rng):
@@ -84,23 +85,12 @@ def test_classify_frame_order_invariant(rng):
     tracker = _tracker_with_unit_noise(n_bins)
     y = (rng.standard_normal((5, n_bins))
          + 1j * rng.standard_normal((5, n_bins))) * rng.uniform(0.0, 3.0)
-    mask = _spp_mask(y, tracker, 4, SppConfig())
+    mask = _spp_mask(y, tracker, 4)
     assert mask.any() and not mask.all()
     for _ in range(5):
         order = np.concatenate([rng.permutation(4), [4]])
         np.testing.assert_array_equal(
-            _spp_mask(y[order], tracker, 4, SppConfig()), mask)
-
-
-def test_spp_config_validation():
-    with pytest.raises(ConfigurationError):
-        SppConfig(prior=0.0)
-    with pytest.raises(ConfigurationError):
-        SppConfig(prior=1.0)
-    with pytest.raises(ConfigurationError):
-        SppConfig(threshold=1.5)
-    with pytest.raises(ConfigurationError):
-        SppConfig(noise_psd_floor=0.0)
+            _spp_mask(y[order], tracker, 4), mask)
 
 
 def test_oracle_labels_from_power_margin():

@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtfdoa.activity import SppConfig, write_labels
-from rtfdoa.cli import main, run_config_from_dict, run_config_to_dict
+from rtfdoa.activity import write_labels
+from rtfdoa.cli import main, run_config_from_dict
 from rtfdoa.errors import ConfigurationError
-from rtfdoa.estimators import EstimatorConfig
 from rtfdoa.evaluate import (angular_errors, read_trajectory_csv,
                              read_truth_csv, write_trajectory_csv)
 from rtfdoa.pipeline import BLOCK_FRAMES, DoaTrajectory, RunConfig
@@ -152,7 +151,7 @@ def test_sweep_rejects_estimator_flag(workspace, tmp_path, capsys):
     assert "--estimator" in capsys.readouterr().err
 
 
-def test_exit_code_on_bad_configuration(workspace, tmp_path):
+def test_exit_code_on_bad_configuration(workspace, tmp_path, capsys):
     # step that does not divide the circle
     assert main(["prototypes", "--output", str(tmp_path / "db"),
                  "--step-deg", "7"]) == 2
@@ -162,18 +161,28 @@ def test_exit_code_on_bad_configuration(workspace, tmp_path):
     assert main(["evaluate", "--doa", str(bad),
                  "--truth", str(workspace["sim"] / "truth.csv"),
                  "--output", str(tmp_path / "m.json")]) == 2
-    # unknown key in the run-config file
+    # unknown key in the run-config file, a misspelt one or one that
+    # older resolved configs carry (the faithful recursion and the numeric
+    # settings that are now module constants)
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"estimater": "sc"}))
-    assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
-                 "--database", str(workspace["db"]), "--config", str(cfg),
-                 "--output", str(tmp_path / "d.csv")]) == 2
-    # sweep matrix missing a required axis
+    for key, value in (("estimater", "sc"), ("faithful_noise_recursion", False),
+                       ("eps_init", 1e-6), ("spp_bootstrap_frames", 10),
+                       ("spp_config", {"threshold": 0.5}),
+                       ("estimator_config", {"column_index": 0})):
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
+                     "--database", str(workspace["db"]), "--config", str(cfg),
+                     "--output", str(tmp_path / "d.csv")]) == 2, key
+        assert f"unknown 'run-config' keys: ['{key}']" in capsys.readouterr().err
+    # sweep matrix missing a required axis, or holding a key it does not know
     matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps({"estimators": ["sc"]}))
-    assert main(["sweep", "--matrix", str(matrix),
-                 "--database", str(workspace["db"]),
-                 "--output", str(tmp_path / "s.csv")]) == 2
+    for data in ({"estimators": ["sc"]},
+                 {"estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
+                  "seeds": [1], "detektor": "spp"}):
+        matrix.write_text(json.dumps(data))
+        assert main(["sweep", "--matrix", str(matrix),
+                     "--database", str(workspace["db"]),
+                     "--output", str(tmp_path / "s.csv")]) == 2, data
     # a scoring window or tolerance that a run config rejects is rejected
     # by evaluate too
     truth = workspace["sim"] / "truth.csv"
@@ -195,24 +204,20 @@ def test_exit_code_on_bad_configuration(workspace, tmp_path):
         assert main(["sweep", "--matrix", str(matrix),
                      "--database", str(workspace["db"]),
                      "--output", str(tmp_path / "s.csv"), flag, value]) == 2
-    # a flag that only changed the resolved config is gone
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
-              "--database", str(workspace["db"]), "--oracle-margin-db", "20",
-              "--output", str(tmp_path / "d.csv")])
-    assert exc.value.code == 2
+    # flags that only changed the resolved config, or selected the removed
+    # faithful recursion, are gone
+    for flag in (["--oracle-margin-db", "20"], ["--faithful-noise-recursion"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
+                  "--database", str(workspace["db"]), *flag,
+                  "--output", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2, flag
 
 
 def test_exit_code_on_unknown_nested_config_key(workspace, tmp_path, capsys):
-    # eig_tol was an estimator option that older resolved configs carry
     cfg = tmp_path / "run.json"
-    # stft.window and estimator_config.diag_load_rel were run-config keys
-    # that took no effect or could not be reproduced
-    for section, key in (("estimator_config", "bogus"),
-                         ("estimator_config", "eig_tol"),
-                         ("estimator_config", "diag_load_rel"),
-                         ("spp_config", "bogus"), ("stft", "bogus"),
-                         ("stft", "window")):
+    # stft.window was a run-config key that took no effect
+    for section, key in (("stft", "bogus"), ("stft", "window")):
         cfg.write_text(json.dumps({section: {key: 1}}))
         assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
                      "--database", str(workspace["db"]), "--config", str(cfg),
@@ -223,10 +228,8 @@ def test_exit_code_on_unknown_nested_config_key(workspace, tmp_path, capsys):
 def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for data, key in (({"tau_y_s": "0.3"}, "tau_y_s"),
-                      ({"spp_config": {"prior": "0.5"}}, "prior"),
                       ({"tau_n_s": True}, "tau_n_s"),
-                      ({"faithful_noise_recursion": 1},
-                       "faithful_noise_recursion"),
+                      ({"estimator": 1}, "estimator"),
                       ({"stft": {"hop": 128.0}}, "hop")):
         cfg.write_text(json.dumps(data))
         assert main(["estimate", "--input", str(workspace["sim"] / "mixed.wav"),
@@ -361,17 +364,12 @@ def _leaves(config, prefix=""):
 def test_run_config_dict_roundtrip():
     config = RunConfig(
         estimator="cw-head", detector="spp", tau_y_s=0.3, tau_n_s=0.7,
-        eval_window=0.8, tolerance_deg=10.0, eps_init=1e-5,
-        faithful_noise_recursion=True, oracle_margin_db=-5.0,
-        spp_bootstrap_frames=3,
-        estimator_config=EstimatorConfig(column_index=1, denom_floor=1e-9),
-        spp_config=SppConfig(prior=0.4, fixed_snr_db=12.0, threshold=0.6,
-                             noise_psd_floor=1e-10),
+        eval_window=0.8, tolerance_deg=10.0, oracle_margin_db=-5.0,
         stft=StftConfig(frame_len=256, hop=128))
     leaves = list(_leaves(config))
-    assert len(leaves) == 18
+    assert len(leaves) == 9
     assert [name for name, value, default in leaves if value == default] == []
-    back = run_config_from_dict(json.loads(json.dumps(run_config_to_dict(config))))
+    back = run_config_from_dict(json.loads(json.dumps(dataclasses.asdict(config))))
     assert back == config
     assert hash(back) == hash(config)
     assert back != RunConfig()
@@ -383,14 +381,12 @@ def test_run_config_dict_roundtrip():
 def test_resolved_config_reproduces_the_estimate(workspace, tmp_path):
     sim, db = workspace["sim"], workspace["db"]
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"spp_config": {"threshold": 0.6},
-                               "eps_init": 1e-5}))
+    cfg.write_text(json.dumps({"eval_window": 0.8, "stft": {"hop": 128}}))
     first = tmp_path / "first.csv"
     assert main(["estimate", "--input", str(sim / "mixed.wav"),
                  "--database", str(db), "--config", str(cfg),
                  "--estimator", "cw-ext", "--detector", "spp", "--tau-y", "0.2",
-                 "--tau-n", "0.6", "--faithful-noise-recursion",
-                 "--output", str(first)]) == 0
+                 "--tau-n", "0.6", "--output", str(first)]) == 0
     resolved = json.loads((tmp_path / "first.csv.config.json").read_text())
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     cfg.write_text(json.dumps({k: v for k, v in resolved.items() if k in fields}))

@@ -76,26 +76,6 @@ def test_update_rejects_nonfinite():
         update(initial_state(2), np.array([1.0, np.nan]), True, SM)
 
 
-def test_faithful_noise_recursion_blends_from_noisy_matrix(rng):
-    # seed distinct phi_y / phi_n, then check which one the noise step decays
-    state = initial_state(2)
-    y0 = _random_snapshot(rng, 2)
-    state = update(state, y0, True, SM)
-    y1 = _random_snapshot(rng, 2)
-    outer = np.outer(y1, y1.conj())
-
-    default = update(state, y1, False, SM)
-    np.testing.assert_allclose(
-        default.phi_n, SM.alpha_n * state.phi_n + (1 - SM.alpha_n) * outer,
-        atol=1e-14)
-
-    faithful = update(state, y1, False, SM, faithful_noise_recursion=True)
-    np.testing.assert_allclose(
-        faithful.phi_n, SM.alpha_n * state.phi_y + (1 - SM.alpha_n) * outer,
-        atol=1e-14)
-    assert not np.allclose(default.phi_n, faithful.phi_n)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 5),
        st.floats(0.0, 0.999), st.booleans())
@@ -154,30 +134,12 @@ def test_tracker_matches_scalar_updates(rng):
         np.testing.assert_allclose(tracker.noise[k], states[k].phi_n, atol=1e-13)
 
 
-def test_tracker_faithful_flag_matches_scalar(rng):
-    n_bins, p = 4, 2
-    tracker = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=True)
-    states = [initial_state(p) for _ in range(n_bins)]
-    for _ in range(4):
-        y = _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
-        mask = rng.random(n_bins) < 0.5
-        tracker.update_frame(y, mask)
-        states = [update(s, y[:, k], bool(mask[k]), SM,
-                         faithful_noise_recursion=True)
-                  for k, s in enumerate(states)]
-    for k in range(n_bins):
-        np.testing.assert_allclose(tracker.noise[k], states[k].phi_n,
-                                   atol=1e-13)
-
-
-@pytest.mark.parametrize("faithful", [False, True])
-def test_tracker_stays_exactly_hermitian(rng, faithful):
+def test_tracker_stays_exactly_hermitian(rng):
     # update_frame does not re-symmetrize: the recursion itself must keep
     # every entry the exact conjugate of its mirror, bit for bit, and so
     # must the rank-one update of the tracked inverse
     n_bins, p = 33, 5
-    tracker = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful,
-                                noise_stats="inverse")
+    tracker = CovarianceTracker(p, n_bins, SM, noise_stats="inverse")
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-4.0, 4.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
@@ -186,15 +148,13 @@ def test_tracker_stays_exactly_hermitian(rng, faithful):
         assert np.array_equal(phi, phi.conj().swapaxes(-1, -2))
 
 
-@pytest.mark.parametrize("faithful", [False, True])
-def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng, faithful):
+def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng):
     # a tracker that keeps only the noise PSD sees the same noisy matrices
     # and the same PSD as one that keeps the whole noise covariance, over
     # random gating and snapshot scales spanning sixteen decades
     n_bins, p = 33, 5
-    psd = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful,
-                            noise_stats="psd")
-    full = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful)
+    psd = CovarianceTracker(p, n_bins, SM, noise_stats="psd")
+    full = CovarianceTracker(p, n_bins, SM)
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-8.0, 8.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
@@ -208,11 +168,9 @@ def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng, faithful):
     assert psd.noise_inverse is None
 
 
-@pytest.mark.parametrize("faithful", [False, True])
-def test_tracked_inverse_matches_inverse_of_noise(rng, faithful):
+def test_tracked_inverse_matches_inverse_of_noise(rng):
     n_bins, p = 9, 5
-    tracker = CovarianceTracker(p, n_bins, SM, faithful_noise_recursion=faithful,
-                                noise_stats="inverse")
+    tracker = CovarianceTracker(p, n_bins, SM, noise_stats="inverse")
     for _ in range(200):
         y = _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
         tracker.update_frame(y, rng.random(n_bins) < 0.3)
@@ -222,8 +180,7 @@ def test_tracked_inverse_matches_inverse_of_noise(rng, faithful):
     assert CovarianceTracker(p, n_bins, SM).noise_inverse is None
 
 
-@pytest.mark.parametrize("faithful", [False, True])
-def test_tracked_inverse_does_not_drift(faithful):
+def test_tracked_inverse_does_not_drift():
     # 20 000 noise-gated frames per bin on a field whose condition number
     # runs from 1 to 3e8 over the bins. The error of the tracked inverse
     # settles within the first tenth of the run at a level set by the
@@ -237,21 +194,13 @@ def test_tracked_inverse_does_not_drift(faithful):
         q, _ = np.linalg.qr(_random_snapshot(rng, p * p).reshape(p, p))
         mixes.append(q * np.sqrt(np.logspace(0, -np.log10(cond), p)))
     mixes = np.array(mixes)
-    # under the faithful recursion a fifth of the frames are speech, so
-    # the noise-gated bins keep their 20 000 frames
-    speech_share = 0.2 if faithful else 0.0
     tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.95, 0.97),
-                                faithful_noise_recursion=faithful,
                                 noise_stats="inverse")
+    no_speech = np.zeros(n_bins, dtype=bool)
     errors = []
-    frame = 0
-    while frame < n_frames:
+    for frame in range(1, n_frames + 1):
         z = _random_snapshot(rng, n_bins * p).reshape(n_bins, p) / np.sqrt(2)
-        mask = np.full(n_bins, rng.random() < speech_share)
-        tracker.update_frame(np.einsum("kpq,kq->pk", mixes, z), mask)
-        if mask[0]:
-            continue
-        frame += 1
+        tracker.update_frame(np.einsum("kpq,kq->pk", mixes, z), no_speech)
         if frame % 10 == 0:
             residual = tracker.noise_inverse @ tracker.noise - np.eye(p)
             errors.append(np.linalg.norm(residual, axis=(1, 2)))
@@ -261,17 +210,16 @@ def test_tracked_inverse_does_not_drift(faithful):
     errors = np.array(errors)
     assert errors.max() < 1e-2, errors.max()
     # growth is what is under test: the trend of the log error over the
-    # bins, fitted over the run after its first tenth. Seeds 0-7 under
-    # both recursions fit rises of -8 % to +7 % over the 18 000 frames
+    # bins, fitted over the run after its first tenth. Seeds 0-7 fit
+    # rises of -3 % to +3 % over the 18 000 frames
     settled = len(errors) // 10
     rise = np.polyfit(np.linspace(0.0, 1.0, len(errors) - settled),
                       np.log(errors[settled:]).mean(axis=1), 1)[0]
     assert rise < math.log(1.25), math.exp(rise)
 
 
-@pytest.mark.parametrize("faithful", [False, True])
 @pytest.mark.parametrize("n_silent", [300, 1200])
-def test_tracked_inverse_recovers_after_digital_silence(rng, faithful, n_silent):
+def test_tracked_inverse_recovers_after_digital_silence(rng, n_silent):
     # at alpha = 0.5 every frame of exact zeros doubles the tracked
     # inverse: 300 of them take it past 1e90, where the first update after
     # the silence would cancel it down to rounding error, and 1200 of them
@@ -279,7 +227,6 @@ def test_tracked_inverse_recovers_after_digital_silence(rng, faithful, n_silent)
     # inverse stays finite and matches phi^-1 once the noise is back
     n_bins, p = 6, 5
     tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.5, 0.5),
-                                faithful_noise_recursion=faithful,
                                 noise_stats="inverse")
 
     def frames(n, scale):
@@ -314,6 +261,3 @@ def test_tracker_validation(rng):
     with pytest.raises(ConfigurationError):
         CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0),
                           noise_stats="inverse")
-    with pytest.raises(ConfigurationError):
-        CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.0, alpha_n=0.9),
-                          faithful_noise_recursion=True, noise_stats="inverse")

@@ -5,7 +5,6 @@ import scipy.linalg
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import (
-    EstimatorConfig,
     PowerCwTracker,
     WhitenedTracker,
     _eigh_principal,
@@ -102,7 +101,7 @@ def test_principal_eigenvector_matches_dense_solver(rng):
 
 # ------------------------------------------------------------ subtraction
 
-def test_cs_recovers_rank_one_exactly():
+def test_cs_recovers_rank_one_exactly(rng):
     for g in ([1.0, 2.0], [1.0, 1.0j], [1.0, 0.5 - 0.5j, 2.0j]):
         g = np.array(g, dtype=complex)
         phi_n = np.eye(len(g), dtype=complex)
@@ -110,17 +109,13 @@ def test_cs_recovers_rank_one_exactly():
         values, valid = batch_cs(phi_y[None], phi_n[None])
         assert valid[0]
         np.testing.assert_allclose(values[0], g, atol=1e-14)
-
-
-def test_cs_any_column_recovers_rank_one(rng):
+    # under colored noise too
     g = np.array([1.0, 0.5 - 0.5j, -1.3 + 0.2j])
     phi_n = _random_psd(rng, 3)
-    phi_y = _rank_one_plus_noise(g, phi_n, sig2=2.0)
-    for j in range(3):
-        cfg = EstimatorConfig(column_index=j)
-        values, valid = batch_cs(phi_y[None], phi_n[None], cfg)
-        assert valid[0]
-        np.testing.assert_allclose(values[0], g, atol=1e-12)
+    values, valid = batch_cs(_rank_one_plus_noise(g, phi_n, sig2=2.0)[None],
+                             phi_n[None])
+    assert valid[0]
+    np.testing.assert_allclose(values[0], g, atol=1e-12)
 
 
 def test_cs_extended_head_entries_match_head_only(rng):
@@ -158,9 +153,6 @@ def test_cs_identical_matrices_invalid():
 def test_cs_shape_errors():
     with pytest.raises(ConfigurationError):
         batch_cs(np.eye(3)[None].astype(complex), np.eye(2)[None].astype(complex))
-    with pytest.raises(ConfigurationError):
-        batch_cs(np.eye(2).astype(complex), np.eye(2).astype(complex),
-                 EstimatorConfig(column_index=5))
 
 
 # -------------------------------------------------------------- whitening
@@ -316,8 +308,7 @@ def test_schur_head_inverse_matches_direct_inverse(rng):
         schur_head_inverse(inv, p - 2)
 
 
-@pytest.mark.parametrize("faithful", [False, True])
-def test_schur_head_inverse_ignores_a_dead_channel(rng, faithful):
+def test_schur_head_inverse_ignores_a_dead_channel(rng):
     # an all-zero last channel: its entry of the tracked inverse grows by
     # 1/alpha every noise frame and, at alpha = 0.5, would overflow after
     # about 1000 of them. The tracker re-seeds it instead, and the head
@@ -325,11 +316,8 @@ def test_schur_head_inverse_ignores_a_dead_channel(rng, faithful):
     # tracker without the channel follows, as do the CW steps taken with it
     n_bins, p = 6, 5
     smoothing = SmoothingConfig(0.5, 0.5)
-    full = CovarianceTracker(p, n_bins, smoothing, faithful_noise_recursion=faithful,
-                             noise_stats="inverse")
-    head = CovarianceTracker(p - 1, n_bins, smoothing,
-                             faithful_noise_recursion=faithful,
-                             noise_stats="inverse")
+    full = CovarianceTracker(p, n_bins, smoothing, noise_stats="inverse")
+    head = CovarianceTracker(p - 1, n_bins, smoothing, noise_stats="inverse")
     cw_full, cw_head = PowerCwTracker(n_bins, p - 1), PowerCwTracker(n_bins, p - 1)
     for frame in range(1500):
         y = rng.standard_normal((p, n_bins)) + 1j * rng.standard_normal((p, n_bins))
@@ -432,8 +420,3 @@ def test_reference_entry_is_exactly_one(rng):
                           batch_sc(phi_y)):
         assert valid.all()
         assert np.all(values[:, 0] == 1.0 + 0.0j)
-
-
-def test_estimator_config_validation():
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(column_index=-1)

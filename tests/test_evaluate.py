@@ -320,6 +320,13 @@ def test_run_sweep_missing_axis(database):
     with pytest.raises(ConfigurationError):
         run_sweep({"estimators": [], "azimuths_deg": [0.0], "snrs_db": [0.0],
                    "seeds": [1]}, database)
+    # a key that is no axis, run-config override or scene entry: a
+    # misspelt override or a singular axis name would otherwise be ignored
+    for key, value in (("tau_n", 5.0), ("snr_db", [-20]), ("detektor", "spp")):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            run_sweep({"estimators": ["sc"], "azimuths_deg": [0.0],
+                       "snrs_db": [0.0], "seeds": [1], "duration_s": 2.0,
+                       "diffuse_order": 12, key: value}, database)
 
 
 def test_run_sweep_captures_cell_failures(database):

@@ -41,8 +41,6 @@ def test_run_config_validation():
         RunConfig(eval_window=1.5)
     with pytest.raises(ConfigurationError):
         RunConfig(tolerance_deg=-1.0)
-    with pytest.raises(ConfigurationError):
-        RunConfig(spp_bootstrap_frames=0)
 
 
 def test_run_config_derived_quantities():
@@ -237,17 +235,6 @@ def test_spp_detector_smoke(database):
     assert np.mean(errs <= 5.0) > 0.5
 
 
-def test_faithful_noise_recursion_changes_result(database):
-    out = _scene(seed=49, duration_s=2.0, snr_db=0.0)
-    labels = _labels(out)
-    base = track(out.mixed, database, RunConfig(estimator="cs-head"),
-                 labels=labels)
-    alt = track(out.mixed, database,
-                RunConfig(estimator="cs-head", faithful_noise_recursion=True),
-                labels=labels)
-    assert not np.array_equal(base.cost[base.valid], alt.cost[alt.valid])
-
-
 # ------------------------------------------- tracked CW against exact CW
 
 def _exact_cw_decisions(clip, labels, database, config, name):
@@ -258,9 +245,7 @@ def _exact_cw_decisions(clip, labels, database, config, name):
     n_head = database.n_mics
     dim = clip.n_channels if name == "cw-ext" else n_head
     tracker = CovarianceTracker(clip.n_channels, n_bins,
-                                config.smoothing(clip.sample_rate),
-                                eps_init=config.eps_init,
-                                faithful_noise_recursion=config.faithful_noise_recursion)
+                                config.smoothing(clip.sample_rate))
     held = np.zeros((n_bins, n_head), dtype=np.complex64)
     ever = np.zeros(n_bins, dtype=bool)
     store = np.zeros((n_frames, n_bins, n_head), dtype=np.complex64)
@@ -268,8 +253,7 @@ def _exact_cw_decisions(clip, labels, database, config, name):
     for l in range(n_frames):
         tracker.update_frame(np.ascontiguousarray(data[:, :, l]), labels[:, l])
         values, valid = batch_cw(tracker.noisy[:, :dim, :dim],
-                                 tracker.noise[:, :dim, :dim],
-                                 config.estimator_config)
+                                 tracker.noise[:, :dim, :dim])
         held[valid] = values[valid, :n_head]
         ever |= valid
         store[l] = held
@@ -317,27 +301,14 @@ def test_tracked_cw_agrees_with_exact_cw_at_minus_15_db(database):
     assert shares["cw-head"] >= 0.94
 
 
-def test_tracked_cw_agrees_with_exact_cw_under_faithful_recursion(database):
-    # under the faithful recursion phi_n blends from phi_y. At -15 dB the
-    # exact CW of that pair is itself mostly wrong (34 % of frames within
-    # 5 degrees on seed 3, against 85 % tracked), and the two agree in
-    # only 14 % of frames, so the case runs at 0 dB, where both are right
-    scene = synthesize(SceneSpec(seed=3, duration_s=10.0, snr_db=0.0,
-                                 source_trajectory=((0.0, 35.0),)))
-    config = RunConfig(faithful_noise_recursion=True)
-    shares = _decision_agreement(scene, database, config, ("cw-ext",))
-    assert shares["cw-ext"] >= 0.96
-
-
-@pytest.mark.parametrize("faithful", [False, True])
-def test_cw_head_decides_alike_with_and_without_external_channel(database, faithful):
+def test_cw_head_decides_alike_with_and_without_external_channel(database):
     # with the external channel the head-block inverse comes from the
     # tracked 5x5 inverse by a Schur complement; without it the tracker
     # follows the 4x4 inverse directly
     out = synthesize(SceneSpec(seed=46, duration_s=4.0, snr_db=0.0,
                                source_trajectory=((0.0, -50.0), (4.0, 50.0))))
     labels = _labels(out)
-    config = RunConfig(estimator="cw-head", faithful_noise_recursion=faithful)
+    config = RunConfig(estimator="cw-head")
     full = track(out.mixed, database, config, labels=labels)
     head = track(AudioClip(out.mixed.samples[:4], FS), database, config,
                  labels=labels)
@@ -359,11 +330,9 @@ def test_cw_head_ignores_a_dead_external_channel(database):
     labels = _labels(out)
     samples = out.mixed.samples.copy()
     samples[4] = 0.0
-    for faithful in (False, True):
-        config = RunConfig(estimator="cw-head", tau_n_s=0.0139,
-                           faithful_noise_recursion=faithful)
-        full = track(AudioClip(samples, FS), database, config, labels=labels)
-        head = track(AudioClip(samples[:4], FS), database, config, labels=labels)
-        np.testing.assert_array_equal(full.azimuth_deg, head.azimuth_deg)
-        np.testing.assert_array_equal(full.valid, head.valid)
-        np.testing.assert_allclose(full.cost, head.cost, rtol=0, atol=1e-6)
+    config = RunConfig(estimator="cw-head", tau_n_s=0.0139)
+    full = track(AudioClip(samples, FS), database, config, labels=labels)
+    head = track(AudioClip(samples[:4], FS), database, config, labels=labels)
+    np.testing.assert_array_equal(full.azimuth_deg, head.azimuth_deg)
+    np.testing.assert_array_equal(full.valid, head.valid)
+    np.testing.assert_allclose(full.cost, head.cost, rtol=0, atol=1e-6)
