@@ -101,7 +101,7 @@ def test_principal_eigenvector_matches_dense_solver(rng):
 
 # ------------------------------------------------------------ subtraction
 
-def test_cs_recovers_rank_one_exactly(rng):
+def test_cs_recovers_rank_one_exactly():
     for g in ([1.0, 2.0], [1.0, 1.0j], [1.0, 0.5 - 0.5j, 2.0j]):
         g = np.array(g, dtype=complex)
         phi_n = np.eye(len(g), dtype=complex)
@@ -109,13 +109,20 @@ def test_cs_recovers_rank_one_exactly(rng):
         values, valid = batch_cs(phi_y[None], phi_n[None])
         assert valid[0]
         np.testing.assert_allclose(values[0], g, atol=1e-14)
-    # under colored noise too
+
+
+def test_cs_any_column_recovers_rank_one(rng):
+    # under colored noise the reference column CS takes recovers g, and so
+    # would any other column of phi_y - phi_n: fixing the column loses nothing
     g = np.array([1.0, 0.5 - 0.5j, -1.3 + 0.2j])
     phi_n = _random_psd(rng, 3)
-    values, valid = batch_cs(_rank_one_plus_noise(g, phi_n, sig2=2.0)[None],
-                             phi_n[None])
+    phi_y = _rank_one_plus_noise(g, phi_n, sig2=2.0)
+    values, valid = batch_cs(phi_y[None], phi_n[None])
     assert valid[0]
     np.testing.assert_allclose(values[0], g, atol=1e-12)
+    diff = phi_y - phi_n
+    for j in range(3):
+        np.testing.assert_allclose(diff[:, j] / diff[0, j], values[0], atol=1e-12)
 
 
 def test_cs_extended_head_entries_match_head_only(rng):
