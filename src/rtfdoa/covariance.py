@@ -16,17 +16,27 @@ difference taken in the opposite order, so it is the exact conjugate
 two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
 
-The tracker keeps only as much of the noise as its readers need
-(``noise_stats``): ``"psd"`` keeps the per-channel noise PSD, the real
-diagonal of ``phi_n``, which is all the speech presence detector and
-``sc`` read; ``"covariance"`` keeps ``phi_n`` (``cs-head``);
-``"inverse"`` keeps ``phi_n`` and its inverse (the ``cw-*`` estimators).
+Only what is read is kept. The tracker keeps only as much of the noise
+as its readers need (``noise_stats``): ``"psd"`` keeps the per-channel
+noise PSD, the real diagonal of ``phi_n``, which is all the speech
+presence detector reads (``sc`` reads no noise statistic);
+``"covariance"`` keeps ``phi_n`` (``cs-head``); ``"inverse"`` keeps
+``phi_n`` and its inverse (the ``cw-*`` estimators).
 The PSD follows the same recursion with ``|y_p|^2`` in place of
 ``y y^H``, computed by ``einsum`` so that it equals the diagonal of the
 outer product bit for bit (a plain ``(y * y.conj()).real`` does not: its
 complex product may be fused differently); so the detector sees the same
 values in every mode. Keeping only the PSD, the tracker forms outer
 products only in the bins gated as speech.
+
+The noisy side follows the same rule (``noisy_stats``): ``"matrix"``
+keeps ``phi_y``, which ``cs-head`` and the ``cw-*`` estimators read;
+``"column"`` keeps only its column against the last (external) channel,
+``phi_y e_P``, all that ``sc`` reads, and then forms only that column of
+each speech bin's outer product, ``y conj(y_P)``. Its entries are the same
+single products as the last column of ``y y^H``, so the column equals
+``phi_y``'s last column bit for bit. A column goes with the noise PSD
+only: keeping the noise covariance forms every outer product anyway.
 
 With ``"inverse"`` the tracker also follows ``M = phi_n^-1``, which the
 covariance-whitening estimators step with.
@@ -105,6 +115,12 @@ def _outer(y: np.ndarray) -> np.ndarray:
     return np.einsum("pk,qk->kpq", y, y.conj())
 
 
+def _outer_column(y: np.ndarray) -> np.ndarray:
+    """Last columns ``y conj(y_P)`` of the outer products of a [P, K] frame,
+    [K, P], equal to ``_outer(y)[:, :, -1]`` bit for bit."""
+    return np.einsum("pk,k->kp", y, y[-1].conj())
+
+
 def _floored_inverse(phi: np.ndarray) -> np.ndarray:
     """Exactly Hermitian inverses of a [K, P, P] stack of Hermitian
     matrices, with their eigenvalues floored at ``_RESEED_FLOOR_REL`` of
@@ -143,16 +159,20 @@ def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
     return out
 
 
-# what the tracker keeps of the noise, from least to most
+# what the tracker keeps of the noisy signal and of the noise, from least
+# to most
+NOISY_STATS = ("column", "matrix")
 NOISE_STATS = ("psd", "covariance", "inverse")
 
 
 class CovarianceTracker:
     """Vectorized per-bin covariance recursion over a whole STFT grid.
 
-    ``noise_stats`` names what is kept of the noise (see the module
-    docstring). :attr:`noise_psd` serves every mode; :attr:`noise` needs
-    ``"covariance"`` or ``"inverse"``; :attr:`noise_inverse` is None
+    ``noisy_stats`` and ``noise_stats`` name what is kept of the noisy
+    signal and of the noise (see the module docstring).
+    :attr:`noisy_column` serves both noisy modes; :attr:`noisy` needs
+    ``"matrix"``. :attr:`noise_psd` serves every noise mode; :attr:`noise`
+    needs ``"covariance"`` or ``"inverse"``; :attr:`noise_inverse` is None
     unless ``"inverse"``, and then is updated in the noise-gated bins of
     every frame. A bin whose tracked inverse is no longer usable is
     re-seeded from its covariance (see the module docstring), so the
@@ -162,18 +182,28 @@ class CovarianceTracker:
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
                  eps_init: float = DEFAULT_EPS_INIT,
-                 noise_stats: str = "covariance") -> None:
+                 noise_stats: str = "covariance",
+                 noisy_stats: str = "matrix") -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
         if noise_stats not in NOISE_STATS:
             raise ConfigurationError(
                 f"noise_stats must be one of {NOISE_STATS}, got '{noise_stats}'")
+        if noisy_stats not in NOISY_STATS:
+            raise ConfigurationError(
+                f"noisy_stats must be one of {NOISY_STATS}, got '{noisy_stats}'")
+        if noisy_stats == "column" and noise_stats != "psd":
+            raise ConfigurationError(
+                "a tracker that keeps only the noisy column keeps only the noise PSD")
         inverse = noise_stats == "inverse"
         if inverse and smoothing.alpha_n == 0.0:
             raise ConfigurationError(
                 "a tracked inverse needs a noise smoothing factor above 0")
         eye = np.eye(n_channels, dtype=np.complex128)
+        # [K, P, P], or [K, P] when only the last column is kept
         self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
+        if noisy_stats == "column":
+            self._phi_y = np.ascontiguousarray(self._phi_y[:, :, -1])
         self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1)) \
             if noise_stats != "psd" else None
         self._psd = np.full((n_bins, n_channels), eps_init) \
@@ -186,7 +216,17 @@ class CovarianceTracker:
     @property
     def noisy(self) -> np.ndarray:
         """Noisy-signal covariances [K, P, P]. Treat as read-only."""
+        if self._phi_y.ndim == 2:
+            raise ConfigurationError(
+                "this tracker keeps only the noisy column against the last "
+                "channel, not the noisy covariance")
         return self._phi_y
+
+    @property
+    def noisy_column(self) -> np.ndarray:
+        """Columns of the noisy-signal covariances against the last channel,
+        [K, P], the last column of :attr:`noisy`. Treat as read-only."""
+        return self._phi_y if self._phi_y.ndim == 2 else self._phi_y[:, :, -1]
 
     @property
     def noise(self) -> np.ndarray:
@@ -224,7 +264,12 @@ class CovarianceTracker:
         outer = _outer(y) if self._phi_n is not None else None
         speech = np.flatnonzero(mask)
         if speech.size:
-            fresh = outer[speech] if outer is not None else _outer(y[:, speech])
+            if outer is not None:
+                fresh = outer[speech]
+            elif self._phi_y.ndim == 2:
+                fresh = _outer_column(y[:, speech])
+            else:
+                fresh = _outer(y[:, speech])
             self._phi_y[speech] = a_y * self._phi_y[speech] + (1.0 - a_y) * fresh
         if outer is None:
             power = np.einsum("pk,pk->kp", y, y.conj()).real

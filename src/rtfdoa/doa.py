@@ -7,6 +7,11 @@ the estimated per-bin RTF vectors, averaged over frequency with the DC
 bin excluded. Ties are resolved toward the smallest absolute azimuth,
 then the smaller azimuth, so results are deterministic.
 
+Only what moved is costed: a bin's angles are computed only in the frames
+where its estimate was written, and a chunk of bins whose frame brings no
+write and no change of the valid mask reuses the previous frame's partial
+sum. The unit-normalized prototypes are made once per database.
+
 The database file is a single line of JSON metadata followed by the
 prototype tensor as little-endian float32 (interleaved real/imaginary),
 either base64-encoded or raw.
@@ -25,6 +30,11 @@ from .geometry import SPEED_OF_SOUND, ArrayGeometry, plane_wave_delays
 
 DEFAULT_GRID_STEP_DEG = 5.0
 _REF_TOL = 1e-6
+
+# bins per chunk of the cost surface; each chunk's angles are summed in
+# single precision before they join the total, so this fixes the last bits
+# of every cost and is no tuning knob
+CHUNK_BINS = 32
 
 
 def default_grid(step_deg: float = DEFAULT_GRID_STEP_DEG) -> np.ndarray:
@@ -74,6 +84,20 @@ class PrototypeDatabase:
         vec.setflags(write=False)
         object.__setattr__(self, "directions_deg", dirs)
         object.__setattr__(self, "vectors", vec)
+        object.__setattr__(self, "_unit", {})
+
+    def unit_prototypes(self, dtype) -> np.ndarray:
+        """The prototypes as a read-only [K, M, I] array of complex
+        ``dtype``, each unit-normalized over its M entries, so that its
+        product with a unit estimate is a cosine. Made once per dtype."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._unit:
+            proto = np.ascontiguousarray(self.vectors.transpose(1, 2, 0)).astype(dtype)
+            tiny = np.finfo(proto.real.dtype).tiny
+            proto /= np.maximum(np.linalg.norm(proto, axis=1), tiny)[:, None, :]
+            proto.setflags(write=False)
+            self._unit[dtype] = proto
+        return self._unit[dtype]
 
     @property
     def n_directions(self) -> int:
@@ -107,7 +131,8 @@ def _check_against_db(values: np.ndarray, db: PrototypeDatabase) -> np.ndarray:
 
 
 def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
-                        db: PrototypeDatabase, chunk_bins: int = 32) -> np.ndarray:
+                        db: PrototypeDatabase,
+                        written: np.ndarray | None = None) -> np.ndarray:
     """Frequency-averaged Hermitian angle per frame and direction.
 
     ``values`` is [L, K, M] (any complex dtype; single precision is fine
@@ -115,11 +140,14 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     excluded from the mean; frames with no valid bin get a NaN row.
     Angles are computed bin-chunk by bin-chunk to bound memory.
 
-    A bin's angles are computed only in the frames where its value
-    differs from the previous frame's (held estimates repeat while a bin
-    is gated off); the other frames reuse them. Each angle depends on its
-    own value alone, so the surface is bit-identical to computing every
-    frame, which is what a chunk does when it would save nothing.
+    ``written`` [L, K] marks where a value may differ from the previous
+    frame's, as the pipeline's hold-last-valid stores record it; without
+    it, values are compared. A bin's angles are computed only in the
+    frames where its value was written (or changed), and the other frames
+    reuse them. A frame in which a chunk of bins has no write and the same
+    valid mask as the frame before takes that frame's partial sum. Each
+    angle depends on its own value alone, so the surface is bit-identical
+    to computing every frame.
     """
     values = _check_against_db(values, db)
     if values.ndim != 3:
@@ -132,27 +160,33 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     cdtype = np.complex64 if values.dtype == np.complex64 else np.complex128
     rdtype = np.float32 if cdtype == np.complex64 else np.float64
     tiny = np.finfo(rdtype).tiny
-    # unit-normalized prototypes make the matmul below yield cosines directly
-    proto = np.ascontiguousarray(db.vectors.transpose(1, 2, 0)).astype(cdtype)
-    proto /= np.maximum(np.linalg.norm(proto, axis=1), tiny)[:, None, :]
+    proto = db.unit_prototypes(cdtype)
 
     mask = valid.copy()
     mask[:, 0] = False  # DC carries no usable phase difference
     counts = mask.sum(axis=1)
 
-    # changed[l, k]: bin k's value differs from frame l-1's (frame 0 always);
-    # slots[l, k] is the position of frame l's angles among bin k's
-    # computed ones, so unchanged frames point at the last computed frame
-    changed = np.zeros((n_frames, n_bins), dtype=bool)
+    # changed[l, k]: bin k's value may differ from frame l-1's (frame 0
+    # always); slots[l, k] is the position of frame l's angles among bin
+    # k's computed ones, so unchanged frames point at the last computed one
+    if written is None:
+        changed = np.zeros((n_frames, n_bins), dtype=bool)
+        for entry in values.transpose(2, 0, 1):  # faster than any() over M
+            changed[1:] |= entry[1:] != entry[:-1]
+    else:
+        changed = np.array(written, dtype=bool)
+        if changed.shape != (n_frames, n_bins):
+            raise ConfigurationError("written mask must be [L, K]")
     changed[:1] = True
-    for entry in values.transpose(2, 0, 1):  # faster than any() over M
-        changed[1:] |= entry[1:] != entry[:-1]
     slots = np.cumsum(changed, axis=0) - 1
     per_bin = changed.sum(axis=0)
+    # moved[l, k]: frame l's term of bin k may differ from frame l-1's
+    moved = changed.copy()
+    moved[1:] |= mask[1:] != mask[:-1]
 
     total = np.zeros((n_frames, db.n_directions), dtype=np.float64)
-    for start in range(1, n_bins, chunk_bins):
-        stop = min(start + chunk_bins, n_bins)
+    for start in range(1, n_bins, CHUNK_BINS):
+        stop = min(start + CHUNK_BINS, n_bins)
         width = stop - start
         n = int(per_bin[start:stop].max())
         if n == n_frames:
@@ -171,13 +205,19 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
         ang = np.abs(est @ proto[start:stop])  # [c, n, I] cosines
         np.minimum(ang, rdtype(1.0), out=ang)
         np.arccos(ang, out=ang)
+        # only the frames whose partial sum can move are summed
+        summed = moved[:, start:stop].any(axis=1)
         if n != n_frames:
-            # every frame takes the angles of its bin's slot, [c, L, I]
-            fill = slots[:, start:stop].T + n * np.arange(width)[:, None]
+            # each summed frame takes the angles of its bin's slot, [c, R, I]
+            fill = slots[summed, start:stop].T + n * np.arange(width)[:, None]
             ang = np.take(ang.reshape(width * n, -1), fill, axis=0)
         # masked sum over the bin chunk in one contraction
-        total += np.einsum("cli,lc->li",
-                           ang, mask[:, start:stop].astype(rdtype))
+        partial = np.einsum("cli,lc->li",
+                            ang, mask[summed, start:stop].astype(rdtype))
+        if n != n_frames:
+            # the other frames repeat the last summed frame's partial sum
+            partial = partial[np.cumsum(summed) - 1]
+        total += partial
 
     with np.errstate(invalid="ignore", divide="ignore"):
         surface = total / counts[:, None]

@@ -12,11 +12,15 @@ head microphone) entry is exactly ``1 + 0j``:
 * spatial coherence (``sc``): head entries of the column of ``phi_y``
   against the external microphone, normalized by its reference entry.
   Needs no noise statistics, assuming noise at the external microphone
-  is uncorrelated with noise at the head.
+  is uncorrelated with noise at the head, and reads nothing of ``phi_y``
+  but that column, so :func:`batch_sc` takes the columns alone.
 
-An estimate is invalid where its normalizer is tiny against the matrix
-scale (:data:`DENOM_FLOOR`). Batch variants operate on [K, P, P] stacks,
-one matrix pair per frequency bin. Covariance whitening comes in two forms:
+An estimate is invalid where its normalizer is tiny (:data:`DENOM_FLOOR`)
+against the scale of what it is read from: the Frobenius norm of
+``phi_y`` for CS, the norm of the vector for CW and SC. So SC's validity,
+like its values, does not depend on the external microphone's gain.
+Batch variants operate on [K, P, P] stacks, one matrix pair per frequency
+bin, and SC on [K, P] columns. Covariance whitening comes in two forms:
 
 * :func:`batch_cw` is exact and one-shot, the reference the tests
   compare against. Its :class:`WhitenedTracker` Cholesky-factors the
@@ -50,7 +54,8 @@ _TINY = np.finfo(np.float64).tiny
 DIAG_LOAD_REL = 1e-10
 
 # an estimate is invalid when its normalizer falls below this share of the
-# matrix scale (the Frobenius norm of phi_y, or the norm of the CW vector)
+# scale of what it is read from (the Frobenius norm of phi_y for CS, the
+# norm of the vector for CW and SC)
 DENOM_FLOOR = 1e-12
 
 
@@ -67,14 +72,14 @@ def _check_stack(phi: np.ndarray, name: str) -> np.ndarray:
     return phi
 
 
-def _normalize_columns(cols: np.ndarray,
-                       scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each row by its first entry; flag rows whose normalizer is
-    tiny against ``scale``."""
+def _normalize_columns(cols: np.ndarray, scale: np.ndarray,
+                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each row by its first entry, into ``out`` if given (which
+    may be ``cols``); flag rows whose normalizer is tiny against ``scale``."""
     denom = cols[:, 0]
     valid = np.abs(denom) >= np.maximum(DENOM_FLOOR * scale, _TINY)
     safe = np.where(valid, denom, 1.0)
-    values = cols / safe[:, None]
+    values = np.divide(cols, safe[:, None], out=out)
     values[~valid] = 0.0
     values[valid, 0] = 1.0
     return values, valid
@@ -119,18 +124,29 @@ def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _normalize_columns(cols, _frobenius(py))
 
 
-def batch_sc(phi_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batch_sc(columns: np.ndarray, overwrite: bool = False
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Spatial-coherence RTF per bin from the external-microphone column.
 
-    Uses only ``phi_y``: head entries of ``phi_y e_P`` divided by the
-    reference entry of that column. Returns (values [K,P-1], valid [K]).
+    ``columns`` is [N, P], the columns ``phi_y e_P`` of the noisy
+    covariances against the external (last) channel. The estimate is the
+    head entries divided by the reference entry; it is invalid where that
+    entry falls below :data:`DENOM_FLOOR` times the column's norm, so an
+    all-zero column is invalid. Returns (values [N,P-1], valid [N]); with
+    ``overwrite`` the values are computed in place in a complex128
+    ``columns``, of which they are then a view.
     """
-    py = _check_stack(phi_y, "phi_y")
-    if py.shape[-1] < 2:
+    cols = np.asarray(columns, dtype=np.complex128)
+    if cols.ndim != 2:
+        raise ConfigurationError("columns must be an [N, P] stack")
+    if cols.shape[-1] < 2:
         raise ConfigurationError("spatial coherence needs at least two channels")
-    cols = py[:, :, -1]
-    values, valid = _normalize_columns(cols, _frobenius(py))
-    return values[:, :-1], valid
+    # the columns' norms, from their real and imaginary parts without a
+    # complex temporary
+    parts = np.ascontiguousarray(cols).view(np.float64)
+    scale = np.sqrt(np.einsum("nq,nq->n", parts, parts))
+    return _normalize_columns(cols[:, :-1], scale,
+                              out=cols[:, :-1] if overwrite else None)
 
 
 def _loaded_cholesky(phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

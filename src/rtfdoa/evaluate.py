@@ -294,13 +294,17 @@ _SWEEP_SCENE_KEYS = ("reverb_proxy_db", "duration_s", "diffuse_order")
 
 def _check_sweep_matrix(matrix: dict) -> None:
     """Raise :class:`ConfigurationError`, naming the key, for an unknown
-    key, a missing required axis or an axis of the wrong shape or type.
+    key, a missing required axis, an axis of the wrong shape or type, or
+    the reverb proxy given both as an axis and as a scalar.
     The scalar scene entries are checked by the :class:`SceneSpec` they go
     into."""
     unknown = set(matrix) - set(_SWEEP_AXES) - set(_SWEEP_OVERRIDES) \
         - set(_SWEEP_SCENE_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown sweep matrix keys: {sorted(unknown)}")
+    if "reverb_proxies_db" in matrix and "reverb_proxy_db" in matrix:
+        raise ConfigurationError("sweep matrix holds both 'reverb_proxies_db' "
+                                 "and 'reverb_proxy_db'; give one of them")
     for key, (required, what, check) in _SWEEP_AXES.items():
         if key not in matrix:
             if required:
@@ -322,10 +326,11 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     axes a matrix may hold the run-config entries ``detector``,
     ``tau_y_s``, ``tau_n_s``, ``eval_window`` and ``tolerance_deg``, which
     override ``base_config``, and the scene entries ``reverb_proxy_db``
-    (used without ``reverb_proxies_db``), ``duration_s`` and
+    (only without ``reverb_proxies_db``), ``duration_s`` and
     ``diffuse_order``. Every key is checked before any cell runs; an
-    unknown key, a missing axis, or an axis that is not a list of entries
-    of its type raises :class:`ConfigurationError` naming the key.
+    unknown key, a missing axis, an axis that is not a list of entries of
+    its type, or both reverb keys at once raise
+    :class:`ConfigurationError` naming the keys.
 
     A cell is one seed, azimuth, reverb proxy, external position and SNR.
     Every cell's :class:`~rtfdoa.simulate.SceneSpec`, SNR included, is

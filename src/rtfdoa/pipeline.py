@@ -31,18 +31,27 @@ gates its updates off. Bins that never produced a valid estimate are
 excluded from the cost mean. Frames before the warm-up horizon (twice
 the slowest smoothing time constant) are flagged invalid.
 
-Only what moved is recomputed, with unchanged results: ``sc`` reads only
-the noisy matrix, so each frame re-estimates only the bins gated as
-speech, and the cost surface recomputes a bin's angles only in the
-frames where its held estimate changed (see
+Only what moved is recomputed, with unchanged results. Every estimator
+writes its valid estimates of a frame into the block's store and marks
+them as written; one forward fill per block then holds each bin's last
+valid estimate in the other entries. ``sc`` reads only the noisy column
+against the external microphone, which moves only in the bins gated as
+speech, so each frame stacks those bins' columns and
+:func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
+call. The cost surface computes a bin's angles only in the frames where
+it was written, and sums a chunk of bins only in the frames where one of
+them was written or the valid mask changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
 
-Only what is read is kept: the covariance tracker keeps the noise
-statistic that the estimator set needs and no more. ``sc`` alone leaves
-the per-channel noise PSD, the only noise statistic the SPP detector
-reads; any ``cs-head`` needs the noise covariance; any ``cw-*`` needs the
-covariance and its tracked inverse. The PSD equals the covariance's
-diagonal bit for bit, so every decision is the same in each mode.
+Only what is read is kept: the covariance tracker keeps of the noisy
+signal and of the noise what the estimator set needs and no more. ``sc``
+alone keeps the column of the noisy covariance against the external
+microphone, and the per-channel noise PSD, the only noise statistic the
+SPP detector reads. Any other estimator needs the whole noisy covariance;
+any ``cs-head`` needs the noise covariance; any ``cw-*`` needs the
+covariance and its tracked inverse. The column equals the matrix's last
+column and the PSD the covariance's diagonal bit for bit, so every
+decision is the same in each mode.
 """
 from __future__ import annotations
 
@@ -69,6 +78,8 @@ DEFAULT_TAU_N_S = 0.5
 # frames per block of the streaming pass; the block's STFT, estimate
 # stores and cost surface are the only arrays that scale with it
 BLOCK_FRAMES = 128
+# frames per step of the in-place hold-last-valid fill of a block's store
+_FILL_FRAMES = 16
 
 # the SPP detector gates the first frames as noise, so that the noise PSD
 # it divides by has absorbed some frames before it decides
@@ -167,29 +178,73 @@ class DoaTrajectory:
         return self.azimuth_deg.size
 
 
+def _hold_last_valid(store: np.ndarray, written: np.ndarray,
+                     held: np.ndarray) -> None:
+    """Fill a block's store in place: each entry not ``written`` takes its
+    bin's last written value in the block, or ``held``, the value held
+    from before the block. ``store`` is [L, K, M], ``written`` [L, K]."""
+    np.copyto(store[0], held, where=~written[0, :, None])
+    n_frames, n_bins = written.shape
+    # the flat entry each entry takes its value from: its bin's last write
+    # up to its frame, frame 0 holding a value for every bin now
+    source = np.where(written, np.arange(n_frames)[:, None], 0)
+    np.maximum.accumulate(source, axis=0, out=source)
+    source *= n_bins
+    source += np.arange(n_bins)
+    source = source.reshape(-1)
+    entries = store.reshape(n_frames * n_bins, -1)
+    # a source is a written entry or one of frame 0, which the fill leaves
+    # as they are, so a few frames at a time can go through a small buffer
+    buffer = np.empty((_FILL_FRAMES * n_bins, entries.shape[1]), dtype=store.dtype)
+    for start in range(n_bins, len(entries), len(buffer)):
+        stop = min(start + len(buffer), len(entries))
+        np.take(entries, source[start:stop], axis=0, out=buffer[:stop - start])
+        entries[start:stop] = buffer[:stop - start]
+
+
 class _HeldEstimator:
-    """Wraps a batch estimator with per-bin hold-last-valid storage."""
+    """Wraps a batch estimator with per-bin hold-last-valid storage.
+
+    Per block, :meth:`start` opens the block's store, :meth:`step` writes
+    each frame's valid estimates into it and marks them in ``written``,
+    and :meth:`finish` fills every other entry with its bin's last valid
+    estimate and returns the store with its valid and written masks.
+    """
 
     def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int) -> None:
         self.name = name
         self.n_head = n_head
+        self.n_channels = n_channels
         self.held = np.zeros((n_bins, n_head), dtype=np.complex64)
         self.ever_valid = np.zeros(n_bins, dtype=bool)
         dim = n_channels if name == "cw-ext" else n_head
         self.cw = PowerCwTracker(n_bins, dim) if name.startswith("cw") else None
 
-    def step(self, tracker: CovarianceTracker, speech_mask: np.ndarray) -> None:
+    def start(self, count: int) -> None:
+        n_bins = self.ever_valid.size
+        self.store = np.empty((count, n_bins, self.n_head), dtype=np.complex64)
+        self.written = np.zeros((count, n_bins), dtype=bool)
+        if self.name == "sc":
+            # each frame's speech bins and, stacked, their noisy columns
+            self._frames: list[int] = []
+            self._bins: list[np.ndarray] = []
+            self._columns = np.empty((count * n_bins, self.n_channels),
+                                     dtype=np.complex128)
+            self._stacked = 0
+
+    def step(self, i: int, tracker: CovarianceTracker, speech_mask: np.ndarray) -> None:
         m = self.n_head
         if self.name == "sc":
-            # phi_y moved only in the speech bins; elsewhere batch_sc would
-            # return the held values again, and a bin never gated as speech
-            # still holds eps * I, whose zero reference entry is invalid
-            if not speech_mask.any():
-                return
-            values, valid = batch_sc(tracker.noisy[speech_mask])
-            bins = np.flatnonzero(speech_mask)[valid]
-            self.held[bins] = values[valid, :m].astype(np.complex64)
-            self.ever_valid[bins] = True
+            # phi_y moved only in the speech bins; a bin never gated as
+            # speech still holds eps * e_P, whose zero reference entry is
+            # invalid. The block's columns are estimated in finish().
+            bins = np.flatnonzero(speech_mask)
+            if bins.size:
+                n = self._stacked
+                self._columns[n:n + bins.size] = tracker.noisy_column[bins]
+                self._stacked += bins.size
+                self._frames.append(i)
+                self._bins.append(bins)
             return
         if self.name == "cs-head":
             values, valid = batch_cs(tracker.noisy[:, :m, :m],
@@ -199,10 +254,33 @@ class _HeldEstimator:
             values, valid = self.cw.estimate(
                 tracker.noisy[:, :dim, :dim],
                 schur_head_inverse(tracker.noise_inverse, dim))
-            values = values[:, :m]
-        if valid.any():
-            self.held[valid] = values[valid].astype(np.complex64)
-            self.ever_valid |= valid
+        np.copyto(self.store[i], values[:, :m], where=valid[:, None])
+        self.written[i] = valid
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Close the block: (store [L, K, M], valid [L, K], written [L, K]),
+        valid meaning that the bin has held an estimate by that frame."""
+        if self.name == "sc" and self._bins:
+            columns, self._columns = self._columns[:self._stacked], None
+            values, valid = batch_sc(columns, overwrite=True)
+            frames = np.repeat(self._frames, [b.size for b in self._bins])
+            bins = np.concatenate(self._bins)
+            # an invalid estimate is all zeros and stays unwritten, so the
+            # fill below overwrites it
+            self.store[frames, bins] = values
+            self.written[frames[valid], bins[valid]] = True
+        _hold_last_valid(self.store, self.written, self.held)
+        self.held = self.store[-1].copy()
+        valid = np.logical_or.accumulate(self.written, axis=0)
+        valid |= self.ever_valid
+        self.ever_valid = valid[-1].copy()
+        return self.store, valid, self.written
+
+
+def _noisy_stats(names: tuple[str, ...]) -> str:
+    """What the covariance tracker must keep of the noisy signal: ``sc``
+    reads only the column against the external microphone."""
+    return "column" if names == ("sc",) else "matrix"
 
 
 def _noise_stats(names: tuple[str, ...]) -> str:
@@ -215,12 +293,13 @@ def _noise_stats(names: tuple[str, ...]) -> str:
     return "covariance" if "cs-head" in names else "psd"
 
 
-def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int) -> np.ndarray:
-    """Per-bin speech decision from the tracked noise PSD, [K] bool."""
-    noise_psd = tracker.noise_psd[:, :n_head].T
-    noisy_power = np.abs(y[:n_head]) ** 2
-    probabilities = spp(noisy_power, noise_psd)
-    return probabilities.mean(axis=0) > SPP_THRESHOLD
+def _spp_mask(noisy_power: np.ndarray, tracker: CovarianceTracker) -> np.ndarray:
+    """Per-bin speech decision from the head channels' periodograms
+    ``noisy_power`` [M, K] and the tracked noise PSD, [K] bool."""
+    n_head = noisy_power.shape[0]
+    probabilities = spp(noisy_power, tracker.noise_psd[:, :n_head].T)
+    # the mean over the head channels, without np.mean's overhead
+    return np.add.reduce(probabilities, axis=0) / n_head > SPP_THRESHOLD
 
 
 def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
@@ -284,7 +363,8 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             f"labels shaped {labels.shape}, expected {(n_bins, n_frames)}")
 
     tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
-                                noise_stats=_noise_stats(names))
+                                noise_stats=_noise_stats(names),
+                                noisy_stats=_noisy_stats(names))
     states = [_HeldEstimator(name, n_bins, n_head, n_chan) for name in names]
     decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),
                         np.zeros(n_frames, dtype=bool)) for name in names}
@@ -309,9 +389,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             block_labels = labels[:, start:stop]
         data = analyze(AudioClip(buffer, source.sample_rate), stft)
         tail = buffer[:, count * stft.hop:]
-        stores = [np.empty((count, n_bins, n_head), dtype=np.complex64)
-                  for _ in states]
-        valid_stores = [np.empty((count, n_bins), dtype=bool) for _ in states]
+        if labels is None:
+            head_power = np.abs(data[:n_head]) ** 2
+        for state in states:
+            state.start(count)
         for i, l in enumerate(range(start, stop)):
             y = np.ascontiguousarray(data[:, :, i])
             if labels is not None:
@@ -319,19 +400,20 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             elif l < SPP_BOOTSTRAP_FRAMES:
                 mask = np.zeros(n_bins, dtype=bool)
             else:
-                mask = _spp_mask(y, tracker, n_head)
+                mask = _spp_mask(head_power[:, :, i], tracker)
             tracker.update_frame(y, mask)
-            for state, store, valid_store in zip(states, stores, valid_stores):
-                state.step(tracker, mask)
-                store[i] = state.held
-                valid_store[i] = state.ever_valid
+            for state in states:
+                state.step(i, tracker, mask)
         # frames before cost_from keep NaN azimuth and cost and stay invalid
         first = max(cost_from, start)
-        for state, store, valid_store in zip(states, stores, valid_stores):
+        # every store is finished before any cost surface, so that the
+        # stacked sc columns are freed before the surfaces' temporaries
+        finished = [state.finish() for state in states]
+        for state, (store, valid, written) in zip(states, finished):
             if first >= stop:
                 continue
-            surface = cost_surface_frames(store[first - start:],
-                                          valid_store[first - start:], db)
+            surface = cost_surface_frames(store[first - start:], valid[first - start:],
+                                          db, written[first - start:])
             for out, value in zip(decisions[state.name],
                                   argmin_directions(surface, db)):
                 out[first:stop] = value

@@ -62,7 +62,8 @@ def test_criterion_1_exact_matrix_recovery(acceptance, rng):
         phi_n_sc = phi_n.copy()
         phi_n_sc[4, :4] = 0.0
         phi_n_sc[:4, 4] = 0.0
-        sc, sc_ok = batch_sc((phi_x * np.outer(g, g.conj()) + phi_n_sc)[None])
+        phi_y_sc = (phi_x * np.outer(g, g.conj()) + phi_n_sc)[None]
+        sc, sc_ok = batch_sc(phi_y_sc[..., -1])
         assert sc_ok[0]
         worst["sc"] = max(worst["sc"], np.abs(sc[0] - g[:4]).max())
     elapsed = time.perf_counter() - t0

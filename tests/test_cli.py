@@ -251,6 +251,12 @@ def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
                      "--database", str(workspace["db"]),
                      "--output", str(tmp_path / "s.csv")]) == 2, key
         assert f"key '{key}' must be a" in capsys.readouterr().err
+    matrix.write_text(json.dumps({**good, "reverb_proxies_db": [None],
+                                  "reverb_proxy_db": 3.0}))
+    assert main(["sweep", "--matrix", str(matrix),
+                 "--database", str(workspace["db"]),
+                 "--output", str(tmp_path / "s.csv")]) == 2
+    assert "'reverb_proxies_db' and 'reverb_proxy_db'" in capsys.readouterr().err
     # scene files are checked field by field
     scene = tmp_path / "scene.json"
     for key, value in (("seed", "x"), ("seed", 1.5), ("duration_s", "abc"),

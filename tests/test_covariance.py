@@ -168,6 +168,26 @@ def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng):
     assert psd.noise_inverse is None
 
 
+def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
+    # a tracker that keeps only the noisy column against the last channel
+    # holds the last column of the one that keeps the whole matrix, over
+    # random gating and snapshot scales spanning sixteen decades
+    n_bins, p = 33, 5
+    column = CovarianceTracker(p, n_bins, SM, noise_stats="psd",
+                               noisy_stats="column")
+    full = CovarianceTracker(p, n_bins, SM, noise_stats="psd")
+    assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
+        mask = rng.random(n_bins) < rng.random()
+        column.update_frame(y, mask)
+        full.update_frame(y, mask)
+        assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
+        assert np.array_equal(column.noise_psd, full.noise_psd)
+    assert np.array_equal(full.noisy_column, full.noisy[:, :, -1])
+
+
 def test_tracked_inverse_matches_inverse_of_noise(rng):
     n_bins, p = 9, 5
     tracker = CovarianceTracker(p, n_bins, SM, noise_stats="inverse")
@@ -258,6 +278,14 @@ def test_tracker_validation(rng):
         CovarianceTracker(2, 3, SM, noise_stats="cholesky")
     with pytest.raises(ConfigurationError, match="only the noise PSD"):
         CovarianceTracker(2, 3, SM, noise_stats="psd").noise
+    with pytest.raises(ConfigurationError, match="noisy_stats"):
+        CovarianceTracker(2, 3, SM, noise_stats="psd", noisy_stats="diagonal")
+    with pytest.raises(ConfigurationError, match="only the noisy column"):
+        CovarianceTracker(2, 3, SM, noise_stats="psd", noisy_stats="column").noisy
+    for noise_stats in ("covariance", "inverse"):
+        with pytest.raises(ConfigurationError, match="only the noise PSD"):
+            CovarianceTracker(2, 3, SM, noise_stats=noise_stats,
+                              noisy_stats="column")
     with pytest.raises(ConfigurationError):
         CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0),
                           noise_stats="inverse")

@@ -247,6 +247,59 @@ def test_cost_surface_skipping_repeated_values_is_exact(database, rng, dtype,
     assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("change_share", [0.08, 0.5, 1.0])
+@pytest.mark.parametrize("held_valid", [False, True])
+def test_cost_surface_written_mask_equals_value_comparison(database, rng, dtype,
+                                                           change_share,
+                                                           held_valid):
+    # a written mask, as the pipeline's stores keep it, marks every entry
+    # whose value changed and some whose fresh value equals the old one
+    n_frames = 40
+    values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
+                         change_share).astype(dtype)
+    values[:, 1:40] = values[:1, 1:40]  # chunks with one computed frame
+    written = np.zeros((n_frames, database.n_bins), dtype=bool)
+    written[1:] = (values[1:] != values[:-1]).any(axis=2)
+    written |= rng.random(written.shape) < 0.05
+    written[:, 1:33] = False  # a chunk never written after frame 0
+    if held_valid:
+        # valid once a bin was first written, as the pipeline marks it
+        valid = np.logical_or.accumulate(written & (rng.random(written.shape) < 0.3))
+    else:
+        valid = rng.random((n_frames, database.n_bins)) < 0.7  # toggles
+        valid[5] = False
+    got = cost_surface_frames(values, valid, database, written)
+    want = cost_surface_frames(values, valid, database)
+    assert np.array_equal(got, want, equal_nan=True)
+    with pytest.raises(ConfigurationError):
+        cost_surface_frames(values, valid, database, written[1:])
+
+
+def test_each_database_keeps_its_own_unit_prototypes(rng):
+    first = _small_db(np.random.default_rng(1))
+    second = _small_db(np.random.default_rng(2))
+    values = (rng.standard_normal((3, first.n_bins, 2))
+              + 1j * rng.standard_normal((3, first.n_bins, 2)))
+    valid = np.ones((3, first.n_bins), dtype=bool)
+    for dtype in (np.complex64, np.complex128):
+        cost_first = cost_surface_frames(values.astype(dtype), valid, first)
+        cost_second = cost_surface_frames(values.astype(dtype), valid, second)
+        assert not np.array_equal(cost_first, cost_second)
+        # a fresh copy, never costed before, gives the same surfaces
+        for db, cost in ((first, cost_first), (second, cost_second)):
+            copy = PrototypeDatabase(directions_deg=db.directions_deg,
+                                     vectors=db.vectors, sample_rate=16000,
+                                     fft_size=db.fft_size)
+            assert np.array_equal(
+                cost_surface_frames(values.astype(dtype), valid, copy), cost)
+        proto = first.unit_prototypes(dtype)
+        assert proto is first.unit_prototypes(dtype)
+        assert proto is not second.unit_prototypes(dtype)
+        assert proto.dtype == dtype and not proto.flags.writeable
+        np.testing.assert_allclose(np.linalg.norm(proto, axis=1), 1.0, rtol=1e-6)
+
+
 def test_cost_surface_shape_errors(rng):
     db = _small_db(rng)
     good = np.ones((2, db.n_bins, 2), dtype=complex)

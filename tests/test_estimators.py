@@ -352,7 +352,7 @@ def test_power_tracker_validation():
 def test_sc_rank_one_drops_external_entry():
     a = np.array([1.0, 2.0, 0.5], dtype=complex)  # two head mics + external
     phi_y = np.outer(a, a.conj())
-    values, valid = batch_sc(phi_y[None])
+    values, valid = batch_sc(phi_y[None][..., -1])
     assert valid[0]
     assert values[0].shape == (2,)
     np.testing.assert_allclose(values[0], [1.0, 2.0], atol=1e-14)
@@ -365,7 +365,7 @@ def test_sc_immune_to_uncorrelated_noise():
     phi_head_noise[:2, :2] = _random_psd(np.random.default_rng(7), 2)
     phi_head_noise[2, 2] = 3.0
     phi_y = np.outer(a, a.conj()) + phi_head_noise
-    values, valid = batch_sc(phi_y[None])
+    values, valid = batch_sc(phi_y[None][..., -1])
     assert valid[0]
     np.testing.assert_allclose(values[0], [1.0, 2.0], atol=1e-14)
 
@@ -378,7 +378,7 @@ def test_sc_bias_grows_with_external_correlation():
         phi_y = clean.copy()
         phi_y[0, 2] += rho
         phi_y[2, 0] += rho
-        values, _ = batch_sc(phi_y[None])
+        values, _ = batch_sc(phi_y[None][..., -1])
         errors.append(np.linalg.norm(values[0] - np.array([1.0, 2.0])))
     assert errors[0] == pytest.approx(0.0, abs=1e-14)
     assert all(e2 > e1 for e1, e2 in zip(errors, errors[1:]))
@@ -387,14 +387,33 @@ def test_sc_bias_grows_with_external_correlation():
 def test_sc_silent_external_mic_invalid():
     phi_y = np.zeros((3, 3), dtype=complex)
     phi_y[:2, :2] = np.outer([1.0, 2.0], [1.0, 2.0])
-    values, valid = batch_sc(phi_y[None])
+    values, valid = batch_sc(phi_y[None][..., -1])
     assert not valid[0]
     assert np.all(values[0] == 0.0)
 
 
+def test_sc_ignores_the_external_gain(rng):
+    # the external channel 300 dB down scales the column's head entries by
+    # g and its last entry by g^2; values and validity stay as they were,
+    # where a floor relative to the whole matrix would flag every bin
+    g = 1e-15
+    mix = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    phi_y = mix @ mix.conj().swapaxes(-1, -2)
+    phi_y[4, 0, 2] = phi_y[4, 2, 0] = 0.0  # a zero reference entry
+    phi_y[5, :, 2] = phi_y[5, 2, :] = 0.0  # an all-zero column
+    columns = phi_y[..., -1]
+    quiet = g * columns
+    quiet[:, -1] *= g
+    values, valid = batch_sc(columns)
+    quiet_values, quiet_valid = batch_sc(quiet)
+    np.testing.assert_array_equal(valid, [True] * 4 + [False] * 2)
+    np.testing.assert_array_equal(quiet_valid, valid)
+    np.testing.assert_allclose(quiet_values, values, rtol=1e-14, atol=0)
+
+
 def test_sc_needs_two_channels():
     with pytest.raises(ConfigurationError):
-        batch_sc(np.ones((1, 1, 1), dtype=complex))
+        batch_sc(np.ones((1, 1, 1), dtype=complex)[..., -1])
 
 
 # ------------------------------------------------------------ shared traits
@@ -412,8 +431,8 @@ def test_all_estimators_scale_invariant(rng):
     cw_a = batch_cw(phi_y[None], phi_n[None])[0]
     cw_b = batch_cw(c * phi_y[None], c * phi_n[None])[0]
     np.testing.assert_allclose(cw_a, cw_b, atol=1e-10)
-    sc_a = batch_sc(phi_y[None])[0]
-    sc_b = batch_sc(c * phi_y[None])[0]
+    sc_a = batch_sc(phi_y[None][..., -1])[0]
+    sc_b = batch_sc((c * phi_y[None])[..., -1])[0]
     np.testing.assert_allclose(sc_a, sc_b, atol=1e-12)
 
 
@@ -424,6 +443,6 @@ def test_reference_entry_is_exactly_one(rng):
                              phi_n[k]) for k in range(6)
     ])
     for values, valid in (batch_cs(phi_y, phi_n), batch_cw(phi_y, phi_n),
-                          batch_sc(phi_y)):
+                          batch_sc(phi_y[..., -1])):
         assert valid.all()
         assert np.all(values[:, 0] == 1.0 + 0.0j)

@@ -327,6 +327,13 @@ def test_run_sweep_missing_axis(database):
             run_sweep({"estimators": ["sc"], "azimuths_deg": [0.0],
                        "snrs_db": [0.0], "seeds": [1], "duration_s": 2.0,
                        "diffuse_order": 12, key: value}, database)
+    # the reverb proxy as an axis and as a scalar: the scalar was ignored
+    with pytest.raises(ConfigurationError,
+                       match="'reverb_proxies_db' and 'reverb_proxy_db'"):
+        run_sweep({"estimators": ["sc"], "azimuths_deg": [0.0],
+                   "snrs_db": [0.0], "seeds": [1], "duration_s": 2.0,
+                   "diffuse_order": 12, "reverb_proxies_db": [None],
+                   "reverb_proxy_db": 3.0}, database)
 
 
 def test_run_sweep_captures_cell_failures(database):
