@@ -293,11 +293,11 @@ def _noise_stats(names: tuple[str, ...]) -> str:
     return "covariance" if "cs-head" in names else "psd"
 
 
-def _spp_mask(noisy_power: np.ndarray, tracker: CovarianceTracker) -> np.ndarray:
-    """Per-bin speech decision from the head channels' periodograms
-    ``noisy_power`` [M, K] and the tracked noise PSD, [K] bool."""
-    n_head = noisy_power.shape[0]
-    probabilities = spp(noisy_power, tracker.noise_psd[:, :n_head].T)
+def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int) -> np.ndarray:
+    """Per-bin speech decision from the tracked noise PSD, [K] bool."""
+    noise_psd = tracker.noise_psd[:, :n_head].T
+    noisy_power = np.abs(y[:n_head]) ** 2
+    probabilities = spp(noisy_power, noise_psd)
     # the mean over the head channels, without np.mean's overhead
     return np.add.reduce(probabilities, axis=0) / n_head > SPP_THRESHOLD
 
@@ -389,8 +389,6 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             block_labels = labels[:, start:stop]
         data = analyze(AudioClip(buffer, source.sample_rate), stft)
         tail = buffer[:, count * stft.hop:]
-        if labels is None:
-            head_power = np.abs(data[:n_head]) ** 2
         for state in states:
             state.start(count)
         for i, l in enumerate(range(start, stop)):
@@ -400,7 +398,7 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             elif l < SPP_BOOTSTRAP_FRAMES:
                 mask = np.zeros(n_bins, dtype=bool)
             else:
-                mask = _spp_mask(head_power[:, :, i], tracker)
+                mask = _spp_mask(y, tracker, n_head)
             tracker.update_frame(y, mask)
             for state in states:
                 state.step(i, tracker, mask)

@@ -72,11 +72,11 @@ def test_classify_frame_decisions(monkeypatch):
     y[:3, 2] = loud
     y[:4, 3] = loud  # all four: mean exactly 1.0
     y[4, 4] = loud   # only the external channel, which the rule ignores
-    mask = _spp_mask(np.abs(y[:4]) ** 2, tracker)
+    mask = _spp_mask(y, tracker, 4)
     np.testing.assert_array_equal(mask, [False, True, True, True, False])
     # strict inequality: a mean exactly at the threshold reads noise-only
     monkeypatch.setattr(pipeline, "SPP_THRESHOLD", 1.0)
-    assert not _spp_mask(np.abs(y[:4]) ** 2, tracker)[3]
+    assert not _spp_mask(y, tracker, 4)[3]
 
 
 def test_classify_frame_order_invariant(rng):
@@ -85,12 +85,12 @@ def test_classify_frame_order_invariant(rng):
     tracker = _tracker_with_unit_noise(n_bins)
     y = (rng.standard_normal((5, n_bins))
          + 1j * rng.standard_normal((5, n_bins))) * rng.uniform(0.0, 3.0)
-    mask = _spp_mask(np.abs(y[:4]) ** 2, tracker)
+    mask = _spp_mask(y, tracker, 4)
     assert mask.any() and not mask.all()
     for _ in range(5):
         order = np.concatenate([rng.permutation(4), [4]])
         np.testing.assert_array_equal(
-            _spp_mask(np.abs(y[order][:4]) ** 2, tracker), mask)
+            _spp_mask(y[order], tracker, 4), mask)
 
 
 def test_oracle_labels_from_power_margin():
