@@ -76,7 +76,8 @@ DEFAULT_TAU_Y_STATIC_S = 0.25
 DEFAULT_TAU_N_S = 0.5
 
 # frames per block of the streaming pass; the block's STFT, estimate
-# stores and cost surface are the only arrays that scale with it
+# stores (with sc's stacked columns) and cost surface are the only arrays
+# that scale with it
 BLOCK_FRAMES = 128
 # frames per step of the in-place hold-last-valid fill of a block's store
 _FILL_FRAMES = 16
