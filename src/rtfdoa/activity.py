@@ -3,6 +3,15 @@
 The detector decides, per time-frequency bin, whether the incoming frame
 updates the noisy-signal covariance (speech plus noise) or the noise
 covariance (noise only).
+
+The SPP detector (:class:`SppDetector`) keeps its own noise PSD of the
+head channels, which nothing else reads: each step decides the frame's
+speech mask through :func:`spp` and then absorbs the frame into the PSD
+in the bins gated as noise, in place, through frame-sized buffers it
+allocates once. The PSD follows the recursion of the noise covariance's
+diagonal, so under the same masks it equals the head block of that
+diagonal bit for bit, and the detector decides alike whatever the
+covariance tracker keeps of the noise.
 """
 from __future__ import annotations
 
@@ -11,6 +20,7 @@ import struct
 
 import numpy as np
 
+from .covariance import DEFAULT_EPS_INIT
 from .errors import ConfigurationError
 
 log = logging.getLogger(__name__)
@@ -23,6 +33,11 @@ SPP_PRIOR = 0.5
 SPP_FIXED_SNR_DB = 15.0
 # non-positive noise PSD values are clamped to this before dividing
 NOISE_PSD_FLOOR = 1e-12
+# the SPP detector gates the first frames as noise, so that the noise PSD
+# it divides by has absorbed some frames before it decides
+SPP_BOOTSTRAP_FRAMES = 10
+# a bin is speech when its head channels' mean SPP exceeds this
+SPP_THRESHOLD = 0.5
 
 
 def spp(noisy_power, noise_psd) -> np.ndarray:
@@ -38,13 +53,73 @@ def spp(noisy_power, noise_psd) -> np.ndarray:
     """
     power = np.asarray(noisy_power, dtype=np.float64)
     psd = np.asarray(noise_psd, dtype=np.float64)
-    if np.any(psd <= 0.0):
+    if (psd <= 0.0).any():
         log.warning("non-positive noise PSD clamped to floor %.1e", NOISE_PSD_FLOOR)
         psd = np.maximum(psd, NOISE_PSD_FLOOR)
     xi = 10.0 ** (SPP_FIXED_SNR_DB / 10.0)
-    gamma = power / psd
-    odds_inv = (1.0 - SPP_PRIOR) / SPP_PRIOR * (1.0 + xi) * np.exp(-gamma * xi / (1.0 + xi))
-    return 1.0 / (1.0 + odds_inv)
+    # the formula's operations in its order, in place on gamma's array (0-d
+    # for scalar arguments, which [()] turns back into a scalar)
+    p = np.asarray(power / psd)
+    np.negative(p, out=p)
+    p *= xi
+    p /= 1.0 + xi
+    np.exp(p, out=p)
+    p *= (1.0 - SPP_PRIOR) / SPP_PRIOR * (1.0 + xi)
+    p += 1.0
+    return np.divide(1.0, p, out=p)[()]
+
+
+class SppDetector:
+    """The fixed-prior SPP detector with its own noise PSD of the head
+    channels, ``[n_head, K]``.
+
+    :meth:`step` gates every bin as noise for the first
+    :data:`SPP_BOOTSTRAP_FRAMES` frames; then a bin is speech when its head
+    channels' mean :func:`spp` exceeds :data:`SPP_THRESHOLD`. In the bins
+    gated as noise the PSD then absorbs the frame,
+    ``psd <- alpha_n * psd + (1 - alpha_n) |y_p|^2``, from ``eps_init``:
+    the noise covariance's recursion restricted to its diagonal, with
+    ``|y_p|^2`` formed as ``re^2 + im^2``, which equals the real part of
+    the outer product's ``y_p conj(y_p)`` bit for bit.
+    """
+
+    def __init__(self, n_head: int, n_bins: int, alpha_n: float,
+                 eps_init: float = DEFAULT_EPS_INIT) -> None:
+        if n_head < 1 or n_bins < 1:
+            raise ConfigurationError("need n_head >= 1 and n_bins >= 1")
+        self.n_head = n_head
+        self.alpha_n = alpha_n
+        self.psd = np.full((n_head, n_bins), eps_init)
+        self.frames = 0
+        self._power = np.empty((n_head, n_bins))
+        self._scratch = np.empty((n_head, n_bins))
+        self._mean = np.empty(n_bins)
+        self._noise = np.empty(n_bins, dtype=bool)
+
+    def step(self, y: np.ndarray) -> np.ndarray:
+        """Decide one frame (``y`` [P, K], head channels first) and update
+        the PSD; returns the speech mask, a boolean [K]."""
+        head = y[:self.n_head]
+        power, scratch = self._power, self._scratch
+        if self.frames < SPP_BOOTSTRAP_FRAMES:
+            mask = np.zeros(self.psd.shape[1], dtype=bool)
+        else:
+            np.abs(head, out=power)
+            probabilities = spp(np.square(power, out=power), self.psd)
+            # the mean over the head channels, without np.mean's overhead
+            mean = np.add.reduce(probabilities, axis=0, out=self._mean)
+            mean /= self.n_head
+            mask = mean > SPP_THRESHOLD
+        self.frames += 1
+        np.multiply(head.real, head.real, out=power)
+        np.multiply(head.imag, head.imag, out=scratch)
+        power += scratch
+        power *= 1.0 - self.alpha_n
+        np.multiply(self.psd, self.alpha_n, out=scratch)
+        scratch += power
+        np.logical_not(mask, out=self._noise)
+        np.copyto(self.psd, scratch, where=self._noise)
+        return mask
 
 
 def oracle_labels_from_power(clean_power: np.ndarray, noise_power: np.ndarray,

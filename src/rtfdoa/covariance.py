@@ -17,17 +17,13 @@ two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
 
 Only what is read is kept. The tracker keeps only as much of the noise
-as its readers need (``noise_stats``): ``"psd"`` keeps the per-channel
-noise PSD, the real diagonal of ``phi_n``, which is all the speech
-presence detector reads (``sc`` reads no noise statistic);
+as its readers need (``noise_stats``): ``"none"`` keeps no noise
+statistic (``sc`` reads none, and the speech presence detector keeps its
+own noise PSD, see :class:`~rtfdoa.activity.SppDetector`);
 ``"covariance"`` keeps ``phi_n`` (``cs-head``); ``"inverse"`` keeps
-``phi_n`` and its inverse (the ``cw-*`` estimators).
-The PSD follows the same recursion with ``|y_p|^2`` in place of
-``y y^H``, computed by ``einsum`` so that it equals the diagonal of the
-outer product bit for bit (a plain ``(y * y.conj()).real`` does not: its
-complex product may be fused differently); so the detector sees the same
-values in every mode. Keeping only the PSD, the tracker forms outer
-products only in the bins gated as speech.
+``phi_n`` and its inverse (the ``cw-*`` estimators). Keeping no noise
+statistic, the tracker forms outer products only in the bins gated as
+speech.
 
 The noisy side follows the same rule (``noisy_stats``): ``"matrix"``
 keeps ``phi_y``, which ``cs-head`` and the ``cw-*`` estimators read;
@@ -35,8 +31,11 @@ keeps ``phi_y``, which ``cs-head`` and the ``cw-*`` estimators read;
 ``phi_y e_P``, all that ``sc`` reads, and then forms only that column of
 each speech bin's outer product, ``y conj(y_P)``. Its entries are the same
 single products as the last column of ``y y^H``, so the column equals
-``phi_y``'s last column bit for bit. A column goes with the noise PSD
+``phi_y``'s last column bit for bit. A column goes with no noise statistic
 only: keeping the noise covariance forms every outer product anyway.
+In either mode an update can write the speech bins' new columns straight
+into a caller's buffer, so that ``sc`` stacks them without gathering them
+from the tracker again.
 
 With ``"inverse"`` the tracker also follows ``M = phi_n^-1``, which the
 covariance-whitening estimators step with.
@@ -162,7 +161,7 @@ def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
 # what the tracker keeps of the noisy signal and of the noise, from least
 # to most
 NOISY_STATS = ("column", "matrix")
-NOISE_STATS = ("psd", "covariance", "inverse")
+NOISE_STATS = ("none", "covariance", "inverse")
 
 
 class CovarianceTracker:
@@ -171,12 +170,11 @@ class CovarianceTracker:
     ``noisy_stats`` and ``noise_stats`` name what is kept of the noisy
     signal and of the noise (see the module docstring).
     :attr:`noisy_column` serves both noisy modes; :attr:`noisy` needs
-    ``"matrix"``. :attr:`noise_psd` serves every noise mode; :attr:`noise`
-    needs ``"covariance"`` or ``"inverse"``; :attr:`noise_inverse` is None
-    unless ``"inverse"``, and then is updated in the noise-gated bins of
-    every frame. A bin whose tracked inverse is no longer usable is
-    re-seeded from its covariance (see the module docstring), so the
-    inverse is finite after every update.
+    ``"matrix"``. :attr:`noise` needs ``"covariance"`` or ``"inverse"``;
+    :attr:`noise_inverse` is None unless ``"inverse"``, and then is updated
+    in the noise-gated bins of every frame. A bin whose tracked inverse is
+    no longer usable is re-seeded from its covariance (see the module
+    docstring), so the inverse is finite after every update.
     """
 
     def __init__(self, n_channels: int, n_bins: int,
@@ -192,9 +190,9 @@ class CovarianceTracker:
         if noisy_stats not in NOISY_STATS:
             raise ConfigurationError(
                 f"noisy_stats must be one of {NOISY_STATS}, got '{noisy_stats}'")
-        if noisy_stats == "column" and noise_stats != "psd":
+        if noisy_stats == "column" and noise_stats != "none":
             raise ConfigurationError(
-                "a tracker that keeps only the noisy column keeps only the noise PSD")
+                "a tracker that keeps only the noisy column keeps no noise statistic")
         inverse = noise_stats == "inverse"
         if inverse and smoothing.alpha_n == 0.0:
             raise ConfigurationError(
@@ -205,9 +203,7 @@ class CovarianceTracker:
         if noisy_stats == "column":
             self._phi_y = np.ascontiguousarray(self._phi_y[:, :, -1])
         self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1)) \
-            if noise_stats != "psd" else None
-        self._psd = np.full((n_bins, n_channels), eps_init) \
-            if noise_stats == "psd" else None
+            if noise_stats != "none" else None
         self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1)) if inverse else None
         self.smoothing = smoothing
         self.n_channels = n_channels
@@ -233,16 +229,8 @@ class CovarianceTracker:
         """Noise covariances [K, P, P]. Treat as read-only."""
         if self._phi_n is None:
             raise ConfigurationError(
-                "this tracker keeps only the noise PSD, not the noise covariance")
+                "this tracker keeps no noise statistic, not the noise covariance")
         return self._phi_n
-
-    @property
-    def noise_psd(self) -> np.ndarray:
-        """Per-channel noise PSDs [K, P], the diagonal of :attr:`noise`.
-        Treat as read-only."""
-        if self._psd is not None:
-            return self._psd
-        return self._phi_n.diagonal(axis1=1, axis2=2).real
 
     @property
     def noise_inverse(self) -> np.ndarray | None:
@@ -250,32 +238,43 @@ class CovarianceTracker:
         Treat as read-only."""
         return self._inv_n
 
-    def update_frame(self, y: np.ndarray, speech_mask: np.ndarray) -> None:
-        """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K]."""
+    def update_frame(self, y: np.ndarray, speech_mask: np.ndarray,
+                     speech: np.ndarray | None = None,
+                     column_out: np.ndarray | None = None) -> None:
+        """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K].
+
+        ``speech``, if given, is ``np.flatnonzero(speech_mask)``, passed by
+        a caller that needs the index too. ``column_out``, if given, is a
+        [n_speech, P] buffer that receives the speech bins' updated
+        columns against the last channel, ``noisy_column[speech]``.
+        """
         if y.shape != (self.n_channels, self.n_bins):
             raise ConfigurationError("frame shape does not match tracker")
         if not np.isfinite(y).all():
             raise NumericalFailure("frame contains non-finite values")
         mask = np.asarray(speech_mask, dtype=bool)
+        if speech is None:
+            speech = np.flatnonzero(mask)
         a_y = self.smoothing.alpha_y
-        a_n = self.smoothing.alpha_n
         # with phi_n kept every bin absorbs an outer product, and one einsum
         # over all bins costs less than one per gated subset of them
         outer = _outer(y) if self._phi_n is not None else None
-        speech = np.flatnonzero(mask)
         if speech.size:
+            column = self._phi_y.ndim == 2
             if outer is not None:
                 fresh = outer[speech]
-            elif self._phi_y.ndim == 2:
+            elif column:
                 fresh = _outer_column(y[:, speech])
             else:
                 fresh = _outer(y[:, speech])
-            self._phi_y[speech] = a_y * self._phi_y[speech] + (1.0 - a_y) * fresh
+            phi = np.add(a_y * self._phi_y[speech], (1.0 - a_y) * fresh,
+                         out=column_out if column else None)
+            self._phi_y[speech] = phi
+            if column_out is not None and not column:
+                column_out[...] = phi[:, :, -1]
         if outer is None:
-            power = np.einsum("pk,pk->kp", y, y.conj()).real
-            self._psd = np.where(mask[:, None], self._psd,
-                                 a_n * self._psd + (1.0 - a_n) * power)
             return
+        a_n = self.smoothing.alpha_n
         noise = np.flatnonzero(~mask)
         if noise.size:
             phi = a_n * self._phi_n[noise] + (1.0 - a_n) * outer[noise]

@@ -19,11 +19,13 @@ runs. Both whitening variants share that one inverse: ``cw-head`` reads
 its head block's inverse from it through a Schur complement.
 
 The detector is either the oracle labels or the fixed-prior SPP of
-:func:`~rtfdoa.activity.spp`, whose model and decision rule are module
-constants, not run-config entries: the SPP gates every bin as noise for
-the first :data:`SPP_BOOTSTRAP_FRAMES` frames and then marks a bin as
-speech when its head channels' mean probability exceeds
-:data:`SPP_THRESHOLD`.
+:class:`~rtfdoa.activity.SppDetector`, whose model and decision rule are
+module constants, not run-config entries: the SPP gates every bin as
+noise for the first :data:`~rtfdoa.activity.SPP_BOOTSTRAP_FRAMES` frames
+and then marks a bin as speech when its head channels' mean probability
+exceeds :data:`~rtfdoa.activity.SPP_THRESHOLD`. The detector keeps its
+own noise PSD of the head channels and updates it in the same step that
+decides.
 
 Estimates are held per bin across invalid frames ("hold last valid"), so
 a bin keeps contributing its most recent usable RTF while the detector
@@ -38,20 +40,27 @@ valid estimate in the other entries. ``sc`` reads only the noisy column
 against the external microphone, which moves only in the bins gated as
 speech, so each frame stacks those bins' columns and
 :func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
-call. The cost surface computes a bin's angles only in the frames where
+call. Each frame's speech index is found once, for the tracker and for
+``sc``, and the tracker writes the updated columns straight into ``sc``'s
+stack. The cost surface computes a bin's angles only in the frames where
 it was written, and sums a chunk of bins only in the frames where one of
 them was written or the valid mask changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
 
+The block buffers are allocated once per run, sized for the largest
+block: the STFT (:func:`~rtfdoa.stft.analyze` writes into it), each
+estimator's store and written mask, and ``sc``'s stack of columns. Every
+block overwrites what it reads of them, and each frame is a view of the
+block's STFT.
+
 Only what is read is kept: the covariance tracker keeps of the noisy
 signal and of the noise what the estimator set needs and no more. ``sc``
 alone keeps the column of the noisy covariance against the external
-microphone, and the per-channel noise PSD, the only noise statistic the
-SPP detector reads. Any other estimator needs the whole noisy covariance;
-any ``cs-head`` needs the noise covariance; any ``cw-*`` needs the
-covariance and its tracked inverse. The column equals the matrix's last
-column and the PSD the covariance's diagonal bit for bit, so every
-decision is the same in each mode.
+microphone and no noise statistic. Any other estimator needs the whole
+noisy covariance; any ``cs-head`` needs the noise covariance; any
+``cw-*`` needs the covariance and its tracked inverse. The column equals
+the matrix's last column bit for bit, and the SPP detector reads only its
+own PSD, so every decision is the same in each mode.
 """
 from __future__ import annotations
 
@@ -61,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activity import LabelBitmap, spp
+from .activity import LabelBitmap, SppDetector
 from .covariance import CovarianceTracker, SmoothingConfig
 from .doa import PrototypeDatabase, argmin_directions, cost_surface_frames
 from .errors import ConfigurationError, NumericalFailure
@@ -81,12 +90,6 @@ DEFAULT_TAU_N_S = 0.5
 BLOCK_FRAMES = 128
 # frames per step of the in-place hold-last-valid fill of a block's store
 _FILL_FRAMES = 16
-
-# the SPP detector gates the first frames as noise, so that the noise PSD
-# it divides by has absorbed some frames before it decides
-SPP_BOOTSTRAP_FRAMES = 10
-# a bin is speech when its head channels' mean SPP exceeds this
-SPP_THRESHOLD = 0.5
 
 
 def check_scoring(eval_window: float, tolerance_deg: float) -> None:
@@ -206,47 +209,54 @@ def _hold_last_valid(store: np.ndarray, written: np.ndarray,
 class _HeldEstimator:
     """Wraps a batch estimator with per-bin hold-last-valid storage.
 
-    Per block, :meth:`start` opens the block's store, :meth:`step` writes
-    each frame's valid estimates into it and marks them in ``written``,
-    and :meth:`finish` fills every other entry with its bin's last valid
-    estimate and returns the store with its valid and written masks.
+    The store, its written and valid masks and ``sc``'s stack of columns
+    are allocated once for blocks of up to ``capacity`` frames. Per
+    block, :meth:`start` opens the block, :meth:`step` writes each frame's
+    valid estimates into the store and marks them in ``written`` (``sc``
+    instead has the tracker write each frame's columns into
+    :meth:`columns`), and :meth:`finish` fills every other entry with its
+    bin's last valid estimate and returns the store with its valid and
+    written masks, views that the next block overwrites.
     """
 
-    def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int) -> None:
+    def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int,
+                 capacity: int) -> None:
         self.name = name
         self.n_head = n_head
-        self.n_channels = n_channels
         self.held = np.zeros((n_bins, n_head), dtype=np.complex64)
         self.ever_valid = np.zeros(n_bins, dtype=bool)
+        self.store = np.empty((capacity, n_bins, n_head), dtype=np.complex64)
+        self.written = np.empty((capacity, n_bins), dtype=bool)
+        self.valid = np.empty((capacity, n_bins), dtype=bool)
         dim = n_channels if name == "cw-ext" else n_head
         self.cw = PowerCwTracker(n_bins, dim) if name.startswith("cw") else None
+        if name == "sc":
+            # each frame's speech bins and, stacked, their noisy columns
+            self._columns = np.empty((capacity * n_bins, n_channels),
+                                     dtype=np.complex128)
 
     def start(self, count: int) -> None:
-        n_bins = self.ever_valid.size
-        self.store = np.empty((count, n_bins, self.n_head), dtype=np.complex64)
-        self.written = np.zeros((count, n_bins), dtype=bool)
+        self.count = count
+        self.written[:count] = False
         if self.name == "sc":
-            # each frame's speech bins and, stacked, their noisy columns
             self._frames: list[int] = []
             self._bins: list[np.ndarray] = []
-            self._columns = np.empty((count * n_bins, self.n_channels),
-                                     dtype=np.complex128)
             self._stacked = 0
 
-    def step(self, i: int, tracker: CovarianceTracker, speech_mask: np.ndarray) -> None:
+    def columns(self, i: int, bins: np.ndarray) -> np.ndarray:
+        """The rows of ``sc``'s stack that take frame ``i``'s noisy columns
+        of the speech ``bins``. phi_y moved only in those bins; a bin never
+        gated as speech still holds eps * e_P, whose zero reference entry
+        is invalid. The block's columns are estimated in finish()."""
+        n = self._stacked
+        if bins.size:
+            self._stacked += bins.size
+            self._frames.append(i)
+            self._bins.append(bins)
+        return self._columns[n:self._stacked]
+
+    def step(self, i: int, tracker: CovarianceTracker) -> None:
         m = self.n_head
-        if self.name == "sc":
-            # phi_y moved only in the speech bins; a bin never gated as
-            # speech still holds eps * e_P, whose zero reference entry is
-            # invalid. The block's columns are estimated in finish().
-            bins = np.flatnonzero(speech_mask)
-            if bins.size:
-                n = self._stacked
-                self._columns[n:n + bins.size] = tracker.noisy_column[bins]
-                self._stacked += bins.size
-                self._frames.append(i)
-                self._bins.append(bins)
-            return
         if self.name == "cs-head":
             values, valid = batch_cs(tracker.noisy[:, :m, :m],
                                      tracker.noise[:, :m, :m])
@@ -261,21 +271,22 @@ class _HeldEstimator:
     def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Close the block: (store [L, K, M], valid [L, K], written [L, K]),
         valid meaning that the bin has held an estimate by that frame."""
+        count = self.count
+        store, written = self.store[:count], self.written[:count]
         if self.name == "sc" and self._bins:
-            columns, self._columns = self._columns[:self._stacked], None
-            values, valid = batch_sc(columns, overwrite=True)
+            values, valid = batch_sc(self._columns[:self._stacked], overwrite=True)
             frames = np.repeat(self._frames, [b.size for b in self._bins])
             bins = np.concatenate(self._bins)
             # an invalid estimate is all zeros and stays unwritten, so the
             # fill below overwrites it
-            self.store[frames, bins] = values
-            self.written[frames[valid], bins[valid]] = True
-        _hold_last_valid(self.store, self.written, self.held)
-        self.held = self.store[-1].copy()
-        valid = np.logical_or.accumulate(self.written, axis=0)
+            store[frames, bins] = values
+            written[frames[valid], bins[valid]] = True
+        _hold_last_valid(store, written, self.held)
+        np.copyto(self.held, store[-1])
+        valid = np.logical_or.accumulate(written, axis=0, out=self.valid[:count])
         valid |= self.ever_valid
-        self.ever_valid = valid[-1].copy()
-        return self.store, valid, self.written
+        np.copyto(self.ever_valid, valid[-1])
+        return store, valid, written
 
 
 def _noisy_stats(names: tuple[str, ...]) -> str:
@@ -288,19 +299,10 @@ def _noise_stats(names: tuple[str, ...]) -> str:
     """The least the covariance tracker must keep of the noise for these
     estimators: the ``cw-*`` ones step with the inverse noise covariance,
     ``cs-head`` subtracts the covariance, and ``sc`` reads no noise
-    statistic at all, so it leaves the PSD that the SPP detector reads."""
+    statistic at all (the SPP detector keeps its own PSD)."""
     if any(name.startswith("cw") for name in names):
         return "inverse"
-    return "covariance" if "cs-head" in names else "psd"
-
-
-def _spp_mask(y: np.ndarray, tracker: CovarianceTracker, n_head: int) -> np.ndarray:
-    """Per-bin speech decision from the tracked noise PSD, [K] bool."""
-    noise_psd = tracker.noise_psd[:, :n_head].T
-    noisy_power = np.abs(y[:n_head]) ** 2
-    probabilities = spp(noisy_power, noise_psd)
-    # the mean over the head channels, without np.mean's overhead
-    return np.add.reduce(probabilities, axis=0) / n_head > SPP_THRESHOLD
+    return "covariance" if "cs-head" in names else "none"
 
 
 def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
@@ -363,10 +365,18 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         raise ConfigurationError(
             f"labels shaped {labels.shape}, expected {(n_bins, n_frames)}")
 
-    tracker = CovarianceTracker(n_chan, n_bins, config.smoothing(source.sample_rate),
+    smoothing = config.smoothing(source.sample_rate)
+    tracker = CovarianceTracker(n_chan, n_bins, smoothing,
                                 noise_stats=_noise_stats(names),
                                 noisy_stats=_noisy_stats(names))
-    states = [_HeldEstimator(name, n_bins, n_head, n_chan) for name in names]
+    detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
+    # no block holds more frames than this, so the block buffers are made once
+    capacity = min(BLOCK_FRAMES, n_frames)
+    spectrum = np.empty((n_chan, capacity, n_bins), dtype=np.complex128)
+    states = [_HeldEstimator(name, n_bins, n_head, n_chan, capacity)
+              for name in names]
+    sc = next((state for state in states if state.name == "sc"), None)
+    stepped = [state for state in states if state is not sc]
     decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),
                         np.zeros(n_frames, dtype=bool)) for name in names}
     surfaces = {name: np.full((n_frames, db.n_directions), np.nan)
@@ -388,27 +398,22 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
             block_labels = labels.columns(start, stop)
         elif labels is not None:
             block_labels = labels[:, start:stop]
-        data = analyze(AudioClip(buffer, source.sample_rate), stft)
+        data = analyze(AudioClip(buffer, source.sample_rate), stft, out=spectrum)
         tail = buffer[:, count * stft.hop:]
         for state in states:
             state.start(count)
-        for i, l in enumerate(range(start, stop)):
-            y = np.ascontiguousarray(data[:, :, i])
-            if labels is not None:
-                mask = block_labels[:, i]
-            elif l < SPP_BOOTSTRAP_FRAMES:
-                mask = np.zeros(n_bins, dtype=bool)
-            else:
-                mask = _spp_mask(y, tracker, n_head)
-            tracker.update_frame(y, mask)
-            for state in states:
-                state.step(i, tracker, mask)
+        for i in range(count):
+            y = data[:, :, i]
+            mask = block_labels[:, i] if detector is None else detector.step(y)
+            speech = mask.nonzero()[0]
+            tracker.update_frame(y, mask, speech,
+                                 None if sc is None else sc.columns(i, speech))
+            for state in stepped:
+                state.step(i, tracker)
         # frames before cost_from keep NaN azimuth and cost and stay invalid
         first = max(cost_from, start)
-        # every store is finished before any cost surface, so that the
-        # stacked sc columns are freed before the surfaces' temporaries
-        finished = [state.finish() for state in states]
-        for state, (store, valid, written) in zip(states, finished):
+        for state in states:
+            store, valid, written = state.finish()
             if first >= stop:
                 continue
             surface = cost_surface_frames(store[first - start:], valid[first - start:],

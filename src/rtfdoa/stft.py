@@ -43,6 +43,8 @@ _SAMPLE_FORMATS = {
     (_WAVE_FORMAT_IEEE_FLOAT, 8): ("<f8", 1.0),
 }
 _READ_BLOCK_SAMPLES = 1 << 16
+# frames windowed at a time by analyze()
+_WINDOW_FRAMES = 16
 
 
 def sqrt_hann(frame_len: int) -> np.ndarray:
@@ -126,14 +128,20 @@ def frame_times(n_frames: int, frame_len: int, hop: int,
     return (idx * hop + frame_len / 2.0) / sample_rate
 
 
-def analyze(clip: AudioClip, cfg: StftConfig | None = None) -> np.ndarray:
+def analyze(clip: AudioClip, cfg: StftConfig | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Windowed one-sided STFT of all channels, [channels, bins, frames]
     complex128; every STFT of the package is this one.
 
     The result is a transposed view of a [channels, frames, bins] array,
-    not a contiguous one. Raises :class:`ConfigurationError` when the
-    clip is shorter than one frame and :class:`NumericalFailure` on
-    non-finite samples.
+    not a contiguous one. ``out``, if given, is that array: a complex128
+    [channels, n, bins] buffer with ``n`` at least the clip's frame count,
+    whose first frames receive the STFT (a caller that transforms block
+    after block allocates it once). The windowed frames go through a small
+    scratch buffer, a few frames at a time, so that no windowed copy of the
+    whole clip is made. Raises :class:`ConfigurationError` when the clip is
+    shorter than one frame or ``out`` does not fit, and
+    :class:`NumericalFailure` on non-finite samples.
     """
     cfg = cfg or StftConfig()
     x = clip.samples
@@ -144,8 +152,21 @@ def analyze(clip: AudioClip, cfg: StftConfig | None = None) -> np.ndarray:
         raise NumericalFailure("clip contains non-finite samples")
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len, axis=1)
     frames = frames[:, ::cfg.hop, :]                      # [C, L, N]
-    spec = np.fft.rfft(frames * cfg.window, axis=-1)      # [C, L, K]
-    return spec.transpose(0, 2, 1)
+    n_chan, n_frames = frames.shape[:2]
+    if out is None:
+        out = np.empty((n_chan, n_frames, cfg.n_bins), dtype=np.complex128)
+    elif (out.dtype != np.complex128 or out.ndim != 3 or out.shape[0] != n_chan
+          or out.shape[1] < n_frames or out.shape[2] != cfg.n_bins):
+        raise ConfigurationError(
+            f"STFT buffer of {out.dtype} {out.shape} does not hold "
+            f"complex128 {(n_chan, n_frames, cfg.n_bins)}")
+    windowed = np.empty((n_chan, min(_WINDOW_FRAMES, n_frames), cfg.frame_len))
+    for start in range(0, n_frames, _WINDOW_FRAMES):
+        stop = min(start + _WINDOW_FRAMES, n_frames)
+        chunk = windowed[:, :stop - start]
+        np.multiply(frames[:, start:stop], cfg.window, out=chunk)
+        np.fft.rfft(chunk, axis=-1, out=out[:, start:stop])   # [C, L, K]
+    return out[:, :n_frames].transpose(0, 2, 1)
 
 
 class WavReader:

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtfdoa import activity
 from rtfdoa.activity import (
+    SppDetector,
     oracle_labels,
     oracle_labels_from_power,
     read_labels,
     spp,
     write_labels,
 )
-from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError
-from rtfdoa import pipeline
-from rtfdoa.pipeline import _spp_mask
 
 
 def test_spp_at_zero_power_closed_form():
@@ -55,16 +54,16 @@ def test_spp_clamps_nonpositive_psd(caplog):
     assert any("clamped" in r.message for r in caplog.records)
 
 
-def _tracker_with_unit_noise(n_bins):
-    return CovarianceTracker(5, n_bins, SmoothingConfig(0.9, 0.9),
-                             eps_init=1.0)
+def _decide_on_unit_noise(monkeypatch, y):
+    # a detector past its bootstrap, with a unit noise PSD
+    monkeypatch.setattr(activity, "SPP_BOOTSTRAP_FRAMES", 0)
+    return SppDetector(4, y.shape[1], 0.9, eps_init=1.0).step(y)
 
 
 def test_classify_frame_decisions(monkeypatch):
     # per bin, the channel probabilities are averaged and compared with
     # the threshold; with a unit noise PSD a silent channel reads
     # 1/(2 + xi) ~ 0.03 and a loud one exactly 1.0
-    tracker = _tracker_with_unit_noise(5)
     loud = np.sqrt(1000.0)
     y = np.zeros((5, 5), dtype=complex)
     y[:1, 0] = loud  # one loud channel: mean 0.27
@@ -72,25 +71,49 @@ def test_classify_frame_decisions(monkeypatch):
     y[:3, 2] = loud
     y[:4, 3] = loud  # all four: mean exactly 1.0
     y[4, 4] = loud   # only the external channel, which the rule ignores
-    mask = _spp_mask(y, tracker, 4)
+    mask = _decide_on_unit_noise(monkeypatch, y)
     np.testing.assert_array_equal(mask, [False, True, True, True, False])
     # strict inequality: a mean exactly at the threshold reads noise-only
-    monkeypatch.setattr(pipeline, "SPP_THRESHOLD", 1.0)
-    assert not _spp_mask(y, tracker, 4)[3]
+    monkeypatch.setattr(activity, "SPP_THRESHOLD", 1.0)
+    assert not _decide_on_unit_noise(monkeypatch, y)[3]
 
 
-def test_classify_frame_order_invariant(rng):
+def test_classify_frame_order_invariant(rng, monkeypatch):
     # permuting the head channels leaves every bin's decision unchanged
     n_bins = 64
-    tracker = _tracker_with_unit_noise(n_bins)
     y = (rng.standard_normal((5, n_bins))
          + 1j * rng.standard_normal((5, n_bins))) * rng.uniform(0.0, 3.0)
-    mask = _spp_mask(y, tracker, 4)
+    mask = _decide_on_unit_noise(monkeypatch, y)
     assert mask.any() and not mask.all()
     for _ in range(5):
         order = np.concatenate([rng.permutation(4), [4]])
         np.testing.assert_array_equal(
-            _spp_mask(y[order], tracker, 4), mask)
+            _decide_on_unit_noise(monkeypatch, y[order]), mask)
+
+
+def test_detector_bootstrap_and_noise_gated_update(monkeypatch):
+    # the first SPP_BOOTSTRAP_FRAMES frames are noise everywhere and call
+    # no spp; then only the bins gated as noise absorb the frame, and only
+    # the head channels are tracked
+    calls = []
+    monkeypatch.setattr(activity, "spp",
+                        lambda power, psd: calls.append(1) or spp(power, psd))
+    detector = SppDetector(2, 3, 0.5, eps_init=1.0)
+    quiet = np.ones((3, 3), dtype=complex)
+    for _ in range(activity.SPP_BOOTSTRAP_FRAMES):
+        assert not detector.step(quiet).any()
+    assert not calls and detector.psd.shape == (2, 3)
+    np.testing.assert_array_equal(detector.psd, 1.0)
+    y = quiet.copy()
+    y[:2, 1] = 1000.0 * (1.0 + 1.0j)
+    np.testing.assert_array_equal(detector.step(y), [False, True, False])
+    assert len(calls) == 1
+    np.testing.assert_array_equal(detector.psd, 1.0)
+    y[:, 0] = 1.0 + 1.0j  # power 2: still noise, and absorbed
+    np.testing.assert_array_equal(detector.step(y), [False, True, False])
+    np.testing.assert_array_equal(detector.psd, [[1.5, 1.0, 1.0]] * 2)
+    with pytest.raises(ConfigurationError):
+        SppDetector(0, 3, 0.5)
 
 
 def test_oracle_labels_from_power_margin():

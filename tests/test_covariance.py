@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtfdoa.activity import SppDetector
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError, NumericalFailure
 from reference import initial_state, update
@@ -149,42 +150,49 @@ def test_tracker_stays_exactly_hermitian(rng):
 
 
 def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng):
-    # a tracker that keeps only the noise PSD sees the same noisy matrices
-    # and the same PSD as one that keeps the whole noise covariance, over
-    # random gating and snapshot scales spanning sixteen decades
-    n_bins, p = 33, 5
-    psd = CovarianceTracker(p, n_bins, SM, noise_stats="psd")
-    full = CovarianceTracker(p, n_bins, SM)
-    for _ in range(300):
-        scale = 10.0 ** rng.uniform(-8.0, 8.0)
-        y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
-        mask = rng.random(n_bins) < rng.random()
-        psd.update_frame(y, mask)
-        full.update_frame(y, mask)
-        assert np.array_equal(psd.noise_psd,
-                              full.noise.diagonal(axis1=1, axis2=2).real)
-        assert np.array_equal(psd.noisy, full.noisy)
-    assert np.array_equal(full.noise_psd, psd.noise_psd)
-    assert psd.noise_inverse is None
+    # the SPP detector's own noise PSD equals the head block of the noise
+    # covariance's diagonal under the detector's masks, bootstrap frames
+    # included, at snapshot scales spanning sixteen decades (each with its
+    # initial PSD scaled alike); a random fifth of the bins is ten times
+    # louder in each frame, so the masks mix
+    n_bins, p, n_head = 33, 5, 4
+    for scale in 10.0 ** np.arange(-8.0, 9.0, 4.0):
+        eps = 1e-6 * scale ** 2
+        detector = SppDetector(n_head, n_bins, SM.alpha_n, eps_init=eps)
+        full = CovarianceTracker(p, n_bins, SM, eps_init=eps)
+        mixed = 0
+        for _ in range(60):
+            y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
+            y[:, rng.random(n_bins) < 0.2] *= 10.0
+            mask = detector.step(y)
+            full.update_frame(y, mask)
+            assert np.array_equal(
+                detector.psd, full.noise.diagonal(axis1=1, axis2=2).real[:, :n_head].T)
+            mixed += 0 < np.count_nonzero(mask) < n_bins
+        assert detector.frames == 60 and mixed > 30, (scale, mixed)
 
 
 def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
     # a tracker that keeps only the noisy column against the last channel
     # holds the last column of the one that keeps the whole matrix, over
-    # random gating and snapshot scales spanning sixteen decades
+    # random gating and snapshot scales spanning sixteen decades; in both
+    # modes an update writes the speech bins' new columns into column_out
     n_bins, p = 33, 5
-    column = CovarianceTracker(p, n_bins, SM, noise_stats="psd",
+    column = CovarianceTracker(p, n_bins, SM, noise_stats="none",
                                noisy_stats="column")
-    full = CovarianceTracker(p, n_bins, SM, noise_stats="psd")
+    full = CovarianceTracker(p, n_bins, SM, noise_stats="none")
     assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-8.0, 8.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
         mask = rng.random(n_bins) < rng.random()
-        column.update_frame(y, mask)
-        full.update_frame(y, mask)
+        speech = np.flatnonzero(mask)
+        outs = [np.full((speech.size, p), np.nan + 0j) for _ in range(2)]
+        column.update_frame(y, mask, speech, outs[0])
+        full.update_frame(y, mask, column_out=outs[1])
         assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
-        assert np.array_equal(column.noise_psd, full.noise_psd)
+        for out in outs:
+            assert np.array_equal(out, column.noisy_column[speech])
     assert np.array_equal(full.noisy_column, full.noisy[:, :, -1])
 
 
@@ -274,16 +282,18 @@ def test_tracker_validation(rng):
         tracker.update_frame(bad, np.ones(3, bool))
     with pytest.raises(ConfigurationError):
         CovarianceTracker(0, 3, SM)
-    with pytest.raises(ConfigurationError, match="noise_stats"):
-        CovarianceTracker(2, 3, SM, noise_stats="cholesky")
-    with pytest.raises(ConfigurationError, match="only the noise PSD"):
-        CovarianceTracker(2, 3, SM, noise_stats="psd").noise
+    # the noise PSD is the SPP detector's own now, so "psd" is unknown
+    for unknown in ("cholesky", "psd"):
+        with pytest.raises(ConfigurationError, match="noise_stats"):
+            CovarianceTracker(2, 3, SM, noise_stats=unknown)
+    with pytest.raises(ConfigurationError, match="keeps no noise statistic"):
+        CovarianceTracker(2, 3, SM, noise_stats="none").noise
     with pytest.raises(ConfigurationError, match="noisy_stats"):
-        CovarianceTracker(2, 3, SM, noise_stats="psd", noisy_stats="diagonal")
+        CovarianceTracker(2, 3, SM, noise_stats="none", noisy_stats="diagonal")
     with pytest.raises(ConfigurationError, match="only the noisy column"):
-        CovarianceTracker(2, 3, SM, noise_stats="psd", noisy_stats="column").noisy
+        CovarianceTracker(2, 3, SM, noise_stats="none", noisy_stats="column").noisy
     for noise_stats in ("covariance", "inverse"):
-        with pytest.raises(ConfigurationError, match="only the noise PSD"):
+        with pytest.raises(ConfigurationError, match="keeps no noise statistic"):
             CovarianceTracker(2, 3, SM, noise_stats=noise_stats,
                               noisy_stats="column")
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from rtfdoa import activity, stft
 from rtfdoa.activity import read_labels, write_labels
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.doa import argmin_directions, cost_surface_frames
@@ -203,8 +206,11 @@ def test_label_grid_of_the_wrong_length_fails_before_tracking(database,
 
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)
 def test_block_length_leaves_every_output_unchanged(database, monkeypatch, detector):
-    # a scene one default block and a bit long; blocks of 1 and 7 frames
-    # put seams inside the 10-frame SPP bootstrap and the 63-frame warm-up
+    # a scene one default block and a bit long; blocks of 1, 5 and 7 frames
+    # put seams inside the 10-frame SPP bootstrap and the 63-frame warm-up.
+    # Under blocks of 5 its 167 frames come as 4 (no tail precedes the
+    # first block), 32 blocks of 5 and a last block of 3, which reuses
+    # block buffers that longer blocks have filled
     out = _scene(seed=50, duration_s=(pipeline.BLOCK_FRAMES + 40) * 256 / FS,
                  snr_db=5.0)
     labels = _labels(out)
@@ -221,7 +227,8 @@ def test_block_length_leaves_every_output_unchanged(database, monkeypatch, detec
 
     wholes = {key: run(clip) for key, clip in clips.items()}
     assert wholes["clip"]["sc"].n_frames > pipeline.BLOCK_FRAMES
-    for block_frames in (1, 7):
+    assert wholes["clip"]["sc"].n_frames == 4 + 32 * 5 + 3
+    for block_frames in (1, 5, 7):
         monkeypatch.setattr(pipeline, "BLOCK_FRAMES", block_frames)
         for key, clip in clips.items():
             for name, traj in run(clip).items():
@@ -230,6 +237,33 @@ def test_block_length_leaves_every_output_unchanged(database, monkeypatch, detec
                                           getattr(wholes[key][name], field),
                                           equal_nan=True), \
                         (key, block_frames, name, field)
+
+
+def test_timed_layers_run_where_they_are_looked_up(database, monkeypatch):
+    # a benchmark times spp and analyze by wrapping them under their names
+    # in every rtfdoa module that holds them; on an SPP + sc run the
+    # wrappers must see spp once per frame after the bootstrap and analyze
+    # once per block, or those layers would silently read zero
+    out = _scene(seed=49, snr_db=5.0)
+    counts = {}
+    for owner, attr in ((activity, "spp"), (stft, "analyze")):
+        func = getattr(owner, attr)
+
+        def counted(*args, _func=func, _attr=attr, **kwargs):
+            counts[_attr] = counts.get(_attr, 0) + 1
+            return _func(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rtfdoa"):
+                for key, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    traj = track(out.mixed, database, RunConfig(estimator="sc", detector="spp"))
+    n_blocks = -(-out.mixed.n_samples // (16 * 256))
+    assert n_blocks > 1
+    assert counts == {"spp": traj.n_frames - activity.SPP_BOOTSTRAP_FRAMES,
+                      "analyze": n_blocks}
 
 
 def test_spp_detector_smoke(database):

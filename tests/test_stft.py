@@ -128,6 +128,33 @@ def test_analyze_deterministic(rng):
     assert np.array_equal(g1, g2)
 
 
+def test_analyze_into_a_buffer_is_bit_identical(rng):
+    # 40 frames: two and a half windowing chunks. The STFT written into a
+    # buffer, exact or longer than the clip, equals the allocating call and
+    # a one-shot transform of all windowed frames, bit for bit
+    cfg = StftConfig()
+    clip = AudioClip(rng.standard_normal((5, 39 * cfg.hop + cfg.frame_len)), FS)
+    frames = np.lib.stride_tricks.sliding_window_view(
+        clip.samples, cfg.frame_len, axis=1)[:, ::cfg.hop]
+    one_shot = np.fft.rfft(frames * cfg.window, axis=-1).transpose(0, 2, 1)
+    spec = analyze(clip, cfg)
+    assert spec.shape == (5, cfg.n_bins, 40)
+    assert np.array_equal(spec, one_shot)
+    for n in (40, 57):
+        buf = np.full((5, n, cfg.n_bins), np.nan, dtype=np.complex128)
+        out = analyze(clip, cfg, out=buf)
+        assert np.shares_memory(out, buf) and out.shape == spec.shape
+        assert np.array_equal(out, spec)
+        assert np.isnan(buf[:, 40:]).all()
+    for bad in (np.empty((5, 39, cfg.n_bins), dtype=np.complex128),
+                np.empty((4, 40, cfg.n_bins), dtype=np.complex128),
+                np.empty((5, 40, cfg.n_bins + 1), dtype=np.complex128),
+                np.empty((5, 40 * cfg.n_bins), dtype=np.complex128),
+                np.empty((5, 40, cfg.n_bins), dtype=np.complex64)):
+        with pytest.raises(ConfigurationError, match="STFT buffer"):
+            analyze(clip, cfg, out=bad)
+
+
 def test_analyze_rejects_short_and_nonfinite():
     with pytest.raises(ConfigurationError):
         analyze(AudioClip(np.zeros((1, 100)), FS))
