@@ -209,14 +209,14 @@ def _hold_last_valid(store: np.ndarray, written: np.ndarray,
 class _HeldEstimator:
     """Wraps a batch estimator with per-bin hold-last-valid storage.
 
-    The store, its written and valid masks and ``sc``'s stack of columns
-    are allocated once for blocks of up to ``capacity`` frames. Per
-    block, :meth:`start` opens the block, :meth:`step` writes each frame's
+    The store, its written mask and ``sc``'s stack of columns are
+    allocated once for blocks of up to ``capacity`` frames. Per block,
+    :meth:`start` opens the block, :meth:`step` writes each frame's
     valid estimates into the store and marks them in ``written`` (``sc``
     instead has the tracker write each frame's columns into
     :meth:`columns`), and :meth:`finish` fills every other entry with its
-    bin's last valid estimate and returns the store with its valid and
-    written masks, views that the next block overwrites.
+    bin's last valid estimate and returns the store and written mask,
+    views that the next block overwrites, with the valid mask.
     """
 
     def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int,
@@ -227,7 +227,6 @@ class _HeldEstimator:
         self.ever_valid = np.zeros(n_bins, dtype=bool)
         self.store = np.empty((capacity, n_bins, n_head), dtype=np.complex64)
         self.written = np.empty((capacity, n_bins), dtype=bool)
-        self.valid = np.empty((capacity, n_bins), dtype=bool)
         dim = n_channels if name == "cw-ext" else n_head
         self.cw = PowerCwTracker(n_bins, dim) if name.startswith("cw") else None
         if name == "sc":
@@ -282,10 +281,10 @@ class _HeldEstimator:
             store[frames, bins] = values
             written[frames[valid], bins[valid]] = True
         _hold_last_valid(store, written, self.held)
-        np.copyto(self.held, store[-1])
-        valid = np.logical_or.accumulate(written, axis=0, out=self.valid[:count])
+        self.held = store[-1].copy()
+        valid = np.logical_or.accumulate(written, axis=0)
         valid |= self.ever_valid
-        np.copyto(self.ever_valid, valid[-1])
+        self.ever_valid = valid[-1].copy()
         return store, valid, written
 
 
