@@ -7,9 +7,9 @@ feeds the requested RTF estimators, and holds each bin's last valid
 estimate; the block's cost surfaces and grid decisions are then computed
 in one batched sweep and the block is dropped. Memory therefore does not
 grow with the recording's duration. Across blocks only the covariance
-pair, the estimators' held values and tracker states, the frame index and
-the STFT overlap are carried, so the decisions do not depend on the block
-length. Several estimators can share a single covariance pass, which is
+pair, the SPP detector's noise PSD, the estimators' held values and
+tracker states, the frame index and the STFT overlap are carried, so the
+decisions do not depend on the block length. Several estimators can share a single covariance pass, which is
 how the sweep harness keeps multi-estimator comparisons cheap. The
 whitening estimators are tracked with one generalized power step per frame
 (:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly; they step
