@@ -239,22 +239,23 @@ class CovarianceTracker:
         return self._inv_n
 
     def update_frame(self, y: np.ndarray, speech_mask: np.ndarray,
-                     speech: np.ndarray | None = None,
-                     column_out: np.ndarray | None = None) -> None:
+                     column_out: np.ndarray | None = None) -> np.ndarray:
         """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K].
 
-        ``speech``, if given, is ``np.flatnonzero(speech_mask)``, passed by
-        a caller that needs the index too. ``column_out``, if given, is a
-        [n_speech, P] buffer that receives the speech bins' updated
-        columns against the last channel, ``noisy_column[speech]``.
+        Returns the speech bins, ``np.flatnonzero(speech_mask)``.
+        ``column_out``, if given, is a buffer of P-entry rows, at least one
+        per speech bin (K rows always do); its first rows receive the
+        speech bins' updated columns against the last channel,
+        ``noisy_column[speech]``.
         """
         if y.shape != (self.n_channels, self.n_bins):
             raise ConfigurationError("frame shape does not match tracker")
         if not np.isfinite(y).all():
             raise NumericalFailure("frame contains non-finite values")
         mask = np.asarray(speech_mask, dtype=bool)
-        if speech is None:
-            speech = np.flatnonzero(mask)
+        speech = mask.nonzero()[0]
+        if column_out is not None:
+            column_out = column_out[:speech.size]
         a_y = self.smoothing.alpha_y
         # with phi_n kept every bin absorbs an outer product, and one einsum
         # over all bins costs less than one per gated subset of them
@@ -273,7 +274,7 @@ class CovarianceTracker:
             if column_out is not None and not column:
                 column_out[...] = phi[:, :, -1]
         if outer is None:
-            return
+            return speech
         a_n = self.smoothing.alpha_n
         noise = np.flatnonzero(~mask)
         if noise.size:
@@ -282,3 +283,4 @@ class CovarianceTracker:
             if self._inv_n is not None:
                 self._inv_n[noise] = _rank_one_inverse(self._inv_n[noise],
                                                        y[:, noise].T, a_n, phi)
+        return speech

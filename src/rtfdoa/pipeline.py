@@ -40,9 +40,8 @@ valid estimate in the other entries. ``sc`` reads only the noisy column
 against the external microphone, which moves only in the bins gated as
 speech, so each frame stacks those bins' columns and
 :func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
-call. Each frame's speech index is found once, for the tracker and for
-``sc``, and the tracker writes the updated columns straight into ``sc``'s
-stack. The cost surface computes a bin's angles only in the frames where
+call. The tracker finds each frame's speech index once and returns it
+for ``sc``, and writes the updated columns straight into ``sc``'s stack. The cost surface computes a bin's angles only in the frames where
 it was written, and sums a chunk of bins only in the frames where one of
 them was written or the valid mask changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
@@ -214,7 +213,7 @@ class _HeldEstimator:
     :meth:`start` opens the block, :meth:`step` writes each frame's
     valid estimates into the store and marks them in ``written`` (``sc``
     instead has the tracker write each frame's columns into
-    :meth:`columns`), and :meth:`finish` fills every other entry with its
+    :meth:`free_columns` and then :meth:`stack` them), and :meth:`finish` fills every other entry with its
     bin's last valid estimate and returns the store and written mask,
     views that the next block overwrites, with the valid mask.
     """
@@ -242,17 +241,21 @@ class _HeldEstimator:
             self._bins: list[np.ndarray] = []
             self._stacked = 0
 
-    def columns(self, i: int, bins: np.ndarray) -> np.ndarray:
-        """The rows of ``sc``'s stack that take frame ``i``'s noisy columns
-        of the speech ``bins``. phi_y moved only in those bins; a bin never
-        gated as speech still holds eps * e_P, whose zero reference entry
-        is invalid. The block's columns are estimated in finish()."""
-        n = self._stacked
+    def free_columns(self) -> np.ndarray:
+        """The rows of ``sc``'s stack not yet taken in this block, at least
+        one per bin, for the tracker to write a frame's noisy columns into."""
+        return self._columns[self._stacked:]
+
+    def stack(self, i: int, bins: np.ndarray) -> None:
+        """Take the first rows of :meth:`free_columns`, which now hold
+        frame ``i``'s noisy columns of the speech ``bins``. phi_y moved only
+        in those bins; a bin never gated as speech still holds eps * e_P,
+        whose zero reference entry is invalid. The block's columns are
+        estimated in finish()."""
         if bins.size:
             self._stacked += bins.size
             self._frames.append(i)
             self._bins.append(bins)
-        return self._columns[n:self._stacked]
 
     def step(self, i: int, tracker: CovarianceTracker) -> None:
         m = self.n_head
@@ -404,9 +407,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         for i in range(count):
             y = data[:, :, i]
             mask = block_labels[:, i] if detector is None else detector.step(y)
-            speech = mask.nonzero()[0]
-            tracker.update_frame(y, mask, speech,
-                                 None if sc is None else sc.columns(i, speech))
+            if sc is None:
+                tracker.update_frame(y, mask)
+            else:
+                sc.stack(i, tracker.update_frame(y, mask, sc.free_columns()))
             for state in stepped:
                 state.step(i, tracker)
         # frames before cost_from keep NaN azimuth and cost and stay invalid

@@ -154,29 +154,36 @@ def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng):
     # covariance's diagonal under the detector's masks, bootstrap frames
     # included, at snapshot scales spanning sixteen decades (each with its
     # initial PSD scaled alike); a random fifth of the bins is ten times
-    # louder in each frame, so the masks mix
+    # louder in each frame, so the masks mix. A tracker that keeps no noise
+    # statistic holds the same noisy matrices as one that keeps the noise
+    # covariance
     n_bins, p, n_head = 33, 5, 4
     for scale in 10.0 ** np.arange(-8.0, 9.0, 4.0):
         eps = 1e-6 * scale ** 2
         detector = SppDetector(n_head, n_bins, SM.alpha_n, eps_init=eps)
         full = CovarianceTracker(p, n_bins, SM, eps_init=eps)
+        none = CovarianceTracker(p, n_bins, SM, eps_init=eps, noise_stats="none")
         mixed = 0
         for _ in range(60):
             y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
             y[:, rng.random(n_bins) < 0.2] *= 10.0
             mask = detector.step(y)
             full.update_frame(y, mask)
+            none.update_frame(y, mask)
             assert np.array_equal(
                 detector.psd, full.noise.diagonal(axis1=1, axis2=2).real[:, :n_head].T)
+            assert np.array_equal(none.noisy, full.noisy)
             mixed += 0 < np.count_nonzero(mask) < n_bins
         assert detector.frames == 60 and mixed > 30, (scale, mixed)
+        assert none.noise_inverse is None
 
 
 def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
     # a tracker that keeps only the noisy column against the last channel
     # holds the last column of the one that keeps the whole matrix, over
     # random gating and snapshot scales spanning sixteen decades; in both
-    # modes an update writes the speech bins' new columns into column_out
+    # modes an update returns the speech bins and writes their new columns
+    # into the first rows of column_out
     n_bins, p = 33, 5
     column = CovarianceTracker(p, n_bins, SM, noise_stats="none",
                                noisy_stats="column")
@@ -186,13 +193,14 @@ def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
         scale = 10.0 ** rng.uniform(-8.0, 8.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
         mask = rng.random(n_bins) < rng.random()
-        speech = np.flatnonzero(mask)
-        outs = [np.full((speech.size, p), np.nan + 0j) for _ in range(2)]
-        column.update_frame(y, mask, speech, outs[0])
-        full.update_frame(y, mask, column_out=outs[1])
+        outs = [np.full((n_bins, p), np.nan + 0j) for _ in range(2)]
+        speech = column.update_frame(y, mask, outs[0])
+        assert np.array_equal(speech, np.flatnonzero(mask))
+        assert np.array_equal(full.update_frame(y, mask, column_out=outs[1]), speech)
         assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
         for out in outs:
-            assert np.array_equal(out, column.noisy_column[speech])
+            assert np.array_equal(out[:speech.size], column.noisy_column[speech])
+            assert np.isnan(out[speech.size:]).all()
     assert np.array_equal(full.noisy_column, full.noisy[:, :, -1])
 
 
