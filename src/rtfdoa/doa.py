@@ -10,7 +10,10 @@ then the smaller azimuth, so results are deterministic.
 Only what moved is costed: a bin's angles are computed only in the frames
 where its estimate was written, and a chunk of bins whose frame brings no
 write and no change of the valid mask reuses the previous frame's partial
-sum. The unit-normalized prototypes are made once per database.
+sum. The unit-normalized prototypes are made once per database. The
+frequency average is a sum of per-chunk partial sums taken in bin order,
+so bands of whole chunks can be costed apart (:func:`cost_chunk_sums`)
+and joined bit for bit (:func:`cost_surface_frames`).
 
 The database file is a single line of JSON metadata followed by the
 prototype tensor as little-endian float32 (interleaved real/imaginary),
@@ -121,37 +124,38 @@ class PrototypeDatabase:
         return np.lexsort((dirs, np.abs(dirs)))
 
 
-def _check_against_db(values: np.ndarray, db: PrototypeDatabase) -> np.ndarray:
-    values = np.asarray(values)
-    if values.shape[-2] != db.n_bins or values.shape[-1] != db.n_mics:
-        raise ConfigurationError(
-            f"estimates shaped {values.shape} do not match database "
-            f"[{db.n_bins} bins x {db.n_mics} mics]")
-    return values
-
-
-def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
-                        db: PrototypeDatabase,
-                        written: np.ndarray | None = None) -> np.ndarray:
-    """Frequency-averaged Hermitian angle per frame and direction.
-
-    ``values`` is [L, K, M] (any complex dtype; single precision is fine
-    and fast), ``valid`` is [L, K]. The DC bin and invalid bins are
-    excluded from the mean; frames with no valid bin get a NaN row.
-    Angles are computed bin-chunk by bin-chunk to bound memory.
-
-    ``written`` [L, K] marks where a value may differ from the previous
-    frame's, as the pipeline's hold-last-valid stores record it; without
-    it, values are compared. A bin's angles are computed only in the
-    frames where its value was written (or changed), and the other frames
-    reuse them. A frame in which a chunk of bins has no write and the same
-    valid mask as the frame before takes that frame's partial sum. Each
-    angle depends on its own value alone, so the surface is bit-identical
-    to computing every frame.
-    """
-    values = _check_against_db(values, db)
+def _band_of(values: np.ndarray, db: PrototypeDatabase, first_bin: int) -> range:
+    """The chunk starts of the bins ``values`` [L, K, M] holds, bins
+    ``first_bin`` to ``first_bin + K`` of ``db``, after checking that the
+    band consists of whole chunks."""
     if values.ndim != 3:
         raise ConfigurationError("values must be [L, K, M]")
+    stop = first_bin + values.shape[1]
+    if (values.shape[2] != db.n_mics or not 0 <= first_bin < stop <= db.n_bins
+            or any(edge not in (0, db.n_bins) and (edge - 1) % CHUNK_BINS
+                   for edge in (first_bin, stop))):
+        raise ConfigurationError(
+            f"estimates shaped {values.shape} from bin {first_bin} do not match "
+            f"whole {CHUNK_BINS}-bin chunks of a database of {db.n_bins} bins x "
+            f"{db.n_mics} mics")
+    return range(max(first_bin, 1), stop, CHUNK_BINS)
+
+
+def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase,
+                    written: np.ndarray | None = None,
+                    first_bin: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of :func:`cost_surface_frames` for a band of bins.
+
+    ``values`` [L, K, M], ``valid`` [L, K] and ``written`` (see
+    :func:`cost_surface_frames`) hold bins ``first_bin`` to
+    ``first_bin + K`` of ``db``: whole chunks of :data:`CHUNK_BINS` bins,
+    counted from bin 1, the DC bin only in a band from bin 0. Returns each
+    chunk's sum of angles over its valid bins, per frame and direction,
+    [chunks, L, I] (single precision for complex64 values), and the
+    valid bins per frame, [L], the DC bin excluded.
+    """
+    values = np.asarray(values)
+    chunks = _band_of(values, db, first_bin)
     n_frames, n_bins, n_mics = values.shape
     valid = np.asarray(valid, dtype=bool)
     if valid.shape != (n_frames, n_bins):
@@ -163,7 +167,8 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     proto = db.unit_prototypes(cdtype)
 
     mask = valid.copy()
-    mask[:, 0] = False  # DC carries no usable phase difference
+    if first_bin == 0:
+        mask[:, 0] = False  # DC carries no usable phase difference
     counts = mask.sum(axis=1)
 
     # changed[l, k]: bin k's value may differ from frame l-1's (frame 0
@@ -184,20 +189,23 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     moved = changed.copy()
     moved[1:] |= mask[1:] != mask[:-1]
 
-    total = np.zeros((n_frames, db.n_directions), dtype=np.float64)
-    for start in range(1, n_bins, CHUNK_BINS):
-        stop = min(start + CHUNK_BINS, n_bins)
-        width = stop - start
-        n = int(per_bin[start:stop].max())
-        if n == n_frames:
-            est = values[:, start:stop].transpose(1, 0, 2)
+    sums = np.empty((len(chunks), n_frames, db.n_directions), dtype=rdtype)
+    for j, start in enumerate(chunks):
+        stop = min(start + CHUNK_BINS, first_bin + n_bins)
+        lo, hi = start - first_bin, stop - first_bin
+        width = hi - lo
+        # values are read directly only where every entry was written
+        direct = int(per_bin[lo:hi].min()) == n_frames
+        n = int(per_bin[lo:hi].max())
+        if direct:
+            est = values[:, lo:hi].transpose(1, 0, 2)
         else:
             # gather each bin's changed frames into [c, n, M], padded
             # with frame 0, whose angles are never read
-            rows, frames = np.nonzero(changed[:, start:stop].T)
+            rows, frames = np.nonzero(changed[:, lo:hi].T)
             gather = np.zeros((width, n), dtype=np.intp)
-            gather[rows, slots[frames, start + rows]] = frames
-            gather = gather * n_bins + np.arange(start, stop)[:, None]
+            gather[rows, slots[frames, lo + rows]] = frames
+            gather = gather * n_bins + np.arange(lo, hi)[:, None]
             est = np.take(values.reshape(-1, n_mics), gather, axis=0)
         est = est.astype(cdtype, copy=False)
         norms = np.maximum(np.linalg.norm(est, axis=2), tiny)
@@ -206,18 +214,56 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
         np.minimum(ang, rdtype(1.0), out=ang)
         np.arccos(ang, out=ang)
         # only the frames whose partial sum can move are summed
-        summed = moved[:, start:stop].any(axis=1)
-        if n != n_frames:
+        summed = moved[:, lo:hi].any(axis=1)
+        if not direct:
             # each summed frame takes the angles of its bin's slot, [c, R, I]
-            fill = slots[summed, start:stop].T + n * np.arange(width)[:, None]
+            fill = slots[summed, lo:hi].T + n * np.arange(width)[:, None]
             ang = np.take(ang.reshape(width * n, -1), fill, axis=0)
         # masked sum over the bin chunk in one contraction
-        partial = np.einsum("cli,lc->li",
-                            ang, mask[summed, start:stop].astype(rdtype))
-        if n != n_frames:
-            # the other frames repeat the last summed frame's partial sum
-            partial = partial[np.cumsum(summed) - 1]
-        total += partial
+        partial = np.einsum("cli,lc->li", ang, mask[summed, lo:hi].astype(rdtype))
+        # the other frames repeat the last summed frame's partial sum
+        np.take(partial, np.cumsum(summed) - 1, axis=0, out=sums[j])
+    return sums, counts
+
+
+def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
+                        db: PrototypeDatabase,
+                        written: np.ndarray | None = None,
+                        later: tuple | list = ()) -> np.ndarray:
+    """Frequency-averaged Hermitian angle per frame and direction.
+
+    ``values`` is [L, K, M] (any complex dtype; single precision is fine
+    and fast), ``valid`` is [L, K]. The DC bin and invalid bins are
+    excluded from the mean; frames with no valid bin get a NaN row.
+    Angles are computed bin-chunk by bin-chunk to bound memory, and the
+    chunks' sums are added up in bin order.
+
+    ``written`` [L, K] marks where a value may differ from the previous
+    frame's, as the pipeline's hold-last-valid stores record it; without
+    it, values are compared. A bin's angles are computed only in the
+    frames where its value was written (or changed), and the other frames
+    reuse them, so an entry that is not written is never read, except in
+    frame 0, which must hold every bin's value. A frame in which a chunk
+    of bins has no write and the same valid mask as the frame before takes
+    that frame's partial sum. Each angle depends on its own value alone,
+    so the surface is bit-identical to computing every frame.
+
+    ``values`` may hold only the first band of bins, from bin 0, when
+    ``later`` holds the :func:`cost_chunk_sums` of the bands that follow
+    it, in bin order. As the chunks' sums are added in the same order,
+    the surface is bit-identical to that of all bins at once.
+    """
+    sums, counts = cost_chunk_sums(values, valid, db, written)
+    parts = [sums, *(part for part, _ in later)]
+    if sum(len(part) for part in parts) != len(range(1, db.n_bins, CHUNK_BINS)):
+        raise ConfigurationError(
+            f"the bands do not cover the database's {db.n_bins} bins")
+    total = np.zeros((len(counts), db.n_directions), dtype=np.float64)
+    for part in parts:
+        for partial in part:
+            total += partial
+    for _, band_counts in later:
+        counts = counts + band_counts
 
     with np.errstate(invalid="ignore", divide="ignore"):
         surface = total / counts[:, None]

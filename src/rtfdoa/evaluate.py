@@ -20,7 +20,6 @@ File formats (stable, consumed by the CLI):
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import logging
 import multiprocessing
@@ -35,8 +34,8 @@ import numpy as np
 from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
-from .pipeline import (DoaTrajectory, RunConfig, check_scoring, config_from_dict,
-                       track_multi)
+from .pipeline import (DoaTrajectory, RunConfig, _single_blas_thread, check_scoring,
+                       config_from_dict, track_multi)
 from .simulate import (SceneOutput, SceneSpec, azimuth_free, compose, is_integer,
                        is_number, render_azimuth_free, steer)
 from .stft import AudioClip, analyze, num_frames
@@ -500,33 +499,6 @@ def _init_sweep_worker(run_cell) -> None:
 
 def _run_sweep_worker_cell(spec: SceneSpec) -> list[dict]:
     return _worker_cells(spec)
-
-
-def _single_blas_thread() -> None:
-    """Hold numpy's bundled OpenBLAS to one thread in this process.
-
-    The sweep workers already fill every core, and OpenBLAS threads spin
-    for a while after each threaded call (the cost-surface and rendering
-    matmuls), taking the cores from the workers. On 2 cores, two
-    processes with two BLAS threads each took twice as long per cell as
-    one alone; with one thread each they ran as fast as one alone. Where
-    the library or its setter is not found, only the speed suffers.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in libs.glob("*openblas*"):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
 
 
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:

@@ -9,8 +9,9 @@ in one batched sweep and the block is dropped. Memory therefore does not
 grow with the recording's duration. Across blocks only the covariance
 pair, the SPP detector's noise PSD, the estimators' held values and
 tracker states, the frame index and the STFT overlap are carried, so the
-decisions do not depend on the block length. Several estimators can share a single covariance pass, which is
-how the sweep harness keeps multi-estimator comparisons cheap. The
+decisions do not depend on the block length. Several estimators can share
+a single covariance pass, which is how the sweep harness keeps
+multi-estimator comparisons cheap. The
 whitening estimators are tracked with one generalized power step per frame
 (:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly; they step
 with the inverse noise covariance, which the covariance tracker updates by
@@ -35,8 +36,10 @@ the slowest smoothing time constant) are flagged invalid.
 
 Only what moved is recomputed, with unchanged results. Every estimator
 writes its valid estimates of a frame into the block's store and marks
-them as written; one forward fill per block then holds each bin's last
-valid estimate in the other entries. ``sc`` reads only the noisy column
+them as written. The cost reads no other entry but those of the block's
+first costed frame, so only that frame takes each bin's last valid
+estimate, and each bin's held value is carried to the next block from
+its last write. ``sc`` reads only the noisy column
 against the external microphone, which moves only in the bins gated as
 speech, so each frame stacks those bins' columns and
 :func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
@@ -60,18 +63,47 @@ noisy covariance; any ``cs-head`` needs the noise covariance; any
 ``cw-*`` needs the covariance and its tracked inverse. The column equals
 the matrix's last column bit for bit, and the SPP detector reads only its
 own PSD, so every decision is the same in each mode.
+
+The bins are tracked in bands, one per usable CPU
+(``len(os.sched_getaffinity(0))``), at most one per chunk of
+:data:`~rtfdoa.doa.CHUNK_BINS` bins of the cost surface: a run of the
+default 512-point STFT uses one process per usable CPU, up to eight.
+Band 0 runs in the calling process and every other band in a forked
+process that reads the same source. Every stage but the frequency average
+of the cost works bin by bin (the STFT, the labels and the SPP detector,
+whose mean over the head channels is taken per bin, the covariance
+recursion and its tracked inverse, every estimator and the held values),
+so each band tracks its bins alone. The bands consist of whole chunks, and
+for each block a band process sends each chunk's partial sum of angles
+with the band's valid-bin counts (:func:`~rtfdoa.doa.cost_chunk_sums`);
+the calling process adds the chunks' sums in bin order, as one process
+does, so the results do not depend on the number of bands or of CPUs. A
+band process blocks until its block has been read, so memory stays
+bounded. A daemonic process (a sweep's pool worker, which already fills
+a CPU) runs one band, and so do a process that runs other threads and
+one confined to one CPU, e.g. by ``taskset -c 0``; one band forks
+nothing. A failure in any band is
+raised in the caller with its type and message, and no band process
+outlives the call.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import multiprocessing
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .activity import LabelBitmap, SppDetector
 from .covariance import CovarianceTracker, SmoothingConfig
-from .doa import PrototypeDatabase, argmin_directions, cost_surface_frames
+from .doa import (CHUNK_BINS, PrototypeDatabase, argmin_directions,
+                  cost_chunk_sums, cost_surface_frames)
 from .errors import ConfigurationError, NumericalFailure
 from .estimators import PowerCwTracker, batch_cs, batch_sc, schur_head_inverse
 from .stft import (AudioClip, StftConfig, WavReader, analyze, frame_times,
@@ -87,8 +119,6 @@ DEFAULT_TAU_N_S = 0.5
 # stores (with sc's stacked columns) and cost surface are the only arrays
 # that scale with it
 BLOCK_FRAMES = 128
-# frames per step of the in-place hold-last-valid fill of a block's store
-_FILL_FRAMES = 16
 
 
 def check_scoring(eval_window: float, tolerance_deg: float) -> None:
@@ -181,28 +211,15 @@ class DoaTrajectory:
         return self.azimuth_deg.size
 
 
-def _hold_last_valid(store: np.ndarray, written: np.ndarray,
-                     held: np.ndarray) -> None:
-    """Fill a block's store in place: each entry not ``written`` takes its
-    bin's last written value in the block, or ``held``, the value held
-    from before the block. ``store`` is [L, K, M], ``written`` [L, K]."""
-    np.copyto(store[0], held, where=~written[0, :, None])
-    n_frames, n_bins = written.shape
-    # the flat entry each entry takes its value from: its bin's last write
-    # up to its frame, frame 0 holding a value for every bin now
-    source = np.where(written, np.arange(n_frames)[:, None], 0)
-    np.maximum.accumulate(source, axis=0, out=source)
-    source *= n_bins
-    source += np.arange(n_bins)
-    source = source.reshape(-1)
-    entries = store.reshape(n_frames * n_bins, -1)
-    # a source is a written entry or one of frame 0, which the fill leaves
-    # as they are, so a few frames at a time can go through a small buffer
-    buffer = np.empty((_FILL_FRAMES * n_bins, entries.shape[1]), dtype=store.dtype)
-    for start in range(n_bins, len(entries), len(buffer)):
-        stop = min(start + len(buffer), len(entries))
-        np.take(entries, source[start:stop], axis=0, out=buffer[:stop - start])
-        entries[start:stop] = buffer[:stop - start]
+def _held_at(store: np.ndarray, written: np.ndarray, held: np.ndarray,
+             frame: int) -> np.ndarray:
+    """Each bin's value held at ``frame`` of a block: its last entry of the
+    ``store`` [L, K, M] written up to that frame, else ``held`` [K, M],
+    the value held from before the block. A new [K, M] array."""
+    upto = written[:frame + 1]
+    last = frame - np.argmax(upto[::-1], axis=0)
+    return np.where(upto.any(axis=0)[:, None],
+                    store[last, np.arange(store.shape[1])], held)
 
 
 class _HeldEstimator:
@@ -213,9 +230,12 @@ class _HeldEstimator:
     :meth:`start` opens the block, :meth:`step` writes each frame's
     valid estimates into the store and marks them in ``written`` (``sc``
     instead has the tracker write each frame's columns into
-    :meth:`free_columns` and then :meth:`stack` them), and :meth:`finish` fills every other entry with its
-    bin's last valid estimate and returns the store and written mask,
-    views that the next block overwrites, with the valid mask.
+    :meth:`free_columns` and then :meth:`stack` them), and :meth:`finish`
+    holds each bin's last valid estimate in the first frame that is costed
+    and returns the store and written mask from that frame on, views that
+    the next block overwrites, with the valid mask. The cost reads no
+    other entry that is not written (see
+    :func:`~rtfdoa.doa.cost_surface_frames`), so no other is filled.
     """
 
     def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int,
@@ -270,25 +290,28 @@ class _HeldEstimator:
         np.copyto(self.store[i], values[:, :m], where=valid[:, None])
         self.written[i] = valid
 
-    def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Close the block: (store [L, K, M], valid [L, K], written [L, K]),
-        valid meaning that the bin has held an estimate by that frame."""
+    def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Close the block; return the (store [L, K, M], valid [L, K],
+        written [L, K]) of its frames from ``first`` on, valid meaning that
+        the bin has held an estimate by that frame."""
         count = self.count
         store, written = self.store[:count], self.written[:count]
         if self.name == "sc" and self._bins:
             values, valid = batch_sc(self._columns[:self._stacked], overwrite=True)
             frames = np.repeat(self._frames, [b.size for b in self._bins])
             bins = np.concatenate(self._bins)
-            # an invalid estimate is all zeros and stays unwritten, so the
-            # fill below overwrites it
+            # an invalid estimate is all zeros and stays unwritten: the cost
+            # reads no unwritten entry but those of the first costed frame,
+            # which take their held values below
             store[frames, bins] = values
             written[frames[valid], bins[valid]] = True
-        _hold_last_valid(store, written, self.held)
-        self.held = store[-1].copy()
+        if first < count:
+            store[first] = _held_at(store, written, self.held, first)
+        self.held = _held_at(store, written, self.held, count - 1)
         valid = np.logical_or.accumulate(written, axis=0)
         valid |= self.ever_valid
         self.ever_valid = valid[-1].copy()
-        return store, valid, written
+        return store[first:], valid[first:], written[first:]
 
 
 def _noisy_stats(names: tuple[str, ...]) -> str:
@@ -305,6 +328,117 @@ def _noise_stats(names: tuple[str, ...]) -> str:
     if any(name.startswith("cw") for name in names):
         return "inverse"
     return "covariance" if "cs-head" in names else "none"
+
+
+def _bands(n_bins: int) -> list[tuple[int, int]]:
+    """The first and end bin of each band of a run's bins: one band per
+    usable CPU, at most one per chunk of the cost surface (whole chunks of
+    :data:`~rtfdoa.doa.CHUNK_BINS` bins from bin 1; band 0 also holds the
+    DC bin). A daemonic process, such as a sweep's pool worker, may start
+    no process of its own, and forking a process that runs other threads
+    can leave a lock held in the child, so either runs one band."""
+    n_chunks = len(range(1, n_bins, CHUNK_BINS))
+    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+        cpus = 1
+    else:
+        cpus = len(os.sched_getaffinity(0))
+    n = max(1, min(cpus, n_chunks))
+    edges = [0, *(1 + CHUNK_BINS * (n_chunks * i // n) for i in range(1, n)), n_bins]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
+                config: RunConfig, names: tuple[str, ...],
+                labels: np.ndarray | LabelBitmap | None, cost_from: int,
+                band: tuple[int, int]):
+    """Track the bins ``band`` (first, end) of a recording, block by block.
+
+    Yields per block its first costed frame ``first`` and its end
+    ``stop`` (frames of the recording), and per estimator the (store,
+    valid, written) of the frames from ``first`` on, views that the next
+    block overwrites; ``first >= stop`` when no frame of the block is
+    costed. ``labels`` is None under the SPP detector.
+    """
+    lo, hi = band
+    n_bins = hi - lo
+    stft = config.stft
+    n_chan, n_head = source.n_channels, db.n_mics
+    smoothing = config.smoothing(source.sample_rate)
+    tracker = CovarianceTracker(n_chan, n_bins, smoothing,
+                                noise_stats=_noise_stats(names),
+                                noisy_stats=_noisy_stats(names))
+    detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
+    # no block holds more frames than this, so the block buffers are made once
+    capacity = min(BLOCK_FRAMES, num_frames(source.n_samples, stft))
+    spectrum = np.empty((n_chan, capacity, stft.n_bins), dtype=np.complex128)
+    states = [_HeldEstimator(name, n_bins, n_head, n_chan, capacity)
+              for name in names]
+    sc = next((state for state in states if state.name == "sc"), None)
+    stepped = [state for state in states if state is not sc]
+
+    tail = np.empty((n_chan, 0))
+    start = 0
+    for block in source.blocks(BLOCK_FRAMES * stft.hop):
+        if not np.isfinite(block).all():
+            raise NumericalFailure("clip contains non-finite samples")
+        # no copy of a first block, which for a short clip is all of it
+        buffer = np.concatenate([tail, block], axis=1) if tail.size else block
+        count = num_frames(buffer.shape[1], stft)
+        if count == 0:
+            tail = buffer
+            continue
+        stop = start + count
+        if isinstance(labels, LabelBitmap):
+            block_labels = labels.columns(start, stop)[lo:hi]
+        elif labels is not None:
+            block_labels = labels[lo:hi, start:stop]
+        data = analyze(AudioClip(buffer, source.sample_rate), stft,
+                       out=spectrum)[:, lo:hi]
+        tail = buffer[:, count * stft.hop:]
+        for state in states:
+            state.start(count)
+        for i in range(count):
+            y = data[:, :, i]
+            mask = block_labels[:, i] if detector is None else detector.step(y)
+            if sc is None:
+                tracker.update_frame(y, mask)
+            else:
+                sc.stack(i, tracker.update_frame(y, mask, sc.free_columns()))
+            for state in stepped:
+                state.step(i, tracker)
+        # frames before cost_from are not costed
+        first = max(cost_from, start)
+        yield first, stop, [state.finish(first - start) for state in states]
+        start = stop
+
+
+def _band_worker(sender, blocks, db: PrototypeDatabase, first_bin: int) -> None:
+    """The body of a forked band process: send the parent each block's
+    chunk sums per estimator (see :func:`~rtfdoa.doa.cost_chunk_sums`),
+    None for a block with no costed frame, or the exception that ended
+    the band. A send blocks while the parent has not read the last one."""
+    # an interrupt is the parent's to handle, which then ends this process
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _single_blas_thread()
+    try:
+        for first, stop, costed in blocks:
+            sender.send([cost_chunk_sums(store, valid, db, written, first_bin)
+                         for store, valid, written in costed]
+                        if first < stop else None)
+    except Exception as exc:  # raised in the parent
+        sender.send(exc)
+
+
+def _receive(receiver, band: tuple[int, int]):
+    """The next message of a band process; raises what the band raised."""
+    try:
+        message = receiver.recv()
+    except EOFError:
+        raise RuntimeError(f"the process tracking bins {band[0]} to "
+                           f"{band[1] - 1} ended without a result") from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
 
 
 def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
@@ -326,6 +460,11 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
     estimators, so the frames from ``cost_from`` on are exactly those of a
     run from 0; earlier frames get NaN azimuth and cost (and cost surface)
     and are invalid. Returns one trajectory per estimator name.
+
+    The bins are tracked in bands, one per usable CPU (see the module
+    docstring): band 0 in this process, each other one in a forked
+    process, all of which have ended when this returns or raises. The
+    results do not depend on the number of bands.
     """
     t0 = time.perf_counter()
     names = tuple(estimators) if estimators is not None else (config.estimator,)
@@ -367,66 +506,44 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
         raise ConfigurationError(
             f"labels shaped {labels.shape}, expected {(n_bins, n_frames)}")
 
-    smoothing = config.smoothing(source.sample_rate)
-    tracker = CovarianceTracker(n_chan, n_bins, smoothing,
-                                noise_stats=_noise_stats(names),
-                                noisy_stats=_noisy_stats(names))
-    detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
-    # no block holds more frames than this, so the block buffers are made once
-    capacity = min(BLOCK_FRAMES, n_frames)
-    spectrum = np.empty((n_chan, capacity, n_bins), dtype=np.complex128)
-    states = [_HeldEstimator(name, n_bins, n_head, n_chan, capacity)
-              for name in names]
-    sc = next((state for state in states if state.name == "sc"), None)
-    stepped = [state for state in states if state is not sc]
     decisions = {name: (np.full(n_frames, np.nan), np.full(n_frames, np.nan),
                         np.zeros(n_frames, dtype=bool)) for name in names}
     surfaces = {name: np.full((n_frames, db.n_directions), np.nan)
                 for name in names} if keep_cost_surfaces else {}
-
-    tail = np.empty((n_chan, 0))
-    start = 0
-    for block in source.blocks(BLOCK_FRAMES * stft.hop):
-        if not np.isfinite(block).all():
-            raise NumericalFailure("clip contains non-finite samples")
-        # no copy of a first block, which for a short clip is all of it
-        buffer = np.concatenate([tail, block], axis=1) if tail.size else block
-        count = num_frames(buffer.shape[1], stft)
-        if count == 0:
-            tail = buffer
-            continue
-        stop = start + count
-        if isinstance(labels, LabelBitmap):
-            block_labels = labels.columns(start, stop)
-        elif labels is not None:
-            block_labels = labels[:, start:stop]
-        data = analyze(AudioClip(buffer, source.sample_rate), stft, out=spectrum)
-        tail = buffer[:, count * stft.hop:]
-        for state in states:
-            state.start(count)
-        for i in range(count):
-            y = data[:, :, i]
-            mask = block_labels[:, i] if detector is None else detector.step(y)
-            if sc is None:
-                tracker.update_frame(y, mask)
-            else:
-                sc.stack(i, tracker.update_frame(y, mask, sc.free_columns()))
-            for state in stepped:
-                state.step(i, tracker)
-        # frames before cost_from keep NaN azimuth and cost and stay invalid
-        first = max(cost_from, start)
-        for state in states:
-            store, valid, written = state.finish()
+    bands = _bands(n_bins)
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for band in bands[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            blocks = _track_band(source, db, config, names, labels, cost_from, band)
+            worker = context.Process(target=_band_worker, daemon=True,
+                                     args=(sender, blocks, db, band[0]))
+            workers.append((worker, receiver, band))
+            worker.start()
+            sender.close()
+        for first, stop, costed in _track_band(source, db, config, names, labels,
+                                               cost_from, bands[0]):
+            later = [_receive(receiver, band) for _, receiver, band in workers]
+            # frames before cost_from keep NaN azimuth and cost and stay invalid
             if first >= stop:
                 continue
-            surface = cost_surface_frames(store[first - start:], valid[first - start:],
-                                          db, written[first - start:])
-            for out, value in zip(decisions[state.name],
-                                  argmin_directions(surface, db)):
-                out[first:stop] = value
-            if keep_cost_surfaces:
-                surfaces[state.name][first:stop] = surface
-        start = stop
+            for j, (name, (store, valid, written)) in enumerate(zip(names, costed)):
+                surface = cost_surface_frames(store, valid, db, written,
+                                              [sums[j] for sums in later])
+                for out, value in zip(decisions[name],
+                                      argmin_directions(surface, db)):
+                    out[first:stop] = value
+                if keep_cost_surfaces:
+                    surfaces[name][first:stop] = surface
+    finally:
+        # a band process has sent its last block by now, or the run raised
+        # and abandoned it; either way it is ended and reaped here
+        for worker, receiver, _ in workers:
+            if worker.pid is not None:
+                worker.terminate()
+                worker.join()
+            receiver.close()
 
     warmup = config.warmup_frames(source.sample_rate)
     times = frame_times(n_frames, stft.frame_len, stft.hop, source.sample_rate)
@@ -448,3 +565,31 @@ def track(source: AudioClip | WavReader, db: PrototypeDatabase, config: RunConfi
     """Run the configured estimator over one recording."""
     return track_multi(source, db, config, (config.estimator,), labels,
                        keep_cost_surfaces)[config.estimator]
+
+
+def _single_blas_thread() -> None:
+    """Hold numpy's bundled OpenBLAS to one thread in this process.
+
+    Worker processes (a sweep's cells, a run's bands) already fill every
+    core, and OpenBLAS threads spin for a while after each threaded call
+    (the cost-surface and rendering matmuls), taking the cores from the
+    workers. On 2 cores, two processes with two BLAS threads each took
+    twice as long per sweep cell as one alone; with one thread each they
+    ran as fast as one alone. Where the library or its setter is not
+    found, only the speed suffers.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("*openblas*"):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return

@@ -4,8 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtfdoa.doa import (
+    CHUNK_BINS,
     PrototypeDatabase,
     argmin_directions,
+    cost_chunk_sums,
     cost_surface_frames,
     default_grid,
     generate_prototypes,
@@ -274,6 +276,53 @@ def test_cost_surface_written_mask_equals_value_comparison(database, rng, dtype,
     assert np.array_equal(got, want, equal_nan=True)
     with pytest.raises(ConfigurationError):
         cost_surface_frames(values, valid, database, written[1:])
+
+
+@pytest.mark.parametrize("change_share", [0.08, 1.0])
+def test_cost_surface_reads_no_unwritten_entry_but_frame_0(database, rng,
+                                                           change_share):
+    # the pipeline fills only the first frame of a store with held values;
+    # every other entry that is not written may hold anything
+    n_frames = 40
+    values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
+                         change_share).astype(np.complex64)
+    written = np.zeros((n_frames, database.n_bins), dtype=bool)
+    written[1:] = (values[1:] != values[:-1]).any(axis=2)
+    written[:, 40:120] = True  # chunks written in every frame, read directly
+    written[:, 130] = True  # one bin of a chunk written in every frame
+    valid = np.logical_or.accumulate(rng.random(written.shape) < 0.3)
+    want = cost_surface_frames(values, valid, database, written)
+    garbage = values.copy()
+    garbage[1:][~written[1:]] = np.nan
+    got = cost_surface_frames(garbage, valid, database, written)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_cost_surface_of_bands_equals_that_of_all_bins(database, rng):
+    # the bands' chunk sums are added in bin order, so any split into whole
+    # chunks gives the surface bit for bit
+    n_frames = 12
+    values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
+                         0.3).astype(np.complex64)
+    valid = rng.random((n_frames, database.n_bins)) < 0.8
+    valid[3] = False  # a frame with no usable bin
+    want = cost_surface_frames(values, valid, database)
+    assert np.isnan(want[3]).all()
+    for edges in ([0, 33, 257], [0, 129, 257], [0, 65, 161, 257],
+                  [0, *range(33, 257, CHUNK_BINS), 257]):
+        later = [cost_chunk_sums(values[:, lo:hi], valid[:, lo:hi], database,
+                                 first_bin=lo)
+                 for lo, hi in zip(edges[1:-1], edges[2:])]
+        got = cost_surface_frames(values[:, :edges[1]], valid[:, :edges[1]],
+                                  database, later=later)
+        assert np.array_equal(got, want, equal_nan=True), edges
+    # a band of partial chunks, and bands that do not cover every bin
+    with pytest.raises(ConfigurationError, match="whole 32-bin chunks"):
+        cost_chunk_sums(values[:, 40:100], valid[:, 40:100], database, first_bin=40)
+    with pytest.raises(ConfigurationError, match="whole 32-bin chunks"):
+        cost_chunk_sums(values, valid, database, first_bin=33)
+    with pytest.raises(ConfigurationError, match="do not cover"):
+        cost_surface_frames(values[:, :129], valid[:, :129], database)
 
 
 def test_each_database_keeps_its_own_unit_prototypes(rng):
