@@ -64,10 +64,11 @@ noisy covariance; any ``cs-head`` needs the noise covariance; any
 the matrix's last column bit for bit, and the SPP detector reads only its
 own PSD, so every decision is the same in each mode.
 
-The bins are tracked in bands, one per usable CPU
-(``len(os.sched_getaffinity(0))``), at most one per chunk of
-:data:`~rtfdoa.doa.CHUNK_BINS` bins of the cost surface: a run of the
-default 512-point STFT uses one process per usable CPU, up to eight.
+The bins are tracked in frequency bands, one per usable CPU
+(``len(os.sched_getaffinity(0))``), at most :data:`MAX_BANDS` (two) and
+at most one per chunk of :data:`~rtfdoa.doa.CHUNK_BINS` bins of the cost
+surface: on a box with two or more usable CPUs a run uses two processes.
+Two bands were measured, on a 2-CPU box; more are unmeasured.
 Band 0 runs in the calling process and every other band in a forked
 process that reads the same source. Every stage but the frequency average
 of the cost works bin by bin (the STFT, the labels and the SPP detector,
@@ -79,12 +80,13 @@ with the band's valid-bin counts (:func:`~rtfdoa.doa.cost_chunk_sums`);
 the calling process adds the chunks' sums in bin order, as one process
 does, so the results do not depend on the number of bands or of CPUs. A
 band process blocks until its block has been read, so memory stays
-bounded. A daemonic process (a sweep's pool worker, which already fills
-a CPU) runs one band, and so do a process that runs other threads and
-one confined to one CPU, e.g. by ``taskset -c 0``; one band forks
-nothing. A failure in any band is
-raised in the caller with its type and message, and no band process
-outlives the call.
+bounded. A run forks nothing and tracks one band where a second band
+gains nothing: a recording of one block or less, and ``sc`` alone, whose
+work per bin is too light to pay for a second STFT of every bin. So do
+a daemonic process (a sweep's pool worker, which already fills a CPU), a
+process that runs other threads, and one confined to one CPU, e.g. by
+``taskset -c 0``. A failure in any band is raised in the caller with its
+type and message, and no band process outlives the call.
 """
 from __future__ import annotations
 
@@ -119,6 +121,10 @@ DEFAULT_TAU_N_S = 0.5
 # stores (with sc's stacked columns) and cost surface are the only arrays
 # that scale with it
 BLOCK_FRAMES = 128
+
+# the most frequency bands a run is split into: two bands were measured,
+# on a 2-CPU box; what more would gain, or cost a shared host, is unmeasured
+MAX_BANDS = 2
 
 
 def check_scoring(eval_window: float, tolerance_deg: float) -> None:
@@ -330,19 +336,31 @@ def _noise_stats(names: tuple[str, ...]) -> str:
     return "covariance" if "cs-head" in names else "none"
 
 
-def _bands(n_bins: int) -> list[tuple[int, int]]:
-    """The first and end bin of each band of a run's bins: one band per
-    usable CPU, at most one per chunk of the cost surface (whole chunks of
-    :data:`~rtfdoa.doa.CHUNK_BINS` bins from bin 1; band 0 also holds the
-    DC bin). A daemonic process, such as a sweep's pool worker, may start
-    no process of its own, and forking a process that runs other threads
-    can leave a lock held in the child, so either runs one band."""
+def _bands(n_bins: int, n_frames: int,
+           names: tuple[str, ...]) -> list[tuple[int, int]]:
+    """The first and end bin of each band of a run's bins: whole chunks of
+    :data:`~rtfdoa.doa.CHUNK_BINS` bins from bin 1, band 0 also holding
+    the DC bin; one band per usable CPU, at most :data:`MAX_BANDS` and at
+    most one per chunk.
+
+    A run forks nothing, and runs one band, where a band process gains
+    nothing or may not be started: for a recording of one block or less,
+    whose fork costs more than the band saves; for ``sc`` alone, whose work
+    per bin is too light (the SPP detector's and the tracker's per-frame
+    calls do not shrink with the band, and every band repeats the STFT);
+    in a daemonic process, such as a sweep's pool worker, which may start
+    no process of its own; in a process that runs other threads, where a
+    fork can leave a lock held in the child; and where the usable CPUs
+    cannot be read."""
     n_chunks = len(range(1, n_bins, CHUNK_BINS))
-    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (affinity is None or n_frames <= BLOCK_FRAMES or names == ("sc",)
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
         cpus = 1
     else:
-        cpus = len(os.sched_getaffinity(0))
-    n = max(1, min(cpus, n_chunks))
+        cpus = len(affinity(0))
+    n = max(1, min(cpus, MAX_BANDS, n_chunks))
     edges = [0, *(1 + CHUNK_BINS * (n_chunks * i // n) for i in range(1, n)), n_bins]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -461,10 +479,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
     run from 0; earlier frames get NaN azimuth and cost (and cost surface)
     and are invalid. Returns one trajectory per estimator name.
 
-    The bins are tracked in bands, one per usable CPU (see the module
-    docstring): band 0 in this process, each other one in a forked
-    process, all of which have ended when this returns or raises. The
-    results do not depend on the number of bands.
+    The bins are tracked in up to two bands, one per usable CPU (see the
+    module docstring and :func:`_bands`): band 0 in this process, the
+    other in a forked process, which has ended when this returns or
+    raises. The results do not depend on the number of bands.
     """
     t0 = time.perf_counter()
     names = tuple(estimators) if estimators is not None else (config.estimator,)
@@ -510,8 +528,9 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
                         np.zeros(n_frames, dtype=bool)) for name in names}
     surfaces = {name: np.full((n_frames, db.n_directions), np.nan)
                 for name in names} if keep_cost_surfaces else {}
-    bands = _bands(n_bins)
-    context = multiprocessing.get_context("fork")
+    bands = _bands(n_bins, n_frames, names)
+    # one band forks nothing and needs no start method
+    context = multiprocessing.get_context("fork") if len(bands) > 1 else None
     workers = []
     try:
         for band in bands[1:]:

@@ -1,10 +1,13 @@
 """Frequency bands tracked in parallel processes.
 
-``track_multi`` splits the bins into bands, one per usable CPU, and tracks
-every band but the first in a forked process. These tests force the band
-count through ``os.sched_getaffinity`` and check that the results do not
-depend on it, that a failure in any band reaches the caller, and that no
-process outlives the call.
+``track_multi`` splits the bins into bands, one per usable CPU and at
+most ``pipeline.MAX_BANDS`` (two), and tracks every band but the first in
+a forked process. These tests force the band count through
+``os.sched_getaffinity``, raising the cap where they force three bands,
+and blocks shorter than the scene, since a run of one block forks
+nothing; they check that the results do not depend on the band count,
+that a failure in any band reaches the caller, and that no process
+outlives the call.
 """
 import os
 import threading
@@ -31,7 +34,9 @@ class _BandFailure(Exception):
 
 
 def _force_cpus(monkeypatch, n):
+    """``n`` usable CPUs, all of which a run may use."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(pipeline, "MAX_BANDS", max(n, pipeline.MAX_BANDS))
 
 
 def _children() -> set[int]:
@@ -56,22 +61,58 @@ def scene():
 
 
 def test_bands_are_whole_chunks_one_per_usable_cpu(monkeypatch):
+    long = pipeline.BLOCK_FRAMES + 1
     for cpus, edges in ((1, [0, 257]), (2, [0, 129, 257]),
                         (3, [0, 65, 161, 257]),
                         (64, [0, *range(33, 257, 32), 257])):
         _force_cpus(monkeypatch, cpus)
-        bands = pipeline._bands(N_BINS)
+        bands = pipeline._bands(N_BINS, long, ESTIMATOR_NAMES)
         assert bands == list(zip(edges[:-1], edges[1:])), cpus
     # never more bands than chunks
     _force_cpus(monkeypatch, 4)
-    assert pipeline._bands(17) == [(0, 17)]
-    assert pipeline._bands(34) == [(0, 33), (33, 34)]
+    assert pipeline._bands(17, long, ESTIMATOR_NAMES) == [(0, 17)]
+    assert pipeline._bands(34, long, ESTIMATOR_NAMES) == [(0, 33), (33, 34)]
+
+
+def test_a_run_forks_at_most_once_and_only_where_a_band_gains(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    long, whole = pipeline.BLOCK_FRAMES + 1, [(0, N_BINS)]
+    # two bands at most, whatever the CPU count
+    for names in (("sc", "cw-ext"), ("cs-head",), ("cw-head",), ("cw-ext",),
+                  ESTIMATOR_NAMES):
+        assert pipeline._bands(N_BINS, long, names) == [(0, 129), (129, 257)]
+    # sc alone, and a recording of one block
+    assert pipeline._bands(N_BINS, long, ("sc",)) == whole
+    assert pipeline._bands(N_BINS, long - 1, ESTIMATOR_NAMES) == whole
     # a process that runs another thread forks nothing
     found = []
-    thread = threading.Thread(target=lambda: found.append(pipeline._bands(N_BINS)))
+    thread = threading.Thread(target=lambda: found.append(
+        pipeline._bands(N_BINS, long, ESTIMATOR_NAMES)))
     thread.start()
     thread.join(timeout=60)
-    assert found == [[(0, N_BINS)]]
+    assert found == [whole]
+    # nor does one whose usable CPUs cannot be read
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline._bands(N_BINS, long, ESTIMATOR_NAMES) == whole
+
+
+def test_one_band_needs_neither_affinity_nor_fork(database, scene, monkeypatch):
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    _force_cpus(monkeypatch, 1)
+    want = track_multi(scene.mixed, database, RunConfig(detector="spp"),
+                       ("cw-ext",))["cw-ext"]
+    monkeypatch.delattr(os, "sched_getaffinity")
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(pipeline.multiprocessing, "get_context", no_fork)
+    before = _children()
+    got = track_multi(scene.mixed, database, RunConfig(detector="spp"),
+                      ("cw-ext",))["cw-ext"]
+    assert got.valid.any()
+    assert np.array_equal(got.azimuth_deg, want.azimuth_deg, equal_nan=True)
+    assert _children() <= before
 
 
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)
@@ -162,6 +203,7 @@ def test_a_failure_in_a_later_band_reaches_the_caller(database, scene,
 
 def test_a_band_process_that_dies_is_reported(database, scene, monkeypatch):
     _force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
     parent, update = os.getpid(), CovarianceTracker.update_frame
 
     def update_frame(self, *args, **kwargs):
@@ -172,7 +214,8 @@ def test_a_band_process_that_dies_is_reported(database, scene, monkeypatch):
     monkeypatch.setattr(CovarianceTracker, "update_frame", update_frame)
     before = _children()
     with pytest.raises(RuntimeError, match="bins 129 to 256 ended without a result"):
-        track_multi(scene.mixed, database, RunConfig(detector="spp"), ("sc",))
+        track_multi(scene.mixed, database, RunConfig(detector="spp"),
+                    ("cs-head",))
     assert _children() <= before
 
 
@@ -202,12 +245,13 @@ def test_an_interrupt_leaves_no_process(database, scene, monkeypatch, cpus):
 def test_band_processes_hold_blas_to_one_thread(database, scene, monkeypatch,
                                                 tmp_path):
     _force_cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
 
     def single_blas_thread():
         (tmp_path / str(os.getpid())).touch()
 
     monkeypatch.setattr(pipeline, "_single_blas_thread", single_blas_thread)
-    track_multi(scene.mixed, database, RunConfig(detector="spp"), ("sc",))
+    track_multi(scene.mixed, database, RunConfig(detector="spp"), ("cs-head",))
     pids = {int(path.name) for path in tmp_path.iterdir()}
     assert len(pids) == 2 and os.getpid() not in pids
 
@@ -216,21 +260,26 @@ def test_sweep_cells_run_one_band(database, monkeypatch, tmp_path):
     # a sweep already runs one forked cell per usable CPU; its cells must
     # not fork bands on top, or 2 workers would become 4 processes on 2 CPUs
     _force_cpus(monkeypatch, 2)
+    # cells of several blocks, tracked by an estimator that gains from bands
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
     bands = pipeline._bands
 
-    def logged(n_bins):
-        result = bands(n_bins)
+    def logged(*args):
+        result = bands(*args)
         with open(tmp_path / "bands.log", "a") as log:
-            log.write(f"{os.getpid()} {len(result)}\n")
+            log.write(f"{os.getpid()} {len(result)} {args[1]}\n")
         return result
 
     monkeypatch.setattr(pipeline, "_bands", logged)
-    rows = run_sweep({"estimators": ["sc"], "azimuths_deg": [35.0, -35.0],
+    rows = run_sweep({"estimators": ["cw-ext"], "azimuths_deg": [35.0, -35.0],
                       "snrs_db": [5.0], "seeds": [1], "duration_s": 2.0,
                       "detector": "spp"}, database)
     assert not any(row["error"] for row in rows)
     entries = [line.split() for line in
                (tmp_path / "bands.log").read_text().splitlines()]
     assert len(entries) == 2  # one per cell
-    assert {count for _, count in entries} == {"1"}
-    assert str(os.getpid()) not in {pid for pid, _ in entries}
+    assert {count for _, count, _ in entries} == {"1"}
+    assert str(os.getpid()) not in {pid for pid, _, _ in entries}
+    # the same cell outside a pool worker runs two
+    n_frames = int(entries[0][2])
+    assert len(bands(N_BINS, n_frames, ("cw-ext",))) == 2
