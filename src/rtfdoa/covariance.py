@@ -8,34 +8,29 @@ exponentially smoothed convex combination::
     phi <- alpha * phi + (1 - alpha) * y y^H
 
 This is the paper's plain gated recursion: each matrix decays only its
-own previous value, and the other one is left as it was. Both matrices start from ``eps * I`` and stay exactly Hermitian in
-floating point without re-symmetrization: entry (q, p) of ``y y^H`` is
+own previous value, and the other one is left as it was. Both matrices
+start from ``eps * I`` and stay exactly Hermitian in floating point
+without re-symmetrization: entry (q, p) of ``y y^H`` is
 computed from the same two products as entry (p, q), with the imaginary
 difference taken in the opposite order, so it is the exact conjugate
 (and the diagonal is exactly real); scaling by a real factor and adding
 two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
 
-Only what is read is kept. The tracker keeps only as much of the noise
-as its readers need (``noise_stats``): ``"none"`` keeps no noise
-statistic (``sc`` reads none, and the speech presence detector keeps its
-own noise PSD, see :class:`~rtfdoa.activity.SppDetector`);
-``"covariance"`` keeps ``phi_n`` (``cs-head``); ``"inverse"`` keeps
-``phi_n`` and its inverse (the ``cw-*`` estimators). Keeping no noise
-statistic, the tracker forms outer products only in the bins gated as
-speech.
-
-The noisy side follows the same rule (``noisy_stats``): ``"matrix"``
-keeps ``phi_y``, which ``cs-head`` and the ``cw-*`` estimators read;
-``"column"`` keeps only its column against the last (external) channel,
-``phi_y e_P``, all that ``sc`` reads, and then forms only that column of
-each speech bin's outer product, ``y conj(y_P)``. Its entries are the same
-single products as the last column of ``y y^H``, so the column equals
-``phi_y``'s last column bit for bit. A column goes with no noise statistic
-only: keeping the noise covariance forms every outer product anyway.
-In either mode an update can write the speech bins' new columns straight
-into a caller's buffer, so that ``sc`` stacks them without gathering them
-from the tracker again.
+Only what is read is kept. The tracker keeps one of three things
+(``keep``), from least to most: ``"column"`` keeps only the column of
+``phi_y`` against the last (external) channel, ``phi_y e_P``, and no
+noise statistic, all that ``sc`` reads (the speech presence detector
+keeps its own noise PSD, see :class:`~rtfdoa.activity.SppDetector`);
+``"covariance"`` keeps ``phi_y`` and ``phi_n`` (``cs-head``);
+``"inverse"`` keeps both and the inverse of ``phi_n`` (the ``cw-*``
+estimators). Keeping the column, the tracker forms only the column of
+each speech bin's outer product, ``y conj(y_P)``, and none outside the
+bins gated as speech. Its entries are the same single products as the
+last column of ``y y^H``, so the column equals ``phi_y``'s last column
+bit for bit. In every mode an update can write the speech bins' new
+columns straight into a caller's buffer, so that ``sc`` stacks them
+without gathering them from the tracker again.
 
 With ``"inverse"`` the tracker also follows ``M = phi_n^-1``, which the
 covariance-whitening estimators step with.
@@ -63,8 +58,9 @@ bin for as long as it stays dead. So every update checks the bins it
 touched, and a bin whose inverse is not finite, has a trace that is
 not positive, or belongs to a ``phi`` too ill-conditioned to invert
 reliably (judged by ``tr(M) tr(phi)``, which lies between ``cond(phi)``
-and ``P^2 cond(phi)``) is re-seeded from an eigendecomposition of its current ``phi``, with the
-eigenvalues floored at a small share of their mean.
+and ``P^2 cond(phi)``) is re-seeded from an eigendecomposition of its
+current ``phi``, with the eigenvalues floored at a small share of their
+mean.
 """
 from __future__ import annotations
 
@@ -158,19 +154,16 @@ def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
     return out
 
 
-# what the tracker keeps of the noisy signal and of the noise, from least
-# to most
-NOISY_STATS = ("column", "matrix")
-NOISE_STATS = ("none", "covariance", "inverse")
+# what the tracker keeps, from least to most (see the module docstring)
+KEEP = ("column", "covariance", "inverse")
 
 
 class CovarianceTracker:
     """Vectorized per-bin covariance recursion over a whole STFT grid.
 
-    ``noisy_stats`` and ``noise_stats`` name what is kept of the noisy
-    signal and of the noise (see the module docstring).
-    :attr:`noisy_column` serves both noisy modes; :attr:`noisy` needs
-    ``"matrix"``. :attr:`noise` needs ``"covariance"`` or ``"inverse"``;
+    ``keep`` names what is kept (see the module docstring).
+    :attr:`noisy_column` serves every mode; :attr:`noisy` and
+    :attr:`noise` need ``"covariance"`` or ``"inverse"``;
     :attr:`noise_inverse` is None unless ``"inverse"``, and then is updated
     in the noise-gated bins of every frame. A bin whose tracked inverse is
     no longer usable is re-seeded from its covariance (see the module
@@ -180,31 +173,24 @@ class CovarianceTracker:
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
                  eps_init: float = DEFAULT_EPS_INIT,
-                 noise_stats: str = "covariance",
-                 noisy_stats: str = "matrix") -> None:
+                 keep: str = "covariance") -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
-        if noise_stats not in NOISE_STATS:
-            raise ConfigurationError(
-                f"noise_stats must be one of {NOISE_STATS}, got '{noise_stats}'")
-        if noisy_stats not in NOISY_STATS:
-            raise ConfigurationError(
-                f"noisy_stats must be one of {NOISY_STATS}, got '{noisy_stats}'")
-        if noisy_stats == "column" and noise_stats != "none":
-            raise ConfigurationError(
-                "a tracker that keeps only the noisy column keeps no noise statistic")
-        inverse = noise_stats == "inverse"
-        if inverse and smoothing.alpha_n == 0.0:
+        if keep not in KEEP:
+            raise ConfigurationError(f"keep must be one of {KEEP}, got '{keep}'")
+        if keep == "inverse" and smoothing.alpha_n == 0.0:
             raise ConfigurationError(
                 "a tracked inverse needs a noise smoothing factor above 0")
         eye = np.eye(n_channels, dtype=np.complex128)
         # [K, P, P], or [K, P] when only the last column is kept
         self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
-        if noisy_stats == "column":
+        self._phi_n = self._inv_n = None
+        if keep == "column":
             self._phi_y = np.ascontiguousarray(self._phi_y[:, :, -1])
-        self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1)) \
-            if noise_stats != "none" else None
-        self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1)) if inverse else None
+        else:
+            self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1))
+        if keep == "inverse":
+            self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1))
         self.smoothing = smoothing
         self.n_channels = n_channels
         self.n_bins = n_bins
@@ -212,7 +198,7 @@ class CovarianceTracker:
     @property
     def noisy(self) -> np.ndarray:
         """Noisy-signal covariances [K, P, P]. Treat as read-only."""
-        if self._phi_y.ndim == 2:
+        if self._phi_n is None:
             raise ConfigurationError(
                 "this tracker keeps only the noisy column against the last "
                 "channel, not the noisy covariance")
@@ -222,7 +208,7 @@ class CovarianceTracker:
     def noisy_column(self) -> np.ndarray:
         """Columns of the noisy-signal covariances against the last channel,
         [K, P], the last column of :attr:`noisy`. Treat as read-only."""
-        return self._phi_y if self._phi_y.ndim == 2 else self._phi_y[:, :, -1]
+        return self._phi_y if self._phi_n is None else self._phi_y[:, :, -1]
 
     @property
     def noise(self) -> np.ndarray:
@@ -257,24 +243,20 @@ class CovarianceTracker:
         if column_out is not None:
             column_out = column_out[:speech.size]
         a_y = self.smoothing.alpha_y
-        # with phi_n kept every bin absorbs an outer product, and one einsum
-        # over all bins costs less than one per gated subset of them
-        outer = _outer(y) if self._phi_n is not None else None
-        if speech.size:
-            column = self._phi_y.ndim == 2
-            if outer is not None:
-                fresh = outer[speech]
-            elif column:
+        if self._phi_n is None:
+            if speech.size:
                 fresh = _outer_column(y[:, speech])
-            else:
-                fresh = _outer(y[:, speech])
-            phi = np.add(a_y * self._phi_y[speech], (1.0 - a_y) * fresh,
-                         out=column_out if column else None)
-            self._phi_y[speech] = phi
-            if column_out is not None and not column:
-                column_out[...] = phi[:, :, -1]
-        if outer is None:
+                self._phi_y[speech] = np.add(a_y * self._phi_y[speech],
+                                             (1.0 - a_y) * fresh, out=column_out)
             return speech
+        # every bin absorbs an outer product, and one einsum over all bins
+        # costs less than one per gated subset of them
+        outer = _outer(y)
+        if speech.size:
+            phi = a_y * self._phi_y[speech] + (1.0 - a_y) * outer[speech]
+            self._phi_y[speech] = phi
+            if column_out is not None:
+                column_out[...] = phi[:, :, -1]
         a_n = self.smoothing.alpha_n
         noise = np.flatnonzero(~mask)
         if noise.size:

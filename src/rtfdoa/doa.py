@@ -175,9 +175,7 @@ def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase
     # always); slots[l, k] is the position of frame l's angles among bin
     # k's computed ones, so unchanged frames point at the last computed one
     if written is None:
-        changed = np.zeros((n_frames, n_bins), dtype=bool)
-        for entry in values.transpose(2, 0, 1):  # faster than any() over M
-            changed[1:] |= entry[1:] != entry[:-1]
+        changed = np.ones((n_frames, n_bins), dtype=bool)
     else:
         changed = np.array(written, dtype=bool)
         if changed.shape != (n_frames, n_bins):
@@ -240,10 +238,10 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
 
     ``written`` [L, K] marks where a value may differ from the previous
     frame's, as the pipeline's hold-last-valid stores record it; without
-    it, values are compared. A bin's angles are computed only in the
-    frames where its value was written (or changed), and the other frames
-    reuse them, so an entry that is not written is never read, except in
-    frame 0, which must hold every bin's value. A frame in which a chunk
+    it, every entry counts as written. A bin's angles are computed only in
+    the frames where its value was written, and the other frames reuse
+    them, so an entry that is not written is never read, except in frame
+    0, which must hold every bin's value. A frame in which a chunk
     of bins has no write and the same valid mask as the frame before takes
     that frame's partial sum. Each angle depends on its own value alone,
     so the surface is bit-identical to computing every frame.

@@ -11,13 +11,14 @@ pair, the SPP detector's noise PSD, the estimators' held values and
 tracker states, the frame index and the STFT overlap are carried, so the
 decisions do not depend on the block length. Several estimators can share
 a single covariance pass, which is how the sweep harness keeps
-multi-estimator comparisons cheap. The
-whitening estimators are tracked with one generalized power step per frame
-(:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly; they step
-with the inverse noise covariance, which the covariance tracker updates by
-rank-one steps in the noise-gated bins only when a whitening estimator
-runs. Both whitening variants share that one inverse: ``cw-head`` reads
-its head block's inverse from it through a Schur complement.
+multi-estimator comparisons cheap. The whitening estimators are tracked
+with one generalized power step per frame
+(:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly; they
+step with the inverse noise covariance, which the covariance tracker
+updates by rank-one steps in the noise-gated bins only when a whitening
+estimator runs. Both whitening variants share that one inverse:
+``cw-head`` reads its head block's inverse from it through a Schur
+complement.
 
 The detector is either the oracle labels or the fixed-prior SPP of
 :class:`~rtfdoa.activity.SppDetector`, whose model and decision rule are
@@ -34,17 +35,18 @@ gates its updates off. Bins that never produced a valid estimate are
 excluded from the cost mean. Frames before the warm-up horizon (twice
 the slowest smoothing time constant) are flagged invalid.
 
-Only what moved is recomputed, with unchanged results. Every estimator
-writes its valid estimates of a frame into the block's store and marks
+Only what moved is recomputed, with unchanged results. Each estimator
+is one step class over a shared hold-last-valid store. Every frame the
+tracker updates the covariances once and returns the speech bins, and
+each step writes its valid estimates into the block's store and marks
 them as written. The cost reads no other entry but those of the block's
 first costed frame, so only that frame takes each bin's last valid
 estimate, and each bin's held value is carried to the next block from
-its last write. ``sc`` reads only the noisy column
-against the external microphone, which moves only in the bins gated as
-speech, so each frame stacks those bins' columns and
+its last write. ``sc`` reads only the noisy column against the external
+microphone, which moves only in the speech bins: its step only marks
+them, the tracker writes their columns straight into ``sc``'s stack, and
 :func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
-call. The tracker finds each frame's speech index once and returns it
-for ``sc``, and writes the updated columns straight into ``sc``'s stack. The cost surface computes a bin's angles only in the frames where
+call. The cost surface computes a bin's angles only in the frames where
 it was written, and sums a chunk of bins only in the frames where one of
 them was written or the valid mask changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
@@ -55,14 +57,12 @@ estimator's store and written mask, and ``sc``'s stack of columns. Every
 block overwrites what it reads of them, and each frame is a view of the
 block's STFT.
 
-Only what is read is kept: the covariance tracker keeps of the noisy
-signal and of the noise what the estimator set needs and no more. ``sc``
-alone keeps the column of the noisy covariance against the external
-microphone and no noise statistic. Any other estimator needs the whole
-noisy covariance; any ``cs-head`` needs the noise covariance; any
-``cw-*`` needs the covariance and its tracked inverse. The column equals
-the matrix's last column bit for bit, and the SPP detector reads only its
-own PSD, so every decision is the same in each mode.
+Only what is read is kept: each step class declares what the tracker
+must keep for it (``"column"`` for ``sc``, ``"covariance"`` for
+``cs-head``, ``"inverse"`` for ``cw-*``), and the tracker keeps the most
+that one estimator of the set needs. The column equals the matrix's last
+column bit for bit, and the SPP detector reads only its own PSD, so
+every decision is the same in each mode.
 
 The bins are tracked in frequency bands, one per usable CPU
 (``len(os.sched_getaffinity(0))``), at most :data:`MAX_BANDS` (two) and
@@ -103,7 +103,7 @@ from pathlib import Path
 import numpy as np
 
 from .activity import LabelBitmap, SppDetector
-from .covariance import CovarianceTracker, SmoothingConfig
+from .covariance import KEEP, CovarianceTracker, SmoothingConfig
 from .doa import (CHUNK_BINS, PrototypeDatabase, argmin_directions,
                   cost_chunk_sums, cost_surface_frames)
 from .errors import ConfigurationError, NumericalFailure
@@ -111,7 +111,6 @@ from .estimators import PowerCwTracker, batch_cs, batch_sc, schur_head_inverse
 from .stft import (AudioClip, StftConfig, WavReader, analyze, frame_times,
                    num_frames)
 
-ESTIMATOR_NAMES = ("cs-head", "cw-ext", "cw-head", "sc")
 DETECTOR_NAMES = ("oracle", "spp")
 
 DEFAULT_TAU_Y_STATIC_S = 0.25
@@ -228,72 +227,39 @@ def _held_at(store: np.ndarray, written: np.ndarray, held: np.ndarray,
                     store[last, np.arange(store.shape[1])], held)
 
 
-class _HeldEstimator:
-    """Wraps a batch estimator with per-bin hold-last-valid storage.
+class _HeldStore:
+    """Per-bin hold-last-valid storage of one estimator, whose subclass
+    declares what the tracker must keep for it (``keep``) and whether it
+    reads the external channel.
 
-    The store, its written mask and ``sc``'s stack of columns are
-    allocated once for blocks of up to ``capacity`` frames. Per block,
-    :meth:`start` opens the block, :meth:`step` writes each frame's
-    valid estimates into the store and marks them in ``written`` (``sc``
-    instead has the tracker write each frame's columns into
-    :meth:`free_columns` and then :meth:`stack` them), and :meth:`finish`
-    holds each bin's last valid estimate in the first frame that is costed
-    and returns the store and written mask from that frame on, views that
-    the next block overwrites, with the valid mask. The cost reads no
-    other entry that is not written (see
-    :func:`~rtfdoa.doa.cost_surface_frames`), so no other is filled.
+    The store and its written mask are allocated once for blocks of up to
+    ``capacity`` frames. Per block, :meth:`start` opens the block,
+    ``step(i, tracker, speech)`` writes frame ``i``'s valid estimates into
+    the store and marks them in ``written``, and :meth:`finish` holds each
+    bin's last valid estimate in the first frame that is costed and
+    returns the store and written mask from that frame on, views that the
+    next block overwrites, with the valid mask. The cost reads no other
+    entry that is not written (see :func:`~rtfdoa.doa.cost_surface_frames`),
+    so no other is filled.
     """
 
-    def __init__(self, name: str, n_bins: int, n_head: int, n_channels: int,
+    keep: str
+    external = False
+
+    def __init__(self, n_bins: int, n_head: int, n_channels: int,
                  capacity: int) -> None:
-        self.name = name
         self.n_head = n_head
         self.held = np.zeros((n_bins, n_head), dtype=np.complex64)
         self.ever_valid = np.zeros(n_bins, dtype=bool)
         self.store = np.empty((capacity, n_bins, n_head), dtype=np.complex64)
         self.written = np.empty((capacity, n_bins), dtype=bool)
-        dim = n_channels if name == "cw-ext" else n_head
-        self.cw = PowerCwTracker(n_bins, dim) if name.startswith("cw") else None
-        if name == "sc":
-            # each frame's speech bins and, stacked, their noisy columns
-            self._columns = np.empty((capacity * n_bins, n_channels),
-                                     dtype=np.complex128)
 
     def start(self, count: int) -> None:
         self.count = count
         self.written[:count] = False
-        if self.name == "sc":
-            self._frames: list[int] = []
-            self._bins: list[np.ndarray] = []
-            self._stacked = 0
 
-    def free_columns(self) -> np.ndarray:
-        """The rows of ``sc``'s stack not yet taken in this block, at least
-        one per bin, for the tracker to write a frame's noisy columns into."""
-        return self._columns[self._stacked:]
-
-    def stack(self, i: int, bins: np.ndarray) -> None:
-        """Take the first rows of :meth:`free_columns`, which now hold
-        frame ``i``'s noisy columns of the speech ``bins``. phi_y moved only
-        in those bins; a bin never gated as speech still holds eps * e_P,
-        whose zero reference entry is invalid. The block's columns are
-        estimated in finish()."""
-        if bins.size:
-            self._stacked += bins.size
-            self._frames.append(i)
-            self._bins.append(bins)
-
-    def step(self, i: int, tracker: CovarianceTracker) -> None:
-        m = self.n_head
-        if self.name == "cs-head":
-            values, valid = batch_cs(tracker.noisy[:, :m, :m],
-                                     tracker.noise[:, :m, :m])
-        else:
-            dim = self.cw.dim
-            values, valid = self.cw.estimate(
-                tracker.noisy[:, :dim, :dim],
-                schur_head_inverse(tracker.noise_inverse, dim))
-        np.copyto(self.store[i], values[:, :m], where=valid[:, None])
+    def _write(self, i: int, values: np.ndarray, valid: np.ndarray) -> None:
+        np.copyto(self.store[i], values[:, :self.n_head], where=valid[:, None])
         self.written[i] = valid
 
     def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,15 +268,6 @@ class _HeldEstimator:
         the bin has held an estimate by that frame."""
         count = self.count
         store, written = self.store[:count], self.written[:count]
-        if self.name == "sc" and self._bins:
-            values, valid = batch_sc(self._columns[:self._stacked], overwrite=True)
-            frames = np.repeat(self._frames, [b.size for b in self._bins])
-            bins = np.concatenate(self._bins)
-            # an invalid estimate is all zeros and stays unwritten: the cost
-            # reads no unwritten entry but those of the first costed frame,
-            # which take their held values below
-            store[frames, bins] = values
-            written[frames[valid], bins[valid]] = True
         if first < count:
             store[first] = _held_at(store, written, self.held, first)
         self.held = _held_at(store, written, self.held, count - 1)
@@ -320,20 +277,88 @@ class _HeldEstimator:
         return store[first:], valid[first:], written[first:]
 
 
-def _noisy_stats(names: tuple[str, ...]) -> str:
-    """What the covariance tracker must keep of the noisy signal: ``sc``
-    reads only the column against the external microphone."""
-    return "column" if names == ("sc",) else "matrix"
+class _CsStep(_HeldStore):
+    """``cs-head``: subtracts the noise covariance of the head channels."""
+
+    keep = "covariance"
+
+    def step(self, i: int, tracker: CovarianceTracker, speech: np.ndarray) -> None:
+        m = self.n_head
+        self._write(i, *batch_cs(tracker.noisy[:, :m, :m], tracker.noise[:, :m, :m]))
 
 
-def _noise_stats(names: tuple[str, ...]) -> str:
-    """The least the covariance tracker must keep of the noise for these
-    estimators: the ``cw-*`` ones step with the inverse noise covariance,
-    ``cs-head`` subtracts the covariance, and ``sc`` reads no noise
-    statistic at all (the SPP detector keeps its own PSD)."""
-    if any(name.startswith("cw") for name in names):
-        return "inverse"
-    return "covariance" if "cs-head" in names else "none"
+class _CwStep(_HeldStore):
+    """``cw-head``: one power step a frame with the head block's inverse
+    noise covariance, read from the tracked one (see
+    :func:`~rtfdoa.estimators.schur_head_inverse`)."""
+
+    keep = "inverse"
+
+    def __init__(self, n_bins: int, n_head: int, n_channels: int,
+                 capacity: int) -> None:
+        super().__init__(n_bins, n_head, n_channels, capacity)
+        self.cw = PowerCwTracker(n_bins, n_channels if self.external else n_head)
+
+    def step(self, i: int, tracker: CovarianceTracker, speech: np.ndarray) -> None:
+        dim = self.cw.dim
+        self._write(i, *self.cw.estimate(
+            tracker.noisy[:, :dim, :dim],
+            schur_head_inverse(tracker.noise_inverse, dim)))
+
+
+class _CwExtStep(_CwStep):
+    """``cw-ext``: :class:`_CwStep` over every channel."""
+
+    external = True
+
+
+class _ScStep(_HeldStore):
+    """``sc``: :meth:`step` marks the speech bins, whose noisy columns the
+    tracker has written into :meth:`free_columns`; read in row-major order,
+    the marks index that stack, which :meth:`finish` estimates in one call.
+    A bin never gated as speech holds ``eps * e_P``, which is invalid."""
+
+    keep = "column"
+    external = True
+
+    def __init__(self, n_bins: int, n_head: int, n_channels: int,
+                 capacity: int) -> None:
+        super().__init__(n_bins, n_head, n_channels, capacity)
+        self._columns = np.empty((capacity * n_bins, n_channels),
+                                 dtype=np.complex128)
+        self._stacked = 0
+
+    def free_columns(self) -> np.ndarray:
+        """The rows of the stack not yet taken in this block, at least one
+        per bin, for the tracker to write a frame's noisy columns into."""
+        return self._columns[self._stacked:]
+
+    def step(self, i: int, tracker: CovarianceTracker, speech: np.ndarray) -> None:
+        self.written[i, speech] = True
+        self._stacked += speech.size
+
+    def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._stacked:
+            values, valid = batch_sc(self._columns[:self._stacked], overwrite=True)
+            frames, bins = self.written[:self.count].nonzero()
+            # an invalid estimate is all zeros and stays unwritten: the cost
+            # reads no unwritten entry but those of the first costed frame,
+            # which take their held values
+            self.store[frames, bins] = values
+            self.written[frames, bins] = valid
+            self._stacked = 0
+        return super().finish(first)
+
+
+# each estimator's step; the tracker keeps the most that one of them needs
+_STEPS = {"cs-head": _CsStep, "cw-ext": _CwExtStep, "cw-head": _CwStep,
+          "sc": _ScStep}
+ESTIMATOR_NAMES = tuple(_STEPS)
+
+
+def _keep(names: tuple[str, ...]) -> str:
+    """The least the covariance tracker must keep for these estimators."""
+    return max((_STEPS[name].keep for name in names), key=KEEP.index)
 
 
 def _bands(n_bins: int, n_frames: int,
@@ -354,7 +379,7 @@ def _bands(n_bins: int, n_frames: int,
     cannot be read."""
     n_chunks = len(range(1, n_bins, CHUNK_BINS))
     affinity = getattr(os, "sched_getaffinity", None)
-    if (affinity is None or n_frames <= BLOCK_FRAMES or names == ("sc",)
+    if (affinity is None or n_frames <= BLOCK_FRAMES or _keep(names) == "column"
             or multiprocessing.current_process().daemon
             or threading.active_count() > 1):
         cpus = 1
@@ -382,17 +407,14 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
     stft = config.stft
     n_chan, n_head = source.n_channels, db.n_mics
     smoothing = config.smoothing(source.sample_rate)
-    tracker = CovarianceTracker(n_chan, n_bins, smoothing,
-                                noise_stats=_noise_stats(names),
-                                noisy_stats=_noisy_stats(names))
+    tracker = CovarianceTracker(n_chan, n_bins, smoothing, keep=_keep(names))
     detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
     # no block holds more frames than this, so the block buffers are made once
     capacity = min(BLOCK_FRAMES, num_frames(source.n_samples, stft))
     spectrum = np.empty((n_chan, capacity, stft.n_bins), dtype=np.complex128)
-    states = [_HeldEstimator(name, n_bins, n_head, n_chan, capacity)
-              for name in names]
-    sc = next((state for state in states if state.name == "sc"), None)
-    stepped = [state for state in states if state is not sc]
+    states = [_STEPS[name](n_bins, n_head, n_chan, capacity) for name in names]
+    # the tracker writes each frame's columns into sc's stack
+    sc = next((state for state in states if state.keep == "column"), None)
 
     tail = np.empty((n_chan, 0))
     start = 0
@@ -418,12 +440,10 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
         for i in range(count):
             y = data[:, :, i]
             mask = block_labels[:, i] if detector is None else detector.step(y)
-            if sc is None:
-                tracker.update_frame(y, mask)
-            else:
-                sc.stack(i, tracker.update_frame(y, mask, sc.free_columns()))
-            for state in stepped:
-                state.step(i, tracker)
+            speech = tracker.update_frame(
+                y, mask, None if sc is None else sc.free_columns())
+            for state in states:
+                state.step(i, tracker, speech)
         # frames before cost_from are not costed
         first = max(cost_from, start)
         yield first, stop, [state.finish(first - start) for state in states]
@@ -501,11 +521,10 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
     if n_chan not in (n_head, n_head + 1):
         raise ConfigurationError(
             f"{n_chan} channels do not fit a database for {n_head} head mics")
-    if n_chan == n_head:
-        for name in names:
-            if name in ("sc", "cw-ext"):
-                raise ConfigurationError(
-                    f"estimator '{name}' needs the external microphone channel")
+    for name in names:
+        if n_chan == n_head and _STEPS[name].external:
+            raise ConfigurationError(
+                f"estimator '{name}' needs the external microphone channel")
     if source.sample_rate != db.sample_rate:
         raise ConfigurationError("clip and database sample rates differ")
 

@@ -140,7 +140,7 @@ def test_tracker_stays_exactly_hermitian(rng):
     # every entry the exact conjugate of its mirror, bit for bit, and so
     # must the rank-one update of the tracked inverse
     n_bins, p = 33, 5
-    tracker = CovarianceTracker(p, n_bins, SM, noise_stats="inverse")
+    tracker = CovarianceTracker(p, n_bins, SM, keep="inverse")
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-4.0, 4.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
@@ -154,41 +154,35 @@ def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng):
     # covariance's diagonal under the detector's masks, bootstrap frames
     # included, at snapshot scales spanning sixteen decades (each with its
     # initial PSD scaled alike); a random fifth of the bins is ten times
-    # louder in each frame, so the masks mix. A tracker that keeps no noise
-    # statistic holds the same noisy matrices as one that keeps the noise
-    # covariance
+    # louder in each frame, so the masks mix
     n_bins, p, n_head = 33, 5, 4
     for scale in 10.0 ** np.arange(-8.0, 9.0, 4.0):
         eps = 1e-6 * scale ** 2
         detector = SppDetector(n_head, n_bins, SM.alpha_n, eps_init=eps)
         full = CovarianceTracker(p, n_bins, SM, eps_init=eps)
-        none = CovarianceTracker(p, n_bins, SM, eps_init=eps, noise_stats="none")
         mixed = 0
         for _ in range(60):
             y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
             y[:, rng.random(n_bins) < 0.2] *= 10.0
             mask = detector.step(y)
             full.update_frame(y, mask)
-            none.update_frame(y, mask)
             assert np.array_equal(
                 detector.psd, full.noise.diagonal(axis1=1, axis2=2).real[:, :n_head].T)
-            assert np.array_equal(none.noisy, full.noisy)
             mixed += 0 < np.count_nonzero(mask) < n_bins
         assert detector.frames == 60 and mixed > 30, (scale, mixed)
-        assert none.noise_inverse is None
 
 
 def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
     # a tracker that keeps only the noisy column against the last channel
-    # holds the last column of the one that keeps the whole matrix, over
-    # random gating and snapshot scales spanning sixteen decades; in both
-    # modes an update returns the speech bins and writes their new columns
-    # into the first rows of column_out
+    # holds the last column of one that keeps the covariances, over random
+    # gating and snapshot scales spanning sixteen decades; in both modes an
+    # update returns the speech bins and writes their new columns into the
+    # first rows of column_out
     n_bins, p = 33, 5
-    column = CovarianceTracker(p, n_bins, SM, noise_stats="none",
-                               noisy_stats="column")
-    full = CovarianceTracker(p, n_bins, SM, noise_stats="none")
+    column = CovarianceTracker(p, n_bins, SM, keep="column")
+    full = CovarianceTracker(p, n_bins, SM)
     assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
+    assert column.noise_inverse is None
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-8.0, 8.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
@@ -206,7 +200,7 @@ def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
 
 def test_tracked_inverse_matches_inverse_of_noise(rng):
     n_bins, p = 9, 5
-    tracker = CovarianceTracker(p, n_bins, SM, noise_stats="inverse")
+    tracker = CovarianceTracker(p, n_bins, SM, keep="inverse")
     for _ in range(200):
         y = _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
         tracker.update_frame(y, rng.random(n_bins) < 0.3)
@@ -231,7 +225,7 @@ def test_tracked_inverse_does_not_drift():
         mixes.append(q * np.sqrt(np.logspace(0, -np.log10(cond), p)))
     mixes = np.array(mixes)
     tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.95, 0.97),
-                                noise_stats="inverse")
+                                keep="inverse")
     no_speech = np.zeros(n_bins, dtype=bool)
     errors = []
     for frame in range(1, n_frames + 1):
@@ -263,7 +257,7 @@ def test_tracked_inverse_recovers_after_digital_silence(rng, n_silent):
     # inverse stays finite and matches phi^-1 once the noise is back
     n_bins, p = 6, 5
     tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.5, 0.5),
-                                noise_stats="inverse")
+                                keep="inverse")
 
     def frames(n, scale):
         for _ in range(n):
@@ -290,20 +284,16 @@ def test_tracker_validation(rng):
         tracker.update_frame(bad, np.ones(3, bool))
     with pytest.raises(ConfigurationError):
         CovarianceTracker(0, 3, SM)
-    # the noise PSD is the SPP detector's own now, so "psd" is unknown
-    for unknown in ("cholesky", "psd"):
-        with pytest.raises(ConfigurationError, match="noise_stats"):
-            CovarianceTracker(2, 3, SM, noise_stats=unknown)
+    # the noise PSD is the SPP detector's own, the noisy covariance comes
+    # with the noise covariance, and nothing keeps a Cholesky factor
+    for unknown in ("none", "matrix", "psd", "cholesky"):
+        with pytest.raises(ConfigurationError, match="keep"):
+            CovarianceTracker(2, 3, SM, keep=unknown)
+    column = CovarianceTracker(2, 3, SM, keep="column")
     with pytest.raises(ConfigurationError, match="keeps no noise statistic"):
-        CovarianceTracker(2, 3, SM, noise_stats="none").noise
-    with pytest.raises(ConfigurationError, match="noisy_stats"):
-        CovarianceTracker(2, 3, SM, noise_stats="none", noisy_stats="diagonal")
+        column.noise
     with pytest.raises(ConfigurationError, match="only the noisy column"):
-        CovarianceTracker(2, 3, SM, noise_stats="none", noisy_stats="column").noisy
-    for noise_stats in ("covariance", "inverse"):
-        with pytest.raises(ConfigurationError, match="keeps no noise statistic"):
-            CovarianceTracker(2, 3, SM, noise_stats=noise_stats,
-                              noisy_stats="column")
+        column.noisy
     with pytest.raises(ConfigurationError):
         CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0),
-                          noise_stats="inverse")
+                          keep="inverse")

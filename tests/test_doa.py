@@ -227,6 +227,14 @@ def _held_block(rng, n_frames, n_bins, n_mics, change_share):
     return np.take_along_axis(fresh, source[:, :, None], axis=0)
 
 
+def _written_where_changed(values):
+    """The written mask a value comparison gives a block [L, K, M]: frame 0
+    and every entry whose value differs from the previous frame's."""
+    written = np.ones(values.shape[:2], dtype=bool)
+    written[1:] = (values[1:] != values[:-1]).any(axis=2)
+    return written
+
+
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 @pytest.mark.parametrize("change_share", [0.08, 0.5, 1.0])
 def test_cost_surface_skipping_repeated_values_is_exact(database, rng, dtype,
@@ -241,7 +249,7 @@ def test_cost_surface_skipping_repeated_values_is_exact(database, rng, dtype,
     values[::3, 100:130, -1] += 1.0  # changes in one entry only
     valid = rng.random((n_frames, database.n_bins)) < 0.7  # toggles
     valid[5] = False  # a frame with no usable bin
-    got = cost_surface_frames(values, valid, database)
+    got = cost_surface_frames(values, valid, database, _written_where_changed(values))
     want = np.concatenate([cost_surface_frames(values[l:l + 1], valid[l:l + 1],
                                                database)
                            for l in range(n_frames)])
@@ -256,7 +264,9 @@ def test_cost_surface_written_mask_equals_value_comparison(database, rng, dtype,
                                                            change_share,
                                                            held_valid):
     # a written mask, as the pipeline's stores keep it, marks every entry
-    # whose value changed and some whose fresh value equals the old one
+    # whose value changed and some whose fresh value equals the old one;
+    # it costs as the mask of a value comparison does, and as a block whose
+    # every entry is written (no mask)
     n_frames = 40
     values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
                          change_share).astype(dtype)
@@ -272,8 +282,11 @@ def test_cost_surface_written_mask_equals_value_comparison(database, rng, dtype,
         valid = rng.random((n_frames, database.n_bins)) < 0.7  # toggles
         valid[5] = False
     got = cost_surface_frames(values, valid, database, written)
+    compared = cost_surface_frames(values, valid, database,
+                                   _written_where_changed(values))
     want = cost_surface_frames(values, valid, database)
     assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(compared, want, equal_nan=True)
     with pytest.raises(ConfigurationError):
         cost_surface_frames(values, valid, database, written[1:])
 

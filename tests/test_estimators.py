@@ -260,7 +260,7 @@ def test_power_tracker_partial_refresh_keeps_other_bins(rng):
     mix_a = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
     mix_b = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
     cov = CovarianceTracker(p, n_bins, SmoothingConfig(0.9, 0.9),
-                            noise_stats="inverse")
+                            keep="inverse")
 
     def frames(mix, mask):
         for _ in range(200):
@@ -323,8 +323,8 @@ def test_schur_head_inverse_ignores_a_dead_channel(rng):
     # tracker without the channel follows, as do the CW steps taken with it
     n_bins, p = 6, 5
     smoothing = SmoothingConfig(0.5, 0.5)
-    full = CovarianceTracker(p, n_bins, smoothing, noise_stats="inverse")
-    head = CovarianceTracker(p - 1, n_bins, smoothing, noise_stats="inverse")
+    full = CovarianceTracker(p, n_bins, smoothing, keep="inverse")
+    head = CovarianceTracker(p - 1, n_bins, smoothing, keep="inverse")
     cw_full, cw_head = PowerCwTracker(n_bins, p - 1), PowerCwTracker(n_bins, p - 1)
     for frame in range(1500):
         y = rng.standard_normal((p, n_bins)) + 1j * rng.standard_normal((p, n_bins))

@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -123,6 +125,54 @@ def test_sc_never_reads_noise_covariance(database, monkeypatch):
             np.testing.assert_array_equal(getattr(alone, field),
                                           getattr(beside, field),
                                           err_msg=f"{detector} {field}")
+
+
+@pytest.mark.parametrize("detector", DETECTOR_NAMES)
+def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
+        database, monkeypatch, detector):
+    # the tracker keeps the least that the estimator set reads: only the
+    # noisy column for sc alone, the tracked inverse with any cw-*, the
+    # covariances otherwise. What it keeps, and which estimators share the
+    # pass, changes no estimator's output, bit for bit, in blocks of 16
+    # frames (under SPP the first block lies inside the bootstrap)
+    out = _scene(seed=51, duration_s=1.5, snr_db=5.0)
+    labels = _labels(out)
+    config = RunConfig(detector=detector)
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    kept = []
+    init = CovarianceTracker.__init__
+
+    def recorded(self, *args, **kwargs):
+        bound = inspect.signature(init).bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        kept.append(bound.arguments["keep"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CovarianceTracker, "__init__", recorded)
+
+    def run(names):
+        kept.clear()
+        trajs = track_multi(out.mixed, database, config, names, labels,
+                            keep_cost_surfaces=True)
+        if names == ("sc",):
+            least = "column"
+        elif any(name.startswith("cw") for name in names):
+            least = "inverse"
+        else:
+            least = "covariance"
+        # the tracker of band 0, which runs in this process
+        assert kept == [least], (names, kept)
+        return trajs
+
+    alone = {name: run((name,))[name] for name in ESTIMATOR_NAMES}
+    for size in range(2, len(ESTIMATOR_NAMES) + 1):
+        for names in itertools.combinations(ESTIMATOR_NAMES, size):
+            for name, traj in run(names).items():
+                assert alone[name].valid.any(), name
+                for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
+                    assert np.array_equal(getattr(traj, field),
+                                          getattr(alone[name], field),
+                                          equal_nan=True), (names, name, field)
 
 
 def test_cost_surface_request(database):
