@@ -60,7 +60,19 @@ not positive, or belongs to a ``phi`` too ill-conditioned to invert
 reliably (judged by ``tr(M) tr(phi)``, which lies between ``cond(phi)``
 and ``P^2 cond(phi)``) is re-seeded from an eigendecomposition of its
 current ``phi``, with the eigenvalues floored at a small share of their
-mean.
+mean. An infinite ``d`` leaves the step finite (its reciprocal is zero),
+so ``d`` is judged before its reciprocal is taken.
+
+Every update runs in place: each statistic gathers the rows of its
+gated bins, absorbs the outer products of those bins only, in place, and
+scatters the rows back, and the rank-one step works in place on the
+gathered inverses. In-place updates perform the
+same multiplications and additions in the same order as the expressions
+they replace, so the results are the same bit for bit
+(``tests/reference.py`` holds the plain formulations, and the tests
+compare the two). Every complex product stays an ``einsum``: the exact
+Hermitian symmetry above rests on it, and numpy's broadcast complex
+multiply may fuse a multiply and an add, which changes last bits.
 """
 from __future__ import annotations
 
@@ -127,31 +139,46 @@ def _floored_inverse(phi: np.ndarray) -> np.ndarray:
     return np.einsum("kpi,kqi->kpq", scaled, scaled.conj())
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
                       phi: np.ndarray) -> np.ndarray:
     """Inverses of ``phi = alpha * phi_prev + (1 - alpha) y y^H`` from
-    ``inv = phi_prev^-1``.
+    ``inv = phi_prev^-1``, computed in place in ``inv``, which is returned.
 
     ``inv`` and ``phi`` are Hermitian [K, P, P] stacks, ``y`` is [K, P].
     The result is exactly Hermitian again; see the module docstring for
     why it must be, and for the bins that are re-seeded from ``phi``.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = np.einsum("kpq,kq->kp", inv, y)
-        d = alpha / (1.0 - alpha) + np.einsum("kp,kp->k", y.conj(), g).real
-        out = np.einsum("kp,kq->kpq", g, g.conj())
-        out *= (1.0 / d)[:, None, None]
-        np.subtract(inv, out, out=out)
-        out *= 1.0 / alpha
-        # a non-finite entry of inv makes g, and through y^H g also d,
-        # non-finite; an overflow in the update shows on the diagonal
-        trace = np.einsum("kpp->k", out).real
-        usable = (np.isfinite(d) & (trace > 0.0)
-                  & (trace * np.einsum("kpp->k", phi).real <= _TRACE_PRODUCT_BOUND))
-    if not usable.all():
+    g = np.einsum("kpq,kq->kp", inv, y)
+    d = np.einsum("kp,kp->k", y.conj(), g).real
+    d += alpha / (1.0 - alpha)
+    # a non-finite entry of inv makes g, and through y^H g also d,
+    # non-finite; d is judged before it turns into its reciprocal, which
+    # is finite (zero) for an infinite d
+    usable = np.isfinite(d)
+    np.divide(1.0, d, out=d)
+    out = np.einsum("kp,kq->kpq", g, g.conj())
+    out *= d[:, None, None]
+    inv -= out
+    inv *= 1.0 / alpha
+    # an overflow in the update shows on the diagonal
+    trace = np.einsum("kpp->k", inv).real
+    usable &= trace > 0.0
+    trace *= np.einsum("kpp->k", phi).real
+    usable &= trace <= _TRACE_PRODUCT_BOUND
+    if np.count_nonzero(usable) < usable.size:
         stale = np.flatnonzero(~usable)
-        out[stale] = _floored_inverse(phi[stale])
-    return out
+        inv[stale] = _floored_inverse(phi[stale])
+    return inv
+
+
+def _absorb(phi: np.ndarray, fresh: np.ndarray, alpha: float) -> np.ndarray:
+    """``phi <- alpha * phi + (1 - alpha) * fresh``, in place in ``phi``
+    (and ``fresh``, which is scaled); returns ``phi``."""
+    phi *= alpha
+    fresh *= 1.0 - alpha
+    phi += fresh
+    return phi
 
 
 # what the tracker keeps, from least to most (see the module docstring)
@@ -236,7 +263,10 @@ class CovarianceTracker:
         """
         if y.shape != (self.n_channels, self.n_bins):
             raise ConfigurationError("frame shape does not match tracker")
-        if not np.isfinite(y).all():
+        # a frame is a strided view of a block's STFT; every read below
+        # costs less from one contiguous copy
+        y = np.ascontiguousarray(y)
+        if np.count_nonzero(np.isfinite(y)) < y.size:
             raise NumericalFailure("frame contains non-finite values")
         mask = np.asarray(speech_mask, dtype=bool)
         speech = mask.nonzero()[0]
@@ -249,20 +279,20 @@ class CovarianceTracker:
                 self._phi_y[speech] = np.add(a_y * self._phi_y[speech],
                                              (1.0 - a_y) * fresh, out=column_out)
             return speech
-        # every bin absorbs an outer product, and one einsum over all bins
-        # costs less than one per gated subset of them
-        outer = _outer(y)
+        # each statistic absorbs the outer products of its own bins only:
+        # their rows are gathered, updated in place and scattered back
         if speech.size:
-            phi = a_y * self._phi_y[speech] + (1.0 - a_y) * outer[speech]
+            phi = _absorb(self._phi_y[speech], _outer(y[:, speech]), a_y)
             self._phi_y[speech] = phi
             if column_out is not None:
                 column_out[...] = phi[:, :, -1]
-        a_n = self.smoothing.alpha_n
-        noise = np.flatnonzero(~mask)
-        if noise.size:
-            phi = a_n * self._phi_n[noise] + (1.0 - a_n) * outer[noise]
+        if speech.size < self.n_bins:
+            a_n = self.smoothing.alpha_n
+            noise = (~mask).nonzero()[0]
+            y_noise = y[:, noise]
+            phi = _absorb(self._phi_n[noise], _outer(y_noise), a_n)
             self._phi_n[noise] = phi
             if self._inv_n is not None:
                 self._inv_n[noise] = _rank_one_inverse(self._inv_n[noise],
-                                                       y[:, noise].T, a_n, phi)
+                                                       y_noise.T, a_n, phi)
         return speech

@@ -141,6 +141,21 @@ def _band_of(values: np.ndarray, db: PrototypeDatabase, first_bin: int) -> range
     return range(max(first_bin, 1), stop, CHUNK_BINS)
 
 
+def _unit_conjugates(est: np.ndarray) -> np.ndarray:
+    """The conjugates of a complex [c, n, M] stack of estimates divided by
+    their norms over M (at least the smallest normal number), a new array
+    laid out as ``est``. Each is multiplied by its reciprocal norm, which
+    is how numpy divides a complex number by a real one: the cosines, and
+    so every angle, are those of that division bit for bit."""
+    unit = est.conj()
+    norms = np.add.reduce((unit * est).real, axis=2)
+    np.sqrt(norms, out=norms)
+    np.maximum(norms, np.finfo(norms.dtype).tiny, out=norms)
+    np.divide(1, norms, out=norms)
+    unit *= norms[:, :, None]
+    return unit
+
+
 def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase,
                     written: np.ndarray | None = None,
                     first_bin: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +178,6 @@ def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase
 
     cdtype = np.complex64 if values.dtype == np.complex64 else np.complex128
     rdtype = np.float32 if cdtype == np.complex64 else np.float64
-    tiny = np.finfo(rdtype).tiny
     proto = db.unit_prototypes(cdtype)
 
     mask = valid.copy()
@@ -205,10 +219,8 @@ def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase
             gather[rows, slots[frames, lo + rows]] = frames
             gather = gather * n_bins + np.arange(lo, hi)[:, None]
             est = np.take(values.reshape(-1, n_mics), gather, axis=0)
-        est = est.astype(cdtype, copy=False)
-        norms = np.maximum(np.linalg.norm(est, axis=2), tiny)
-        est = est.conj() / norms[:, :, None]
-        ang = np.abs(est @ proto[start:stop])  # [c, n, I] cosines
+        unit = _unit_conjugates(est.astype(cdtype, copy=False))
+        ang = np.abs(unit @ proto[start:stop])  # [c, n, I] cosines
         np.minimum(ang, rdtype(1.0), out=ang)
         np.arccos(ang, out=ang)
         # only the frames whose partial sum can move are summed

@@ -37,6 +37,16 @@ bin, and SC on [K, P] columns. Covariance whitening comes in two forms:
   variant its inverse from the same tracked one. Its result converges to
   the exact one for a steady covariance pair and lags it where the
   principal generalized eigenvalue barely stands out, at low SNR.
+
+The per-frame kernels (:class:`PowerCwTracker`, :func:`batch_cs`,
+:func:`schur_head_inverse`, the normalization) make few numpy calls and
+few temporaries: a step normalizes its own vectors in place, CS subtracts
+only the reference column, the Schur complement subtracts into its
+``einsum``'s output, norms call the ufuncs of ``np.linalg.norm`` without
+its wrapper, and where every bin is valid the masking is skipped. The
+arithmetic is that of the plain formulations in ``tests/reference.py``,
+which the tests compare bit for bit; every complex product that is an
+``einsum`` stays one (see :mod:`rtfdoa.covariance` for why).
 """
 from __future__ import annotations
 
@@ -59,8 +69,10 @@ DIAG_LOAD_REL = 1e-10
 DENOM_FLOOR = 1e-12
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(stack, axis=(-2, -1))
+def _norms(x: np.ndarray, axis) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` of a complex ``x`` bit for bit:
+    the same ufuncs, without the wrapper's checks."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def _check_stack(phi: np.ndarray, name: str) -> np.ndarray:
@@ -76,8 +88,13 @@ def _normalize_columns(cols: np.ndarray, scale: np.ndarray,
                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Divide each row by its first entry, into ``out`` if given (which
     may be ``cols``); flag rows whose normalizer is tiny against ``scale``."""
-    denom = cols[:, 0]
+    # a copy, so that writing into ``cols`` needs no buffer
+    denom = cols[:, 0].copy()
     valid = np.abs(denom) >= np.maximum(DENOM_FLOOR * scale, _TINY)
+    if np.count_nonzero(valid) == valid.size:
+        values = np.divide(cols, denom[:, None], out=out)
+        values[:, 0] = 1.0
+        return values, valid
     safe = np.where(valid, denom, 1.0)
     values = np.divide(cols, safe[:, None], out=out)
     values[~valid] = 0.0
@@ -120,8 +137,8 @@ def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarr
     pn = _check_stack(phi_n, "phi_n")
     if py.shape != pn.shape:
         raise ConfigurationError("phi_y and phi_n shapes differ")
-    cols = (py - pn)[:, :, 0]
-    return _normalize_columns(cols, _frobenius(py))
+    cols = py[:, :, 0] - pn[:, :, 0]
+    return _normalize_columns(cols, _norms(py, (-2, -1)), out=cols)
 
 
 def batch_sc(columns: np.ndarray, overwrite: bool = False
@@ -206,7 +223,7 @@ class WhitenedTracker:
         phi_w = self._linv @ phi_y @ linv_h
         v, converged = _eigh_principal(phi_w)
         u = np.einsum("kpq,kq->kp", self._chol, v)
-        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1))
+        values, valid = _normalize_columns(u, _norms(u, 1))
         valid &= self._chol_ok & converged
         values[~valid] = 0.0
         return values, valid
@@ -225,9 +242,9 @@ def schur_head_inverse(inv: np.ndarray, dim: int) -> np.ndarray:
         return inv
     if dim != p - 1:
         raise ConfigurationError("head inverse drops exactly one trailing channel")
-    head = inv[:, :dim, :dim]
-    return head - np.einsum("kp,kq->kpq", inv[:, :dim, dim],
-                            inv[:, dim, :dim] / inv[:, dim, dim, None])
+    out = np.einsum("kp,kq->kpq", inv[:, :dim, dim],
+                    inv[:, dim, :dim] / inv[:, dim, dim, None])
+    return np.subtract(inv[:, :dim, :dim], out, out=out)
 
 
 class PowerCwTracker:
@@ -266,13 +283,18 @@ class PowerCwTracker:
         ``noise_inverse`` are [K, P, P]. Returns (values [K,P], valid [K])."""
         u = np.einsum("kpq,kq->kp", phi_y, self._w)
         w = np.einsum("kpq,kq->kp", noise_inverse, u)
-        norm = np.linalg.norm(w, axis=1)
+        norm = _norms(w, 1)
         stepped = np.isfinite(norm) & (norm > _TINY)
-        self._w = np.where(stepped[:, None],
-                           w / np.where(stepped, norm, 1.0)[:, None], self._start)
-        values, valid = _normalize_columns(u, np.linalg.norm(u, axis=1))
-        valid &= stepped
-        values[~valid] = 0.0
+        # w and u are this step's own, so both are normalized in place
+        values, valid = _normalize_columns(u, _norms(u, 1), out=u)
+        if np.count_nonzero(stepped) == stepped.size:
+            w /= norm[:, None]
+        else:
+            w /= np.where(stepped, norm, 1.0)[:, None]
+            w[~stepped] = self._start
+            valid &= stepped
+            values[~valid] = 0.0
+        self._w = w
         return values, valid
 
 

@@ -7,6 +7,13 @@
   ``cost_surface_frames`` averages over frequency.
 * ``diffuse_field_check``: Welch coherence of a rendered noise field
   against the isotropic sinc^2 model, a check on the scene simulator.
+* ``gated_update``, ``rank_one_step``, ``rank_one_inverse``,
+  ``normalize_columns``, ``batch_cs``, ``schur_head_inverse``,
+  ``power_step``, ``held_write`` and ``unit_conjugates``: the per-frame
+  kernels of the whitening and subtraction path written plainly, each
+  result a new array, with the arithmetic of the shipped kernels, which
+  run in place and skip work where every bin is valid. The tests compare
+  the two bit for bit.
 """
 from __future__ import annotations
 
@@ -15,8 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import signal as sps
 
+from rtfdoa import covariance
 from rtfdoa.covariance import DEFAULT_EPS_INIT, SmoothingConfig
 from rtfdoa.errors import ConfigurationError, NumericalFailure
+from rtfdoa.estimators import DENOM_FLOOR
 from rtfdoa.geometry import SPEED_OF_SOUND, ArrayGeometry
 from rtfdoa.stft import AudioClip
 
@@ -117,3 +126,121 @@ def diffuse_field_check(noise: AudioClip, geometry: ArrayGeometry,
     return CoherenceReport(freqs=freqs, pairs=tuple(pairs),
                            distances_m=distances,
                            measured=np.asarray(measured), model=model)
+
+
+def rank_one_step(inv: np.ndarray, y: np.ndarray, alpha: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The plain Sherman-Morrison step of the tracked noise inverse for a
+    [K, P, P] stack ``inv`` and snapshots ``y`` [K, P], with no re-seed:
+    the stepped stack and ``d`` [K]."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.einsum("kpq,kq->kp", inv, y)
+        d = alpha / (1.0 - alpha) + np.einsum("kp,kp->k", y.conj(), g).real
+        out = np.einsum("kp,kq->kpq", g, g.conj())
+        out *= (1.0 / d)[:, None, None]
+        np.subtract(inv, out, out=out)
+        out *= 1.0 / alpha
+    return out, d
+
+
+def rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
+                     phi: np.ndarray) -> np.ndarray:
+    """:func:`rank_one_step` with the re-seed rule of the tracker."""
+    out, d = rank_one_step(inv, y, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.einsum("kpp->k", out).real
+        usable = (np.isfinite(d) & (trace > 0.0)
+                  & (trace * np.einsum("kpp->k", phi).real
+                     <= covariance._TRACE_PRODUCT_BOUND))
+    if not usable.all():
+        stale = np.flatnonzero(~usable)
+        out[stale] = covariance._floored_inverse(phi[stale])
+    return out
+
+
+def gated_update(phi_y: np.ndarray, phi_n: np.ndarray, inv_n: np.ndarray | None,
+                 y: np.ndarray, mask: np.ndarray, smoothing: SmoothingConfig):
+    """One frame of the gated recursion over [K, P, P] stacks, for a frame
+    ``y`` [P, K] and a speech mask [K]: the new ``(phi_y, phi_n, inv_n)``
+    (``inv_n`` None if not tracked) and the speech bins' new columns
+    against the last channel."""
+    phi_y, phi_n = phi_y.copy(), phi_n.copy()
+    inv_n = None if inv_n is None else inv_n.copy()
+    outer = np.einsum("pk,qk->kpq", y, y.conj())
+    speech = np.flatnonzero(mask)
+    a_y, a_n = smoothing.alpha_y, smoothing.alpha_n
+    columns = np.empty((0, y.shape[0]), dtype=np.complex128)
+    if speech.size:
+        phi = a_y * phi_y[speech] + (1.0 - a_y) * outer[speech]
+        phi_y[speech] = phi
+        columns = phi[:, :, -1].copy()
+    noise = np.flatnonzero(~mask)
+    if noise.size:
+        phi = a_n * phi_n[noise] + (1.0 - a_n) * outer[noise]
+        phi_n[noise] = phi
+        if inv_n is not None:
+            inv_n[noise] = rank_one_inverse(inv_n[noise], y[:, noise].T, a_n, phi)
+    return phi_y, phi_n, inv_n, columns
+
+
+def normalize_columns(cols: np.ndarray, scale: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by its first entry; rows whose normalizer is tiny
+    against ``scale`` are all zeros and invalid."""
+    denom = cols[:, 0]
+    valid = np.abs(denom) >= np.maximum(DENOM_FLOOR * scale,
+                                        np.finfo(np.float64).tiny)
+    safe = np.where(valid, denom, 1.0)
+    values = np.divide(cols, safe[:, None])
+    values[~valid] = 0.0
+    values[valid, 0] = 1.0
+    return values, valid
+
+
+def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance subtraction: the reference column of ``phi_y - phi_n``,
+    judged against the Frobenius norm of ``phi_y``."""
+    cols = (phi_y - phi_n)[:, :, 0]
+    return normalize_columns(cols, np.linalg.norm(phi_y, axis=(-2, -1)))
+
+
+def schur_head_inverse(inv: np.ndarray, dim: int) -> np.ndarray:
+    """Inverses of the leading ``dim = P - 1`` blocks from the inverses."""
+    head = inv[:, :dim, :dim]
+    return head - np.einsum("kp,kq->kpq", inv[:, :dim, dim],
+                            inv[:, dim, :dim] / inv[:, dim, dim, None])
+
+
+def power_step(w: np.ndarray, start: np.ndarray, phi_y: np.ndarray,
+               noise_inverse: np.ndarray):
+    """One generalized power step from the unit vectors ``w`` [K, P]:
+    ``(values, valid, w_next)``, ``w`` restarting from ``start`` where the
+    step gives a zero or non-finite vector."""
+    tiny = np.finfo(np.float64).tiny
+    u = np.einsum("kpq,kq->kp", phi_y, w)
+    w = np.einsum("kpq,kq->kp", noise_inverse, u)
+    norm = np.linalg.norm(w, axis=1)
+    stepped = np.isfinite(norm) & (norm > tiny)
+    w_next = np.where(stepped[:, None],
+                      w / np.where(stepped, norm, 1.0)[:, None], start)
+    values, valid = normalize_columns(u, np.linalg.norm(u, axis=1))
+    valid &= stepped
+    values[~valid] = 0.0
+    return values, valid, w_next
+
+
+def held_write(row: np.ndarray, values: np.ndarray, valid: np.ndarray
+               ) -> np.ndarray:
+    """A store row [K, M] with the valid bins' leading M entries of
+    ``values`` [K, >= M] written into a copy of ``row``."""
+    row = row.copy()
+    np.copyto(row, values[:, :row.shape[1]], where=valid[:, None])
+    return row
+
+
+def unit_conjugates(est: np.ndarray) -> np.ndarray:
+    """The conjugates of a [c, n, M] stack divided by their norms over M,
+    at least the smallest normal number of the dtype."""
+    tiny = np.finfo(est.real.dtype).tiny
+    norms = np.maximum(np.linalg.norm(est, axis=2), tiny)
+    return est.conj() / norms[:, :, None]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from rtfdoa import covariance
 from rtfdoa.activity import SppDetector
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError, NumericalFailure
@@ -273,6 +275,124 @@ def test_tracked_inverse_recovers_after_digital_silence(rng, n_silent):
     exact = np.linalg.inv(tracker.noise)
     np.testing.assert_allclose(inverse, exact, rtol=0,
                                atol=1e-10 * np.abs(exact).max())
+
+
+def _strided_frames(y: np.ndarray) -> np.ndarray:
+    """The frames [P, K, L] as strided views of one block, as the pipeline
+    hands them to the tracker."""
+    block = np.zeros(y.shape[:2] + (2 * y.shape[2],), dtype=np.complex128)
+    block[:, :, ::2] = y
+    return block[:, :, ::2]
+
+
+@pytest.mark.parametrize("keep", ["covariance", "inverse"])
+def test_gated_update_matches_reference_bit_for_bit(rng, keep, monkeypatch):
+    # the in-place update equals the plain gated recursion of
+    # reference.gated_update, matrices, inverses and columns, bit for bit:
+    # over mixed masks, frames gated wholly as speech or wholly as noise,
+    # snapshot scales spanning eight decades, and 100 frames of exact zeros
+    # in a third of the bins, whose inverses are re-seeded when the signal
+    # returns (as some are in the first frames, where phi_n is near-singular)
+    n_bins, p = 24, 5
+    sm = SmoothingConfig(alpha_y=0.7, alpha_n=0.5)
+    tracker = CovarianceTracker(p, n_bins, sm, keep=keep)
+    phi_y, phi_n = tracker.noisy.copy(), tracker.noise.copy()
+    inv_n = None if tracker.noise_inverse is None else tracker.noise_inverse.copy()
+    reseeded = []
+    floored = covariance._floored_inverse
+
+    def counting(phi):
+        reseeded.append(len(phi))
+        return floored(phi)
+
+    monkeypatch.setattr(covariance, "_floored_inverse", counting)
+    n_frames = 160
+    y = 10.0 ** rng.uniform(-4.0, 4.0, n_frames) * (
+        rng.standard_normal((p, n_bins, n_frames))
+        + 1j * rng.standard_normal((p, n_bins, n_frames)))
+    silent = range(0, n_bins, 3)
+    y[:, silent, 40:140] = 0.0
+    masks = rng.random((n_frames, n_bins)) < rng.random((n_frames, 1))
+    masks[10:20] = False
+    masks[30:35] = True
+    frames = _strided_frames(y)
+    column = np.full((n_bins, p), np.nan + 0j)
+    for i in range(n_frames):
+        if i == 40:
+            before_silence = sum(reseeded)
+        speech = tracker.update_frame(frames[:, :, i], masks[i], column)
+        phi_y, phi_n, inv_n, columns = reference.gated_update(
+            phi_y, phi_n, inv_n, y[:, :, i], masks[i], sm)
+        assert np.array_equal(speech, np.flatnonzero(masks[i]))
+        assert np.array_equal(tracker.noisy, phi_y), i
+        assert np.array_equal(tracker.noise, phi_n), i
+        if keep == "inverse":
+            assert np.array_equal(tracker.noise_inverse, inv_n), i
+        assert np.array_equal(column[:speech.size], columns)
+    if keep == "inverse":
+        # the kernel and the reference both re-seed through the counter
+        assert before_silence > 0, reseeded
+        assert sum(reseeded) - before_silence >= 2 * len(silent), reseeded
+
+
+def _random_pd_stack(rng, n_bins, p):
+    a = rng.standard_normal((n_bins, p, 2 * p)) + 1j * rng.standard_normal((n_bins, p, 2 * p))
+    return np.einsum("kpi,kqi->kpq", a, a.conj()) / (2 * p)
+
+
+def test_rank_one_inverse_matches_reference_bit_for_bit(rng):
+    # in place, the input stack being the output, with the snapshots a
+    # transposed view as the tracker passes them
+    n_bins, p = 40, 5
+    for alpha in (0.5, 0.97):
+        for _ in range(20):
+            inv = np.linalg.inv(_random_pd_stack(rng, n_bins, p))
+            phi = _random_pd_stack(rng, n_bins, p)
+            y = 10.0 ** rng.uniform(-3, 3) * _random_snapshot(
+                rng, n_bins * p).reshape(p, n_bins).T
+            expected = reference.rank_one_inverse(inv, y, alpha, phi)
+            out = covariance._rank_one_inverse(inv.copy(), y, alpha, phi)
+            assert np.array_equal(out, expected)
+
+
+def test_rank_one_inverse_reseeds_only_the_bins_a_rule_flags(rng):
+    # one crafted bin per re-seed rule, each alone in a stack of healthy
+    # bins: only that bin is re-seeded from its phi, and every other bin
+    # equals the plain Sherman-Morrison step bit for bit
+    n_bins, p, alpha = 7, 5, 0.9
+    eye = np.eye(p, dtype=np.complex128)
+    healthy_inv = np.linalg.inv(_random_pd_stack(rng, n_bins, p))
+    healthy_phi = _random_pd_stack(rng, n_bins, p)
+    healthy_y = _random_snapshot(rng, n_bins * p).reshape(n_bins, p)
+    crafted = {
+        # y^H M y overflows while M y and (M y)(M y)^H do not: d is +inf,
+        # its reciprocal 0, so the plain step is M / alpha, finite and
+        # positive, and only the finiteness of d flags the bin
+        "d": (1e-50 * eye, np.full(p, 1e200 + 0j), eye),
+        # a negative definite M with y = 0: finite d, trace below zero
+        "trace": (-eye, np.zeros(p, dtype=np.complex128), eye),
+        # a healthy M against a phi whose trace makes tr(M) tr(phi) pass
+        # the bound
+        "bound": (eye, 1e-3 * np.ones(p, dtype=np.complex128), 1e14 * eye),
+    }
+    for rule, (m, y_bin, phi_bin) in crafted.items():
+        bin_ = 3
+        inv, y, phi = healthy_inv.copy(), healthy_y.copy(), healthy_phi.copy()
+        inv[bin_], y[bin_], phi[bin_] = m, y_bin, phi_bin
+        plain, d = reference.rank_one_step(inv, y, alpha)
+        trace = np.einsum("kpp->k", plain).real
+        trace_phi = np.einsum("kpp->k", phi).real
+        # the crafted bin breaks its rule and no other
+        assert np.isfinite(d[bin_]) == (rule != "d"), rule
+        assert (trace[bin_] > 0.0) == (rule != "trace"), rule
+        assert (trace[bin_] * trace_phi[bin_]
+                <= covariance._TRACE_PRODUCT_BOUND) == (rule != "bound"), rule
+        out = covariance._rank_one_inverse(inv.copy(), y, alpha, phi)
+        others = np.arange(n_bins) != bin_
+        assert np.array_equal(out[others], plain[others]), rule
+        assert np.array_equal(out[bin_], covariance._floored_inverse(phi[[bin_]])[0]), rule
+        assert not np.array_equal(out[bin_], plain[bin_]), rule
+        assert np.array_equal(out, reference.rank_one_inverse(inv, y, alpha, phi))
 
 
 def test_tracker_validation(rng):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
+from rtfdoa import doa
 from rtfdoa.doa import (
     CHUNK_BINS,
     PrototypeDatabase,
@@ -336,6 +338,40 @@ def test_cost_surface_of_bands_equals_that_of_all_bins(database, rng):
         cost_chunk_sums(values, valid, database, first_bin=33)
     with pytest.raises(ConfigurationError, match="do not cover"):
         cost_surface_frames(values[:, :129], valid[:, :129], database)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_cost_normalization_matches_reference_bit_for_bit(database, rng,
+                                                          monkeypatch, dtype):
+    # the unit conjugates scale by the reciprocal norm where the reference
+    # divides by the norm: equal entries (a zero's sign aside) and the same
+    # chunk sums bit for bit, over chunks read directly (written in every
+    # frame) and gathered, from bin 0 and from a later band, with all-zero
+    # estimates whose norm is floored and magnitudes spanning 16 decades
+    n_frames = 30
+    values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
+                         0.4).astype(dtype)
+    values *= (10.0 ** rng.uniform(-8.0, 8.0, values.shape[:2]))[:, :, None]
+    values[:, 70:75] = 0.0
+    written = np.zeros((n_frames, database.n_bins), dtype=bool)
+    written[1:] = (values[1:] != values[:-1]).any(axis=2)
+    written[:, 33:97] = True  # chunks read directly
+    valid = rng.random(written.shape) < 0.8
+    for est in (values[:, 33:65].transpose(1, 0, 2), values[:8, 1:33].copy()):
+        unit, want = doa._unit_conjugates(est), reference.unit_conjugates(est)
+        assert unit.dtype == want.dtype and unit.strides == want.strides
+        assert np.array_equal(unit, want)
+    got = [cost_chunk_sums(values, valid, database, written),
+           cost_chunk_sums(values[:, 129:], valid[:, 129:], database,
+                           written[:, 129:], first_bin=129)]
+    monkeypatch.setattr(doa, "_unit_conjugates", reference.unit_conjugates)
+    want = [cost_chunk_sums(values, valid, database, written),
+            cost_chunk_sums(values[:, 129:], valid[:, 129:], database,
+                            written[:, 129:], first_bin=129)]
+    for (sums, counts), (want_sums, want_counts) in zip(got, want):
+        assert sums.dtype == (np.float32 if dtype == np.complex64 else np.float64)
+        assert np.array_equal(sums, want_sums)
+        assert np.array_equal(counts, want_counts)
 
 
 def test_each_database_keeps_its_own_unit_prototypes(rng):

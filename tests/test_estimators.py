@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import reference
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import (
@@ -9,6 +10,7 @@ from rtfdoa.estimators import (
     WhitenedTracker,
     _eigh_principal,
     _loaded_cholesky,
+    _normalize_columns,
     batch_cs,
     batch_cw,
     batch_sc,
@@ -340,6 +342,93 @@ def test_schur_head_inverse_ignores_a_dead_channel(rng):
         if frame % 100 == 0:
             np.testing.assert_allclose(inverse, head.noise_inverse, rtol=0,
                                        atol=1e-10 * np.abs(head.noise_inverse).max())
+
+
+def _pd_stack(rng, n_bins, p):
+    a = rng.standard_normal((n_bins, p, 2 * p)) + 1j * rng.standard_normal((n_bins, p, 2 * p))
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, (n_bins, 1, 1))
+    return scale * np.einsum("kpi,kqi->kpq", a, a.conj()) / (2 * p)
+
+
+@pytest.mark.parametrize("dim", [5, 4])
+def test_power_step_matches_reference_bit_for_bit(rng, dim):
+    # values, valid flags and the carried vectors equal the plain step of
+    # reference.power_step over 40 steps, on the stacks as the pipeline
+    # passes them (strided head blocks and the Schur inverse for cw-head).
+    # Every third step has a zero power step in bin 0, a non-finite phi_y
+    # entry in bin 1 and a zero normalizer in bin 2; the others are all
+    # valid, which the kernel takes by its fast path
+    n_bins, p = 30, 5
+    tracker = PowerCwTracker(n_bins, dim)
+    w = tracker._w.copy()
+    awkward = fast = 0
+    for step in range(40):
+        phi_y = _pd_stack(rng, n_bins, p)
+        inverse = np.linalg.inv(_pd_stack(rng, n_bins, p))
+        if step % 3 == 1:
+            phi_y[0] = 0.0
+            phi_y[1, 0, 1] = np.inf
+            phi_y[2, 0, :] = phi_y[2, :, 0] = 0.0
+        head = phi_y[:, :dim, :dim]
+        # the non-finite bin's step divides inf by inf
+        with np.errstate(invalid="ignore"):
+            values, valid = tracker.estimate(head, schur_head_inverse(inverse, dim))
+            expected, expected_valid, w = reference.power_step(
+                w, tracker._start, head, reference.schur_head_inverse(inverse, dim)
+                if dim < p else inverse)
+        assert np.array_equal(values, expected), step
+        assert np.array_equal(valid, expected_valid), step
+        assert np.array_equal(tracker._w, w), step
+        awkward += not valid[:3].any()
+        fast += bool(valid.all())
+    assert awkward == 13 and fast > 10, (awkward, fast)
+
+
+def test_normalize_columns_matches_reference_bit_for_bit(rng):
+    # into a new array, into the columns themselves, and into a strided
+    # view of a wider stack (as batch_sc overwrites its columns); with every
+    # row valid, and with tiny and zero normalizers
+    n, m = 40, 4
+    for tiny in (False, True):
+        cols = 10.0 ** rng.uniform(-6.0, 6.0, (n, 1)) * (
+            rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        if tiny:
+            cols[::7, 0] *= 1e-14
+            cols[3] = 0.0
+        scale = np.linalg.norm(cols, axis=1)
+        expected, expected_valid = reference.normalize_columns(cols, scale)
+        assert expected_valid.all() != tiny
+        wide = np.concatenate([cols, np.ones((n, 1))], axis=1)
+        for target in ("new", "cols", "view"):
+            c = wide[:, :m] if target == "view" else cols.copy()
+            values, valid = _normalize_columns(c, scale, None if target == "new" else c)
+            assert np.array_equal(values, expected), target
+            assert np.array_equal(valid, expected_valid), target
+            if target != "new":
+                assert np.shares_memory(values, c)
+
+
+def test_cs_and_schur_match_reference_bit_for_bit(rng):
+    # on head blocks read as strided views of the tracked stacks; one CS
+    # stack is all valid, the other has bins whose reference entries of
+    # phi_y - phi_n cancel exactly or to a tiny normalizer
+    n_bins, p = 40, 5
+    for crafted in (False, True):
+        phi_y, phi_n = _pd_stack(rng, n_bins, p), _pd_stack(rng, n_bins, p)
+        if crafted:
+            phi_n[::5] = phi_y[::5]
+            phi_n[1::5, :, 0] = phi_y[1::5, :, 0] * (1.0 - 1e-15)
+            phi_n[1::5, 0, :] = phi_n[1::5, :, 0].conj()
+        for m in (4, 5):
+            values, valid = batch_cs(phi_y[:, :m, :m], phi_n[:, :m, :m])
+            expected, expected_valid = reference.batch_cs(phi_y[:, :m, :m],
+                                                          phi_n[:, :m, :m])
+            assert np.array_equal(values, expected)
+            assert np.array_equal(valid, expected_valid)
+            assert expected_valid.all() != crafted
+        inverse = np.linalg.inv(phi_n)
+        assert np.array_equal(schur_head_inverse(inverse, p - 1),
+                              reference.schur_head_inverse(inverse, p - 1))
 
 
 def test_power_tracker_validation():
