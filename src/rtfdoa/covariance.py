@@ -139,7 +139,6 @@ def _floored_inverse(phi: np.ndarray) -> np.ndarray:
     return np.einsum("kpi,kqi->kpq", scaled, scaled.conj())
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
                       phi: np.ndarray) -> np.ndarray:
     """Inverses of ``phi = alpha * phi_prev + (1 - alpha) y y^H`` from
@@ -149,23 +148,24 @@ def _rank_one_inverse(inv: np.ndarray, y: np.ndarray, alpha: float,
     The result is exactly Hermitian again; see the module docstring for
     why it must be, and for the bins that are re-seeded from ``phi``.
     """
-    g = np.einsum("kpq,kq->kp", inv, y)
-    d = np.einsum("kp,kp->k", y.conj(), g).real
-    d += alpha / (1.0 - alpha)
-    # a non-finite entry of inv makes g, and through y^H g also d,
-    # non-finite; d is judged before it turns into its reciprocal, which
-    # is finite (zero) for an infinite d
-    usable = np.isfinite(d)
-    np.divide(1.0, d, out=d)
-    out = np.einsum("kp,kq->kpq", g, g.conj())
-    out *= d[:, None, None]
-    inv -= out
-    inv *= 1.0 / alpha
-    # an overflow in the update shows on the diagonal
-    trace = np.einsum("kpp->k", inv).real
-    usable &= trace > 0.0
-    trace *= np.einsum("kpp->k", phi).real
-    usable &= trace <= _TRACE_PRODUCT_BOUND
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = np.einsum("kpq,kq->kp", inv, y)
+        d = np.einsum("kp,kp->k", y.conj(), g).real
+        d += alpha / (1.0 - alpha)
+        # a non-finite entry of inv makes g, and through y^H g also d,
+        # non-finite; d is judged before it turns into its reciprocal,
+        # which is finite (zero) for an infinite d
+        usable = np.isfinite(d)
+        np.divide(1.0, d, out=d)
+        out = np.einsum("kp,kq->kpq", g, g.conj())
+        out *= d[:, None, None]
+        inv -= out
+        inv *= 1.0 / alpha
+        # an overflow in the update shows on the diagonal
+        trace = np.einsum("kpp->k", inv).real
+        usable &= trace > 0.0
+        trace *= np.einsum("kpp->k", phi).real
+        usable &= trace <= _TRACE_PRODUCT_BOUND
     if np.count_nonzero(usable) < usable.size:
         stale = np.flatnonzero(~usable)
         inv[stale] = _floored_inverse(phi[stale])

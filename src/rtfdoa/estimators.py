@@ -43,8 +43,9 @@ The per-frame kernels (:class:`PowerCwTracker`, :func:`batch_cs`,
 few temporaries: a step normalizes its own vectors in place, CS subtracts
 only the reference column, the Schur complement subtracts into its
 ``einsum``'s output, norms call the ufuncs of ``np.linalg.norm`` without
-its wrapper, and where every bin is valid the masking is skipped. The
-arithmetic is that of the plain formulations in ``tests/reference.py``,
+its wrapper, and the normalization and the power step skip their masking
+where every bin is valid, as in every call the benchmark's workloads make.
+The arithmetic is that of the plain formulations in ``tests/reference.py``,
 which the tests compare bit for bit; every complex product that is an
 ``einsum`` stays one (see :mod:`rtfdoa.covariance` for why).
 """
@@ -88,11 +89,11 @@ def _normalize_columns(cols: np.ndarray, scale: np.ndarray,
                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Divide each row by its first entry, into ``out`` if given (which
     may be ``cols``); flag rows whose normalizer is tiny against ``scale``."""
-    # a copy, so that writing into ``cols`` needs no buffer
-    denom = cols[:, 0].copy()
+    denom = cols[:, 0]
     valid = np.abs(denom) >= np.maximum(DENOM_FLOOR * scale, _TINY)
     if np.count_nonzero(valid) == valid.size:
-        values = np.divide(cols, denom[:, None], out=out)
+        # a copy, as the division may write into ``cols``
+        values = np.divide(cols, denom.copy()[:, None], out=out)
         values[:, 0] = 1.0
         return values, valid
     safe = np.where(valid, denom, 1.0)

@@ -259,10 +259,7 @@ class _HeldStore:
         self.written[:count] = False
 
     def _write(self, i: int, values: np.ndarray, valid: np.ndarray) -> None:
-        if np.count_nonzero(valid) == valid.size:
-            self.store[i] = values[:, :self.n_head]
-        else:
-            np.copyto(self.store[i], values[:, :self.n_head], where=valid[:, None])
+        np.copyto(self.store[i], values[:, :self.n_head], where=valid[:, None])
         self.written[i] = valid
 
     def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,11 +9,11 @@
   against the isotropic sinc^2 model, a check on the scene simulator.
 * ``gated_update``, ``rank_one_step``, ``rank_one_inverse``,
   ``normalize_columns``, ``batch_cs``, ``schur_head_inverse``,
-  ``power_step``, ``held_write`` and ``unit_conjugates``: the per-frame
-  kernels of the whitening and subtraction path written plainly, each
-  result a new array, with the arithmetic of the shipped kernels, which
-  run in place and skip work where every bin is valid. The tests compare
-  the two bit for bit.
+  ``power_step`` and ``unit_conjugates``: the per-frame kernels of the
+  whitening and subtraction path written plainly, each result a new
+  array, with the arithmetic of the shipped kernels, which run in place
+  and, in the normalization and the power step, skip their masking where
+  every bin is valid. The tests compare the two bit for bit.
 """
 from __future__ import annotations
 
@@ -227,15 +227,6 @@ def power_step(w: np.ndarray, start: np.ndarray, phi_y: np.ndarray,
     valid &= stepped
     values[~valid] = 0.0
     return values, valid, w_next
-
-
-def held_write(row: np.ndarray, values: np.ndarray, valid: np.ndarray
-               ) -> np.ndarray:
-    """A store row [K, M] with the valid bins' leading M entries of
-    ``values`` [K, >= M] written into a copy of ``row``."""
-    row = row.copy()
-    np.copyto(row, values[:, :row.shape[1]], where=valid[:, None])
-    return row
 
 
 def unit_conjugates(est: np.ndarray) -> np.ndarray:

@@ -357,11 +357,11 @@ def test_power_step_matches_reference_bit_for_bit(rng, dim):
     # passes them (strided head blocks and the Schur inverse for cw-head).
     # Every third step has a zero power step in bin 0, a non-finite phi_y
     # entry in bin 1 and a zero normalizer in bin 2; the others are all
-    # valid, which the kernel takes by its fast path
+    # valid and take the kernels' all-valid paths
     n_bins, p = 30, 5
     tracker = PowerCwTracker(n_bins, dim)
     w = tracker._w.copy()
-    awkward = fast = 0
+    awkward = all_valid = 0
     for step in range(40):
         phi_y = _pd_stack(rng, n_bins, p)
         inverse = np.linalg.inv(_pd_stack(rng, n_bins, p))
@@ -380,8 +380,8 @@ def test_power_step_matches_reference_bit_for_bit(rng, dim):
         assert np.array_equal(valid, expected_valid), step
         assert np.array_equal(tracker._w, w), step
         awkward += not valid[:3].any()
-        fast += bool(valid.all())
-    assert awkward == 13 and fast > 10, (awkward, fast)
+        all_valid += bool(valid.all())
+    assert awkward == 13 and all_valid > 10, (awkward, all_valid)
 
 
 def test_normalize_columns_matches_reference_bit_for_bit(rng):

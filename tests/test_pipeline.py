@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-import reference
 from rtfdoa import activity, stft
 from rtfdoa.activity import read_labels, write_labels
 from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
@@ -428,22 +427,3 @@ def test_cw_head_ignores_a_dead_external_channel(database):
     np.testing.assert_array_equal(full.azimuth_deg, head.azimuth_deg)
     np.testing.assert_array_equal(full.valid, head.valid)
     np.testing.assert_allclose(full.cost, head.cost, rtol=0, atol=1e-6)
-
-
-def test_held_write_matches_reference_bit_for_bit(rng):
-    # a step's write stores the valid bins' head entries, cast to the
-    # store's single precision, and marks them written; with every bin
-    # valid it writes the whole row, otherwise it leaves the rest as it was
-    n_bins, n_head = 20, 4
-    store = pipeline._CsStep(n_bins, n_head, n_head + 1, capacity=3)
-    store.start(3)
-    store.store[:] = 7.0 + 7.0j
-    for i, share in enumerate((1.0, 0.6, 0.0)):
-        values = 10.0 ** rng.uniform(-6.0, 6.0, (n_bins, 1)) * (
-            rng.standard_normal((n_bins, n_head + 1))
-            + 1j * rng.standard_normal((n_bins, n_head + 1)))
-        valid = rng.random(n_bins) < share
-        want = reference.held_write(store.store[i], values, valid)
-        store._write(i, values, valid)
-        assert np.array_equal(store.store[i], want), i
-        assert np.array_equal(store.written[i], valid), i
