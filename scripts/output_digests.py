@@ -10,6 +10,11 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
   detectors, with one and with two usable CPUs (so one or two frequency
   bands), costing from frame 0 and from frame 70, on two fixed scenes: a
   3 s moving source at 0 dB and a 2.5 s static one at -5 dB;
+* ``scene/...``: the same of ``sc`` alone under both detectors on three
+  harder scenes: a 24 s static one at -5 dB whose five channels drop out
+  for 2 s from 8 s on (under SPP most bins are gated as speech after
+  it), a 12 s moving one at 5 dB whose external channel dies at 6 s,
+  and a 60 s static one at 0 dB;
 * ``sweep/...``: the rows of ``run_sweep`` (four estimators, two
   azimuths, three SNRs, two seeds) under each detector;
 * ``estimate/...``: the CSV and the ``--cost-surface`` dump of
@@ -41,7 +46,7 @@ from rtfdoa.evaluate import oracle_label_grid, run_sweep
 from rtfdoa.geometry import default_geometry
 from rtfdoa.pipeline import DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track_multi
 from rtfdoa.simulate import SceneSpec, synthesize
-from rtfdoa.stft import write_wav
+from rtfdoa.stft import AudioClip, write_wav
 
 COST_FROM = (0, 70)
 CPUS = (1, 2)
@@ -100,6 +105,39 @@ def track_digests(db) -> None:
                           f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
 
 
+def _silenced(scene, channels: slice, from_s: float, to_s: float | None = None):
+    """The scene's mixture with ``channels`` zeroed from ``from_s`` to ``to_s``."""
+    samples = scene.mixed.samples.copy()
+    rate = scene.mixed.sample_rate
+    stop = None if to_s is None else int(to_s * rate)
+    samples[channels, int(from_s * rate):stop] = 0.0
+    return AudioClip(samples, rate)
+
+
+def scene_digests(db) -> None:
+    scenes = {
+        "dropout-m5dB": (SceneSpec(seed=3, duration_s=24.0, snr_db=-5.0,
+                                   source_trajectory=((0.0, 35.0),)),
+                         lambda scene: _silenced(scene, slice(None), 8.0, 10.0)),
+        "dead-external-5dB": (SceneSpec(seed=21, duration_s=12.0, snr_db=5.0,
+                                        source_trajectory=((0.0, -60.0),
+                                                           (12.0, 60.0))),
+                              lambda scene: _silenced(scene, slice(-1, None), 6.0)),
+        "static-60s-0dB": (SceneSpec(seed=5, duration_s=60.0, snr_db=0.0,
+                                     source_trajectory=((0.0, 35.0),)),
+                           lambda scene: scene.mixed),
+    }
+    for scene_name, (spec, mixture) in scenes.items():
+        scene = synthesize(spec)
+        clip = mixture(scene)
+        for detector in DETECTOR_NAMES:
+            config = RunConfig(detector=detector)
+            t = track_multi(clip, db, config, ("sc",), oracle_label_grid(scene, config),
+                            keep_cost_surfaces=True)["sc"]
+            print(f"scene/{scene_name}/{detector}/sc "
+                  f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
+
+
 def sweep_digests(db) -> None:
     matrix = {"estimators": list(ESTIMATOR_NAMES), "azimuths_deg": [-35.0, 125.0],
               "snrs_db": [-5.0, 0.0, 5.0], "seeds": [5, 6], "duration_s": 2.0,
@@ -146,6 +184,7 @@ def estimate_digests(db) -> None:
 def main() -> int:
     db = generate_prototypes(default_geometry())
     track_digests(db)
+    scene_digests(db)
     sweep_digests(db)
     estimate_digests(db)
     return 0

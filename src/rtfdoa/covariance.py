@@ -32,6 +32,20 @@ bit for bit. In every mode an update can write the speech bins' new
 columns straight into a caller's buffer, so that ``sc`` stacks them
 without gathering them from the tracker again.
 
+Keeping the column, the tracker takes a whole block of frames at once
+(:meth:`CovarianceTracker.update_block`), since nothing reads the column
+between frames. A stable sort orders the bins by their number of speech
+frames, most first, so that the bins with a j-th speech frame form a
+prefix of the order. One einsum forms the fresh column of every speech
+(frame, bin), written rank-major into the caller's buffer; then each
+rank j absorbs its fresh columns into rank j-1's rows, the prefix of
+them that belongs to its bins, in one in-place step of the recursion
+per rank, not per frame. Each bin thus absorbs the same products
+(einsum's, as frame by frame) through the same scalings and additions,
+with the same operands in the same order, in time order, so every row is
+bit for bit the column the bin held after that frame. A one-frame update
+is a block of one frame.
+
 With ``"inverse"`` the tracker also follows ``M = phi_n^-1``, which the
 covariance-whitening estimators step with.
 The noise update is a scaled rank-one update, so ``M`` follows by
@@ -120,12 +134,6 @@ _RESEED_FLOOR_REL = DIAG_LOAD_REL
 def _outer(y: np.ndarray) -> np.ndarray:
     """Outer products ``y y^H`` of the columns of a [P, K] frame, [K, P, P]."""
     return np.einsum("pk,qk->kpq", y, y.conj())
-
-
-def _outer_column(y: np.ndarray) -> np.ndarray:
-    """Last columns ``y conj(y_P)`` of the outer products of a [P, K] frame,
-    [K, P], equal to ``_outer(y)[:, :, -1]`` bit for bit."""
-    return np.einsum("pk,k->kp", y, y[-1].conj())
 
 
 def _floored_inverse(phi: np.ndarray) -> np.ndarray:
@@ -251,6 +259,67 @@ class CovarianceTracker:
         Treat as read-only."""
         return self._inv_n
 
+    def update_block(self, y: np.ndarray, masks: np.ndarray,
+                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Consume a block of frames, keeping only the column (``"column"``):
+        ``y`` is [P, K, n], ``masks`` a boolean [n, K], frame by bin.
+
+        Each speech bin absorbs its speech frames in time order. ``out`` is
+        a buffer of P-entry rows, at least one per speech (frame, bin) (nK
+        rows always do); its first rows receive each one's updated column
+        against the last channel, rank-major: every speech bin's first
+        speech frame, then every second one, and so on, the bins of a rank
+        ordered by their number of speech frames, most first, then by
+        index. Returns the (frames, bins) of those rows. A block with a
+        non-finite entry raises before any column changes.
+        """
+        if self._phi_n is not None:
+            raise ConfigurationError("a block update serves a tracker that "
+                                     "keeps only the column")
+        masks = np.asarray(masks, dtype=bool)
+        n = masks.shape[0]
+        if (y.shape != (self.n_channels, self.n_bins, n)
+                or masks.shape[1:] != (self.n_bins,)):
+            raise ConfigurationError("block shape does not match tracker")
+        if np.count_nonzero(np.isfinite(y)) < y.size:
+            raise NumericalFailure("block contains non-finite values")
+        counts = np.count_nonzero(masks, axis=0)
+        # most speech frames first, ties by index: the bins with a j-th
+        # speech frame take the first places of the order
+        order = np.argsort(-counts, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        # every speech (frame, bin), bin by bin, each bin's in time order
+        bins, frames = np.divmod(np.flatnonzero(masks.T), n)
+        if not bins.size:
+            return frames, bins
+        ends = np.cumsum(counts)
+        rank = np.arange(bins.size) - (ends - counts)[bins]
+        sizes = np.bincount(rank)
+        offsets = np.cumsum(sizes) - sizes
+        # rank-major rows, a rank's bins by their place in the order
+        row = offsets[rank] + place[bins]
+        last = row[ends[counts > 0] - 1]
+        # the (frame, bin) of each row
+        frames[row], bins[row] = frames.copy(), bins.copy()
+        # every speech (frame, bin)'s fresh column in one einsum, scaled
+        taken = out[:bins.size]
+        gathered = y[:, bins, frames]
+        np.einsum("pk,k->kp", gathered, gathered[-1].conj(), out=taken)
+        a_y = self.smoothing.alpha_y
+        np.multiply(1.0 - a_y, taken, out=taken)
+        # rank j's bins absorb their fresh columns into rank j-1's rows, the
+        # bins' prefix of them; rank 0's into the carried columns
+        previous = self._phi_y[order[:sizes[0]]]
+        scaled = np.empty_like(previous)
+        for offset, size in zip(offsets.tolist(), sizes.tolist()):
+            np.multiply(a_y, previous[:size], out=scaled[:size])
+            previous = taken[offset:offset + size]
+            np.add(scaled[:size], previous, out=previous)
+        # each bin carries the row of its last speech frame
+        self._phi_y[counts > 0] = taken[last]
+        return frames, bins
+
     def update_frame(self, y: np.ndarray, speech_mask: np.ndarray,
                      column_out: np.ndarray | None = None) -> np.ndarray:
         """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K].
@@ -259,33 +328,31 @@ class CovarianceTracker:
         ``column_out``, if given, is a buffer of P-entry rows, at least one
         per speech bin (K rows always do); its first rows receive the
         speech bins' updated columns against the last channel,
-        ``noisy_column[speech]``.
+        ``noisy_column[speech]``. Keeping only the column, this is
+        :meth:`update_block` on a block of one frame.
         """
         if y.shape != (self.n_channels, self.n_bins):
             raise ConfigurationError("frame shape does not match tracker")
+        mask = np.asarray(speech_mask, dtype=bool)
+        if self._phi_n is None:
+            if column_out is None:
+                column_out = np.empty((self.n_bins, self.n_channels),
+                                      dtype=np.complex128)
+            return self.update_block(y[:, :, None], mask[None], column_out)[1]
         # a frame is a strided view of a block's STFT; every read below
         # costs less from one contiguous copy
         y = np.ascontiguousarray(y)
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise NumericalFailure("frame contains non-finite values")
-        mask = np.asarray(speech_mask, dtype=bool)
         speech = mask.nonzero()[0]
-        if column_out is not None:
-            column_out = column_out[:speech.size]
         a_y = self.smoothing.alpha_y
-        if self._phi_n is None:
-            if speech.size:
-                fresh = _outer_column(y[:, speech])
-                self._phi_y[speech] = np.add(a_y * self._phi_y[speech],
-                                             (1.0 - a_y) * fresh, out=column_out)
-            return speech
         # each statistic absorbs the outer products of its own bins only:
         # their rows are gathered, updated in place and scattered back
         if speech.size:
             phi = _absorb(self._phi_y[speech], _outer(y[:, speech]), a_y)
             self._phi_y[speech] = phi
             if column_out is not None:
-                column_out[...] = phi[:, :, -1]
+                column_out[:speech.size] = phi[:, :, -1]
         if speech.size < self.n_bins:
             a_n = self.smoothing.alpha_n
             noise = (~mask).nonzero()[0]

@@ -1,12 +1,13 @@
 """Frame-by-frame DOA tracking: detect, track covariances, estimate, match.
 
 The recording is consumed block by block: each block of frames is
-transformed to the STFT, then one pass over its frames updates the
-noisy/noise covariance pair per bin (gated by the activity detector),
-feeds the requested RTF estimators, and holds each bin's last valid
-estimate; the block's cost surfaces and grid decisions are then computed
-in one batched sweep and the block is dropped. Memory therefore does not
-grow with the recording's duration. Across blocks only the covariance
+transformed to the STFT and its speech masks are decided, from the
+oracle labels or by the activity detector frame by frame; then one pass
+over its frames updates the noisy/noise covariance pair per bin (gated
+by those masks), feeds the requested RTF estimators, and holds each
+bin's last valid estimate; the block's cost surfaces and grid decisions
+are then computed in one batched sweep and the block is dropped. Memory
+therefore does not grow with the recording's duration. Across blocks only the covariance
 pair, the SPP detector's noise PSD, the estimators' held values and
 tracker states, the frame index and the STFT overlap are carried, so the
 decisions do not depend on the block length. Several estimators can share
@@ -43,12 +44,18 @@ them as written. The cost reads no other entry but those of the block's
 first costed frame, so only that frame takes each bin's last valid
 estimate, and each bin's held value is carried to the next block from
 its last write. ``sc`` reads only the noisy column against the external
-microphone, which moves only in the speech bins: its step only marks
-them, the tracker writes their columns straight into ``sc``'s stack, and
+microphone, which moves only in the speech bins: the tracker writes
+their columns straight into ``sc``'s stack, and
 :func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
-call. The cost surface computes a bin's angles only in the frames where
-it was written, and sums a chunk of bins only in the frames where one of
-them was written or the valid mask changed (see
+call. ``sc`` alone reads nothing between frames, so its block skips the
+frame pass: the tracker takes the whole block and its masks at once,
+with one step of the column recursion per speech rank (see
+:meth:`~rtfdoa.covariance.CovarianceTracker.update_block`), and names
+each stacked row's frame and bin. Beside another estimator, ``sc``'s
+step marks each frame's speech bins, which index the stack. The cost
+surface computes a bin's angles only in the frames where it was written,
+and sums a chunk of bins only in the frames where one of them was
+written or the valid mask changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
 
 The block buffers are allocated once per run, sized for the largest
@@ -313,10 +320,13 @@ class _CwExtStep(_CwStep):
 
 
 class _ScStep(_HeldStore):
-    """``sc``: :meth:`step` marks the speech bins, whose noisy columns the
-    tracker has written into :meth:`free_columns`; read in row-major order,
-    the marks index that stack, which :meth:`finish` estimates in one call.
-    A bin never gated as speech holds ``eps * e_P``, which is invalid."""
+    """``sc``: estimates the block's stack of noisy columns in one call in
+    :meth:`finish`. Alone, the tracker updates the block's columns straight
+    into the stack (:meth:`step_block`), naming each row's (frame, bin).
+    Beside another estimator, :meth:`step` marks each frame's speech bins,
+    whose columns the tracker has written into :meth:`free_columns`; read in
+    row-major order, the marks index the stack. A bin never gated as speech
+    holds ``eps * e_P``, which is invalid."""
 
     keep = "column"
     external = True
@@ -327,6 +337,7 @@ class _ScStep(_HeldStore):
         self._columns = np.empty((capacity * n_bins, n_channels),
                                  dtype=np.complex128)
         self._stacked = 0
+        self._rows = None
 
     def free_columns(self) -> np.ndarray:
         """The rows of the stack not yet taken in this block, at least one
@@ -337,10 +348,19 @@ class _ScStep(_HeldStore):
         self.written[i, speech] = True
         self._stacked += speech.size
 
+    def step_block(self, tracker: CovarianceTracker, data: np.ndarray,
+                   masks: np.ndarray) -> None:
+        """Take the whole block, [P, K, n] with its [n, K] speech masks, from
+        a tracker that keeps only the column (see
+        :meth:`~rtfdoa.covariance.CovarianceTracker.update_block`)."""
+        self._rows = tracker.update_block(data, masks, self._columns)
+        self._stacked = self._rows[0].size
+
     def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows, self._rows = self._rows, None
         if self._stacked:
             values, valid = batch_sc(self._columns[:self._stacked], overwrite=True)
-            frames, bins = self.written[:self.count].nonzero()
+            frames, bins = rows or self.written[:self.count].nonzero()
             # an invalid estimate is all zeros and stays unwritten: the cost
             # reads no unwritten entry but those of the first costed frame,
             # which take their held values
@@ -371,8 +391,9 @@ def _bands(n_bins: int, n_frames: int,
     A run forks nothing, and runs one band, where a band process gains
     nothing or may not be started: for a recording of one block or less,
     whose fork costs more than the band saves; for ``sc`` alone, whose work
-    per bin is too light (the SPP detector's and the tracker's per-frame
-    calls do not shrink with the band, and every band repeats the STFT);
+    per bin is too light (the SPP detector's per-frame and the tracker's
+    per-rank calls do not shrink with the band, and every band repeats the
+    STFT);
     in a daemonic process, such as a sweep's pool worker, which may start
     no process of its own; in a process that runs other threads, where a
     fork can leave a lock held in the child; and where the usable CPUs
@@ -407,13 +428,15 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
     stft = config.stft
     n_chan, n_head = source.n_channels, db.n_mics
     smoothing = config.smoothing(source.sample_rate)
-    tracker = CovarianceTracker(n_chan, n_bins, smoothing, keep=_keep(names))
+    keep = _keep(names)
+    tracker = CovarianceTracker(n_chan, n_bins, smoothing, keep=keep)
     detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
     # no block holds more frames than this, so the block buffers are made once
     capacity = min(BLOCK_FRAMES, num_frames(source.n_samples, stft))
     spectrum = np.empty((n_chan, capacity, stft.n_bins), dtype=np.complex128)
+    spp_masks = np.empty((capacity, n_bins), dtype=bool) if labels is None else None
     states = [_STEPS[name](n_bins, n_head, n_chan, capacity) for name in names]
-    # the tracker writes each frame's columns into sc's stack
+    # the tracker writes the speech bins' columns into sc's stack
     sc = next((state for state in states if state.keep == "column"), None)
 
     tail = np.empty((n_chan, 0))
@@ -428,22 +451,30 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
             tail = buffer
             continue
         stop = start + count
-        if isinstance(labels, LabelBitmap):
-            block_labels = labels.columns(start, stop)[lo:hi]
-        elif labels is not None:
-            block_labels = labels[lo:hi, start:stop]
         data = analyze(AudioClip(buffer, source.sample_rate), stft,
                        out=spectrum)[:, lo:hi]
         tail = buffer[:, count * stft.hop:]
+        # the block's [n, K] speech masks, decided before any is tracked
+        if isinstance(labels, LabelBitmap):
+            masks = labels.columns(start, stop)[lo:hi].T
+        elif labels is not None:
+            masks = labels[lo:hi, start:stop].T
+        else:
+            masks = spp_masks[:count]
+            for i in range(count):
+                masks[i] = detector.step(data[:, :, i])
         for state in states:
             state.start(count)
-        for i in range(count):
-            y = data[:, :, i]
-            mask = block_labels[:, i] if detector is None else detector.step(y)
-            speech = tracker.update_frame(
-                y, mask, None if sc is None else sc.free_columns())
-            for state in states:
-                state.step(i, tracker, speech)
+        if keep == "column":
+            # sc alone: one recursion step per speech rank of the block
+            sc.step_block(tracker, data, masks)
+        else:
+            for i in range(count):
+                speech = tracker.update_frame(
+                    data[:, :, i], masks[i],
+                    None if sc is None else sc.free_columns())
+                for state in states:
+                    state.step(i, tracker, speech)
         # frames before cost_from are not costed
         first = max(cost_from, start)
         yield first, stop, [state.finish(first - start) for state in states]

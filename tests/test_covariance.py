@@ -200,6 +200,70 @@ def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
     assert np.array_equal(full.noisy_column, full.noisy[:, :, -1])
 
 
+def _ranked_rows(masks):
+    """The (frame, bin) of each row of a block update, in the documented
+    order: rank by rank, the bins of a rank by speech-frame count, most
+    first, then by index."""
+    spoken = [np.flatnonzero(masks[:, k]) for k in range(masks.shape[1])]
+    order = sorted(range(masks.shape[1]), key=lambda k: (-spoken[k].size, k))
+    rows = [(spoken[k][j], k) for j in range(masks.shape[0])
+            for k in order if spoken[k].size > j]
+    return np.array(rows, dtype=np.intp).reshape(-1, 2).T
+
+
+def test_block_update_is_the_noisy_last_column_bit_for_bit(rng):
+    # the block update of a tracker that keeps only the column writes each
+    # speech (frame, bin)'s new column into its row of the stack, and each
+    # row is the last column of a full tracker that took the block frame
+    # by frame, over blocks of 1 to 20 frames with random gating (a bin
+    # that is speech in every frame, blocks with no speech, one-frame
+    # blocks) and snapshot scales spanning sixteen decades
+    n_bins, p, always = 33, 5, 7
+    column = CovarianceTracker(p, n_bins, SM, keep="column")
+    full = CovarianceTracker(p, n_bins, SM)
+    lengths = [1, 1, 20, 3] + [int(n) for n in rng.integers(1, 21, size=60)]
+    for block, n in enumerate(lengths):
+        scales = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+        y = scales * _random_snapshot(rng, p * n_bins * n).reshape(p, n_bins, n)
+        masks = rng.random((n, n_bins)) < rng.random()
+        masks[:, always] = True
+        if block % 9 == 2:
+            masks[:] = False
+        out = np.full((n * n_bins, p), np.nan + 0j)
+        frames, bins = column.update_block(y, masks, out)
+        assert np.array_equal(np.stack([frames, bins]), _ranked_rows(masks))
+        assert np.isnan(out[frames.size:]).all()
+        rows = {}
+        for i in range(n):
+            speech = full.update_frame(y[:, :, i], masks[i])
+            assert np.array_equal(speech, np.flatnonzero(masks[i]))
+            rows.update({(i, k): full.noisy[k, :, -1].copy() for k in speech})
+        assert len(rows) == frames.size
+        for row, frame, k in zip(out, frames, bins):
+            assert np.array_equal(row, rows[frame, k]), (block, frame, k)
+        assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
+
+
+def test_block_update_rejects_nonfinite_and_leaves_the_column(rng):
+    n_bins, p, n = 9, 4, 6
+    tracker = CovarianceTracker(p, n_bins, SM, keep="column")
+    y = _random_snapshot(rng, p * n_bins * n).reshape(p, n_bins, n)
+    tracker.update_block(y, np.ones((n, n_bins), dtype=bool),
+                         np.empty((n * n_bins, p), dtype=complex))
+    before = tracker.noisy_column.copy()
+    for bad in (np.nan, np.inf):
+        y[1, 3, 4] = bad
+        # the entry lies in a frame and bin gated as noise
+        masks = np.ones((n, n_bins), dtype=bool)
+        masks[4, 3] = False
+        with pytest.raises(NumericalFailure):
+            tracker.update_block(y, masks, np.empty((n * n_bins, p), dtype=complex))
+        assert np.array_equal(tracker.noisy_column, before)
+    with pytest.raises(ConfigurationError):
+        CovarianceTracker(p, n_bins, SM).update_block(
+            y, masks, np.empty((n * n_bins, p), dtype=complex))
+
+
 def test_tracked_inverse_matches_inverse_of_noise(rng):
     n_bins, p = 9, 5
     tracker = CovarianceTracker(p, n_bins, SM, keep="inverse")

@@ -175,6 +175,47 @@ def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
                                           equal_nan=True), (names, name, field)
 
 
+@pytest.mark.parametrize("detector", DETECTOR_NAMES)
+def test_sc_alone_block_wise_decides_as_sc_frame_by_frame(database, monkeypatch,
+                                                          detector):
+    # sc alone takes each block in one update (rank by rank); beside
+    # cs-head the tracker takes it frame by frame. Both give sc's outputs
+    # bit for bit, in blocks of 16 frames whose oracle grid holds a block
+    # all speech, a block with no speech and a bin speech in every frame
+    # of every other block, and whose last block is one frame
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    # 80 frames: blocks of 15, 16, 16, 16, 16 and 1 frames
+    out = _scene(seed=52, duration_s=(512 + 79 * 256) / FS, snr_db=0.0)
+    labels = _labels(out)
+    labels[40, :] = True
+    labels[:, 15:31] = True
+    labels[:, 31:47] = False
+    config = RunConfig(detector=detector)
+    blocks = []
+    update = CovarianceTracker.update_block
+
+    def recorded(self, y, masks, out):
+        blocks.append(np.array(masks))
+        return update(self, y, masks, out)
+
+    monkeypatch.setattr(CovarianceTracker, "update_block", recorded)
+    alone = track_multi(out.mixed, database, config, ("sc",), labels,
+                        keep_cost_surfaces=True)["sc"]
+    assert [len(masks) for masks in blocks] == [15, 16, 16, 16, 16, 1]
+    if detector == "oracle":
+        assert blocks[1].all() and not blocks[2].any()
+        assert all(masks[:, 40].all() for masks in blocks[:2] + blocks[3:])
+    blocks.clear()
+    beside = track_multi(out.mixed, database, config, ("sc", "cs-head"), labels,
+                         keep_cost_surfaces=True)["sc"]
+    # beside cs-head no block update runs
+    assert blocks == []
+    assert alone.valid.any()
+    for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
+        assert np.array_equal(getattr(alone, field), getattr(beside, field),
+                              equal_nan=True), (detector, field)
+
+
 def test_cost_surface_request(database):
     out = _scene(seed=44, duration_s=1.5)
     traj = track(out.mixed, database, RunConfig(estimator="cw-ext"),
