@@ -194,9 +194,9 @@ def test_sc_alone_block_wise_decides_as_sc_frame_by_frame(database, monkeypatch,
     blocks = []
     update = CovarianceTracker.update_block
 
-    def recorded(self, y, masks, out):
+    def recorded(self, y, masks, stack):
         blocks.append(np.array(masks))
-        return update(self, y, masks, out)
+        return update(self, y, masks, stack)
 
     monkeypatch.setattr(CovarianceTracker, "update_block", recorded)
     alone = track_multi(out.mixed, database, config, ("sc",), labels,
