@@ -10,11 +10,12 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
   detectors, with one and with two usable CPUs (so one or two frequency
   bands), costing from frame 0 and from frame 70, on two fixed scenes: a
   3 s moving source at 0 dB and a 2.5 s static one at -5 dB;
-* ``scene/...``: the same of ``sc`` alone under both detectors on three
-  harder scenes: a 24 s static one at -5 dB whose five channels drop out
-  for 2 s from 8 s on (under SPP most bins are gated as speech after
-  it), a 12 s moving one at 5 dB whose external channel dies at 6 s,
-  and a 60 s static one at 0 dB;
+* ``scene/...``: the same of ``sc`` alone and of ``sc`` beside
+  ``cw-ext`` under both detectors on three harder scenes: a 24 s static
+  one at -5 dB whose five channels drop out for 2 s from 8 s on (under
+  SPP most bins are gated as speech after it), a 12 s moving one at
+  5 dB whose external channel dies at 6 s, and a 60 s static one at
+  0 dB;
 * ``sweep/...``: the rows of ``run_sweep`` (four estimators, two
   azimuths, three SNRs, two seeds) under each detector;
 * ``estimate/...``: the CSV and the ``--cost-surface`` dump of
@@ -130,12 +131,15 @@ def scene_digests(db) -> None:
     for scene_name, (spec, mixture) in scenes.items():
         scene = synthesize(spec)
         clip = mixture(scene)
-        for detector in DETECTOR_NAMES:
+        for detector, names in itertools.product(DETECTOR_NAMES,
+                                                 (("sc",), ("sc", "cw-ext"))):
             config = RunConfig(detector=detector)
-            t = track_multi(clip, db, config, ("sc",), oracle_label_grid(scene, config),
-                            keep_cost_surfaces=True)["sc"]
-            print(f"scene/{scene_name}/{detector}/sc "
-                  f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
+            trajs = track_multi(clip, db, config, names,
+                                oracle_label_grid(scene, config),
+                                keep_cost_surfaces=True)
+            for name, t in trajs.items():
+                print(f"scene/{scene_name}/{detector}/{'+'.join(names)}/{name} "
+                      f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
 
 
 def sweep_digests(db) -> None:

@@ -9,7 +9,7 @@ package.
 """
 from .activity import (LabelBitmap, oracle_labels, read_labels, spp,
                        write_labels)
-from .covariance import CovarianceTracker, SmoothingConfig
+from .covariance import ColumnTracker, CovarianceTracker, SmoothingConfig
 from .doa import (PrototypeDatabase, argmin_directions, cost_surface_frames,
                   default_grid, generate_prototypes, load_database,
                   save_database)

@@ -17,23 +17,20 @@ difference taken in the opposite order, so it is the exact conjugate
 two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
 
-Only what is read is kept. The tracker keeps one of three things
-(``keep``), from least to most: ``"column"`` keeps only the column of
-``phi_y`` against the last (external) channel, ``phi_y e_P``, and no
-noise statistic, all that ``sc`` reads (the speech presence detector
-keeps its own noise PSD, see :class:`~rtfdoa.activity.SppDetector`);
-``"covariance"`` keeps ``phi_y`` and ``phi_n`` (``cs-head``);
-``"inverse"`` keeps both and the inverse of ``phi_n`` (the ``cw-*``
-estimators). Keeping the column, the tracker forms only the column of
+Only what is read is kept. :class:`CovarianceTracker` keeps ``phi_y``
+and ``phi_n`` (``keep="covariance"``, what ``cs-head`` reads), or both
+and the inverse of ``phi_n`` (``"inverse"``, the ``cw-*`` estimators).
+:class:`ColumnTracker` keeps only the column of ``phi_y`` against the
+last (external) channel, ``phi_y e_P``, and no noise statistic, all
+that ``sc`` reads (the speech presence detector keeps its own noise PSD,
+see :class:`~rtfdoa.activity.SppDetector`). It forms only the column of
 each speech bin's outer product, ``y conj(y_P)``, and none outside the
 bins gated as speech. Its entries are the same single products as the
 last column of ``y y^H``, so the column equals ``phi_y``'s last column
-bit for bit. In every mode an update can write the speech bins' new
-columns straight into a caller's buffer, so that ``sc`` stacks them
-without gathering them from the tracker again.
+bit for bit.
 
-Keeping the column, the tracker takes a whole block of frames at once
-(:meth:`CovarianceTracker.update_block`), since nothing reads the column
+The column tracker takes a whole block of frames at once
+(:meth:`ColumnTracker.update_block`), since nothing reads the column
 between frames. A stable sort orders the bins by their number of speech
 frames, most first, so that the bins with a j-th speech frame form a
 prefix of the order. One einsum forms the fresh column of every speech
@@ -43,11 +40,10 @@ them that belongs to its bins, in one in-place step of the recursion
 per rank, not per frame. Each bin thus absorbs the same products
 (einsum's, as frame by frame) through the same scalings and additions,
 with the same operands in the same order, in time order, so every row is
-bit for bit the column the bin held after that frame. A one-frame update
-is a block of one frame.
+bit for bit the column the bin held after that frame.
 
-With ``"inverse"`` the tracker also follows ``M = phi_n^-1``, which the
-covariance-whitening estimators step with.
+With ``"inverse"`` the matrix tracker also follows ``M = phi_n^-1``,
+which the covariance-whitening estimators step with.
 The noise update is a scaled rank-one update, so ``M`` follows by
 Sherman-Morrison in O(P^2) per bin, the recursive-inverse step of RLS::
 
@@ -189,80 +185,38 @@ def _absorb(phi: np.ndarray, fresh: np.ndarray, alpha: float) -> np.ndarray:
     return phi
 
 
-# what the tracker keeps, from least to most (see the module docstring)
-KEEP = ("column", "covariance", "inverse")
+# what a matrix tracker keeps, from less to more (see the module docstring)
+KEEP = ("covariance", "inverse")
 
 
-class CovarianceTracker:
-    """Vectorized per-bin covariance recursion over a whole STFT grid.
-
-    ``keep`` names what is kept (see the module docstring).
-    :attr:`noisy_column` serves every mode; :attr:`noisy` and
-    :attr:`noise` need ``"covariance"`` or ``"inverse"``;
-    :attr:`noise_inverse` is None unless ``"inverse"``, and then is updated
-    in the noise-gated bins of every frame. A bin whose tracked inverse is
-    no longer usable is re-seeded from its covariance (see the module
-    docstring), so the inverse is finite after every update.
-    """
+class ColumnTracker:
+    """Vectorized recursion of the noisy-signal covariances' columns
+    against the last channel, :attr:`noisy_column`, over a whole STFT
+    grid, block by block (see the module docstring). No noise statistic
+    is kept."""
 
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
-                 eps_init: float = DEFAULT_EPS_INIT,
-                 keep: str = "covariance") -> None:
+                 eps_init: float = DEFAULT_EPS_INIT) -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
-        if keep not in KEEP:
-            raise ConfigurationError(f"keep must be one of {KEEP}, got '{keep}'")
-        if keep == "inverse" and smoothing.alpha_n == 0.0:
-            raise ConfigurationError(
-                "a tracked inverse needs a noise smoothing factor above 0")
-        eye = np.eye(n_channels, dtype=np.complex128)
-        # [K, P, P], or [K, P] when only the last column is kept
-        self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
-        self._phi_n = self._inv_n = None
-        if keep == "column":
-            self._phi_y = np.ascontiguousarray(self._phi_y[:, :, -1])
-        else:
-            self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1))
-        if keep == "inverse":
-            self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1))
+        # the last column of eps * I, [K, P]
+        last = eps_init * np.eye(n_channels, dtype=np.complex128)[-1]
+        self._column = np.tile(last, (n_bins, 1))
         self.smoothing = smoothing
         self.n_channels = n_channels
         self.n_bins = n_bins
 
     @property
-    def noisy(self) -> np.ndarray:
-        """Noisy-signal covariances [K, P, P]. Treat as read-only."""
-        if self._phi_n is None:
-            raise ConfigurationError(
-                "this tracker keeps only the noisy column against the last "
-                "channel, not the noisy covariance")
-        return self._phi_y
-
-    @property
     def noisy_column(self) -> np.ndarray:
         """Columns of the noisy-signal covariances against the last channel,
-        [K, P], the last column of :attr:`noisy`. Treat as read-only."""
-        return self._phi_y if self._phi_n is None else self._phi_y[:, :, -1]
-
-    @property
-    def noise(self) -> np.ndarray:
-        """Noise covariances [K, P, P]. Treat as read-only."""
-        if self._phi_n is None:
-            raise ConfigurationError(
-                "this tracker keeps no noise statistic, not the noise covariance")
-        return self._phi_n
-
-    @property
-    def noise_inverse(self) -> np.ndarray | None:
-        """Inverse noise covariances [K, P, P] if tracked, else None.
-        Treat as read-only."""
-        return self._inv_n
+        [K, P]. Treat as read-only."""
+        return self._column
 
     def update_block(self, y: np.ndarray, masks: np.ndarray,
                      out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consume a block of frames, keeping only the column (``"column"``):
-        ``y`` is [P, K, n], ``masks`` a boolean [n, K], frame by bin.
+        """Consume a block of frames: ``y`` is [P, K, n], ``masks`` a
+        boolean [n, K], frame by bin.
 
         Each speech bin absorbs its speech frames in time order. ``out`` is
         a buffer of P-entry rows, at least one per speech (frame, bin) (nK
@@ -273,9 +227,6 @@ class CovarianceTracker:
         index. Returns the (frames, bins) of those rows. A block with a
         non-finite entry raises before any column changes.
         """
-        if self._phi_n is not None:
-            raise ConfigurationError("a block update serves a tracker that "
-                                     "keeps only the column")
         masks = np.asarray(masks, dtype=bool)
         n = masks.shape[0]
         if (y.shape != (self.n_channels, self.n_bins, n)
@@ -310,49 +261,80 @@ class CovarianceTracker:
         np.multiply(1.0 - a_y, taken, out=taken)
         # rank j's bins absorb their fresh columns into rank j-1's rows, the
         # bins' prefix of them; rank 0's into the carried columns
-        previous = self._phi_y[order[:sizes[0]]]
+        previous = self._column[order[:sizes[0]]]
         scaled = np.empty_like(previous)
         for offset, size in zip(offsets.tolist(), sizes.tolist()):
             np.multiply(a_y, previous[:size], out=scaled[:size])
             previous = taken[offset:offset + size]
             np.add(scaled[:size], previous, out=previous)
         # each bin carries the row of its last speech frame
-        self._phi_y[counts > 0] = taken[last]
+        self._column[counts > 0] = taken[last]
         return frames, bins
 
-    def update_frame(self, y: np.ndarray, speech_mask: np.ndarray,
-                     column_out: np.ndarray | None = None) -> np.ndarray:
-        """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K].
 
-        Returns the speech bins, ``np.flatnonzero(speech_mask)``.
-        ``column_out``, if given, is a buffer of P-entry rows, at least one
-        per speech bin (K rows always do); its first rows receive the
-        speech bins' updated columns against the last channel,
-        ``noisy_column[speech]``. Keeping only the column, this is
-        :meth:`update_block` on a block of one frame.
-        """
+class CovarianceTracker:
+    """Vectorized per-bin covariance recursion over a whole STFT grid.
+
+    ``keep`` names what is kept (see the module docstring):
+    :attr:`noise_inverse` is None unless ``"inverse"``, and then is
+    updated in the noise-gated bins of every frame. A bin whose tracked
+    inverse is no longer usable is re-seeded from its covariance (see the
+    module docstring), so the inverse is finite after every update.
+    """
+
+    def __init__(self, n_channels: int, n_bins: int,
+                 smoothing: SmoothingConfig,
+                 eps_init: float = DEFAULT_EPS_INIT,
+                 keep: str = "covariance") -> None:
+        if n_channels < 1 or n_bins < 1:
+            raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
+        if keep not in KEEP:
+            raise ConfigurationError(f"keep must be one of {KEEP}, got '{keep}'")
+        if keep == "inverse" and smoothing.alpha_n == 0.0:
+            raise ConfigurationError(
+                "a tracked inverse needs a noise smoothing factor above 0")
+        eye = np.eye(n_channels, dtype=np.complex128)
+        self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
+        self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1))
+        self._inv_n = (np.tile(eye / eps_init, (n_bins, 1, 1))
+                       if keep == "inverse" else None)
+        self.smoothing = smoothing
+        self.n_channels = n_channels
+        self.n_bins = n_bins
+
+    @property
+    def noisy(self) -> np.ndarray:
+        """Noisy-signal covariances [K, P, P]. Treat as read-only."""
+        return self._phi_y
+
+    @property
+    def noise(self) -> np.ndarray:
+        """Noise covariances [K, P, P]. Treat as read-only."""
+        return self._phi_n
+
+    @property
+    def noise_inverse(self) -> np.ndarray | None:
+        """Inverse noise covariances [K, P, P] if tracked, else None.
+        Treat as read-only."""
+        return self._inv_n
+
+    def update_frame(self, y: np.ndarray, speech_mask: np.ndarray) -> None:
+        """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K]."""
         if y.shape != (self.n_channels, self.n_bins):
             raise ConfigurationError("frame shape does not match tracker")
-        mask = np.asarray(speech_mask, dtype=bool)
-        if self._phi_n is None:
-            if column_out is None:
-                column_out = np.empty((self.n_bins, self.n_channels),
-                                      dtype=np.complex128)
-            return self.update_block(y[:, :, None], mask[None], column_out)[1]
         # a frame is a strided view of a block's STFT; every read below
         # costs less from one contiguous copy
         y = np.ascontiguousarray(y)
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise NumericalFailure("frame contains non-finite values")
+        mask = np.asarray(speech_mask, dtype=bool)
         speech = mask.nonzero()[0]
         a_y = self.smoothing.alpha_y
         # each statistic absorbs the outer products of its own bins only:
         # their rows are gathered, updated in place and scattered back
         if speech.size:
-            phi = _absorb(self._phi_y[speech], _outer(y[:, speech]), a_y)
-            self._phi_y[speech] = phi
-            if column_out is not None:
-                column_out[:speech.size] = phi[:, :, -1]
+            self._phi_y[speech] = _absorb(self._phi_y[speech],
+                                          _outer(y[:, speech]), a_y)
         if speech.size < self.n_bins:
             a_n = self.smoothing.alpha_n
             noise = (~mask).nonzero()[0]
@@ -362,4 +344,3 @@ class CovarianceTracker:
             if self._inv_n is not None:
                 self._inv_n[noise] = _rank_one_inverse(self._inv_n[noise],
                                                        y_noise.T, a_n, phi)
-        return speech

@@ -38,21 +38,20 @@ the slowest smoothing time constant) are flagged invalid.
 
 Only what moved is recomputed, with unchanged results. Each estimator
 is one step class over a shared hold-last-valid store. Every frame the
-tracker updates the covariances once and returns the speech bins, and
-each step writes its valid estimates into the block's store and marks
-them as written. The cost reads no other entry but those of the block's
-first costed frame, so only that frame takes each bin's last valid
-estimate, and each bin's held value is carried to the next block from
-its last write. ``sc`` reads only the noisy column against the external
-microphone, which moves only in the speech bins: the tracker writes
-their columns straight into ``sc``'s stack, and
-:func:`~rtfdoa.estimators.batch_sc` estimates the block's stack in one
-call. ``sc`` alone reads nothing between frames, so its block skips the
-frame pass: the tracker takes the whole block and its masks at once,
-with one step of the column recursion per speech rank (see
-:meth:`~rtfdoa.covariance.CovarianceTracker.update_block`), and names
-each stacked row's frame and bin. Beside another estimator, ``sc``'s
-step marks each frame's speech bins, which index the stack. The cost
+tracker updates the covariances once, and each step writes its valid
+estimates into the block's store and marks them as written. The cost
+reads no other entry but those of the block's first costed frame, so
+only that frame takes each bin's last valid estimate, and each bin's
+held value is carried to the next block from its last write. ``sc``
+reads only the noisy column against the external microphone, which
+moves only in the speech bins, and reads nothing between frames. So in
+every estimator set ``sc`` tracks that column itself, block by block:
+once a block's masks are decided, its column tracker takes the whole
+block at once, with one step of the column recursion per speech rank
+(see :meth:`~rtfdoa.covariance.ColumnTracker.update_block`), writes the
+speech bins' columns straight into ``sc``'s stack and names each row's
+frame and bin; :func:`~rtfdoa.estimators.batch_sc` then estimates the
+block's stack in one call. The cost
 surface computes a bin's angles only in the frames where it was written,
 and sums a chunk of bins only in the frames where one of them was
 written or the valid mask changed (see
@@ -64,12 +63,11 @@ estimator's store and written mask, and ``sc``'s stack of columns. Every
 block overwrites what it reads of them, and each frame is a view of the
 block's STFT.
 
-Only what is read is kept: each step class declares what the tracker
-must keep for it (``"column"`` for ``sc``, ``"covariance"`` for
-``cs-head``, ``"inverse"`` for ``cw-*``), and the tracker keeps the most
-that one estimator of the set needs. The column equals the matrix's last
-column bit for bit, and the SPP detector reads only its own PSD, so
-every decision is the same in each mode.
+Only what is read is kept: the covariance tracker runs only for
+``cs-head`` and the ``cw-*`` estimators, and keeps the inverse noise
+covariance only for the latter. ``sc``'s column equals the matrix's last
+column bit for bit, and the SPP detector reads only its own PSD, so every
+estimator decides the same in every estimator set.
 
 The bins are tracked in frequency bands, one per usable CPU
 (``len(os.sched_getaffinity(0))``), at most :data:`MAX_BANDS` (two) and
@@ -110,7 +108,7 @@ from pathlib import Path
 import numpy as np
 
 from .activity import LabelBitmap, SppDetector
-from .covariance import KEEP, CovarianceTracker, SmoothingConfig
+from .covariance import KEEP, ColumnTracker, CovarianceTracker, SmoothingConfig
 from .doa import (CHUNK_BINS, PrototypeDatabase, argmin_directions,
                   cost_chunk_sums, cost_surface_frames)
 from .errors import ConfigurationError, NumericalFailure
@@ -236,13 +234,15 @@ def _held_at(store: np.ndarray, written: np.ndarray, held: np.ndarray,
 
 class _HeldStore:
     """Per-bin hold-last-valid storage of one estimator, whose subclass
-    declares what the tracker must keep for it (``keep``) and whether it
-    reads the external channel.
+    declares what the shared covariance tracker must keep for it
+    (``keep``, None if it tracks its own statistic block by block) and
+    whether it reads the external channel.
 
     The store and its written mask are allocated once for blocks of up to
-    ``capacity`` frames. Per block, :meth:`start` opens the block,
-    ``step(i, tracker, speech)`` writes frame ``i``'s valid estimates into
-    the store and marks them in ``written``, and :meth:`finish` holds each
+    ``capacity`` frames. Per block, :meth:`start` opens the block, then
+    ``step(i, tracker)`` writes frame ``i``'s valid estimates into the
+    store and marks them in ``written`` (or ``step_block(data, masks)``
+    takes the whole block), and :meth:`finish` holds each
     bin's last valid estimate in the first frame that is costed and
     returns the store and written mask from that frame on, views that the
     next block overwrites, with the valid mask. The cost reads no other
@@ -250,11 +250,11 @@ class _HeldStore:
     so no other is filled.
     """
 
-    keep: str
+    keep: str | None
     external = False
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
-                 capacity: int) -> None:
+                 capacity: int, smoothing: SmoothingConfig) -> None:
         self.n_head = n_head
         self.held = np.zeros((n_bins, n_head), dtype=np.complex64)
         self.ever_valid = np.zeros(n_bins, dtype=bool)
@@ -289,7 +289,7 @@ class _CsStep(_HeldStore):
 
     keep = "covariance"
 
-    def step(self, i: int, tracker: CovarianceTracker, speech: np.ndarray) -> None:
+    def step(self, i: int, tracker: CovarianceTracker) -> None:
         m = self.n_head
         self._write(i, *batch_cs(tracker.noisy[:, :m, :m], tracker.noise[:, :m, :m]))
 
@@ -302,11 +302,11 @@ class _CwStep(_HeldStore):
     keep = "inverse"
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
-                 capacity: int) -> None:
-        super().__init__(n_bins, n_head, n_channels, capacity)
+                 capacity: int, smoothing: SmoothingConfig) -> None:
+        super().__init__(n_bins, n_head, n_channels, capacity, smoothing)
         self.cw = PowerCwTracker(n_bins, n_channels if self.external else n_head)
 
-    def step(self, i: int, tracker: CovarianceTracker, speech: np.ndarray) -> None:
+    def step(self, i: int, tracker: CovarianceTracker) -> None:
         dim = self.cw.dim
         self._write(i, *self.cw.estimate(
             tracker.noisy[:, :dim, :dim],
@@ -320,65 +320,43 @@ class _CwExtStep(_CwStep):
 
 
 class _ScStep(_HeldStore):
-    """``sc``: estimates the block's stack of noisy columns in one call in
-    :meth:`finish`. Alone, the tracker updates the block's columns straight
-    into the stack (:meth:`step_block`), naming each row's (frame, bin).
-    Beside another estimator, :meth:`step` marks each frame's speech bins,
-    whose columns the tracker has written into :meth:`free_columns`; read in
-    row-major order, the marks index the stack. A bin never gated as speech
-    holds ``eps * e_P``, which is invalid."""
+    """``sc``: tracks its own noisy columns against the external channel.
+    Its column tracker updates each block's columns straight into the
+    stack (:meth:`step_block`), naming each row's (frame, bin), and
+    :meth:`finish` estimates the stack in one call. A bin never gated as
+    speech holds ``eps * e_P``, which is invalid."""
 
-    keep = "column"
+    keep = None
     external = True
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
-                 capacity: int) -> None:
-        super().__init__(n_bins, n_head, n_channels, capacity)
+                 capacity: int, smoothing: SmoothingConfig) -> None:
+        super().__init__(n_bins, n_head, n_channels, capacity, smoothing)
+        self.tracker = ColumnTracker(n_channels, n_bins, smoothing)
         self._columns = np.empty((capacity * n_bins, n_channels),
                                  dtype=np.complex128)
-        self._stacked = 0
-        self._rows = None
 
-    def free_columns(self) -> np.ndarray:
-        """The rows of the stack not yet taken in this block, at least one
-        per bin, for the tracker to write a frame's noisy columns into."""
-        return self._columns[self._stacked:]
-
-    def step(self, i: int, tracker: CovarianceTracker, speech: np.ndarray) -> None:
-        self.written[i, speech] = True
-        self._stacked += speech.size
-
-    def step_block(self, tracker: CovarianceTracker, data: np.ndarray,
-                   masks: np.ndarray) -> None:
-        """Take the whole block, [P, K, n] with its [n, K] speech masks, from
-        a tracker that keeps only the column (see
-        :meth:`~rtfdoa.covariance.CovarianceTracker.update_block`)."""
-        self._rows = tracker.update_block(data, masks, self._columns)
-        self._stacked = self._rows[0].size
+    def step_block(self, data: np.ndarray, masks: np.ndarray) -> None:
+        """Take the whole block, [P, K, n] with its [n, K] speech masks (see
+        :meth:`~rtfdoa.covariance.ColumnTracker.update_block`)."""
+        self._rows = self.tracker.update_block(data, masks, self._columns)
 
     def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, self._rows = self._rows, None
-        if self._stacked:
-            values, valid = batch_sc(self._columns[:self._stacked], overwrite=True)
-            frames, bins = rows or self.written[:self.count].nonzero()
+        frames, bins = self._rows
+        if bins.size:
+            values, valid = batch_sc(self._columns[:bins.size], overwrite=True)
             # an invalid estimate is all zeros and stays unwritten: the cost
             # reads no unwritten entry but those of the first costed frame,
             # which take their held values
             self.store[frames, bins] = values
             self.written[frames, bins] = valid
-            self._stacked = 0
         return super().finish(first)
 
 
-# each estimator's step; the tracker keeps the most that one of them needs
+# each estimator's step
 _STEPS = {"cs-head": _CsStep, "cw-ext": _CwExtStep, "cw-head": _CwStep,
           "sc": _ScStep}
 ESTIMATOR_NAMES = tuple(_STEPS)
-
-
-def _keep(names: tuple[str, ...]) -> str:
-    """The least the covariance tracker must keep for these estimators."""
-    return max((_STEPS[name].keep for name in names), key=KEEP.index)
 
 
 def _bands(n_bins: int, n_frames: int,
@@ -400,7 +378,7 @@ def _bands(n_bins: int, n_frames: int,
     cannot be read."""
     n_chunks = len(range(1, n_bins, CHUNK_BINS))
     affinity = getattr(os, "sched_getaffinity", None)
-    if (affinity is None or n_frames <= BLOCK_FRAMES or _keep(names) == "column"
+    if (affinity is None or n_frames <= BLOCK_FRAMES or names == ("sc",)
             or multiprocessing.current_process().daemon
             or threading.active_count() > 1):
         cpus = 1
@@ -428,16 +406,21 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
     stft = config.stft
     n_chan, n_head = source.n_channels, db.n_mics
     smoothing = config.smoothing(source.sample_rate)
-    keep = _keep(names)
-    tracker = CovarianceTracker(n_chan, n_bins, smoothing, keep=keep)
     detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
     # no block holds more frames than this, so the block buffers are made once
     capacity = min(BLOCK_FRAMES, num_frames(source.n_samples, stft))
     spectrum = np.empty((n_chan, capacity, stft.n_bins), dtype=np.complex128)
     spp_masks = np.empty((capacity, n_bins), dtype=bool) if labels is None else None
-    states = [_STEPS[name](n_bins, n_head, n_chan, capacity) for name in names]
-    # the tracker writes the speech bins' columns into sc's stack
-    sc = next((state for state in states if state.keep == "column"), None)
+    states = [_STEPS[name](n_bins, n_head, n_chan, capacity, smoothing)
+              for name in names]
+    # sc tracks its own column block by block; the other estimators share
+    # one covariance tracker, which keeps the most that one of them needs
+    # and takes each block frame by frame
+    framed = [state for state in states if state.keep]
+    if framed:
+        tracker = CovarianceTracker(n_chan, n_bins, smoothing,
+                                    keep=max((state.keep for state in framed),
+                                             key=KEEP.index))
 
     tail = np.empty((n_chan, 0))
     start = 0
@@ -465,16 +448,13 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
                 masks[i] = detector.step(data[:, :, i])
         for state in states:
             state.start(count)
-        if keep == "column":
-            # sc alone: one recursion step per speech rank of the block
-            sc.step_block(tracker, data, masks)
-        else:
+            if not state.keep:
+                state.step_block(data, masks)
+        if framed:
             for i in range(count):
-                speech = tracker.update_frame(
-                    data[:, :, i], masks[i],
-                    None if sc is None else sc.free_columns())
-                for state in states:
-                    state.step(i, tracker, speech)
+                tracker.update_frame(data[:, :, i], masks[i])
+                for state in framed:
+                    state.step(i, tracker)
         # frames before cost_from are not costed
         first = max(cost_from, start)
         yield first, stop, [state.finish(first - start) for state in states]

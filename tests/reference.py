@@ -162,25 +162,21 @@ def gated_update(phi_y: np.ndarray, phi_n: np.ndarray, inv_n: np.ndarray | None,
                  y: np.ndarray, mask: np.ndarray, smoothing: SmoothingConfig):
     """One frame of the gated recursion over [K, P, P] stacks, for a frame
     ``y`` [P, K] and a speech mask [K]: the new ``(phi_y, phi_n, inv_n)``
-    (``inv_n`` None if not tracked) and the speech bins' new columns
-    against the last channel."""
+    (``inv_n`` None if not tracked)."""
     phi_y, phi_n = phi_y.copy(), phi_n.copy()
     inv_n = None if inv_n is None else inv_n.copy()
     outer = np.einsum("pk,qk->kpq", y, y.conj())
     speech = np.flatnonzero(mask)
     a_y, a_n = smoothing.alpha_y, smoothing.alpha_n
-    columns = np.empty((0, y.shape[0]), dtype=np.complex128)
     if speech.size:
-        phi = a_y * phi_y[speech] + (1.0 - a_y) * outer[speech]
-        phi_y[speech] = phi
-        columns = phi[:, :, -1].copy()
+        phi_y[speech] = a_y * phi_y[speech] + (1.0 - a_y) * outer[speech]
     noise = np.flatnonzero(~mask)
     if noise.size:
         phi = a_n * phi_n[noise] + (1.0 - a_n) * outer[noise]
         phi_n[noise] = phi
         if inv_n is not None:
             inv_n[noise] = rank_one_inverse(inv_n[noise], y[:, noise].T, a_n, phi)
-    return phi_y, phi_n, inv_n, columns
+    return phi_y, phi_n, inv_n
 
 
 def normalize_columns(cols: np.ndarray, scale: np.ndarray

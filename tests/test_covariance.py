@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference
 from rtfdoa import covariance
 from rtfdoa.activity import SppDetector
-from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
+from rtfdoa.covariance import ColumnTracker, CovarianceTracker, SmoothingConfig
 from rtfdoa.errors import ConfigurationError, NumericalFailure
 from reference import initial_state, update
 
@@ -174,32 +174,6 @@ def test_noise_psd_is_the_noise_diagonal_bit_for_bit(rng):
         assert detector.frames == 60 and mixed > 30, (scale, mixed)
 
 
-def test_noisy_column_is_the_noisy_last_column_bit_for_bit(rng):
-    # a tracker that keeps only the noisy column against the last channel
-    # holds the last column of one that keeps the covariances, over random
-    # gating and snapshot scales spanning sixteen decades; in both modes an
-    # update returns the speech bins and writes their new columns into the
-    # first rows of column_out
-    n_bins, p = 33, 5
-    column = CovarianceTracker(p, n_bins, SM, keep="column")
-    full = CovarianceTracker(p, n_bins, SM)
-    assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
-    assert column.noise_inverse is None
-    for _ in range(300):
-        scale = 10.0 ** rng.uniform(-8.0, 8.0)
-        y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
-        mask = rng.random(n_bins) < rng.random()
-        outs = [np.full((n_bins, p), np.nan + 0j) for _ in range(2)]
-        speech = column.update_frame(y, mask, outs[0])
-        assert np.array_equal(speech, np.flatnonzero(mask))
-        assert np.array_equal(full.update_frame(y, mask, column_out=outs[1]), speech)
-        assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
-        for out in outs:
-            assert np.array_equal(out[:speech.size], column.noisy_column[speech])
-            assert np.isnan(out[speech.size:]).all()
-    assert np.array_equal(full.noisy_column, full.noisy[:, :, -1])
-
-
 def _ranked_rows(masks):
     """The (frame, bin) of each row of a block update, in the documented
     order: rank by rank, the bins of a rank by speech-frame count, most
@@ -212,21 +186,25 @@ def _ranked_rows(masks):
 
 
 def test_block_update_is_the_noisy_last_column_bit_for_bit(rng):
-    # the block update of a tracker that keeps only the column writes each
-    # speech (frame, bin)'s new column into its row of the stack, and each
-    # row is the last column of a full tracker that took the block frame
-    # by frame, over blocks of 1 to 20 frames with random gating (a bin
-    # that is speech in every frame, blocks with no speech, one-frame
-    # blocks) and snapshot scales spanning sixteen decades
+    # the block update of the column tracker writes each speech (frame,
+    # bin)'s new column into its row of the stack, and each row is the
+    # last column of a full tracker that took the block frame by frame,
+    # over blocks of 1 to 20 frames with random gating (a bin that is
+    # speech in every frame, blocks with no speech, one-frame blocks) and
+    # snapshot scales spanning sixteen decades, then over 300 one-frame
+    # blocks whose gating mixes every share of speech bins
     n_bins, p, always = 33, 5, 7
-    column = CovarianceTracker(p, n_bins, SM, keep="column")
+    column = ColumnTracker(p, n_bins, SM)
     full = CovarianceTracker(p, n_bins, SM)
-    lengths = [1, 1, 20, 3] + [int(n) for n in rng.integers(1, 21, size=60)]
+    assert np.array_equal(column.noisy_column, full.noisy[:, :, -1])
+    lengths = ([1, 1, 20, 3] + [int(n) for n in rng.integers(1, 21, size=60)]
+               + [1] * 300)
     for block, n in enumerate(lengths):
         scales = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
         y = scales * _random_snapshot(rng, p * n_bins * n).reshape(p, n_bins, n)
         masks = rng.random((n, n_bins)) < rng.random()
-        masks[:, always] = True
+        if block < 64:
+            masks[:, always] = True
         if block % 9 == 2:
             masks[:] = False
         out = np.full((n * n_bins, p), np.nan + 0j)
@@ -235,9 +213,9 @@ def test_block_update_is_the_noisy_last_column_bit_for_bit(rng):
         assert np.isnan(out[frames.size:]).all()
         rows = {}
         for i in range(n):
-            speech = full.update_frame(y[:, :, i], masks[i])
-            assert np.array_equal(speech, np.flatnonzero(masks[i]))
-            rows.update({(i, k): full.noisy[k, :, -1].copy() for k in speech})
+            full.update_frame(y[:, :, i], masks[i])
+            rows.update({(i, k): full.noisy[k, :, -1].copy()
+                         for k in np.flatnonzero(masks[i])})
         assert len(rows) == frames.size
         for row, frame, k in zip(out, frames, bins):
             assert np.array_equal(row, rows[frame, k]), (block, frame, k)
@@ -246,7 +224,7 @@ def test_block_update_is_the_noisy_last_column_bit_for_bit(rng):
 
 def test_block_update_rejects_nonfinite_and_leaves_the_column(rng):
     n_bins, p, n = 9, 4, 6
-    tracker = CovarianceTracker(p, n_bins, SM, keep="column")
+    tracker = ColumnTracker(p, n_bins, SM)
     y = _random_snapshot(rng, p * n_bins * n).reshape(p, n_bins, n)
     tracker.update_block(y, np.ones((n, n_bins), dtype=bool),
                          np.empty((n * n_bins, p), dtype=complex))
@@ -259,9 +237,6 @@ def test_block_update_rejects_nonfinite_and_leaves_the_column(rng):
         with pytest.raises(NumericalFailure):
             tracker.update_block(y, masks, np.empty((n * n_bins, p), dtype=complex))
         assert np.array_equal(tracker.noisy_column, before)
-    with pytest.raises(ConfigurationError):
-        CovarianceTracker(p, n_bins, SM).update_block(
-            y, masks, np.empty((n * n_bins, p), dtype=complex))
 
 
 def test_tracked_inverse_matches_inverse_of_noise(rng):
@@ -352,7 +327,7 @@ def _strided_frames(y: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("keep", ["covariance", "inverse"])
 def test_gated_update_matches_reference_bit_for_bit(rng, keep, monkeypatch):
     # the in-place update equals the plain gated recursion of
-    # reference.gated_update, matrices, inverses and columns, bit for bit:
+    # reference.gated_update, matrices and inverses, bit for bit:
     # over mixed masks, frames gated wholly as speech or wholly as noise,
     # snapshot scales spanning eight decades, and 100 frames of exact zeros
     # in a third of the bins, whose inverses are re-seeded when the signal
@@ -380,19 +355,16 @@ def test_gated_update_matches_reference_bit_for_bit(rng, keep, monkeypatch):
     masks[10:20] = False
     masks[30:35] = True
     frames = _strided_frames(y)
-    column = np.full((n_bins, p), np.nan + 0j)
     for i in range(n_frames):
         if i == 40:
             before_silence = sum(reseeded)
-        speech = tracker.update_frame(frames[:, :, i], masks[i], column)
-        phi_y, phi_n, inv_n, columns = reference.gated_update(
+        tracker.update_frame(frames[:, :, i], masks[i])
+        phi_y, phi_n, inv_n = reference.gated_update(
             phi_y, phi_n, inv_n, y[:, :, i], masks[i], sm)
-        assert np.array_equal(speech, np.flatnonzero(masks[i]))
         assert np.array_equal(tracker.noisy, phi_y), i
         assert np.array_equal(tracker.noise, phi_n), i
         if keep == "inverse":
             assert np.array_equal(tracker.noise_inverse, inv_n), i
-        assert np.array_equal(column[:speech.size], columns)
     if keep == "inverse":
         # the kernel and the reference both re-seed through the counter
         assert before_silence > 0, reseeded
@@ -469,15 +441,21 @@ def test_tracker_validation(rng):
     with pytest.raises(ConfigurationError):
         CovarianceTracker(0, 3, SM)
     # the noise PSD is the SPP detector's own, the noisy covariance comes
-    # with the noise covariance, and nothing keeps a Cholesky factor
-    for unknown in ("none", "matrix", "psd", "cholesky"):
+    # with the noise covariance, the column has a tracker of its own, and
+    # nothing keeps a Cholesky factor
+    for unknown in ("none", "matrix", "psd", "column", "cholesky"):
         with pytest.raises(ConfigurationError, match="keep"):
             CovarianceTracker(2, 3, SM, keep=unknown)
-    column = CovarianceTracker(2, 3, SM, keep="column")
-    with pytest.raises(ConfigurationError, match="keeps no noise statistic"):
-        column.noise
-    with pytest.raises(ConfigurationError, match="only the noisy column"):
-        column.noisy
+    # the column tracker keeps no noise statistic and no matrix
+    column = ColumnTracker(2, 3, SM)
+    for matrix in ("noise", "noisy", "noise_inverse"):
+        assert not hasattr(column, matrix), matrix
+    for n_channels, n_bins in ((0, 3), (2, 0)):
+        with pytest.raises(ConfigurationError):
+            ColumnTracker(n_channels, n_bins, SM)
+    with pytest.raises(ConfigurationError, match="block shape"):
+        column.update_block(np.zeros((2, 4, 1), dtype=complex),
+                            np.ones((1, 4), bool), np.empty((4, 2), dtype=complex))
     with pytest.raises(ConfigurationError):
         CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0),
                           keep="inverse")

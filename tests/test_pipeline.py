@@ -7,7 +7,7 @@ import pytest
 
 from rtfdoa import activity, stft
 from rtfdoa.activity import read_labels, write_labels
-from rtfdoa.covariance import CovarianceTracker, SmoothingConfig
+from rtfdoa.covariance import ColumnTracker, CovarianceTracker, SmoothingConfig
 from rtfdoa.doa import argmin_directions, cost_surface_frames
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.estimators import batch_cw
@@ -130,17 +130,18 @@ def test_sc_never_reads_noise_covariance(database, monkeypatch):
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)
 def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
         database, monkeypatch, detector):
-    # the tracker keeps the least that the estimator set reads: only the
-    # noisy column for sc alone, the tracked inverse with any cw-*, the
-    # covariances otherwise. What it keeps, and which estimators share the
-    # pass, changes no estimator's output, bit for bit, in blocks of 16
-    # frames (under SPP the first block lies inside the bootstrap)
+    # each estimator set keeps the least that it reads: sc a noisy column
+    # tracker of its own; cs-head and the cw-* estimators one shared
+    # covariance tracker, which keeps the tracked inverse with any cw-*,
+    # the covariances otherwise. What is kept, and which estimators share
+    # the pass, changes no estimator's output, bit for bit, in blocks of
+    # 16 frames (under SPP the first block lies inside the bootstrap)
     out = _scene(seed=51, duration_s=1.5, snr_db=5.0)
     labels = _labels(out)
     config = RunConfig(detector=detector)
     monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
     kept = []
-    init = CovarianceTracker.__init__
+    init, init_column = CovarianceTracker.__init__, ColumnTracker.__init__
 
     def recorded(self, *args, **kwargs):
         bound = inspect.signature(init).bind(self, *args, **kwargs)
@@ -148,20 +149,24 @@ def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
         kept.append(bound.arguments["keep"])
         init(self, *args, **kwargs)
 
+    def recorded_column(self, *args, **kwargs):
+        kept.append("column")
+        init_column(self, *args, **kwargs)
+
     monkeypatch.setattr(CovarianceTracker, "__init__", recorded)
+    monkeypatch.setattr(ColumnTracker, "__init__", recorded_column)
 
     def run(names):
         kept.clear()
         trajs = track_multi(out.mixed, database, config, names, labels,
                             keep_cost_surfaces=True)
-        if names == ("sc",):
-            least = "column"
-        elif any(name.startswith("cw") for name in names):
-            least = "inverse"
-        else:
-            least = "covariance"
-        # the tracker of band 0, which runs in this process
-        assert kept == [least], (names, kept)
+        least = ["column"] if "sc" in names else []
+        if any(name.startswith("cw") for name in names):
+            least.append("inverse")
+        elif "cs-head" in names:
+            least.append("covariance")
+        # the trackers of band 0, which runs in this process
+        assert sorted(kept) == sorted(least), (names, kept)
         return trajs
 
     alone = {name: run((name,))[name] for name in ESTIMATOR_NAMES}
@@ -178,12 +183,16 @@ def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)
 def test_sc_alone_block_wise_decides_as_sc_frame_by_frame(database, monkeypatch,
                                                           detector):
-    # sc alone takes each block in one update (rank by rank); beside
-    # cs-head the tracker takes it frame by frame. Both give sc's outputs
-    # bit for bit, in blocks of 16 frames whose oracle grid holds a block
-    # all speech, a block with no speech and a bin speech in every frame
-    # of every other block, and whose last block is one frame
+    # sc takes each block in one update of its column (rank by rank),
+    # alone and beside an estimator that the covariance tracker serves
+    # frame by frame; every set gives sc's block update the same masks
+    # and sc's outputs bit for bit, in blocks of 16 frames whose oracle
+    # grid holds a block all speech, a block with no speech and a bin
+    # speech in every frame of every other block, and whose last block is
+    # one frame. One band tracks every bin in this process, where the
+    # block updates are recorded
     monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    monkeypatch.setattr(pipeline, "MAX_BANDS", 1)
     # 80 frames: blocks of 15, 16, 16, 16, 16 and 1 frames
     out = _scene(seed=52, duration_s=(512 + 79 * 256) / FS, snr_db=0.0)
     labels = _labels(out)
@@ -192,28 +201,32 @@ def test_sc_alone_block_wise_decides_as_sc_frame_by_frame(database, monkeypatch,
     labels[:, 31:47] = False
     config = RunConfig(detector=detector)
     blocks = []
-    update = CovarianceTracker.update_block
+    update = ColumnTracker.update_block
 
     def recorded(self, y, masks, stack):
         blocks.append(np.array(masks))
         return update(self, y, masks, stack)
 
-    monkeypatch.setattr(CovarianceTracker, "update_block", recorded)
+    monkeypatch.setattr(ColumnTracker, "update_block", recorded)
     alone = track_multi(out.mixed, database, config, ("sc",), labels,
                         keep_cost_surfaces=True)["sc"]
     assert [len(masks) for masks in blocks] == [15, 16, 16, 16, 16, 1]
     if detector == "oracle":
         assert blocks[1].all() and not blocks[2].any()
         assert all(masks[:, 40].all() for masks in blocks[:2] + blocks[3:])
-    blocks.clear()
-    beside = track_multi(out.mixed, database, config, ("sc", "cs-head"), labels,
-                         keep_cost_surfaces=True)["sc"]
-    # beside cs-head no block update runs
-    assert blocks == []
+    alone_blocks = blocks[:]
     assert alone.valid.any()
-    for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
-        assert np.array_equal(getattr(alone, field), getattr(beside, field),
-                              equal_nan=True), (detector, field)
+    for other in ("cs-head", "cw-ext"):
+        blocks.clear()
+        beside = track_multi(out.mixed, database, config, ("sc", other), labels,
+                             keep_cost_surfaces=True)["sc"]
+        # beside the other estimator, the same block updates run
+        assert len(blocks) == len(alone_blocks), other
+        for got, want in zip(blocks, alone_blocks):
+            assert np.array_equal(got, want), other
+        for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
+            assert np.array_equal(getattr(alone, field), getattr(beside, field),
+                                  equal_nan=True), (detector, other, field)
 
 
 def test_cost_surface_request(database):
