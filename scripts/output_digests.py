@@ -20,7 +20,10 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
   azimuths, three SNRs, two seeds) under each detector;
 * ``estimate/...``: the CSV and the ``--cost-surface`` dump of
   ``rtfdoa estimate`` for every estimator and detector on three
-  simulated recordings.
+  simulated recordings, written as 32-bit float WAVs, and on the first
+  of them written as 16-, 24- and 32-bit integer PCM (16 and 32 bits by
+  scipy's writer, 24 bits, which it does not write, by the standard
+  library's ``wave``), each of which is decoded apart.
 
 A change meant to leave every output as it was is checked by running
 this in the parent's checkout and in the change's, and diffing the two
@@ -34,11 +37,13 @@ import json
 import os
 import sys
 import tempfile
+import wave
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
+import scipy.io.wavfile
 
 from rtfdoa.activity import write_labels
 from rtfdoa.cli import main as cli_main
@@ -152,6 +157,22 @@ def sweep_digests(db) -> None:
         print(f"sweep/{detector} {hashlib.sha256(blob).hexdigest()}")
 
 
+def write_pcm(path: Path, clip: AudioClip, bits: int) -> None:
+    """Write the clip as ``bits``-bit integer PCM, rounded and clipped."""
+    scale = 2.0 ** (bits - 1)
+    pcm = np.clip(np.round(clip.samples.T * scale), -scale, scale - 1)
+    if bits == 24:
+        wide = np.ascontiguousarray(pcm, dtype="<i4").view(np.uint8)
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(clip.n_channels)
+            fh.setsampwidth(3)
+            fh.setframerate(clip.sample_rate)
+            fh.writeframes(wide.reshape(-1, 4)[:, :3].tobytes())
+    else:
+        scipy.io.wavfile.write(path, clip.sample_rate,
+                               pcm.astype(np.int16 if bits == 16 else np.int32))
+
+
 def estimate_digests(db) -> None:
     specs = {
         "static-10dB": SceneSpec(seed=41, duration_s=4.0, snr_db=10.0,
@@ -166,23 +187,35 @@ def estimate_digests(db) -> None:
         save_database(db, tmp / "db.rtfdb")
         for scene_name, spec in specs.items():
             scene = synthesize(spec)
-            write_wav(tmp / "mixed.wav", scene.mixed)
             write_labels(tmp / "labels.bin",
                          oracle_label_grid(scene, RunConfig()))
-            for detector, estimator in itertools.product(DETECTOR_NAMES,
-                                                         ESTIMATOR_NAMES):
-                args = ["estimate", "--input", str(tmp / "mixed.wav"),
-                        "--database", str(tmp / "db.rtfdb"),
-                        "--output", str(tmp / "doa.csv"),
-                        "--cost-surface", str(tmp / "cost.npy"),
-                        "--detector", detector, "--estimator", estimator]
-                if detector == "oracle":
-                    args += ["--labels", str(tmp / "labels.bin")]
-                code = cli_main(args)
-                csv = hashlib.sha256((tmp / "doa.csv").read_bytes()).hexdigest()
-                surface = digest(np.load(tmp / "cost.npy"))
-                print(f"estimate/{scene_name}/{detector}/{estimator} "
-                      f"exit={code} {csv} {surface}")
+            formats = ["f32"] + (["i16", "i24", "i32"]
+                                 if scene_name == "static-10dB" else [])
+            for fmt in formats:
+                if fmt == "f32":
+                    write_wav(tmp / "mixed.wav", scene.mixed)
+                else:
+                    write_pcm(tmp / "mixed.wav", scene.mixed, int(fmt[1:]))
+                name = scene_name if fmt == "f32" else f"{scene_name}-{fmt}"
+                estimate_runs(tmp, name)
+
+
+def estimate_runs(tmp: Path, name: str) -> None:
+    """Print the digests of ``rtfdoa estimate`` on ``tmp/mixed.wav`` for
+    every detector and estimator."""
+    for detector, estimator in itertools.product(DETECTOR_NAMES, ESTIMATOR_NAMES):
+        args = ["estimate", "--input", str(tmp / "mixed.wav"),
+                "--database", str(tmp / "db.rtfdb"),
+                "--output", str(tmp / "doa.csv"),
+                "--cost-surface", str(tmp / "cost.npy"),
+                "--detector", detector, "--estimator", estimator]
+        if detector == "oracle":
+            args += ["--labels", str(tmp / "labels.bin")]
+        code = cli_main(args)
+        csv = hashlib.sha256((tmp / "doa.csv").read_bytes()).hexdigest()
+        surface = digest(np.load(tmp / "cost.npy"))
+        print(f"estimate/{name}/{detector}/{estimator} "
+              f"exit={code} {csv} {surface}")
 
 
 def main() -> int:

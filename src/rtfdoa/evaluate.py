@@ -175,18 +175,16 @@ def run_scene(output: SceneOutput, db: PrototypeDatabase, config: RunConfig,
 
 
 def write_trajectory_csv(path: str | Path, traj: DoaTrajectory) -> None:
-    """Stable five-column CSV; invalid azimuth and cost print as nan."""
+    """Stable five-column CSV; invalid azimuth and cost print as nan.
+
+    The rows are those of :func:`csv.writer`'s default dialect (no cell
+    needs quoting), formatted one line each from Python floats."""
+    rows = zip(traj.frame_times.tolist(), traj.azimuth_deg.tolist(),
+               traj.cost.tolist(), traj.valid.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for i in range(traj.n_frames):
-            writer.writerow([
-                i,
-                f"{traj.frame_times[i]:.6f}",
-                f"{traj.azimuth_deg[i]:.4f}",
-                f"{traj.cost[i]:.8f}",
-                int(traj.valid[i]),
-            ])
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+        fh.writelines(f"{i},{t:.6f},{az:.4f},{cost:.8f},{ok:d}\r\n"
+                      for i, (t, az, cost, ok) in enumerate(rows))
 
 
 def _read_table(path: str | Path, columns: tuple[str, ...], what: str) -> np.ndarray:

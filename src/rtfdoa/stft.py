@@ -8,8 +8,15 @@ that does not fill a whole frame is dropped.
 Audio reaches the tracker through one small interface, which
 :class:`AudioClip` (samples in memory) and :class:`WavReader` (a file
 read block by block) both provide: ``n_channels``, ``sample_rate``,
-``n_samples`` and ``blocks(n)``, an iterator of consecutive
-``[channels, n]`` float64 blocks whose last one may be shorter.
+``n_samples`` and ``blocks(n, overlap=0)``, an iterator of channel-major
+float64 blocks of ``n`` new samples each (the last may have fewer), each
+led by the ``overlap`` samples that precede them (fewer at the start).
+A tracker that asks for the samples its last frames left unfinished gets
+blocks that it frames as it would the whole recording, without copying
+one block's end in front of the next: a clip's blocks are overlapping
+views of its samples, and a file's are views of one buffer into which
+each block is decoded behind the end of the one before it, which the next
+block overwrites.
 """
 from __future__ import annotations
 
@@ -86,10 +93,11 @@ class AudioClip:
     def duration(self) -> float:
         return self.n_samples / self.sample_rate
 
-    def blocks(self, n: int) -> Iterator[np.ndarray]:
-        """Consecutive [channels, n] views of the samples."""
+    def blocks(self, n: int, overlap: int = 0) -> Iterator[np.ndarray]:
+        """Views of the samples: ``n`` new ones a block, led by the
+        ``overlap`` before them (see the module docstring)."""
         for start in range(0, self.n_samples, n):
-            yield self.samples[:, start:start + n]
+            yield self.samples[:, max(start - overlap, 0):start + n]
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def frame_times(n_frames: int, frame_len: int, hop: int,
 
 
 def analyze(clip: AudioClip, cfg: StftConfig | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None, finite: bool = False) -> np.ndarray:
     """Windowed one-sided STFT of all channels, [channels, bins, frames]
     complex128; every STFT of the package is this one.
 
@@ -141,14 +149,15 @@ def analyze(clip: AudioClip, cfg: StftConfig | None = None,
     scratch buffer, a few frames at a time, so that no windowed copy of the
     whole clip is made. Raises :class:`ConfigurationError` when the clip is
     shorter than one frame or ``out`` does not fit, and
-    :class:`NumericalFailure` on non-finite samples.
+    :class:`NumericalFailure` on non-finite samples, which are not looked
+    for if ``finite`` says that the caller has checked every sample.
     """
     cfg = cfg or StftConfig()
     x = clip.samples
     if x.shape[1] < cfg.frame_len:
         raise ConfigurationError(
             f"clip of {x.shape[1]} samples is shorter than one frame ({cfg.frame_len})")
-    if not np.isfinite(x).all():
+    if not finite and not np.isfinite(x).all():
         raise NumericalFailure("clip contains non-finite samples")
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len, axis=1)
     frames = frames[:, ::cfg.hop, :]                      # [C, L, N]
@@ -247,30 +256,41 @@ class WavReader:
                 f"{frame_bytes}-byte sample frames)")
         return tag, channels, rate, frame_bytes, bits
 
-    def _decode(self, raw: bytes) -> np.ndarray:
+    def _decode(self, raw, out: np.ndarray) -> None:
+        """Decode whole sample frames into the [channels, n] float64 ``out``."""
         if self._width == 3:
             wide = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
             wide[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
             stored = wide.view(self._dtype)
         else:
             stored = np.frombuffer(raw, dtype=self._dtype)
-        samples = stored.reshape(-1, self.n_channels).astype(np.float64)
+        np.copyto(out, stored.reshape(-1, self.n_channels).T)
         if self._scale != 1.0:
-            samples *= self._scale
-        return samples.T
+            out *= self._scale
 
-    def blocks(self, n: int) -> Iterator[np.ndarray]:
-        """Consecutive [channels, n] float64 blocks of the file's samples."""
-        left = self.n_samples * self._frame_bytes
+    def blocks(self, n: int, overlap: int = 0) -> Iterator[np.ndarray]:
+        """The file's samples, ``n`` new ones a block, led by the
+        ``overlap`` before them (see the module docstring): views of one
+        [channels, overlap + n] buffer, which the next block overwrites.
+        The file is read into one buffer of bytes, too."""
+        n = min(n, self.n_samples)
+        buffer = np.empty((self.n_channels, overlap + n))
+        raw = memoryview(bytearray(n * self._frame_bytes))
+        end = 0  # samples held in the buffer
+        left = self.n_samples
         with open(self.path, "rb") as fh:
             fh.seek(self._data_start)
             while left:
-                want = min(n * self._frame_bytes, left)
-                raw = fh.read(want)
-                if len(raw) < want:
+                count = min(n, left)
+                want = count * self._frame_bytes
+                if fh.readinto(raw[:want]) < want:
                     raise ConfigurationError(f"{self.path} is truncated")
-                left -= want
-                yield self._decode(raw)
+                left -= count
+                keep = min(overlap, end)
+                buffer[:, :keep] = buffer[:, end - keep:end]
+                end = keep + count
+                self._decode(raw[:want], buffer[:, keep:end])
+                yield buffer[:, :end]
 
 
 def read_wav(path) -> AudioClip:

@@ -313,6 +313,76 @@ def test_cost_surface_reads_no_unwritten_entry_but_frame_0(database, rng,
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def _skewed_block(rng, n_frames, n_bins, n_mics, dtype):
+    """Held estimates of a block whose bins' write counts are skewed: one
+    bin of each chunk written in every frame, most once or twice, every
+    seventh only at frame 0, a run of chunks written in all frames but
+    one, and a few bins with any count. Returns the values with NaN in
+    every entry that is not written (the cost must read none but frame
+    0's), the held values, and the written mask."""
+    written = np.zeros((n_frames, n_bins), dtype=bool)
+    for k in range(1, n_bins):
+        frames = rng.choice(n_frames, size=rng.integers(1, 3), replace=False)
+        written[frames, k] = True
+    written[:, 5::CHUNK_BINS] = True
+    written[:, 7::7] = False
+    written[:, 193:225] = rng.random((n_frames, 32)) < 0.5
+    written[:, 225:] = True
+    written[rng.integers(n_frames), 225:] = False
+    written[0] = True
+    fresh = (rng.standard_normal((n_frames, n_bins, n_mics))
+             + 1j * rng.standard_normal((n_frames, n_bins, n_mics))).astype(dtype)
+    last = np.maximum.accumulate(
+        np.where(written, np.arange(n_frames)[:, None], 0), axis=0)
+    held = np.take_along_axis(fresh, last[:, :, None], axis=0)
+    values = np.where(written[:, :, None], fresh, np.nan).astype(dtype)
+    return values, held, written
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("bands", [1, 2])
+def test_cost_surface_of_skewed_write_counts_is_that_of_each_frame(
+        database, rng, dtype, bands):
+    # blocks as the pipeline costs them one after another, a short last one
+    # included, with bins written once, twice, never after frame 0 or in
+    # nearly every frame: equal to each frame costed alone, bit for bit
+    for n_frames in (128, 128, 37, 2):
+        values, held, written = _skewed_block(rng, n_frames, database.n_bins,
+                                              database.n_mics, dtype)
+        valid = np.logical_or.accumulate(written & (rng.random(written.shape) < 0.6))
+        valid[:, 40:50] = rng.random((n_frames, 10)) < 0.5  # toggles
+        if bands == 1:
+            got = cost_surface_frames(values, valid, database, written)
+        else:
+            later = [cost_chunk_sums(values[:, 129:], valid[:, 129:], database,
+                                     written[:, 129:], first_bin=129)]
+            got = cost_surface_frames(values[:, :129], valid[:, :129], database,
+                                      written[:, :129], later)
+        want = np.concatenate([cost_surface_frames(held[l:l + 1], valid[l:l + 1],
+                                                   database)
+                               for l in range(n_frames)])
+        assert not np.isnan(want[1:]).any()
+        assert np.array_equal(got, want), n_frames
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_cost_surface_of_chunks_written_in_every_frame(database, rng, dtype):
+    # every chunk read directly, as for cs-head and cw-*, and direct chunks
+    # between gathered ones, which they split into passes
+    n_frames = 24
+    values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
+                         0.5).astype(dtype)
+    valid = rng.random((n_frames, database.n_bins)) < 0.8
+    want = np.concatenate([cost_surface_frames(values[l:l + 1], valid[l:l + 1],
+                                               database)
+                           for l in range(n_frames)])
+    written = np.ones((n_frames, database.n_bins), dtype=bool)
+    assert np.array_equal(cost_surface_frames(values, valid, database, written), want)
+    written = _written_where_changed(values)
+    written[:, 33:65] = written[:, 129:161] = True
+    assert np.array_equal(cost_surface_frames(values, valid, database, written), want)
+
+
 def test_cost_surface_of_bands_equals_that_of_all_bins(database, rng):
     # the bands' chunk sums are added in bin order, so any split into whole
     # chunks gives the surface bit for bit

@@ -220,6 +220,32 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back["valid"], traj.valid)
 
 
+def test_trajectory_csv_bytes_are_those_of_csv_writer(tmp_path, rng):
+    # NaN warm-up rows, invalid rows with and without an azimuth, a
+    # negative zero and long frame times, against the csv module's rows
+    n = 300
+    az = rng.uniform(-180.0, 180.0, n)
+    cost = rng.uniform(0.0, 1.6, n)
+    az[:40] = cost[:40] = np.nan
+    valid = rng.random(n) < 0.8
+    valid[:40] = False
+    az[60:70] = np.nan  # invalid frames that kept no azimuth
+    az[75] = -0.0
+    times = (np.arange(n) * 256 + 256) / 16000.0 + 3600.0
+    traj = replace(_traj(az, valid, warmup=40, times=times), cost=cost)
+    path = tmp_path / "doa.csv"
+    write_trajectory_csv(path, traj)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(evaluate.TRAJECTORY_COLUMNS)
+        for i in range(n):
+            writer.writerow([i, f"{times[i]:.6f}", f"{az[i]:.4f}",
+                             f"{cost[i]:.8f}", int(valid[i])])
+    assert path.read_bytes() == want.read_bytes()
+    assert b"\r\n39,3600.640000,nan,nan,0\r\n" in want.read_bytes()
+
+
 def test_truth_csv_roundtrip(tmp_path):
     times = np.array([0.016, 0.032])
     truth = np.array([35.0, 36.5])

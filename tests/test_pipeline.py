@@ -9,7 +9,7 @@ from rtfdoa import activity, stft
 from rtfdoa.activity import read_labels, write_labels
 from rtfdoa.covariance import ColumnTracker, CovarianceTracker, SmoothingConfig
 from rtfdoa.doa import argmin_directions, cost_surface_frames
-from rtfdoa.errors import ConfigurationError
+from rtfdoa.errors import ConfigurationError, NumericalFailure
 from rtfdoa.estimators import batch_cw
 from rtfdoa.evaluate import angular_errors, oracle_label_grid
 from rtfdoa import pipeline
@@ -341,6 +341,70 @@ def test_block_length_leaves_every_output_unchanged(database, monkeypatch, detec
                                           getattr(wholes[key][name], field),
                                           equal_nan=True), \
                         (key, block_frames, name, field)
+
+
+def _write_as(path, samples, fmt):
+    """Write [channels, n] samples in [-1, 1) as float32 (``"f32"``) or as
+    16-, 24- or 32-bit PCM; return the samples the file holds, as float64."""
+    import scipy.io.wavfile
+
+    from wavfiles import PCM, fmt_chunk, wav_bytes
+
+    if fmt == "f32":
+        stored = samples.astype(np.float32)
+        scipy.io.wavfile.write(path, FS, np.ascontiguousarray(stored.T))
+        return stored.astype(np.float64)
+    bits = int(fmt[1:])
+    pcm = np.clip(np.round(samples * 2.0 ** (bits - 1)),
+                  -2.0 ** (bits - 1), 2.0 ** (bits - 1) - 1).astype(np.int32)
+    if bits == 24:
+        wide = np.ascontiguousarray(pcm.T, dtype="<i4").view(np.uint8)
+        path.write_bytes(wav_bytes(fmt_chunk(PCM, len(pcm), 24),
+                                   wide.reshape(-1, 4)[:, :3].tobytes()))
+    else:
+        scipy.io.wavfile.write(path, FS, np.ascontiguousarray(
+            pcm.T.astype(np.int16 if bits == 16 else np.int32)))
+    return pcm * 2.0 ** (1 - bits)
+
+
+@pytest.mark.parametrize("fmt", ("f32", "i16", "i24", "i32"))
+def test_a_file_tracks_as_its_samples_in_memory(database, monkeypatch, tmp_path,
+                                                fmt):
+    # a file's blocks are decoded into one buffer behind the end of the
+    # block before, a clip's are views of its samples: both frame the same
+    # samples alike, over 5 whole blocks of 16 frames, a last one of 3
+    # frames' hops and 100 samples that finish no frame
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    out = _scene(seed=52, duration_s=((5 * 16 + 3) * 256 + 100) / FS, snr_db=5.0)
+    samples = out.mixed.samples / (1.01 * np.abs(out.mixed.samples).max())
+    path = tmp_path / f"{fmt}.wav"
+    held = _write_as(path, samples, fmt)
+    assert np.array_equal(stft.read_wav(path).samples, held)
+    config = RunConfig(detector="spp")
+    from_file = track_multi(stft.WavReader(path), database, config, ESTIMATOR_NAMES)
+    from_clip = track_multi(AudioClip(held, FS), database, config, ESTIMATOR_NAMES)
+    assert from_file["sc"].n_frames == (5 * 16 + 3 + 100 // 256) - 1
+    for name in ESTIMATOR_NAMES:
+        for field in ("azimuth_deg", "cost", "valid"):
+            assert np.array_equal(getattr(from_file[name], field),
+                                  getattr(from_clip[name], field),
+                                  equal_nan=True), (name, field)
+
+
+def test_a_non_finite_sample_that_no_frame_reads_is_raised(database, monkeypatch,
+                                                            tmp_path):
+    # the last block's 100 new samples finish no frame, and are checked all
+    # the same, from a clip and from a file
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    samples = 0.1 * np.random.default_rng(8).standard_normal((5, 3 * 16 * 256 + 100))
+    samples[3, -50] = np.nan
+    n_frames = stft.num_frames(samples.shape[1], RunConfig().stft)
+    assert (n_frames - 1) * 256 + 512 < samples.shape[1] - 50
+    path = tmp_path / "late_nan.wav"
+    stft.write_wav(path, AudioClip(samples, FS))
+    for source in (AudioClip(samples, FS), stft.WavReader(path)):
+        with pytest.raises(NumericalFailure, match="non-finite samples"):
+            track_multi(source, database, RunConfig(detector="spp"), ("sc",))
 
 
 def test_timed_layers_run_where_they_are_looked_up(database, monkeypatch):

@@ -279,8 +279,9 @@ def test_wav_reads_extensible_five_channel_pcm_and_float(tmp_path, rng):
     clip = read_wav(path)
     assert (clip.n_channels, clip.n_samples, clip.sample_rate) == (5, 300, FS)
     np.testing.assert_array_equal(clip.samples, floats.astype(np.float64))
-    # blocks that do not divide the length concatenate to the whole file
-    blocks = list(WavReader(path).blocks(7))
+    # blocks that do not divide the length concatenate to the whole file;
+    # each is valid until the next one is drawn
+    blocks = [block.copy() for block in WavReader(path).blocks(7)]
     assert [b.shape for b in blocks[-2:]] == [(5, 7), (5, 300 % 7)]
     np.testing.assert_array_equal(np.concatenate(blocks, axis=1), clip.samples)
 
