@@ -348,7 +348,7 @@ def _write_as(path, samples, fmt):
     16-, 24- or 32-bit PCM; return the samples the file holds, as float64."""
     import scipy.io.wavfile
 
-    from wavfiles import PCM, fmt_chunk, wav_bytes
+    from wavfiles import PCM, fmt_chunk, int24_bytes, wav_bytes
 
     if fmt == "f32":
         stored = samples.astype(np.float32)
@@ -358,9 +358,7 @@ def _write_as(path, samples, fmt):
     pcm = np.clip(np.round(samples * 2.0 ** (bits - 1)),
                   -2.0 ** (bits - 1), 2.0 ** (bits - 1) - 1).astype(np.int32)
     if bits == 24:
-        wide = np.ascontiguousarray(pcm.T, dtype="<i4").view(np.uint8)
-        path.write_bytes(wav_bytes(fmt_chunk(PCM, len(pcm), 24),
-                                   wide.reshape(-1, 4)[:, :3].tobytes()))
+        path.write_bytes(wav_bytes(fmt_chunk(PCM, len(pcm), 24), int24_bytes(pcm)))
     else:
         scipy.io.wavfile.write(path, FS, np.ascontiguousarray(
             pcm.T.astype(np.int16 if bits == 16 else np.int32)))

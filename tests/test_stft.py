@@ -15,7 +15,7 @@ from rtfdoa.stft import (
     sqrt_hann,
     write_wav,
 )
-from wavfiles import IEEE_FLOAT, PCM, chunk, fmt_chunk, wav_bytes
+from wavfiles import IEEE_FLOAT, PCM, chunk, fmt_chunk, int24_bytes, wav_bytes
 
 FS = 16000
 
@@ -261,17 +261,11 @@ def test_wav_rejects_unsupported_dtype(tmp_path):
             read_wav(path)
 
 
-def _int24_bytes(pcm: np.ndarray) -> bytes:
-    """[channels, samples] integers in [-2^23, 2^23) as interleaved 24-bit PCM."""
-    wide = np.ascontiguousarray(pcm.T, dtype="<i4").view(np.uint8).reshape(-1, 4)
-    return wide[:, :3].tobytes()
-
-
 def test_wav_reads_extensible_five_channel_pcm_and_float(tmp_path, rng):
     path = tmp_path / "ext.wav"
     pcm = rng.integers(-2 ** 23, 2 ** 23, size=(5, 300))
     path.write_bytes(wav_bytes(fmt_chunk(PCM, 5, 24, extensible=True),
-                               _int24_bytes(pcm)))
+                               int24_bytes(pcm)))
     np.testing.assert_array_equal(read_wav(path).samples, pcm * 2.0 ** -23)
     floats = rng.standard_normal((5, 300)).astype(np.float32)
     path.write_bytes(wav_bytes(fmt_chunk(IEEE_FLOAT, 5, 32, extensible=True),

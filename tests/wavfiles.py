@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 PCM = 1
 IEEE_FLOAT = 3
 EXTENSIBLE = 0xFFFE
@@ -41,3 +43,9 @@ def wav_header(fmt: bytes, data_bytes: int, extra: tuple[bytes, ...] = ()) -> by
 
 def wav_bytes(fmt: bytes, data: bytes, extra: tuple[bytes, ...] = ()) -> bytes:
     return wav_header(fmt, len(data), extra) + data + b"\0" * (len(data) % 2)
+
+
+def int24_bytes(pcm: np.ndarray) -> bytes:
+    """[channels, samples] integers in [-2^23, 2^23) as interleaved 24-bit PCM."""
+    wide = np.ascontiguousarray(pcm.T, dtype="<i4").view(np.uint8).reshape(-1, 4)
+    return wide[:, :3].tobytes()
