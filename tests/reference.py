@@ -226,8 +226,8 @@ def power_step(w: np.ndarray, start: np.ndarray, phi_y: np.ndarray,
 
 
 def unit_conjugates(est: np.ndarray) -> np.ndarray:
-    """The conjugates of a [c, n, M] stack divided by their norms over M,
+    """The conjugates of a [..., M] stack divided by their norms over M,
     at least the smallest normal number of the dtype."""
     tiny = np.finfo(est.real.dtype).tiny
-    norms = np.maximum(np.linalg.norm(est, axis=2), tiny)
-    return est.conj() / norms[:, :, None]
+    norms = np.maximum(np.linalg.norm(est, axis=-1), tiny)
+    return est.conj() / norms[..., None]

@@ -421,13 +421,15 @@ def test_cost_normalization_matches_reference_bit_for_bit(database, rng,
     n_frames = 30
     values = _held_block(rng, n_frames, database.n_bins, database.n_mics,
                          0.4).astype(dtype)
-    values *= (10.0 ** rng.uniform(-8.0, 8.0, values.shape[:2]))[:, :, None]
+    values *= (10.0 ** rng.uniform(-8.0, 8.0, values.shape[1]))[:, None]
     values[:, 70:75] = 0.0
     written = np.zeros((n_frames, database.n_bins), dtype=bool)
     written[1:] = (values[1:] != values[:-1]).any(axis=2)
+    assert 0.2 < written[1:].mean() < 0.6  # gathered chunks
     written[:, 33:97] = True  # chunks read directly
     valid = rng.random(written.shape) < 0.8
-    for est in (values[:, 33:65].transpose(1, 0, 2), values[:8, 1:33].copy()):
+    for est in (values[:, 33:65].transpose(1, 0, 2), values[:8, 1:33].copy(),
+                values[:8, 1:33].reshape(-1, database.n_mics)):
         unit, want = doa._unit_conjugates(est), reference.unit_conjugates(est)
         assert unit.dtype == want.dtype and unit.strides == want.strides
         assert np.array_equal(unit, want)
