@@ -348,9 +348,8 @@ def cost_surface_frames(values: np.ndarray, valid: np.ndarray,
     ``values`` is [L, K, M] (any complex dtype; single precision is fine
     and fast), ``valid`` is [L, K]. The DC bin and invalid bins are
     excluded from the mean; frames with no valid bin get a NaN row.
-    Angles are computed in passes of whole bin chunks, each holding at
-    most as many as one chunk of every frame, to bound memory, and the
-    chunks' sums are added up in bin order.
+    Angles are computed in passes of whole bin chunks to bound memory, and
+    the chunks' sums are added up in bin order.
 
     ``written`` [L, K] marks where a value may differ from the previous
     frame's, as the pipeline's hold-last-valid stores record it; without
