@@ -21,9 +21,8 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
 * ``estimate/...``: the CSV and the ``--cost-surface`` dump of
   ``rtfdoa estimate`` for every estimator and detector on three
   simulated recordings, written as 32-bit float WAVs, and on the first
-  of them written as 16-, 24- and 32-bit integer PCM (16 and 32 bits by
-  scipy's writer, 24 bits, which it does not write, by the standard
-  library's ``wave``), each of which is decoded apart.
+  of them written as 16-, 24- and 32-bit integer PCM by the tests'
+  ``wavfiles.write_pcm``, since each is decoded apart.
 
 A change meant to leave every output as it was is checked by running
 this in the parent's checkout and in the change's, and diffing the two
@@ -37,13 +36,13 @@ import json
 import os
 import sys
 import tempfile
-import wave
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import numpy as np
-import scipy.io.wavfile
 
 from rtfdoa.activity import write_labels
 from rtfdoa.cli import main as cli_main
@@ -53,6 +52,7 @@ from rtfdoa.geometry import default_geometry
 from rtfdoa.pipeline import DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track_multi
 from rtfdoa.simulate import SceneSpec, synthesize
 from rtfdoa.stft import AudioClip, write_wav
+from wavfiles import write_pcm
 
 COST_FROM = (0, 70)
 CPUS = (1, 2)
@@ -157,22 +157,6 @@ def sweep_digests(db) -> None:
         print(f"sweep/{detector} {hashlib.sha256(blob).hexdigest()}")
 
 
-def write_pcm(path: Path, clip: AudioClip, bits: int) -> None:
-    """Write the clip as ``bits``-bit integer PCM, rounded and clipped."""
-    scale = 2.0 ** (bits - 1)
-    pcm = np.clip(np.round(clip.samples.T * scale), -scale, scale - 1)
-    if bits == 24:
-        wide = np.ascontiguousarray(pcm, dtype="<i4").view(np.uint8)
-        with wave.open(str(path), "wb") as fh:
-            fh.setnchannels(clip.n_channels)
-            fh.setsampwidth(3)
-            fh.setframerate(clip.sample_rate)
-            fh.writeframes(wide.reshape(-1, 4)[:, :3].tobytes())
-    else:
-        scipy.io.wavfile.write(path, clip.sample_rate,
-                               pcm.astype(np.int16 if bits == 16 else np.int32))
-
-
 def estimate_digests(db) -> None:
     specs = {
         "static-10dB": SceneSpec(seed=41, duration_s=4.0, snr_db=10.0,
@@ -195,7 +179,8 @@ def estimate_digests(db) -> None:
                 if fmt == "f32":
                     write_wav(tmp / "mixed.wav", scene.mixed)
                 else:
-                    write_pcm(tmp / "mixed.wav", scene.mixed, int(fmt[1:]))
+                    write_pcm(tmp / "mixed.wav", scene.mixed.samples,
+                              int(fmt[1:]), scene.mixed.sample_rate)
                 name = scene_name if fmt == "f32" else f"{scene_name}-{fmt}"
                 estimate_runs(tmp, name)
 

@@ -190,19 +190,6 @@ def _padded_counts(counts: np.ndarray) -> np.ndarray:
     return (((counts - 1) >> shift) + 1) << shift
 
 
-def _running_counts(flags: np.ndarray) -> np.ndarray:
-    """``np.cumsum(flags, axis=0)`` of an [L, K] bool array, in the
-    smallest unsigned integers that hold L, by doubling: log2(L)
-    vectorized adds of whole rows, where numpy's cumsum runs one strided
-    loop per column."""
-    counts = flags.astype(np.min_scalar_type(len(flags)))
-    step = 1
-    while step < len(counts):
-        counts[step:] += counts[:-step]  # numpy reads the rows before the add
-        step *= 2
-    return counts
-
-
 def _written_angles(values: np.ndarray, changed: np.ndarray, slots: np.ndarray,
                     rows: np.ndarray, lo: int, hi: int, proto: np.ndarray,
                     cdtype) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +280,8 @@ def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase
         if changed.shape != (n_frames, n_bins):
             raise ConfigurationError("written mask must be [L, K]")
     changed[:1] = True
-    slots = _running_counts(changed)
-    per_bin = slots[-1].astype(np.intp)
-    slots -= 1
+    slots = np.cumsum(changed, axis=0) - 1
+    per_bin = changed.sum(axis=0)
     # moved[l, k]: frame l's term of bin k may differ from frame l-1's
     moved = changed.copy()
     moved[1:] |= mask[1:] != mask[:-1]

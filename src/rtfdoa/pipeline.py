@@ -10,8 +10,8 @@ are then computed in one batched sweep and the block is dropped. Memory
 therefore does not grow with the recording's duration. The source leads
 each block with the samples that the frames of the block before left
 unfinished (see :mod:`rtfdoa.stft`), so no block is copied to join the
-two, and each sample is checked for finiteness once, when its block
-arrives. Across blocks only the covariance pair, the SPP detector's noise
+two, and each block is checked for non-finite samples as it arrives
+(by :func:`~rtfdoa.stft.analyze`, unless it finishes no frame). Across blocks only the covariance pair, the SPP detector's noise
 PSD, the estimators' held values and tracker states and the frame index
 are carried, so the decisions do not depend on the block length. Several
 estimators can share a single covariance pass, which is how the sweep
@@ -410,14 +410,11 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
     n_chan, n_head = source.n_channels, db.n_mics
     smoothing = config.smoothing(source.sample_rate)
     detector = SppDetector(n_head, n_bins, smoothing.alpha_n) if labels is None else None
-    # each block brings per_block hops of new samples (at least the hops
-    # that a frame spans, so that every block but the last finishes a
-    # frame), led by the samples that the block before left unfinished
-    spanned = -(-stft.frame_len // stft.hop)
-    per_block = max(BLOCK_FRAMES, spanned)
-    overlap = (spanned - 1) * stft.hop
+    # each block brings BLOCK_FRAMES hops of new samples, led by the
+    # samples that the frames of the block before left unfinished
+    overlap = (-(-stft.frame_len // stft.hop) - 1) * stft.hop
     # no block holds more frames than this, so the block buffers are made once
-    capacity = min(per_block, num_frames(source.n_samples, stft))
+    capacity = min(BLOCK_FRAMES, num_frames(source.n_samples, stft))
     spectrum = np.empty((n_chan, capacity, stft.n_bins), dtype=np.complex128)
     spp_masks = np.empty((capacity, n_bins), dtype=bool) if labels is None else None
     states = [_STEPS[name](n_bins, n_head, n_chan, capacity, smoothing)
@@ -432,17 +429,15 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
                                              key=KEEP.index))
 
     start = 0
-    led = 0  # samples that lead a block, checked with the block before it
-    for block in source.blocks(per_block * stft.hop, overlap):
-        if not np.isfinite(block[:, led:]).all():
-            raise NumericalFailure("clip contains non-finite samples")
-        led = overlap
+    for block in source.blocks(BLOCK_FRAMES * stft.hop, overlap):
         count = num_frames(block.shape[1], stft)
-        if count == 0:  # a last block too short to finish a frame
+        if count == 0:  # too short to finish a frame; analyze checks the rest
+            if not np.isfinite(block).all():
+                raise NumericalFailure("clip contains non-finite samples")
             continue
         stop = start + count
-        data = analyze(AudioClip(block, source.sample_rate), stft, out=spectrum,
-                       finite=True)[:, lo:hi]
+        data = analyze(AudioClip(block, source.sample_rate), stft,
+                       out=spectrum)[:, lo:hi]
         # the block's [n, K] speech masks, decided before any is tracked
         if isinstance(labels, LabelBitmap):
             masks = labels.columns(start, stop)[lo:hi].T

@@ -16,7 +16,7 @@ blocks that it frames as it would the whole recording, without copying
 one block's end in front of the next: a clip's blocks are overlapping
 views of its samples, and a file's are views of one buffer into which
 each block is decoded behind the end of the one before it, which the next
-block overwrites.
+block overwrites (without an overlap, each of its blocks is a new array).
 """
 from __future__ import annotations
 
@@ -137,7 +137,7 @@ def frame_times(n_frames: int, frame_len: int, hop: int,
 
 
 def analyze(clip: AudioClip, cfg: StftConfig | None = None,
-            out: np.ndarray | None = None, finite: bool = False) -> np.ndarray:
+            out: np.ndarray | None = None) -> np.ndarray:
     """Windowed one-sided STFT of all channels, [channels, bins, frames]
     complex128; every STFT of the package is this one.
 
@@ -149,15 +149,14 @@ def analyze(clip: AudioClip, cfg: StftConfig | None = None,
     scratch buffer, a few frames at a time, so that no windowed copy of the
     whole clip is made. Raises :class:`ConfigurationError` when the clip is
     shorter than one frame or ``out`` does not fit, and
-    :class:`NumericalFailure` on non-finite samples, which are not looked
-    for if ``finite`` says that the caller has checked every sample.
+    :class:`NumericalFailure` on non-finite samples.
     """
     cfg = cfg or StftConfig()
     x = clip.samples
     if x.shape[1] < cfg.frame_len:
         raise ConfigurationError(
             f"clip of {x.shape[1]} samples is shorter than one frame ({cfg.frame_len})")
-    if not finite and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise NumericalFailure("clip contains non-finite samples")
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len, axis=1)
     frames = frames[:, ::cfg.hop, :]                      # [C, L, N]
@@ -270,11 +269,12 @@ class WavReader:
 
     def blocks(self, n: int, overlap: int = 0) -> Iterator[np.ndarray]:
         """The file's samples, ``n`` new ones a block, led by the
-        ``overlap`` before them (see the module docstring): views of one
-        [channels, overlap + n] buffer, which the next block overwrites.
-        The file is read into one buffer of bytes, too."""
+        ``overlap`` before them (see the module docstring). With an
+        ``overlap``, the blocks are views of one [channels, overlap + n]
+        buffer, which the next block overwrites; without, each block is a
+        new array. The file is read into one buffer of bytes."""
         n = min(n, self.n_samples)
-        buffer = np.empty((self.n_channels, overlap + n))
+        buffer = np.empty((self.n_channels, overlap + n)) if overlap else None
         raw = memoryview(bytearray(n * self._frame_bytes))
         end = 0  # samples held in the buffer
         left = self.n_samples
@@ -286,6 +286,8 @@ class WavReader:
                 if fh.readinto(raw[:want]) < want:
                     raise ConfigurationError(f"{self.path} is truncated")
                 left -= count
+                if not overlap:
+                    buffer = np.empty((self.n_channels, count))
                 keep = min(overlap, end)
                 buffer[:, :keep] = buffer[:, end - keep:end]
                 end = keep + count

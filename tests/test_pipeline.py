@@ -17,6 +17,7 @@ from rtfdoa.pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track,
                              track_multi)
 from rtfdoa.simulate import SceneSpec, synthesize
 from rtfdoa.stft import AudioClip, analyze, frame_times
+from wavfiles import write_pcm
 
 FS = 16000
 
@@ -346,23 +347,11 @@ def test_block_length_leaves_every_output_unchanged(database, monkeypatch, detec
 def _write_as(path, samples, fmt):
     """Write [channels, n] samples in [-1, 1) as float32 (``"f32"``) or as
     16-, 24- or 32-bit PCM; return the samples the file holds, as float64."""
-    import scipy.io.wavfile
-
-    from wavfiles import PCM, fmt_chunk, int24_bytes, wav_bytes
-
-    if fmt == "f32":
-        stored = samples.astype(np.float32)
-        scipy.io.wavfile.write(path, FS, np.ascontiguousarray(stored.T))
-        return stored.astype(np.float64)
-    bits = int(fmt[1:])
-    pcm = np.clip(np.round(samples * 2.0 ** (bits - 1)),
-                  -2.0 ** (bits - 1), 2.0 ** (bits - 1) - 1).astype(np.int32)
-    if bits == 24:
-        path.write_bytes(wav_bytes(fmt_chunk(PCM, len(pcm), 24), int24_bytes(pcm)))
-    else:
-        scipy.io.wavfile.write(path, FS, np.ascontiguousarray(
-            pcm.T.astype(np.int16 if bits == 16 else np.int32)))
-    return pcm * 2.0 ** (1 - bits)
+    if fmt != "f32":
+        return write_pcm(path, samples, int(fmt[1:]), FS)
+    stored = AudioClip(samples.astype(np.float32), FS)
+    stft.write_wav(path, stored)
+    return stored.samples
 
 
 @pytest.mark.parametrize("fmt", ("f32", "i16", "i24", "i32"))

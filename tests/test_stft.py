@@ -273,11 +273,30 @@ def test_wav_reads_extensible_five_channel_pcm_and_float(tmp_path, rng):
     clip = read_wav(path)
     assert (clip.n_channels, clip.n_samples, clip.sample_rate) == (5, 300, FS)
     np.testing.assert_array_equal(clip.samples, floats.astype(np.float64))
-    # blocks that do not divide the length concatenate to the whole file;
-    # each is valid until the next one is drawn
-    blocks = [block.copy() for block in WavReader(path).blocks(7)]
+    # blocks that do not divide the length concatenate to the whole file
+    blocks = list(WavReader(path).blocks(7))
     assert [b.shape for b in blocks[-2:]] == [(5, 7), (5, 300 % 7)]
     np.testing.assert_array_equal(np.concatenate(blocks, axis=1), clip.samples)
+
+
+def test_overlapping_blocks_of_a_file_are_those_of_its_clip(tmp_path, rng):
+    # 7 new samples a block, led by the 3 before them (none at the start).
+    # A file's blocks are views of one buffer, which the next block
+    # overwrites, so each is compared as it is drawn
+    samples = rng.standard_normal((3, 40)).astype(np.float32).astype(np.float64)
+    path = tmp_path / "blocks.wav"
+    write_wav(path, AudioClip(samples, FS))
+    clip_blocks = AudioClip(samples, FS).blocks(7, 3)
+    file_blocks = WavReader(path).blocks(7, 3)
+    drawn = []
+    for k, (from_clip, from_file) in enumerate(zip(clip_blocks, file_blocks,
+                                                   strict=True)):
+        lead = max(7 * k - 3, 0)
+        np.testing.assert_array_equal(from_clip, samples[:, lead:7 * k + 7])
+        np.testing.assert_array_equal(from_file, from_clip)
+        drawn.append(from_file)
+    assert len(drawn) == 6 and drawn[-1].shape == (3, 3 + 5)
+    assert all(np.shares_memory(drawn[0], block) for block in drawn[1:])
 
 
 def test_wav_skips_list_and_odd_sized_chunks(tmp_path):

@@ -1,9 +1,12 @@
 """RIFF/WAVE files built byte by byte, so that reader tests can exercise
 layouts (extensible format chunks, extra and odd-sized chunks, truncated
-data) that common writers never produce."""
+data) that common writers never produce, and integer PCM files of samples
+in [-1, 1) (:func:`write_pcm`), which the tests and
+``scripts/output_digests.py`` share."""
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -49,3 +52,20 @@ def int24_bytes(pcm: np.ndarray) -> bytes:
     """[channels, samples] integers in [-2^23, 2^23) as interleaved 24-bit PCM."""
     wide = np.ascontiguousarray(pcm.T, dtype="<i4").view(np.uint8).reshape(-1, 4)
     return wide[:, :3].tobytes()
+
+
+def write_pcm(path, samples: np.ndarray, bits: int, rate: int = 16000) -> np.ndarray:
+    """Write [channels, n] samples in [-1, 1) as ``bits``-bit PCM, rounded
+    and clipped: 16 and 32 bits by scipy's writer, 24 bits, which it does
+    not write, byte by byte. Returns the samples the file holds, as float64."""
+    import scipy.io.wavfile
+
+    scale = 2.0 ** (bits - 1)
+    pcm = np.clip(np.round(samples * scale), -scale, scale - 1).astype(np.int32)
+    if bits == 24:
+        Path(path).write_bytes(wav_bytes(fmt_chunk(PCM, len(pcm), 24, rate=rate),
+                                         int24_bytes(pcm)))
+    else:
+        scipy.io.wavfile.write(path, rate, np.ascontiguousarray(
+            pcm.T.astype(np.int16 if bits == 16 else np.int32)))
+    return pcm / scale
