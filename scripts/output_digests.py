@@ -10,11 +10,11 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
   detectors, with one and with two usable CPUs (so one or two frequency
   bands), costing from frame 0 and from frame 70, on two fixed scenes: a
   3 s moving source at 0 dB and a 2.5 s static one at -5 dB;
-* ``scene/...``: the same of ``sc`` alone and of ``sc`` beside
-  ``cw-ext`` under both detectors on three harder scenes: a 24 s static
-  one at -5 dB whose five channels drop out for 2 s from 8 s on (under
-  SPP most bins are gated as speech after it), a 12 s moving one at
-  5 dB whose external channel dies at 6 s, and a 60 s static one at
+* ``scene/...``: the same of ``sc`` and ``cs-head``, each alone and
+  beside ``cw-ext``, under both detectors on three harder scenes: a 24 s
+  static one at -5 dB whose five channels drop out for 2 s from 8 s on
+  (under SPP most bins are gated as speech after it), a 12 s moving one
+  at 5 dB whose external channel dies at 6 s, and a 60 s static one at
   0 dB;
 * ``sweep/...``: the rows of ``run_sweep`` (four estimators, two
   azimuths, three SNRs, two seeds) under each detector;
@@ -136,8 +136,9 @@ def scene_digests(db) -> None:
     for scene_name, (spec, mixture) in scenes.items():
         scene = synthesize(spec)
         clip = mixture(scene)
-        for detector, names in itertools.product(DETECTOR_NAMES,
-                                                 (("sc",), ("sc", "cw-ext"))):
+        for detector, names in itertools.product(
+                DETECTOR_NAMES, (("sc",), ("sc", "cw-ext"),
+                                 ("cs-head",), ("cs-head", "cw-ext"))):
             config = RunConfig(detector=detector)
             trajs = track_multi(clip, db, config, names,
                                 oracle_label_grid(scene, config),

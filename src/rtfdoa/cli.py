@@ -6,7 +6,7 @@ plus database to per-frame DOA CSV), ``evaluate`` (DOA CSV plus truth
 CSV to metrics JSON), ``sweep`` (condition matrix JSON to results CSV).
 
 Configuration precedence is CLI flag over config file over built-in
-default, and every subcommand writes the fully resolved configuration
+default, and every subcommand writes the resolved configuration it reads
 next to its outputs. Exit codes: 0 success, 2 configuration error (a
 missing or unreadable input file included), 3 numerical failure.
 """
@@ -50,6 +50,11 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path} must hold a JSON object")
     return data
+
+
+# the run-config fields that an estimate reads; the scoring and oracle
+# margin fields of a shared config file are validated but not recorded
+_ESTIMATE_KEYS = ("estimator", "detector", "tau_y_s", "tau_n_s", "stft")
 
 
 def _write_resolved(path: Path, payload: dict) -> None:
@@ -130,7 +135,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     write_trajectory_csv(out, traj)
     if args.cost_surface is not None:
         np.save(args.cost_surface, traj.cost_surface)
-    resolved = dataclasses.asdict(config)
+    resolved = {key: value for key, value in dataclasses.asdict(config).items()
+                if key in _ESTIMATE_KEYS}
     resolved["warmup_frames"] = traj.warmup_frames
     resolved["input"] = str(args.input)
     resolved["database"] = str(args.database)

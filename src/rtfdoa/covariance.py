@@ -17,9 +17,10 @@ difference taken in the opposite order, so it is the exact conjugate
 two Hermitian matrices entry by entry keep that symmetry bit for bit.
 ``tests/test_covariance.py`` pins this over long random runs.
 
-Only what is read is kept. :class:`CovarianceTracker` keeps ``phi_y``
-and ``phi_n`` (``keep="covariance"``, what ``cs-head`` reads), or both
-and the inverse of ``phi_n`` (``"inverse"``, the ``cw-*`` estimators).
+Only what is read is kept. :class:`CovarianceTracker` keeps ``phi_y``,
+``phi_n`` and the inverse of ``phi_n``, what the ``cw-*`` estimators
+read; ``cs-head`` reads only the reference columns of the head block and
+tracks them itself (see :mod:`rtfdoa.pipeline`).
 :class:`ColumnTracker` keeps only the column of ``phi_y`` against the
 last (external) channel, ``phi_y e_P``, and no noise statistic, all
 that ``sc`` reads (the speech presence detector keeps its own noise PSD,
@@ -42,8 +43,8 @@ per rank, not per frame. Each bin thus absorbs the same products
 with the same operands in the same order, in time order, so every row is
 bit for bit the column the bin held after that frame.
 
-With ``"inverse"`` the matrix tracker also follows ``M = phi_n^-1``,
-which the covariance-whitening estimators step with.
+The matrix tracker also follows ``M = phi_n^-1``, which the
+covariance-whitening estimators step with.
 The noise update is a scaled rank-one update, so ``M`` follows by
 Sherman-Morrison in O(P^2) per bin, the recursive-inverse step of RLS::
 
@@ -185,10 +186,6 @@ def _absorb(phi: np.ndarray, fresh: np.ndarray, alpha: float) -> np.ndarray:
     return phi
 
 
-# what a matrix tracker keeps, from less to more (see the module docstring)
-KEEP = ("covariance", "inverse")
-
-
 class ColumnTracker:
     """Vectorized recursion of the noisy-signal covariances' columns
     against the last channel, :attr:`noisy_column`, over a whole STFT
@@ -273,31 +270,25 @@ class ColumnTracker:
 
 
 class CovarianceTracker:
-    """Vectorized per-bin covariance recursion over a whole STFT grid.
-
-    ``keep`` names what is kept (see the module docstring):
-    :attr:`noise_inverse` is None unless ``"inverse"``, and then is
-    updated in the noise-gated bins of every frame. A bin whose tracked
-    inverse is no longer usable is re-seeded from its covariance (see the
-    module docstring), so the inverse is finite after every update.
+    """Vectorized per-bin covariance recursion over a whole STFT grid,
+    with the inverse noise covariance :attr:`noise_inverse` updated in the
+    noise-gated bins of every frame. A bin whose tracked inverse is no
+    longer usable is re-seeded from its covariance (see the module
+    docstring), so the inverse is finite after every update.
     """
 
     def __init__(self, n_channels: int, n_bins: int,
                  smoothing: SmoothingConfig,
-                 eps_init: float = DEFAULT_EPS_INIT,
-                 keep: str = "covariance") -> None:
+                 eps_init: float = DEFAULT_EPS_INIT) -> None:
         if n_channels < 1 or n_bins < 1:
             raise ConfigurationError("need n_channels >= 1 and n_bins >= 1")
-        if keep not in KEEP:
-            raise ConfigurationError(f"keep must be one of {KEEP}, got '{keep}'")
-        if keep == "inverse" and smoothing.alpha_n == 0.0:
+        if smoothing.alpha_n == 0.0:
             raise ConfigurationError(
                 "a tracked inverse needs a noise smoothing factor above 0")
         eye = np.eye(n_channels, dtype=np.complex128)
         self._phi_y = np.tile(eps_init * eye, (n_bins, 1, 1))
         self._phi_n = np.tile(eps_init * eye, (n_bins, 1, 1))
-        self._inv_n = (np.tile(eye / eps_init, (n_bins, 1, 1))
-                       if keep == "inverse" else None)
+        self._inv_n = np.tile(eye / eps_init, (n_bins, 1, 1))
         self.smoothing = smoothing
         self.n_channels = n_channels
         self.n_bins = n_bins
@@ -313,9 +304,8 @@ class CovarianceTracker:
         return self._phi_n
 
     @property
-    def noise_inverse(self) -> np.ndarray | None:
-        """Inverse noise covariances [K, P, P] if tracked, else None.
-        Treat as read-only."""
+    def noise_inverse(self) -> np.ndarray:
+        """Inverse noise covariances [K, P, P]. Treat as read-only."""
         return self._inv_n
 
     def update_frame(self, y: np.ndarray, speech_mask: np.ndarray) -> None:
@@ -341,6 +331,5 @@ class CovarianceTracker:
             y_noise = y[:, noise]
             phi = _absorb(self._phi_n[noise], _outer(y_noise), a_n)
             self._phi_n[noise] = phi
-            if self._inv_n is not None:
-                self._inv_n[noise] = _rank_one_inverse(self._inv_n[noise],
-                                                       y_noise.T, a_n, phi)
+            self._inv_n[noise] = _rank_one_inverse(self._inv_n[noise],
+                                                   y_noise.T, a_n, phi)

@@ -4,7 +4,9 @@ All estimators return RTF vectors normalized so the reference (first
 head microphone) entry is exactly ``1 + 0j``:
 
 * covariance subtraction (``cs``): reference column of the difference
-  ``phi_y - phi_n``, normalized by its reference entry;
+  ``phi_y - phi_n``, normalized by its reference entry. Reads nothing of
+  either matrix but that column, so :func:`batch_cs` takes the two
+  columns alone;
 * covariance whitening (``cw``): the noise covariance is Cholesky
   factored as ``phi_n = L L^H``, the principal eigenvector ``v`` of the
   whitened matrix ``L^-1 phi_y L^-H`` is extracted, and the estimate is
@@ -16,11 +18,12 @@ head microphone) entry is exactly ``1 + 0j``:
   but that column, so :func:`batch_sc` takes the columns alone.
 
 An estimate is invalid where its normalizer is tiny (:data:`DENOM_FLOOR`)
-against the scale of what it is read from: the Frobenius norm of
-``phi_y`` for CS, the norm of the vector for CW and SC. So SC's validity,
-like its values, does not depend on the external microphone's gain.
-Batch variants operate on [K, P, P] stacks, one matrix pair per frequency
-bin, and SC on [K, P] columns. Covariance whitening comes in two forms:
+against the scale of what it is read from: the norm of the noisy column
+for CS, the norm of the vector for CW and SC. So SC's validity, like its
+values, does not depend on the external microphone's gain. CS and SC
+operate on [N, P] stacks of columns, one row per frequency bin (and, in
+the pipeline, per frame of a block), CW on [K, P, P] stacks, one matrix
+pair per bin. Covariance whitening comes in two forms:
 
 * :func:`batch_cw` is exact and one-shot, the reference the tests
   compare against. Its :class:`WhitenedTracker` Cholesky-factors the
@@ -38,13 +41,14 @@ bin, and SC on [K, P] columns. Covariance whitening comes in two forms:
   the exact one for a steady covariance pair and lags it where the
   principal generalized eigenvalue barely stands out, at low SNR.
 
-The per-frame kernels (:class:`PowerCwTracker`, :func:`batch_cs`,
-:func:`schur_head_inverse`, the normalization) make few numpy calls and
-few temporaries: a step normalizes its own vectors in place, CS subtracts
-only the reference column, the Schur complement subtracts into its
-``einsum``'s output, norms call the ufuncs of ``np.linalg.norm`` without
-its wrapper, and the normalization and the power step skip their masking
-where every bin is valid, as in every call the benchmark's workloads make.
+The kernels (:class:`PowerCwTracker`, :func:`schur_head_inverse`, the
+normalization, and :func:`batch_cs` and :func:`batch_sc`, which the
+pipeline calls once per block) make few numpy calls and few temporaries:
+a step normalizes its own vectors in place, CS normalizes its difference
+in place, the Schur complement subtracts into its ``einsum``'s output,
+norms call the ufuncs of ``np.linalg.norm`` without its wrapper, and the
+normalization and the power step skip their masking where every bin is
+valid, as in every call the benchmark's workloads make.
 The arithmetic is that of the plain formulations in ``tests/reference.py``,
 which the tests compare bit for bit; every complex product that is an
 ``einsum`` stays one (see :mod:`rtfdoa.covariance` for why).
@@ -65,8 +69,8 @@ _TINY = np.finfo(np.float64).tiny
 DIAG_LOAD_REL = 1e-10
 
 # an estimate is invalid when its normalizer falls below this share of the
-# scale of what it is read from (the Frobenius norm of phi_y for CS, the
-# norm of the vector for CW and SC)
+# scale of what it is read from (the norm of the noisy column phi_y e_1 for
+# CS, the norm of the vector for CW and SC)
 DENOM_FLOOR = 1e-12
 
 
@@ -74,6 +78,13 @@ def _norms(x: np.ndarray, axis) -> np.ndarray:
     """``np.linalg.norm(x, axis=axis)`` of a complex ``x`` bit for bit:
     the same ufuncs, without the wrapper's checks."""
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The norms of the rows of an [N, P] complex stack, from their real and
+    imaginary parts without a complex temporary."""
+    parts = np.ascontiguousarray(rows).view(np.float64)
+    return np.sqrt(np.einsum("nq,nq->n", parts, parts))
 
 
 def _check_stack(phi: np.ndarray, name: str) -> np.ndarray:
@@ -130,16 +141,22 @@ def _eigh_principal(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return v, ok
 
 
-def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance-subtraction RTF per bin: the reference column of
-    ``phi_y - phi_n`` divided by its reference entry. Returns
-    (values [K,P], valid [K])."""
-    py = _check_stack(phi_y, "phi_y")
-    pn = _check_stack(phi_n, "phi_n")
-    if py.shape != pn.shape:
-        raise ConfigurationError("phi_y and phi_n shapes differ")
-    cols = py[:, :, 0] - pn[:, :, 0]
-    return _normalize_columns(cols, _norms(py, (-2, -1)), out=cols)
+def batch_cs(noisy: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance-subtraction RTF per bin from the reference columns.
+
+    ``noisy`` and ``noise`` are [N, P], the columns ``phi_y e_1`` and
+    ``phi_n e_1`` of the noisy and noise covariances against the reference
+    channel. The estimate is their difference divided by its reference
+    entry; it is invalid where that entry falls below :data:`DENOM_FLOOR`
+    times the noisy column's norm. Returns (values [N,P], valid [N]).
+    """
+    py = np.asarray(noisy, dtype=np.complex128)
+    pn = np.asarray(noise, dtype=np.complex128)
+    if py.ndim != 2 or py.shape != pn.shape:
+        raise ConfigurationError("noisy and noise columns must be [N, P] stacks "
+                                 "of one shape")
+    cols = py - pn
+    return _normalize_columns(cols, _row_norms(py), out=cols)
 
 
 def batch_sc(columns: np.ndarray, overwrite: bool = False
@@ -159,11 +176,7 @@ def batch_sc(columns: np.ndarray, overwrite: bool = False
         raise ConfigurationError("columns must be an [N, P] stack")
     if cols.shape[-1] < 2:
         raise ConfigurationError("spatial coherence needs at least two channels")
-    # the columns' norms, from their real and imaginary parts without a
-    # complex temporary
-    parts = np.ascontiguousarray(cols).view(np.float64)
-    scale = np.sqrt(np.einsum("nq,nq->n", parts, parts))
-    return _normalize_columns(cols[:, :-1], scale,
+    return _normalize_columns(cols[:, :-1], _row_norms(cols),
                               out=cols[:, :-1] if overwrite else None)
 
 

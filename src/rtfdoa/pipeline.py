@@ -2,20 +2,22 @@
 
 The recording is consumed block by block: each block of frames is
 transformed to the STFT and its speech masks are decided, from the
-oracle labels or by the activity detector frame by frame; then one pass
-over its frames updates the noisy/noise covariance pair per bin (gated
-by those masks), feeds the requested RTF estimators, and holds each
-bin's last valid estimate; the block's cost surfaces and grid decisions
+oracle labels or by the activity detector frame by frame; then the
+requested RTF estimators track what they read of the noisy and noise
+covariances per bin (gated by those masks) and hold each bin's last
+valid estimate; the block's cost surfaces and grid decisions
 are then computed in one batched sweep and the block is dropped. Memory
 therefore does not grow with the recording's duration. The source leads
 each block with the samples that the frames of the block before left
 unfinished (see :mod:`rtfdoa.stft`), so no block is copied to join the
 two, and each block is checked for non-finite samples as it arrives
-(by :func:`~rtfdoa.stft.analyze`, unless it finishes no frame). Across blocks only the covariance pair, the SPP detector's noise
+(by :func:`~rtfdoa.stft.analyze`, unless it finishes no frame). Across
+blocks only the tracked covariances and columns, the SPP detector's noise
 PSD, the estimators' held values and tracker states and the frame index
 are carried, so the decisions do not depend on the block length. Several
-estimators can share a single covariance pass, which is how the sweep
-harness keeps multi-estimator comparisons cheap. The whitening estimators
+estimators share a block's STFT and masks, and the whitening estimators a
+single covariance pass, which is how the sweep harness keeps
+multi-estimator comparisons cheap. The whitening estimators
 are tracked with one generalized power step per frame
 (:class:`~rtfdoa.estimators.PowerCwTracker`), not solved exactly; they
 step with the inverse noise covariance, which the covariance tracker
@@ -41,8 +43,9 @@ the slowest smoothing time constant) are flagged invalid.
 
 Only what moved is recomputed, with unchanged results. Each estimator
 is one step class over a shared hold-last-valid store. Every frame the
-tracker updates the covariances once, and each step writes its valid
-estimates into the block's store and marks them as written. The cost
+covariance tracker of the ``cw-*`` estimators updates once, and each of
+their steps writes its valid estimates into the block's store and marks
+them as written. The cost
 reads no other entry but those of the block's first costed frame, so
 only that frame takes each bin's last valid estimate, and each bin's
 held value is carried to the next block from its last write. ``sc``
@@ -54,7 +57,14 @@ block at once, with one step of the column recursion per speech rank
 (see :meth:`~rtfdoa.covariance.ColumnTracker.update_block`), writes the
 speech bins' columns straight into ``sc``'s stack and names each row's
 frame and bin; :func:`~rtfdoa.estimators.batch_sc` then estimates the
-block's stack in one call. The cost
+block's stack in one call. ``cs-head`` reads only the reference columns
+of the head channels' noisy and noise covariances, and likewise tracks
+them itself once a block's masks are decided: one einsum forms every
+frame's fresh columns ``y_head conj(y_1)``, one loop over the frames
+per column absorbs them, in the speech bins into the noisy column and
+in the others into the noise column, and keeps both columns of every
+frame; :func:`~rtfdoa.estimators.batch_cs` then estimates the whole
+block in one call, and each frame's valid estimates are written. The cost
 surface computes a bin's angles only in the frames where it was written,
 and sums a chunk of bins only in the frames where one of them was
 written or the valid mask changed (see
@@ -62,15 +72,17 @@ written or the valid mask changed (see
 
 The block buffers are allocated once per run, sized for the largest
 block: the STFT (:func:`~rtfdoa.stft.analyze` writes into it), each
-estimator's store and written mask, and ``sc``'s stack of columns. Every
+estimator's store and written mask, ``sc``'s stack of columns, and
+``cs-head``'s columns of every frame and fresh columns. Every
 block overwrites what it reads of them, and each frame is a view of the
 block's STFT.
 
-Only what is read is kept: the covariance tracker runs only for
-``cs-head`` and the ``cw-*`` estimators, and keeps the inverse noise
-covariance only for the latter. ``sc``'s column equals the matrix's last
-column bit for bit, and the SPP detector reads only its own PSD, so every
-estimator decides the same in every estimator set.
+Only what is read is kept: the covariance tracker, with the inverse
+noise covariance, runs only for the ``cw-*`` estimators. ``sc``'s column
+equals the noisy matrix's last column bit for bit, ``cs-head``'s columns
+equal the two matrices' head reference columns bit for bit, and the SPP
+detector reads only its own PSD, so every estimator decides the same in
+every estimator set.
 
 The bins are tracked in frequency bands, one per usable CPU
 (``len(os.sched_getaffinity(0))``), at most :data:`MAX_BANDS` (two) and
@@ -111,7 +123,8 @@ from pathlib import Path
 import numpy as np
 
 from .activity import LabelBitmap, SppDetector
-from .covariance import KEEP, ColumnTracker, CovarianceTracker, SmoothingConfig
+from .covariance import (DEFAULT_EPS_INIT, ColumnTracker, CovarianceTracker,
+                         SmoothingConfig)
 from .doa import (CHUNK_BINS, PrototypeDatabase, argmin_directions,
                   cost_chunk_sums, cost_surface_frames)
 from .errors import ConfigurationError, NumericalFailure
@@ -237,9 +250,9 @@ def _held_at(store: np.ndarray, written: np.ndarray, held: np.ndarray,
 
 class _HeldStore:
     """Per-bin hold-last-valid storage of one estimator, whose subclass
-    declares what the shared covariance tracker must keep for it
-    (``keep``, None if it tracks its own statistic block by block) and
-    whether it reads the external channel.
+    declares whether it steps frame by frame with the shared covariance
+    tracker (``framed``; else it tracks its own statistic block by block)
+    and whether it reads the external channel.
 
     The store and its written mask are allocated once for blocks of up to
     ``capacity`` frames. Per block, :meth:`start` opens the block, then
@@ -253,7 +266,7 @@ class _HeldStore:
     so no other is filled.
     """
 
-    keep: str | None
+    framed = False
     external = False
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
@@ -288,13 +301,66 @@ class _HeldStore:
 
 
 class _CsStep(_HeldStore):
-    """``cs-head``: subtracts the noise covariance of the head channels."""
+    """``cs-head``: subtracts the noise covariance's reference column of the
+    head channels from the noisy one's. It tracks both columns itself,
+    ``phi_y e_1`` and ``phi_n e_1``, each block's frames in one loop per
+    column (:meth:`step_block`), and :meth:`finish` estimates the block's
+    columns in one call."""
 
-    keep = "covariance"
+    def __init__(self, n_bins: int, n_head: int, n_channels: int,
+                 capacity: int, smoothing: SmoothingConfig) -> None:
+        super().__init__(n_bins, n_head, n_channels, capacity, smoothing)
+        self.smoothing = smoothing
+        # the noisy and the noise column, [2, K, M], each from eps * e_1
+        self._carried = np.zeros((2, n_bins, n_head), dtype=np.complex128)
+        self._carried[:, :, 0] = DEFAULT_EPS_INIT
+        # both columns after each frame of a block, [2, n, K, M], which
+        # first hold each frame's fresh columns weighted for each
+        self._columns = np.empty((2, capacity, n_bins, n_head), dtype=np.complex128)
+        self._scaled = np.empty((n_bins, n_head), dtype=np.complex128)
 
-    def step(self, i: int, tracker: CovarianceTracker) -> None:
-        m = self.n_head
-        self._write(i, *batch_cs(tracker.noisy[:, :m, :m], tracker.noise[:, :m, :m]))
+    def step_block(self, data: np.ndarray, masks: np.ndarray) -> None:
+        """Take the whole block, [P, K, n] with its [n, K] speech masks: the
+        noisy column absorbs each frame's speech bins and the noise column
+        its other bins, with the products and in the order of
+        :class:`~rtfdoa.covariance.CovarianceTracker`, so both equal its
+        head block's reference columns bit for bit. A block with a
+        non-finite entry raises before any column changes."""
+        if np.count_nonzero(np.isfinite(data)) < data.size:
+            raise NumericalFailure("block contains non-finite values")
+        n = masks.shape[0]
+        a_y, a_n = self.smoothing.alpha_y, self.smoothing.alpha_n
+        # every frame's fresh columns y_head conj(y_1) in one einsum
+        columns = self._columns[:, :n]
+        np.einsum("pkn,kn->nkp", data[:self.n_head], data[0].conj(), out=columns[0])
+        np.multiply(columns[0], 1.0 - a_n, out=columns[1])
+        columns[0] *= 1.0 - a_y
+        # where each column keeps its value, the noisy one outside speech;
+        # an unbroadcast mask copies the fastest
+        held = np.empty(columns.shape, dtype=bool)
+        np.logical_not(masks[:, :, None], out=held[0])
+        held[1] = masks[:, :, None]
+        scaled = self._scaled
+        for frames, carried, kept, alpha in zip(columns, self._carried, held,
+                                                (a_y, a_n)):
+            previous = carried
+            # each frame's weighted fresh column plus the scaled previous
+            # one, a sum whose terms commute bit for bit
+            for column, keep in zip(frames, kept):
+                np.multiply(previous, alpha, out=scaled)
+                np.add(column, scaled, out=column)
+                np.copyto(column, previous, where=keep)
+                previous = column
+            carried[...] = previous
+
+    def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        count, (n_bins, m) = self.count, self.held.shape
+        noisy, noise = self._columns[:, :count].reshape(2, count * n_bins, m)
+        values, valid = batch_cs(noisy, noise)
+        # an invalid estimate is all zeros and stays unwritten (see _ScStep)
+        self.store[:count] = values.reshape(count, n_bins, m)
+        self.written[:count] = valid.reshape(count, n_bins)
+        return super().finish(first)
 
 
 class _CwStep(_HeldStore):
@@ -302,7 +368,7 @@ class _CwStep(_HeldStore):
     noise covariance, read from the tracked one (see
     :func:`~rtfdoa.estimators.schur_head_inverse`)."""
 
-    keep = "inverse"
+    framed = True
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
                  capacity: int, smoothing: SmoothingConfig) -> None:
@@ -329,7 +395,6 @@ class _ScStep(_HeldStore):
     :meth:`finish` estimates the stack in one call. A bin never gated as
     speech holds ``eps * e_P``, which is invalid."""
 
-    keep = None
     external = True
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
@@ -419,14 +484,12 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
     spp_masks = np.empty((capacity, n_bins), dtype=bool) if labels is None else None
     states = [_STEPS[name](n_bins, n_head, n_chan, capacity, smoothing)
               for name in names]
-    # sc tracks its own column block by block; the other estimators share
-    # one covariance tracker, which keeps the most that one of them needs
-    # and takes each block frame by frame
-    framed = [state for state in states if state.keep]
+    # sc and cs-head track their own columns block by block; the cw-*
+    # estimators share one covariance tracker, which takes each block
+    # frame by frame
+    framed = [state for state in states if state.framed]
     if framed:
-        tracker = CovarianceTracker(n_chan, n_bins, smoothing,
-                                    keep=max((state.keep for state in framed),
-                                             key=KEEP.index))
+        tracker = CovarianceTracker(n_chan, n_bins, smoothing)
 
     start = 0
     for block in source.blocks(BLOCK_FRAMES * stft.hop, overlap):
@@ -449,7 +512,7 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
                 masks[i] = detector.step(data[:, :, i])
         for state in states:
             state.start(count)
-            if not state.keep:
+            if not state.framed:
                 state.step_block(data, masks)
         if framed:
             for i in range(count):

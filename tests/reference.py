@@ -9,7 +9,7 @@
   against the isotropic sinc^2 model, a check on the scene simulator.
 * ``gated_update``, ``rank_one_step``, ``rank_one_inverse``,
   ``normalize_columns``, ``batch_cs``, ``schur_head_inverse``,
-  ``power_step`` and ``unit_conjugates``: the per-frame kernels of the
+  ``power_step`` and ``unit_conjugates``: the kernels of the
   whitening and subtraction path written plainly, each result a new
   array, with the arithmetic of the shipped kernels, which run in place
   and, in the normalization and the power step, skip their masking where
@@ -193,11 +193,10 @@ def normalize_columns(cols: np.ndarray, scale: np.ndarray
     return values, valid
 
 
-def batch_cs(phi_y: np.ndarray, phi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance subtraction: the reference column of ``phi_y - phi_n``,
-    judged against the Frobenius norm of ``phi_y``."""
-    cols = (phi_y - phi_n)[:, :, 0]
-    return normalize_columns(cols, np.linalg.norm(phi_y, axis=(-2, -1)))
+def batch_cs(noisy: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance subtraction from the [K, P] reference columns of ``phi_y``
+    and ``phi_n``: their difference, judged against the noisy column's norm."""
+    return normalize_columns(noisy - noise, np.linalg.norm(noisy, axis=1))
 
 
 def schur_head_inverse(inv: np.ndarray, dim: int) -> np.ndarray:

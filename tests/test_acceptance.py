@@ -49,7 +49,7 @@ def test_criterion_1_exact_matrix_recovery(acceptance, rng):
 
         # one-element stacks through the batched kernels
         head_y, head_n = phi_y[None, :4, :4], phi_n[None, :4, :4]
-        cs, cs_ok = batch_cs(head_y, head_n)
+        cs, cs_ok = batch_cs(head_y[..., 0], head_n[..., 0])
         cw_e, cw_e_ok = batch_cw(phi_y[None], phi_n[None])
         cw_h, cw_h_ok = batch_cw(head_y, head_n)
         assert cs_ok[0] and cw_e_ok[0] and cw_h_ok[0]
@@ -86,7 +86,7 @@ def test_criterion_2_whitening_equals_subtraction_on_white_noise(acceptance,
         phi_y = phi_x * np.outer(g, g.conj()) + phi_n
 
         head_y, head_n = phi_y[None, :4, :4], phi_n[None, :4, :4]
-        cs = batch_cs(head_y, head_n)[0][0]
+        cs = batch_cs(head_y[..., 0], head_n[..., 0])[0][0]
         cw_h = batch_cw(head_y, head_n)[0][0]
         cw_e = batch_cw(phi_y[None], phi_n[None])[0][0]
         worst = max(worst, np.abs(cw_h - cs).max(),

@@ -215,7 +215,7 @@ def test_a_band_process_that_dies_is_reported(database, scene, monkeypatch):
     before = _children()
     with pytest.raises(RuntimeError, match="bins 129 to 256 ended without a result"):
         track_multi(scene.mixed, database, RunConfig(detector="spp"),
-                    ("cs-head",))
+                    ("cw-head",))
     assert _children() <= before
 
 

@@ -402,7 +402,34 @@ def test_resolved_config_reproduces_the_estimate(workspace, tmp_path):
                  "--output", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
     again = json.loads((tmp_path / "second.csv.config.json").read_text())
-    assert {k: again[k] for k in fields} == {k: resolved[k] for k in fields}
+    assert again == resolved
+
+
+def test_estimate_records_only_the_config_it_reads(workspace, tmp_path):
+    # the resolved config holds the tracking keys and the run's extras, not
+    # the scoring keys or the oracle margin, which an estimate never reads;
+    # a shared config file that sets them is still validated in full
+    sim, db = workspace["sim"], workspace["db"]
+    cfg = tmp_path / "run.json"
+    shared = {"eval_window": 0.8, "tolerance_deg": 10.0, "oracle_margin_db": -5.0}
+    cfg.write_text(json.dumps(shared))
+    doa = tmp_path / "doa.csv"
+    assert main(["estimate", "--input", str(sim / "mixed.wav"),
+                 "--database", str(db), "--labels", str(sim / "labels.bin"),
+                 "--config", str(cfg), "--estimator", "sc",
+                 "--output", str(doa)]) == 0
+    resolved = json.loads((tmp_path / "doa.csv.config.json").read_text())
+    assert set(resolved) == {"estimator", "detector", "tau_y_s", "tau_n_s", "stft",
+                             "warmup_frames", "input", "database", "labels"}
+    assert resolved["stft"] == dataclasses.asdict(RunConfig().stft)
+    for key, bad in (("eval_window", 1.5), ("tolerance_deg", -1.0),
+                     ("oracle_margin_db", "loud")):
+        cfg.write_text(json.dumps({**shared, key: bad}))
+        assert main(["estimate", "--input", str(sim / "mixed.wav"),
+                     "--database", str(db), "--labels", str(sim / "labels.bin"),
+                     "--config", str(cfg), "--estimator", "sc",
+                     "--output", str(tmp_path / "bad.csv")]) == 2, key
+        assert not (tmp_path / "bad.csv").exists(), key
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

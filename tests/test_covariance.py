@@ -142,7 +142,7 @@ def test_tracker_stays_exactly_hermitian(rng):
     # every entry the exact conjugate of its mirror, bit for bit, and so
     # must the rank-one update of the tracked inverse
     n_bins, p = 33, 5
-    tracker = CovarianceTracker(p, n_bins, SM, keep="inverse")
+    tracker = CovarianceTracker(p, n_bins, SM)
     for _ in range(300):
         scale = 10.0 ** rng.uniform(-4.0, 4.0)
         y = scale * _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
@@ -241,14 +241,13 @@ def test_block_update_rejects_nonfinite_and_leaves_the_column(rng):
 
 def test_tracked_inverse_matches_inverse_of_noise(rng):
     n_bins, p = 9, 5
-    tracker = CovarianceTracker(p, n_bins, SM, keep="inverse")
+    tracker = CovarianceTracker(p, n_bins, SM)
     for _ in range(200):
         y = _random_snapshot(rng, p * n_bins).reshape(p, n_bins)
         tracker.update_frame(y, rng.random(n_bins) < 0.3)
     exact = np.linalg.inv(tracker.noise)
     np.testing.assert_allclose(tracker.noise_inverse, exact,
                                rtol=0, atol=1e-10 * np.abs(exact).max())
-    assert CovarianceTracker(p, n_bins, SM).noise_inverse is None
 
 
 def test_tracked_inverse_does_not_drift():
@@ -265,8 +264,7 @@ def test_tracked_inverse_does_not_drift():
         q, _ = np.linalg.qr(_random_snapshot(rng, p * p).reshape(p, p))
         mixes.append(q * np.sqrt(np.logspace(0, -np.log10(cond), p)))
     mixes = np.array(mixes)
-    tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.95, 0.97),
-                                keep="inverse")
+    tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.95, 0.97))
     no_speech = np.zeros(n_bins, dtype=bool)
     errors = []
     for frame in range(1, n_frames + 1):
@@ -297,8 +295,7 @@ def test_tracked_inverse_recovers_after_digital_silence(rng, n_silent):
     # overflow it. Either way the bins are re-seeded from phi, so the
     # inverse stays finite and matches phi^-1 once the noise is back
     n_bins, p = 6, 5
-    tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.5, 0.5),
-                                keep="inverse")
+    tracker = CovarianceTracker(p, n_bins, SmoothingConfig(0.5, 0.5))
 
     def frames(n, scale):
         for _ in range(n):
@@ -324,8 +321,7 @@ def _strided_frames(y: np.ndarray) -> np.ndarray:
     return block[:, :, ::2]
 
 
-@pytest.mark.parametrize("keep", ["covariance", "inverse"])
-def test_gated_update_matches_reference_bit_for_bit(rng, keep, monkeypatch):
+def test_gated_update_matches_reference_bit_for_bit(rng, monkeypatch):
     # the in-place update equals the plain gated recursion of
     # reference.gated_update, matrices and inverses, bit for bit:
     # over mixed masks, frames gated wholly as speech or wholly as noise,
@@ -334,9 +330,9 @@ def test_gated_update_matches_reference_bit_for_bit(rng, keep, monkeypatch):
     # returns (as some are in the first frames, where phi_n is near-singular)
     n_bins, p = 24, 5
     sm = SmoothingConfig(alpha_y=0.7, alpha_n=0.5)
-    tracker = CovarianceTracker(p, n_bins, sm, keep=keep)
+    tracker = CovarianceTracker(p, n_bins, sm)
     phi_y, phi_n = tracker.noisy.copy(), tracker.noise.copy()
-    inv_n = None if tracker.noise_inverse is None else tracker.noise_inverse.copy()
+    inv_n = tracker.noise_inverse.copy()
     reseeded = []
     floored = covariance._floored_inverse
 
@@ -363,12 +359,10 @@ def test_gated_update_matches_reference_bit_for_bit(rng, keep, monkeypatch):
             phi_y, phi_n, inv_n, y[:, :, i], masks[i], sm)
         assert np.array_equal(tracker.noisy, phi_y), i
         assert np.array_equal(tracker.noise, phi_n), i
-        if keep == "inverse":
-            assert np.array_equal(tracker.noise_inverse, inv_n), i
-    if keep == "inverse":
-        # the kernel and the reference both re-seed through the counter
-        assert before_silence > 0, reseeded
-        assert sum(reseeded) - before_silence >= 2 * len(silent), reseeded
+        assert np.array_equal(tracker.noise_inverse, inv_n), i
+    # the kernel and the reference both re-seed through the counter
+    assert before_silence > 0, reseeded
+    assert sum(reseeded) - before_silence >= 2 * len(silent), reseeded
 
 
 def _random_pd_stack(rng, n_bins, p):
@@ -440,12 +434,6 @@ def test_tracker_validation(rng):
         tracker.update_frame(bad, np.ones(3, bool))
     with pytest.raises(ConfigurationError):
         CovarianceTracker(0, 3, SM)
-    # the noise PSD is the SPP detector's own, the noisy covariance comes
-    # with the noise covariance, the column has a tracker of its own, and
-    # nothing keeps a Cholesky factor
-    for unknown in ("none", "matrix", "psd", "column", "cholesky"):
-        with pytest.raises(ConfigurationError, match="keep"):
-            CovarianceTracker(2, 3, SM, keep=unknown)
     # the column tracker keeps no noise statistic and no matrix
     column = ColumnTracker(2, 3, SM)
     for matrix in ("noise", "noisy", "noise_inverse"):
@@ -457,5 +445,4 @@ def test_tracker_validation(rng):
         column.update_block(np.zeros((2, 4, 1), dtype=complex),
                             np.ones((1, 4), bool), np.empty((4, 2), dtype=complex))
     with pytest.raises(ConfigurationError):
-        CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0),
-                          keep="inverse")
+        CovarianceTracker(2, 3, SmoothingConfig(alpha_y=0.9, alpha_n=0.0))

@@ -28,6 +28,11 @@ def _rank_one_plus_noise(g, phi_n, sig2=1.0):
     return phi_n + sig2 * np.outer(g, g.conj())
 
 
+def _cs(phi_y, phi_n):
+    """CS of [K, P, P] stacks, from their reference columns."""
+    return batch_cs(phi_y[..., 0], phi_n[..., 0])
+
+
 # ---------------------------------------------------------------- cholesky
 
 def test_cholesky_identity():
@@ -108,7 +113,7 @@ def test_cs_recovers_rank_one_exactly():
         g = np.array(g, dtype=complex)
         phi_n = np.eye(len(g), dtype=complex)
         phi_y = _rank_one_plus_noise(g, phi_n, sig2=0.7)
-        values, valid = batch_cs(phi_y[None], phi_n[None])
+        values, valid = _cs(phi_y[None], phi_n[None])
         assert valid[0]
         np.testing.assert_allclose(values[0], g, atol=1e-14)
 
@@ -119,7 +124,7 @@ def test_cs_any_column_recovers_rank_one(rng):
     g = np.array([1.0, 0.5 - 0.5j, -1.3 + 0.2j])
     phi_n = _random_psd(rng, 3)
     phi_y = _rank_one_plus_noise(g, phi_n, sig2=2.0)
-    values, valid = batch_cs(phi_y[None], phi_n[None])
+    values, valid = _cs(phi_y[None], phi_n[None])
     assert valid[0]
     np.testing.assert_allclose(values[0], g, atol=1e-12)
     diff = phi_y - phi_n
@@ -130,8 +135,8 @@ def test_cs_any_column_recovers_rank_one(rng):
 def test_cs_extended_head_entries_match_head_only(rng):
     phi_y = np.stack([_random_psd(rng, 5) for _ in range(3)])
     phi_n = np.stack([_random_psd(rng, 5, scale=0.3) for _ in range(3)])
-    ext, _ = batch_cs(phi_y, phi_n)
-    head, _ = batch_cs(phi_y[:, :4, :4], phi_n[:, :4, :4])
+    ext, _ = _cs(phi_y, phi_n)
+    head, _ = _cs(phi_y[:, :4, :4], phi_n[:, :4, :4])
     np.testing.assert_allclose(ext[:, :4], head, atol=1e-13)
 
 
@@ -146,7 +151,7 @@ def test_cs_monte_carlo_sample_covariances(rng):
     y = s[:, None] * g + noise
     phi_y = (y.conj().T @ y).T / n_frames
     phi_n = (noise.conj().T @ noise).T / n_frames
-    values, valid = batch_cs(phi_y[None], phi_n[None])
+    values, valid = _cs(phi_y[None], phi_n[None])
     assert valid[0]
     assert values[0, 0] == 1.0 + 0.0j
     np.testing.assert_allclose(values[0], g, atol=0.05)
@@ -154,14 +159,17 @@ def test_cs_monte_carlo_sample_covariances(rng):
 
 def test_cs_identical_matrices_invalid():
     phi = _random_psd(np.random.default_rng(0), 3)
-    values, valid = batch_cs(phi[None], phi[None])
+    values, valid = _cs(phi[None], phi[None])
     assert not valid[0]
     assert np.all(values[0] == 0.0)
 
 
 def test_cs_shape_errors():
+    # columns of unequal length, and matrix stacks, which CS does not take
     with pytest.raises(ConfigurationError):
-        batch_cs(np.eye(3)[None].astype(complex), np.eye(2)[None].astype(complex))
+        batch_cs(np.ones((1, 3), dtype=complex), np.ones((1, 2), dtype=complex))
+    with pytest.raises(ConfigurationError):
+        batch_cs(np.eye(3)[None].astype(complex), np.eye(3)[None].astype(complex))
 
 
 # -------------------------------------------------------------- whitening
@@ -174,7 +182,7 @@ def test_cw_white_noise_reduces_to_cs(rng):
         phi_n = 0.7 * np.eye(p, dtype=complex)
         phi_y = _rank_one_plus_noise(g, phi_n, sig2=1.3)
         cw, cw_ok = batch_cw(phi_y[None], phi_n[None])
-        cs, cs_ok = batch_cs(phi_y[None], phi_n[None])
+        cs, cs_ok = _cs(phi_y[None], phi_n[None])
         assert cw_ok[0] and cs_ok[0]
         np.testing.assert_allclose(cw[0], cs[0], atol=1e-8)
         np.testing.assert_allclose(cw[0], g, atol=1e-8)
@@ -261,8 +269,7 @@ def test_power_tracker_partial_refresh_keeps_other_bins(rng):
     n_bins, p = 3, 4
     mix_a = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
     mix_b = np.stack([_random_psd(rng, p) for _ in range(n_bins)])
-    cov = CovarianceTracker(p, n_bins, SmoothingConfig(0.9, 0.9),
-                            keep="inverse")
+    cov = CovarianceTracker(p, n_bins, SmoothingConfig(0.9, 0.9))
 
     def frames(mix, mask):
         for _ in range(200):
@@ -325,8 +332,8 @@ def test_schur_head_inverse_ignores_a_dead_channel(rng):
     # tracker without the channel follows, as do the CW steps taken with it
     n_bins, p = 6, 5
     smoothing = SmoothingConfig(0.5, 0.5)
-    full = CovarianceTracker(p, n_bins, smoothing, keep="inverse")
-    head = CovarianceTracker(p - 1, n_bins, smoothing, keep="inverse")
+    full = CovarianceTracker(p, n_bins, smoothing)
+    head = CovarianceTracker(p - 1, n_bins, smoothing)
     cw_full, cw_head = PowerCwTracker(n_bins, p - 1), PowerCwTracker(n_bins, p - 1)
     for frame in range(1500):
         y = rng.standard_normal((p, n_bins)) + 1j * rng.standard_normal((p, n_bins))
@@ -409,8 +416,8 @@ def test_normalize_columns_matches_reference_bit_for_bit(rng):
 
 
 def test_cs_and_schur_match_reference_bit_for_bit(rng):
-    # on head blocks read as strided views of the tracked stacks; one CS
-    # stack is all valid, the other has bins whose reference entries of
+    # on reference columns read as strided views of the tracked stacks; one
+    # CS stack is all valid, the other has bins whose reference entries of
     # phi_y - phi_n cancel exactly or to a tiny normalizer
     n_bins, p = 40, 5
     for crafted in (False, True):
@@ -420,9 +427,9 @@ def test_cs_and_schur_match_reference_bit_for_bit(rng):
             phi_n[1::5, :, 0] = phi_y[1::5, :, 0] * (1.0 - 1e-15)
             phi_n[1::5, 0, :] = phi_n[1::5, :, 0].conj()
         for m in (4, 5):
-            values, valid = batch_cs(phi_y[:, :m, :m], phi_n[:, :m, :m])
-            expected, expected_valid = reference.batch_cs(phi_y[:, :m, :m],
-                                                          phi_n[:, :m, :m])
+            values, valid = batch_cs(phi_y[:, :m, 0], phi_n[:, :m, 0])
+            expected, expected_valid = reference.batch_cs(phi_y[:, :m, 0],
+                                                          phi_n[:, :m, 0])
             assert np.array_equal(values, expected)
             assert np.array_equal(valid, expected_valid)
             assert expected_valid.all() != crafted
@@ -514,8 +521,8 @@ def test_all_estimators_scale_invariant(rng):
                         + 1j * rng.standard_normal(p - 1)])
     phi_y = _rank_one_plus_noise(g, phi_n)
     c = 3.7e4
-    cs_a = batch_cs(phi_y[None], phi_n[None])[0]
-    cs_b = batch_cs(c * phi_y[None], c * phi_n[None])[0]
+    cs_a = _cs(phi_y[None], phi_n[None])[0]
+    cs_b = _cs(c * phi_y[None], c * phi_n[None])[0]
     np.testing.assert_allclose(cs_a, cs_b, atol=1e-12)
     cw_a = batch_cw(phi_y[None], phi_n[None])[0]
     cw_b = batch_cw(c * phi_y[None], c * phi_n[None])[0]
@@ -531,7 +538,7 @@ def test_reference_entry_is_exactly_one(rng):
         _rank_one_plus_noise(np.concatenate([[1.0], rng.standard_normal(3) + 0j]),
                              phi_n[k]) for k in range(6)
     ])
-    for values, valid in (batch_cs(phi_y, phi_n), batch_cw(phi_y, phi_n),
+    for values, valid in (_cs(phi_y, phi_n), batch_cw(phi_y, phi_n),
                           batch_sc(phi_y[..., -1])):
         assert valid.all()
         assert np.all(values[:, 0] == 1.0 + 0.0j)

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import sys
 
@@ -10,7 +9,7 @@ from rtfdoa.activity import read_labels, write_labels
 from rtfdoa.covariance import ColumnTracker, CovarianceTracker, SmoothingConfig
 from rtfdoa.doa import argmin_directions, cost_surface_frames
 from rtfdoa.errors import ConfigurationError, NumericalFailure
-from rtfdoa.estimators import batch_cw
+from rtfdoa.estimators import batch_cs, batch_cw
 from rtfdoa.evaluate import angular_errors, oracle_label_grid
 from rtfdoa import pipeline
 from rtfdoa.pipeline import (DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track,
@@ -102,25 +101,28 @@ def test_trajectory_bookkeeping(noiseless):
 
 def test_sc_never_reads_noise_covariance(database, monkeypatch):
     # neither sc nor the SPP detector, which reads only the noise PSD,
-    # touches the noise covariance
+    # touches a noise covariance: sc alone, cs-head alone and the two
+    # together (cs-head tracks its own two columns) build no covariance
+    # tracker, and sc decides alike alone and beside cs-head
     out = _scene(seed=43, snr_db=5.0)
     labels = _labels(out)
 
-    def no_noise(self):
-        raise AssertionError("noise covariance read")
+    def no_tracker(self, *args, **kwargs):
+        raise AssertionError("covariance tracker built")
 
     for detector in DETECTOR_NAMES:
         config = RunConfig(estimator="sc", detector=detector)
-        # beside cs-head the tracker keeps the whole noise covariance
-        beside = track_multi(out.mixed, database, config, ("sc", "cs-head"),
-                             labels, keep_cost_surfaces=True)["sc"]
         with monkeypatch.context() as patch:
-            patch.setattr(CovarianceTracker, "noise", property(no_noise))
+            patch.setattr(CovarianceTracker, "__init__", no_tracker)
+            beside = track_multi(out.mixed, database, config, ("sc", "cs-head"),
+                                 labels, keep_cost_surfaces=True)["sc"]
             alone = track_multi(out.mixed, database, config, ("sc",), labels,
                                 keep_cost_surfaces=True)["sc"]
-            # the subtraction estimator reads it, so the guard does fire
-            with pytest.raises(AssertionError, match="noise covariance read"):
-                track_multi(out.mixed, database, config, ("cs-head",), labels)
+            assert track_multi(out.mixed, database, config, ("cs-head",),
+                               labels)["cs-head"].valid.any(), detector
+            # a whitening estimator builds one, so the guard does fire
+            with pytest.raises(AssertionError, match="covariance tracker built"):
+                track_multi(out.mixed, database, config, ("cw-ext",), labels)
         assert alone.valid.any(), detector
         for field in ("azimuth_deg", "cost", "valid", "cost_surface"):
             np.testing.assert_array_equal(getattr(alone, field),
@@ -132,11 +134,11 @@ def test_sc_never_reads_noise_covariance(database, monkeypatch):
 def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
         database, monkeypatch, detector):
     # each estimator set keeps the least that it reads: sc a noisy column
-    # tracker of its own; cs-head and the cw-* estimators one shared
-    # covariance tracker, which keeps the tracked inverse with any cw-*,
-    # the covariances otherwise. What is kept, and which estimators share
-    # the pass, changes no estimator's output, bit for bit, in blocks of
-    # 16 frames (under SPP the first block lies inside the bootstrap)
+    # tracker of its own, cs-head its own two reference columns, and the
+    # cw-* estimators one shared covariance tracker with the tracked
+    # inverse. What is kept, and which estimators share the pass, changes
+    # no estimator's output, bit for bit, in blocks of 16 frames (under
+    # SPP the first block lies inside the bootstrap)
     out = _scene(seed=51, duration_s=1.5, snr_db=5.0)
     labels = _labels(out)
     config = RunConfig(detector=detector)
@@ -145,9 +147,7 @@ def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
     init, init_column = CovarianceTracker.__init__, ColumnTracker.__init__
 
     def recorded(self, *args, **kwargs):
-        bound = inspect.signature(init).bind(self, *args, **kwargs)
-        bound.apply_defaults()
-        kept.append(bound.arguments["keep"])
+        kept.append("matrix")
         init(self, *args, **kwargs)
 
     def recorded_column(self, *args, **kwargs):
@@ -163,9 +163,7 @@ def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
                             keep_cost_surfaces=True)
         least = ["column"] if "sc" in names else []
         if any(name.startswith("cw") for name in names):
-            least.append("inverse")
-        elif "cs-head" in names:
-            least.append("covariance")
+            least.append("matrix")
         # the trackers of band 0, which runs in this process
         assert sorted(kept) == sorted(least), (names, kept)
         return trajs
@@ -179,6 +177,68 @@ def test_every_estimator_set_keeps_the_least_and_decides_as_each_alone(
                     assert np.array_equal(getattr(traj, field),
                                           getattr(alone[name], field),
                                           equal_nan=True), (names, name, field)
+
+
+def _cs_step(n_bins, capacity, smoothing, n_head=4):
+    return pipeline._STEPS["cs-head"](n_bins, n_head, n_head + 1, capacity,
+                                      smoothing)
+
+
+def test_cs_columns_are_the_tracker_reference_columns_bit_for_bit(rng):
+    # cs-head's block update leaves, after each frame of the block, the
+    # head block's reference columns of a full covariance tracker that took
+    # the block frame by frame, noisy and noise alike, bit for bit: over
+    # blocks of 128, 37 and 1 frames (and random lengths), blocks all
+    # speech and with no speech, random gating, and snapshot scales
+    # spanning sixteen decades; what finish stores is batch_cs of them
+    n_bins, p, m = 33, 5, 4
+    sm = SmoothingConfig(alpha_y=0.9, alpha_n=0.95)
+    step, full = _cs_step(n_bins, 128, sm), CovarianceTracker(p, n_bins, sm)
+    lengths = [128, 37, 1, 128, 37, 1] + [int(n) for n in rng.integers(1, 129, 8)]
+    for block, n in enumerate(lengths):
+        scales = 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+        y = scales * (rng.standard_normal((p, n_bins, n))
+                      + 1j * rng.standard_normal((p, n_bins, n)))
+        masks = rng.random((n, n_bins)) < rng.random()
+        if block in (0, 1, 2):
+            masks[:] = True
+        elif block in (3, 4, 5):
+            masks[:] = False
+        step.start(n)
+        step.step_block(y, masks)
+        noisy, noise = [], []
+        for i in range(n):
+            full.update_frame(y[:, :, i], masks[i])
+            noisy.append(full.noisy[:, :m, 0].copy())
+            noise.append(full.noise[:, :m, 0].copy())
+        assert np.array_equal(step._columns[0, :n], noisy), block
+        assert np.array_equal(step._columns[1, :n], noise), block
+        values, valid = batch_cs(np.concatenate(noisy), np.concatenate(noise))
+        store, ever, written = step.finish(0)
+        assert np.array_equal(written, valid.reshape(n, n_bins)), block
+        assert np.array_equal(store[written],
+                              values.astype(np.complex64)[valid]), block
+    assert np.array_equal(step._carried[0], full.noisy[:, :m, 0])
+    assert np.array_equal(step._carried[1], full.noise[:, :m, 0])
+
+
+def test_cs_block_with_a_nonfinite_entry_raises_and_leaves_the_columns(rng):
+    n_bins, p, n = 9, 5, 6
+    step = _cs_step(n_bins, n, SmoothingConfig(alpha_y=0.9, alpha_n=0.95))
+    y = rng.standard_normal((p, n_bins, n)) + 1j * rng.standard_normal((p, n_bins, n))
+    masks = rng.random((n, n_bins)) < 0.5
+    step.start(n)
+    step.step_block(y, masks)
+    carried, columns = step._carried.copy(), step._columns.copy()
+    # in a head channel and in the external one, which cs-head does not read
+    for channel in (1, 4):
+        for bad in (np.nan, np.inf):
+            broken = y.copy()
+            broken[channel, 3, 4] = bad
+            with pytest.raises(NumericalFailure, match="non-finite"):
+                step.step_block(broken, masks)
+            assert np.array_equal(step._carried, carried)
+            assert np.array_equal(step._columns, columns)
 
 
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)
