@@ -16,6 +16,11 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
   (under SPP most bins are gated as speech after it), a 12 s moving one
   at 5 dB whose external channel dies at 6 s, and a 60 s static one at
   0 dB;
+* ``level/...``: the same of each estimator alone and of all four,
+  under both detectors, with one and with two usable CPUs, on a 3 s
+  static scene at 5 dB scaled by 1e78 and by 1e155 (finite samples
+  beyond what float64 statistics of them hold), or the type and
+  message of the exception the run raised;
 * ``sweep/...``: the rows of ``run_sweep`` (four estimators, two
   azimuths, three SNRs, two seeds) under each detector;
 * ``estimate/...``: the CSV and the ``--cost-surface`` dump of
@@ -148,6 +153,28 @@ def scene_digests(db) -> None:
                       f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
 
 
+def level_digests(db) -> None:
+    scene = synthesize(SceneSpec(seed=33, duration_s=3.0, snr_db=5.0,
+                                 source_trajectory=((0.0, 35.0),)))
+    sets = [(name,) for name in ESTIMATOR_NAMES] + [ESTIMATOR_NAMES]
+    for gain, detector in itertools.product((1e78, 1e155), DETECTOR_NAMES):
+        config = RunConfig(detector=detector)
+        labels = oracle_label_grid(scene, config)
+        clip = AudioClip(gain * scene.mixed.samples, scene.mixed.sample_rate)
+        for names, cpus in itertools.product(sets, CPUS):
+            run = f"level/{gain:g}/{detector}/{'+'.join(names)}/cpus={cpus}"
+            try:
+                with usable_cpus(cpus):
+                    trajs = track_multi(clip, db, config, names, labels,
+                                        keep_cost_surfaces=True)
+            except Exception as exc:
+                print(f"{run} raised {type(exc).__name__}: {exc}")
+                continue
+            for name, t in trajs.items():
+                print(f"{run}/{name} "
+                      f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
+
+
 def sweep_digests(db) -> None:
     matrix = {"estimators": list(ESTIMATOR_NAMES), "azimuths_deg": [-35.0, 125.0],
               "snrs_db": [-5.0, 0.0, 5.0], "seeds": [5, 6], "duration_s": 2.0,
@@ -208,6 +235,7 @@ def main() -> int:
     db = generate_prototypes(default_geometry())
     track_digests(db)
     scene_digests(db)
+    level_digests(db)
     sweep_digests(db)
     estimate_digests(db)
     return 0

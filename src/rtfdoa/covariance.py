@@ -84,6 +84,10 @@ they replace, so the results are the same bit for bit
 compare the two). Every complex product stays an ``einsum``: the exact
 Hermitian symmetry above rests on it, and numpy's broadcast complex
 multiply may fuse a multiply and an add, which changes last bits.
+
+Neither tracker checks its input for non-finite entries: both take the
+blocks that the block loop has admitted, whose STFT power bounds every
+product formed here (see :mod:`rtfdoa.pipeline`).
 """
 from __future__ import annotations
 
@@ -92,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailure
+from .errors import ConfigurationError
 from .estimators import DIAG_LOAD_REL
 
 DEFAULT_EPS_INIT = 1e-6
@@ -221,16 +225,15 @@ class ColumnTracker:
         against the last channel, rank-major: every speech bin's first
         speech frame, then every second one, and so on, the bins of a rank
         ordered by their number of speech frames, most first, then by
-        index. Returns the (frames, bins) of those rows. A block with a
-        non-finite entry raises before any column changes.
+        index. Returns the (frames, bins) of those rows. The block is
+        taken as admitted: its entries are not checked (see
+        :mod:`rtfdoa.pipeline`).
         """
         masks = np.asarray(masks, dtype=bool)
         n = masks.shape[0]
         if (y.shape != (self.n_channels, self.n_bins, n)
                 or masks.shape[1:] != (self.n_bins,)):
             raise ConfigurationError("block shape does not match tracker")
-        if np.count_nonzero(np.isfinite(y)) < y.size:
-            raise NumericalFailure("block contains non-finite values")
         counts = np.count_nonzero(masks, axis=0)
         # most speech frames first, ties by index: the bins with a j-th
         # speech frame take the first places of the order
@@ -309,14 +312,14 @@ class CovarianceTracker:
         return self._inv_n
 
     def update_frame(self, y: np.ndarray, speech_mask: np.ndarray) -> None:
-        """Consume one frame: ``y`` is [P, K], ``speech_mask`` a boolean [K]."""
+        """Consume one frame of an admitted block (see
+        :mod:`rtfdoa.pipeline`; its entries are not checked): ``y`` is
+        [P, K], ``speech_mask`` a boolean [K]."""
         if y.shape != (self.n_channels, self.n_bins):
             raise ConfigurationError("frame shape does not match tracker")
         # a frame is a strided view of a block's STFT; every read below
         # costs less from one contiguous copy
         y = np.ascontiguousarray(y)
-        if np.count_nonzero(np.isfinite(y)) < y.size:
-            raise NumericalFailure("frame contains non-finite values")
         mask = np.asarray(speech_mask, dtype=bool)
         speech = mask.nonzero()[0]
         a_y = self.smoothing.alpha_y

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtfdoa import pipeline
+from rtfdoa import evaluate, pipeline
 from rtfdoa.activity import read_labels, write_labels
 from rtfdoa.covariance import CovarianceTracker
 from rtfdoa.errors import NumericalFailure
@@ -252,6 +252,23 @@ def test_band_processes_hold_blas_to_one_thread(database, scene, monkeypatch,
 
     monkeypatch.setattr(pipeline, "_single_blas_thread", single_blas_thread)
     track_multi(scene.mixed, database, RunConfig(detector="spp"), ("cs-head",))
+    pids = {int(path.name) for path in tmp_path.iterdir()}
+    assert len(pids) == 2 and os.getpid() not in pids
+
+
+def test_sweep_workers_hold_blas_to_one_thread(database, monkeypatch, tmp_path):
+    # a sweep runs one forked worker per usable CPU; each holds OpenBLAS to
+    # one thread, through the name its pool initializer calls
+    _force_cpus(monkeypatch, 2)
+
+    def single_blas_thread():
+        (tmp_path / str(os.getpid())).touch()
+
+    monkeypatch.setattr(evaluate, "_single_blas_thread", single_blas_thread)
+    rows = run_sweep({"estimators": ["sc"], "azimuths_deg": [35.0, -35.0],
+                      "snrs_db": [5.0], "seeds": [1], "duration_s": 2.0,
+                      "detector": "spp"}, database)
+    assert not any(row["error"] for row in rows)
     pids = {int(path.name) for path in tmp_path.iterdir()}
     assert len(pids) == 2 and os.getpid() not in pids
 

@@ -326,6 +326,24 @@ def test_exit_code_on_numerical_failure(workspace, tmp_path):
                  "--detector", "spp", "--estimator", "sc", "--output", str(out)]) == 2
 
 
+def test_exit_code_on_a_level_beyond_float64s_range(workspace, tmp_path):
+    # 64-bit float WAVs of finite samples at 1e78 and 1e155 full scale:
+    # every estimator exits 3 and writes nothing
+    from scipy.io import wavfile
+
+    clip = read_wav(workspace["sim"] / "mixed.wav")
+    for gain in (1e78, 1e155):
+        wav = tmp_path / f"loud-{gain:g}.wav"
+        wavfile.write(wav, clip.sample_rate, gain * clip.samples.T)
+        for estimator in ("sc", "cs-head", "cw-head", "cw-ext"):
+            out = tmp_path / f"{estimator}.csv"
+            assert main(["estimate", "--input", str(wav),
+                         "--database", str(workspace["db"]),
+                         "--detector", "spp", "--estimator", estimator,
+                         "--output", str(out)]) == 3, (gain, estimator)
+            assert list(tmp_path.glob(f"{estimator}.csv*")) == [], (gain, estimator)
+
+
 def test_estimate_with_an_all_zero_external_channel(workspace, tmp_path):
     # a dead external microphone: sc, whose reference it is, flags every
     # frame invalid; the estimators that can do without it still lock on

@@ -222,23 +222,85 @@ def test_cs_columns_are_the_tracker_reference_columns_bit_for_bit(rng):
     assert np.array_equal(step._carried[1], full.noise[:, :m, 0])
 
 
-def test_cs_block_with_a_nonfinite_entry_raises_and_leaves_the_columns(rng):
-    n_bins, p, n = 9, 5, 6
-    step = _cs_step(n_bins, n, SmoothingConfig(alpha_y=0.9, alpha_n=0.95))
-    y = rng.standard_normal((p, n_bins, n)) + 1j * rng.standard_normal((p, n_bins, n))
-    masks = rng.random((n, n_bins)) < 0.5
-    step.start(n)
-    step.step_block(y, masks)
-    carried, columns = step._carried.copy(), step._columns.copy()
-    # in a head channel and in the external one, which cs-head does not read
-    for channel in (1, 4):
-        for bad in (np.nan, np.inf):
-            broken = y.copy()
-            broken[channel, 3, 4] = bad
-            with pytest.raises(NumericalFailure, match="non-finite"):
-                step.step_block(broken, masks)
-            assert np.array_equal(step._carried, carried)
-            assert np.array_equal(step._columns, columns)
+def _estimator_sets():
+    """Each estimator alone, and all four."""
+    return [(name,) for name in ESTIMATOR_NAMES] + [ESTIMATOR_NAMES]
+
+
+def _record_blocks(monkeypatch, corrupt=None):
+    """Count the blocks that ``analyze`` transforms, and log the block
+    number (from 1) of every detector step, block step and frame update,
+    in blocks of 16 frames, one band in this process. ``corrupt(block,
+    spectrum)`` may alter a block's [P, K, n] STFT once it is made."""
+    monkeypatch.setattr(pipeline, "BLOCK_FRAMES", 16)
+    monkeypatch.setattr(pipeline, "MAX_BANDS", 1)
+    analyzed, seen = [], []
+    analyze = pipeline.analyze
+
+    def transformed(*args, **kwargs):
+        spectrum = analyze(*args, **kwargs)
+        analyzed.append(len(analyzed) + 1)
+        if corrupt is not None:
+            corrupt(len(analyzed), spectrum)
+        return spectrum
+
+    monkeypatch.setattr(pipeline, "analyze", transformed)
+    for owner, attr in ((activity.SppDetector, "step"),
+                        (pipeline._ScStep, "step_block"),
+                        (pipeline._CsStep, "step_block"),
+                        (CovarianceTracker, "update_frame")):
+        def logged(*args, _func=getattr(owner, attr), **kwargs):
+            seen.append(len(analyzed))
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, logged)
+    return analyzed, seen
+
+
+@pytest.mark.parametrize("detector", DETECTOR_NAMES)
+def test_a_non_finite_stft_entry_is_raised_before_its_block_is_read(
+        database, monkeypatch, detector):
+    # 79 frames: blocks of 15 and four of 16; block 3 gets a NaN, then an
+    # inf, in one STFT entry of a head channel and of the external one
+    # (which cs-head and cw-head do not read). The block loop raises
+    # before the detector or any tracker has read the block
+    out = _scene(seed=53, duration_s=(512 + 78 * 256) / FS, snr_db=5.0)
+    labels = _labels(out)
+    config = RunConfig(detector=detector)
+    entry = {}
+
+    def corrupt(block, spectrum):
+        if block == 3:
+            spectrum[entry["channel"], 100, 7] = entry["bad"]
+
+    analyzed, seen = _record_blocks(monkeypatch, corrupt)
+    for channel, bad, names in itertools.product((1, 4), (np.nan, np.inf),
+                                                 _estimator_sets()):
+        entry.update(channel=channel, bad=bad)
+        analyzed.clear()
+        seen.clear()
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            track_multi(out.mixed, database, config, names, labels)
+        assert analyzed == [1, 2, 3], (channel, bad, names)
+        assert seen and max(seen) == 2, (channel, bad, names)
+
+
+@pytest.mark.parametrize("gain", (1e78, 1e100, 1e155))
+def test_a_level_beyond_float64s_range_is_raised_in_the_first_block(
+        database, monkeypatch, gain):
+    # finite samples whose block power's fourth order overflows: every
+    # estimator set raises on the first block, before any step reads it
+    out = _scene(seed=41, snr_db=5.0)
+    samples = gain * out.mixed.samples
+    assert np.isfinite(samples).all()
+    labels = _labels(out)
+    analyzed, seen = _record_blocks(monkeypatch)
+    for detector, names in itertools.product(DETECTOR_NAMES, _estimator_sets()):
+        analyzed.clear()
+        with pytest.raises(NumericalFailure, match="out-of-range"):
+            track_multi(AudioClip(samples, FS), database,
+                        RunConfig(detector=detector), names, labels)
+        assert analyzed == [1] and not seen, (detector, names)
 
 
 @pytest.mark.parametrize("detector", DETECTOR_NAMES)
