@@ -280,7 +280,7 @@ def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase
         if changed.shape != (n_frames, n_bins):
             raise ConfigurationError("written mask must be [L, K]")
     changed[:1] = True
-    slots = np.cumsum(changed, axis=0) - 1
+    slots = np.cumsum(changed, axis=0, dtype=np.int32) - 1
     per_bin = changed.sum(axis=0)
     # moved[l, k]: frame l's term of bin k may differ from frame l-1's
     moved = changed.copy()
@@ -289,7 +289,7 @@ def cost_chunk_sums(values: np.ndarray, valid: np.ndarray, db: PrototypeDatabase
     # computed there; every other frame repeats the last computed one
     starts = [start - first_bin for start in chunks]
     summed = np.logical_or.reduceat(moved, starts, axis=1)
-    repeat = np.cumsum(summed, axis=0) - 1
+    repeat = np.cumsum(summed, axis=0, dtype=np.int32) - 1
 
     sums = np.empty((len(chunks), n_frames, db.n_directions), dtype=rdtype)
     # a chunk whose every entry was written is read directly; the others

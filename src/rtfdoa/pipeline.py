@@ -72,23 +72,27 @@ speech bins' columns straight into ``sc``'s stack and names each row's
 frame and bin; :func:`~rtfdoa.estimators.batch_sc` then estimates the
 block's stack in one call. ``cs-head`` reads only the reference columns
 of the head channels' noisy and noise covariances, and likewise tracks
-them itself once a block's masks are decided: one einsum forms every
-frame's fresh columns ``y_head conj(y_1)``, one loop over the frames
-per column absorbs them, in the speech bins into the noisy column and
-in the others into the noise column, and keeps both columns of every
-frame; :func:`~rtfdoa.estimators.batch_cs` then estimates the whole
-block in one call, and each frame's valid estimates are written. The cost
-surface computes a bin's angles only in the frames where it was written,
-and sums a chunk of bins only in the frames where one of them was
-written or the valid mask changed (see
+them itself once a block's masks are decided, chunk by chunk of
+:data:`CS_CHUNK_FRAMES` frames: one einsum forms the chunk's fresh
+columns ``y_head conj(y_1)``, one loop over its frames per column
+absorbs them, in the speech bins into the noisy column and in the others
+into the noise column, both columns carried across chunks as across
+blocks; :func:`~rtfdoa.estimators.batch_cs` then estimates the chunk's
+columns in one call, and each frame's valid estimates are written. So
+only a chunk's columns are held, not a block's; since ``batch_cs`` works
+row by row, the estimates equal those of the whole block in one call.
+The cost surface computes a bin's angles only in the frames where it
+was written, and sums a chunk of bins only in the frames where one of
+them was written or the valid mask changed (see
 :func:`~rtfdoa.doa.cost_surface_frames`).
 
 The block buffers are allocated once per run, sized for the largest
 block: the STFT (:func:`~rtfdoa.stft.analyze` writes into it), each
-estimator's store and written mask, ``sc``'s stack of columns, and
-``cs-head``'s columns of every frame and fresh columns. Every
-block overwrites what it reads of them, and each frame is a view of the
-block's STFT.
+estimator's store and written mask, and ``sc``'s stack of columns.
+``cs-head``'s columns of a chunk of frames, with the masks of where they
+keep their values, are allocated once too, but do not grow with the
+block. Every block overwrites what it reads of them, and each frame is a
+view of the block's STFT.
 
 Only what is read is kept: the covariance tracker, with the inverse
 noise covariance, runs only for the ``cw-*`` estimators. ``sc``'s column
@@ -158,6 +162,11 @@ BLOCK_FRAMES = 128
 # the most frequency bands a run is split into: two bands were measured,
 # on a 2-CPU box; what more would gain, or cost a shared host, is unmeasured
 MAX_BANDS = 2
+
+# frames per chunk in which cs-head tracks and estimates a block: its two
+# columns of each frame of a chunk are held only until the chunk is
+# estimated (16: BENCH_27.json timed 8, 16 and 32)
+CS_CHUNK_FRAMES = 16
 
 
 def check_scoring(eval_window: float, tolerance_deg: float) -> None:
@@ -316,9 +325,9 @@ class _HeldStore:
 class _CsStep(_HeldStore):
     """``cs-head``: subtracts the noise covariance's reference column of the
     head channels from the noisy one's. It tracks both columns itself,
-    ``phi_y e_1`` and ``phi_n e_1``, each block's frames in one loop per
-    column (:meth:`step_block`), and :meth:`finish` estimates the block's
-    columns in one call."""
+    ``phi_y e_1`` and ``phi_n e_1``, and estimates them, each block chunk
+    by chunk of :data:`CS_CHUNK_FRAMES` frames (:meth:`step_block`), so
+    :meth:`finish` only holds and returns."""
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
                  capacity: int, smoothing: SmoothingConfig) -> None:
@@ -327,9 +336,12 @@ class _CsStep(_HeldStore):
         # the noisy and the noise column, [2, K, M], each from eps * e_1
         self._carried = np.zeros((2, n_bins, n_head), dtype=np.complex128)
         self._carried[:, :, 0] = DEFAULT_EPS_INIT
-        # both columns after each frame of a block, [2, n, K, M], which
-        # first hold each frame's fresh columns weighted for each
-        self._columns = np.empty((2, capacity, n_bins, n_head), dtype=np.complex128)
+        # both columns after each frame of a chunk, [2, c, K, M], which
+        # first hold each frame's fresh columns weighted for each, and
+        # where each keeps its value
+        chunk = min(CS_CHUNK_FRAMES, capacity)
+        self._columns = np.empty((2, chunk, n_bins, n_head), dtype=np.complex128)
+        self._kept = np.empty(self._columns.shape, dtype=bool)
         self._scaled = np.empty((n_bins, n_head), dtype=np.complex128)
 
     def step_block(self, data: np.ndarray, masks: np.ndarray) -> None:
@@ -337,41 +349,42 @@ class _CsStep(_HeldStore):
         noisy column absorbs each frame's speech bins and the noise column
         its other bins, with the products and in the order of
         :class:`~rtfdoa.covariance.CovarianceTracker`, so both equal its
-        head block's reference columns bit for bit. The block is taken as
-        admitted (see the module docstring): its entries are not checked."""
-        n = masks.shape[0]
+        head block's reference columns bit for bit; each chunk's columns
+        are estimated in one call and its valid estimates written. The
+        block is taken as admitted (see the module docstring): its entries
+        are not checked."""
+        n, chunk = masks.shape[0], self._columns.shape[1]
+        n_bins, m = self._scaled.shape
         a_y, a_n = self.smoothing.alpha_y, self.smoothing.alpha_n
-        # every frame's fresh columns y_head conj(y_1) in one einsum
-        columns = self._columns[:, :n]
-        np.einsum("pkn,kn->nkp", data[:self.n_head], data[0].conj(), out=columns[0])
-        np.multiply(columns[0], 1.0 - a_n, out=columns[1])
-        columns[0] *= 1.0 - a_y
-        # where each column keeps its value, the noisy one outside speech;
-        # an unbroadcast mask copies the fastest
-        held = np.empty(columns.shape, dtype=bool)
-        np.logical_not(masks[:, :, None], out=held[0])
-        held[1] = masks[:, :, None]
         scaled = self._scaled
-        for frames, carried, kept, alpha in zip(columns, self._carried, held,
-                                                (a_y, a_n)):
-            previous = carried
-            # each frame's weighted fresh column plus the scaled previous
-            # one, a sum whose terms commute bit for bit
-            for column, keep in zip(frames, kept):
-                np.multiply(previous, alpha, out=scaled)
-                np.add(column, scaled, out=column)
-                np.copyto(column, previous, where=keep)
-                previous = column
-            carried[...] = previous
-
-    def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        count, (n_bins, m) = self.count, self.held.shape
-        noisy, noise = self._columns[:, :count].reshape(2, count * n_bins, m)
-        values, valid = batch_cs(noisy, noise)
-        # an invalid estimate is all zeros and stays unwritten (see _ScStep)
-        self.store[:count] = values.reshape(count, n_bins, m)
-        self.written[:count] = valid.reshape(count, n_bins)
-        return super().finish(first)
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            columns, kept = self._columns[:, :hi - lo], self._kept[:, :hi - lo]
+            # every frame's fresh columns y_head conj(y_1) in one einsum
+            np.einsum("pkn,kn->nkp", data[:self.n_head, :, lo:hi],
+                      data[0, :, lo:hi].conj(), out=columns[0])
+            np.multiply(columns[0], 1.0 - a_n, out=columns[1])
+            columns[0] *= 1.0 - a_y
+            # the noisy column keeps its value outside speech; an
+            # unbroadcast mask copies the fastest
+            np.logical_not(masks[lo:hi, :, None], out=kept[0])
+            kept[1] = masks[lo:hi, :, None]
+            for frames, carried, keeps, alpha in zip(columns, self._carried,
+                                                     kept, (a_y, a_n)):
+                previous = carried
+                # each frame's weighted fresh column plus the scaled previous
+                # one, a sum whose terms commute bit for bit
+                for column, keep in zip(frames, keeps):
+                    np.multiply(previous, alpha, out=scaled)
+                    np.add(column, scaled, out=column)
+                    np.copyto(column, previous, where=keep)
+                    previous = column
+                carried[...] = previous
+            noisy, noise = columns.reshape(2, -1, m)
+            values, valid = batch_cs(noisy, noise)
+            # an invalid estimate is all zeros and stays unwritten (see _ScStep)
+            self.store[lo:hi] = values.reshape(hi - lo, n_bins, m)
+            self.written[lo:hi] = valid.reshape(hi - lo, n_bins)
 
 
 class _CwStep(_HeldStore):
