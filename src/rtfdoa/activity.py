@@ -170,13 +170,12 @@ def write_labels(path, labels: np.ndarray) -> None:
 class LabelBitmap:
     """A [K, L] label grid held as the packed bits of a label file.
 
-    Only :meth:`columns` unpacks, so a caller that reads a block of
-    frames at a time holds one bit per bin and frame for the whole
-    recording and one byte per bin and frame for the block. ``np.asarray``
-    unpacks the whole grid.
+    Only indexing by a (bins, frames) pair of slices unpacks, and only the
+    bits it names, so a caller that reads a block of frames of a band at a
+    time holds one bit per bin and frame for the whole recording and one
+    byte per bin and frame for the block's bins. ``np.asarray`` unpacks
+    the whole grid.
     """
-
-    ndim = 2
 
     def __init__(self, bits: np.ndarray, n_bins: int, n_frames: int) -> None:
         if bits.size != (n_bins * n_frames + 7) // 8:
@@ -184,18 +183,17 @@ class LabelBitmap:
         self._bits = bits
         self.shape = (n_bins, n_frames)
 
-    def columns(self, start: int, stop: int) -> np.ndarray:
-        """Labels of frames ``start`` to ``stop`` (exclusive), [K, n] bool."""
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
+        """The labels of a (bins, frames) pair of slices, a new bool array
+        equal to that slice of the unpacked grid."""
+        rows, cols = key
         n_bins, n_frames = self.shape
-        if not 0 <= start <= stop <= n_frames:
-            raise ConfigurationError(
-                f"frames {start}:{stop} outside a bitmap of {n_frames}")
         # bit of bin k, frame l: k * L + l, most significant bit first
-        bit = np.arange(n_bins)[:, None] * n_frames + np.arange(start, stop)
+        bit = np.arange(n_bins)[rows, None] * n_frames + np.arange(n_frames)[cols]
         return ((self._bits[bit >> 3] << (bit & 7)) & 0x80) != 0
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        grid = self.columns(0, self.shape[1])
+        grid = self[:, :]
         return grid if dtype is None else grid.astype(dtype)
 
 

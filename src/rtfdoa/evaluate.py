@@ -34,8 +34,8 @@ import numpy as np
 from .activity import oracle_labels
 from .doa import PrototypeDatabase
 from .errors import ConfigurationError, NumericalFailure
-from .pipeline import (DoaTrajectory, RunConfig, _single_blas_thread, check_scoring,
-                       config_from_dict, track_multi)
+from .pipeline import (ESTIMATOR_NAMES, DoaTrajectory, RunConfig, _single_blas_thread,
+                       check_scoring, config_from_dict, track_multi)
 from .simulate import (SceneOutput, SceneSpec, azimuth_free, compose, is_integer,
                        is_number, render_azimuth_free, steer)
 from .stft import AudioClip, analyze, num_frames
@@ -276,7 +276,8 @@ def _is_external(value) -> bool:
 
 # sweep-matrix axes: (required, what each entry must be, check of an entry)
 _SWEEP_AXES = {
-    "estimators": (True, "estimator names", lambda v: isinstance(v, str)),
+    "estimators": (True, f"estimator names ({', '.join(ESTIMATOR_NAMES)})",
+                   lambda v: v in ESTIMATOR_NAMES),
     "azimuths_deg": (True, "numbers", is_number),
     "snrs_db": (True, "numbers or null", _is_number_or_null),
     "seeds": (True, "integers", is_integer),
@@ -291,8 +292,9 @@ _SWEEP_SCENE_KEYS = ("reverb_proxy_db", "duration_s", "diffuse_order")
 
 def _check_sweep_matrix(matrix: dict) -> None:
     """Raise :class:`ConfigurationError`, naming the key, for an unknown
-    key, a missing required axis, an axis of the wrong shape or type, or
-    the reverb proxy given both as an axis and as a scalar.
+    key, a missing required axis, an axis of the wrong shape or type, an
+    unknown or repeated estimator name, or the reverb proxy given both as
+    an axis and as a scalar.
     The scalar scene entries are checked by the :class:`SceneSpec` they go
     into."""
     unknown = set(matrix) - set(_SWEEP_AXES) - set(_SWEEP_OVERRIDES) \
@@ -311,6 +313,8 @@ def _check_sweep_matrix(matrix: dict) -> None:
         if not isinstance(axis, (list, tuple)) or not all(map(check, axis)):
             raise ConfigurationError(
                 f"sweep matrix key '{key}' must be a list of {what}")
+    if len(set(matrix["estimators"])) != len(matrix["estimators"]):
+        raise ConfigurationError("sweep matrix key 'estimators' repeats a name")
 
 
 def run_sweep(matrix: dict, db: PrototypeDatabase,
@@ -326,8 +330,9 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     (only without ``reverb_proxies_db``), ``duration_s`` and
     ``diffuse_order``. Every key is checked before any cell runs; an
     unknown key, a missing axis, an axis that is not a list of entries of
-    its type, or both reverb keys at once raise
-    :class:`ConfigurationError` naming the keys.
+    its type (``estimators`` of distinct names in
+    :data:`~rtfdoa.pipeline.ESTIMATOR_NAMES`), or both reverb keys at once
+    raise :class:`ConfigurationError` naming the keys.
 
     A cell is one seed, azimuth, reverb proxy, external position and SNR.
     Every cell's :class:`~rtfdoa.simulate.SceneSpec`, SNR included, is

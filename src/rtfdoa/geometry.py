@@ -17,17 +17,21 @@ SPEED_OF_SOUND = 343.0  # m/s
 # mics closer than this are treated as coincident
 _MIN_MIC_DISTANCE = 1e-6
 
+# the head-mounted array: the ears' distance, and the front-back spacing of
+# an ear's two mics, in meters
+EAR_DISTANCE_M = 0.16
+MIC_SPACING_M = 0.015
 
-def binaural_head_positions(ear_distance: float = 0.16,
-                            mic_spacing: float = 0.015) -> np.ndarray:
+
+def binaural_head_positions() -> np.ndarray:
     """Positions of a two-mics-per-ear head-mounted array.
 
     Channel order: left-front, left-rear, right-front, right-rear.
-    The two mics of each ear sit ``mic_spacing`` apart along the
-    front-back axis; the ears are ``ear_distance`` apart.
+    The two mics of each ear sit :data:`MIC_SPACING_M` apart along the
+    front-back axis; the ears are :data:`EAR_DISTANCE_M` apart.
     """
-    hx = mic_spacing / 2.0
-    hy = ear_distance / 2.0
+    hx = MIC_SPACING_M / 2.0
+    hy = EAR_DISTANCE_M / 2.0
     return np.array([
         [+hx, +hy, 0.0],
         [-hx, +hy, 0.0],
@@ -92,13 +96,11 @@ class ArrayGeometry:
 
 
 def default_geometry(external_azimuth_deg: float = 45.0,
-                     external_distance_m: float = 1.6,
-                     ear_distance: float = 0.16,
-                     mic_spacing: float = 0.015) -> ArrayGeometry:
+                     external_distance_m: float = 1.6) -> ArrayGeometry:
     """Default binaural array with one external microphone in the far field."""
     ext = external_distance_m * azimuth_to_unit(external_azimuth_deg)
     return ArrayGeometry(
-        head_positions=binaural_head_positions(ear_distance, mic_spacing),
+        head_positions=binaural_head_positions(),
         external_position=ext,
     )
 

@@ -55,22 +55,25 @@ excluded from the cost mean. Frames before the warm-up horizon (twice
 the slowest smoothing time constant) are flagged invalid.
 
 Only what moved is recomputed, with unchanged results. Each estimator
-is one step class over a shared hold-last-valid store. Every frame the
+is one step class over a shared hold-last-valid store, and every step
+writes its valid estimates into the block's store, and marks them as
+written, where it tracks; closing the block only holds. Every frame the
 covariance tracker of the ``cw-*`` estimators updates once, and each of
-their steps writes its valid estimates into the block's store and marks
-them as written. The cost
+their steps writes that frame's estimates. The cost
 reads no other entry but those of the block's first costed frame, so
 only that frame takes each bin's last valid estimate, and each bin's
 held value is carried to the next block from its last write. ``sc``
 reads only the noisy column against the external microphone, which
 moves only in the speech bins, and reads nothing between frames. So in
 every estimator set ``sc`` tracks that column itself, block by block:
-once a block's masks are decided, its column tracker takes the whole
-block at once, with one step of the column recursion per speech rank
-(see :meth:`~rtfdoa.covariance.ColumnTracker.update_block`), writes the
+once a block's masks are decided, its step clears the block's written
+marks, and its column tracker takes the whole block at once, with one
+step of the column recursion per speech rank (see
+:meth:`~rtfdoa.covariance.ColumnTracker.update_block`), writes the
 speech bins' columns straight into ``sc``'s stack and names each row's
 frame and bin; :func:`~rtfdoa.estimators.batch_sc` then estimates the
-block's stack in one call. ``cs-head`` reads only the reference columns
+block's stack in one call, and the valid estimates of the speech bins
+are written. ``cs-head`` reads only the reference columns
 of the head channels' noisy and noise covariances, and likewise tracks
 them itself once a block's masks are decided, chunk by chunk of
 :data:`CS_CHUNK_FRAMES` frames: one einsum forms the chunk's fresh
@@ -277,15 +280,15 @@ class _HeldStore:
     and whether it reads the external channel.
 
     The store and its written mask are allocated once for blocks of up to
-    ``capacity`` frames. Per block, :meth:`start` opens the block, then
-    ``step(i, tracker)`` writes frame ``i``'s valid estimates into the
-    store and marks them in ``written`` (or ``step_block(data, masks)``
-    takes the whole block), and :meth:`finish` holds each
-    bin's last valid estimate in the first frame that is costed and
-    returns the store and written mask from that frame on, views that the
-    next block overwrites, with the valid mask. The cost reads no other
-    entry that is not written (see :func:`~rtfdoa.doa.cost_surface_frames`),
-    so no other is filled.
+    ``capacity`` frames. Per block, ``step(i, tracker)`` writes frame
+    ``i``'s valid estimates into the store and its row of ``written`` (or
+    ``step_block(data, masks)`` writes those of the whole block), so every
+    step writes every row of ``written`` that the block reads, and
+    :meth:`finish` only holds each bin's last valid estimate in the first
+    frame that is costed and returns the store and written mask from that
+    frame on, views that the next block overwrites, with the valid mask.
+    The cost reads no other entry that is not written (see
+    :func:`~rtfdoa.doa.cost_surface_frames`), so no other is filled.
     """
 
     framed = False
@@ -299,19 +302,11 @@ class _HeldStore:
         self.store = np.empty((capacity, n_bins, n_head), dtype=np.complex64)
         self.written = np.empty((capacity, n_bins), dtype=bool)
 
-    def start(self, count: int) -> None:
-        self.count = count
-        self.written[:count] = False
-
-    def _write(self, i: int, values: np.ndarray, valid: np.ndarray) -> None:
-        np.copyto(self.store[i], values[:, :self.n_head], where=valid[:, None])
-        self.written[i] = valid
-
-    def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Close the block; return the (store [L, K, M], valid [L, K],
-        written [L, K]) of its frames from ``first`` on, valid meaning that
-        the bin has held an estimate by that frame."""
-        count = self.count
+    def finish(self, first: int, count: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Close the block of ``count`` frames; return the (store [L, K, M],
+        valid [L, K], written [L, K]) of its frames from ``first`` on, valid
+        meaning that the bin has held an estimate by that frame."""
         store, written = self.store[:count], self.written[:count]
         if first < count:
             store[first] = _held_at(store, written, self.held, first)
@@ -326,8 +321,7 @@ class _CsStep(_HeldStore):
     """``cs-head``: subtracts the noise covariance's reference column of the
     head channels from the noisy one's. It tracks both columns itself,
     ``phi_y e_1`` and ``phi_n e_1``, and estimates them, each block chunk
-    by chunk of :data:`CS_CHUNK_FRAMES` frames (:meth:`step_block`), so
-    :meth:`finish` only holds and returns."""
+    by chunk of :data:`CS_CHUNK_FRAMES` frames (:meth:`step_block`)."""
 
     def __init__(self, n_bins: int, n_head: int, n_channels: int,
                  capacity: int, smoothing: SmoothingConfig) -> None:
@@ -401,9 +395,11 @@ class _CwStep(_HeldStore):
 
     def step(self, i: int, tracker: CovarianceTracker) -> None:
         dim = self.cw.dim
-        self._write(i, *self.cw.estimate(
+        values, valid = self.cw.estimate(
             tracker.noisy[:, :dim, :dim],
-            schur_head_inverse(tracker.noise_inverse, dim)))
+            schur_head_inverse(tracker.noise_inverse, dim))
+        np.copyto(self.store[i], values[:, :self.n_head], where=valid[:, None])
+        self.written[i] = valid
 
 
 class _CwExtStep(_CwStep):
@@ -415,9 +411,9 @@ class _CwExtStep(_CwStep):
 class _ScStep(_HeldStore):
     """``sc``: tracks its own noisy columns against the external channel.
     Its column tracker updates each block's columns straight into the
-    stack (:meth:`step_block`), naming each row's (frame, bin), and
-    :meth:`finish` estimates the stack in one call. A bin never gated as
-    speech holds ``eps * e_P``, which is invalid."""
+    stack, naming each row's (frame, bin), and the stack is estimated in
+    one call (:meth:`step_block`). A bin never gated as speech holds
+    ``eps * e_P``, which is invalid."""
 
     external = True
 
@@ -430,11 +426,10 @@ class _ScStep(_HeldStore):
 
     def step_block(self, data: np.ndarray, masks: np.ndarray) -> None:
         """Take the whole block, [P, K, n] with its [n, K] speech masks (see
-        :meth:`~rtfdoa.covariance.ColumnTracker.update_block`)."""
-        self._rows = self.tracker.update_block(data, masks, self._columns)
-
-    def finish(self, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        frames, bins = self._rows
+        :meth:`~rtfdoa.covariance.ColumnTracker.update_block`), and write
+        the valid estimates of its speech bins; no other entry is written."""
+        self.written[:masks.shape[0]] = False
+        frames, bins = self.tracker.update_block(data, masks, self._columns)
         if bins.size:
             values, valid = batch_sc(self._columns[:bins.size], overwrite=True)
             # an invalid estimate is all zeros and stays unwritten: the cost
@@ -442,7 +437,6 @@ class _ScStep(_HeldStore):
             # which take their held values
             self.store[frames, bins] = values
             self.written[frames, bins] = valid
-        return super().finish(first)
 
 
 # each estimator's step
@@ -533,16 +527,13 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
         if not np.isfinite(level * level):
             raise NumericalFailure("STFT block has non-finite or out-of-range power")
         # the block's [n, K] speech masks, decided before any is tracked
-        if isinstance(labels, LabelBitmap):
-            masks = labels.columns(start, stop)[lo:hi].T
-        elif labels is not None:
+        if labels is not None:
             masks = labels[lo:hi, start:stop].T
         else:
             masks = spp_masks[:count]
             for i in range(count):
                 masks[i] = detector.step(data[:, :, i])
         for state in states:
-            state.start(count)
             if not state.framed:
                 state.step_block(data, masks)
         if framed:
@@ -552,7 +543,8 @@ def _track_band(source: AudioClip | WavReader, db: PrototypeDatabase,
                     state.step(i, tracker)
         # frames before cost_from are not costed
         first = max(cost_from, start)
-        yield first, stop, [state.finish(first - start) for state in states]
+        yield first, stop, [state.finish(first - start, count)
+                             for state in states]
         start = stop
 
 
@@ -595,9 +587,9 @@ def track_multi(source: AudioClip | WavReader, db: PrototypeDatabase,
     ``source`` is read block by block (see :mod:`rtfdoa.stft`). ``labels``
     is the [K, L] oracle speech-activity grid, required when the detector
     is 'oracle'; a packed :class:`~rtfdoa.activity.LabelBitmap` is
-    unpacked one block of columns at a time; its shape must be
-    ``(n_bins, n_frames)``, which is checked before the first block. A
-    non-finite sample is raised in the block that holds it.
+    unpacked one block of frames of a band's bins at a time; its shape
+    must be ``(n_bins, n_frames)``, which is checked before the first
+    block. A non-finite sample is raised in the block that holds it.
 
     ``cost_from`` is the first frame whose cost surface and grid decision
     are computed. Every frame still updates the covariances and the

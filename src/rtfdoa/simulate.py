@@ -47,6 +47,11 @@ from .stft import (DEFAULT_SAMPLE_RATE, AudioClip, StftConfig, analyze,
 
 FOUR_LOUDSPEAKER_AZIMUTHS = (45.0, 135.0, -135.0, -45.0)
 
+# the source signal's syllabic amplitude modulation: its rate, and the
+# floor of its envelope relative to the peak
+SPEECH_AM_RATE_HZ = 4.0
+SPEECH_AM_FLOOR = 0.1
+
 
 def is_number(value) -> bool:
     """A real number, and not a bool (JSON's true and false)."""
@@ -106,16 +111,14 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 
 def speech_shaped_noise(rng: np.random.Generator, n_samples: int,
-                        sample_rate: int = DEFAULT_SAMPLE_RATE,
-                        am_rate_hz: float = 4.0,
-                        am_floor: float = 0.1) -> np.ndarray:
+                        sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
     """Stationary speech-shaped noise with syllabic amplitude modulation.
 
     White noise is spectrally shaped (flat to about 500 Hz, then falling
     6 dB per octave, with a low-frequency rolloff) and modulated at a
-    syllable-like rate. The modulation starts in a trough so early frames
-    are noise-dominated, and its floor keeps the signal nonzero. Output
-    RMS is 0.1.
+    syllable-like rate, :data:`SPEECH_AM_RATE_HZ`. The modulation starts
+    in a trough so early frames are noise-dominated, and its floor
+    :data:`SPEECH_AM_FLOOR` keeps the signal nonzero. Output RMS is 0.1.
     """
     white = rng.standard_normal(n_samples)
     spectrum = np.fft.rfft(white)
@@ -124,7 +127,8 @@ def speech_shaped_noise(rng: np.random.Generator, n_samples: int,
     shape *= (freqs / 80.0) ** 2 / (1.0 + (freqs / 80.0) ** 2)
     shaped = np.fft.irfft(spectrum * shape, n=n_samples)
     t = np.arange(n_samples) / sample_rate
-    envelope = am_floor + (1.0 - am_floor) * 0.5 * (1.0 - np.cos(2.0 * np.pi * am_rate_hz * t))
+    envelope = SPEECH_AM_FLOOR + (1.0 - SPEECH_AM_FLOOR) * 0.5 * (
+        1.0 - np.cos(2.0 * np.pi * SPEECH_AM_RATE_HZ * t))
     out = shaped * envelope
     rms = np.sqrt(np.mean(out ** 2))
     if rms == 0.0:

@@ -144,6 +144,16 @@ def test_label_bitmap_roundtrip(tmp_path, rng):
     write_labels(path, labels)
     back = read_labels(path)
     np.testing.assert_array_equal(back, labels)
+    # a (bins, frames) slice unpacks as the grid's own slice: the two bands'
+    # bins, block-sized frame ranges, ranges past the end and empty ones
+    for bins in (slice(0, 129), slice(129, 257), slice(None)):
+        for frames in (slice(0, 16), slice(16, 32), slice(32, 37),
+                       slice(32, 48), slice(30, 1000), slice(37, 40),
+                       slice(5, 5), slice(9, 3)):
+            got = back[bins, frames]
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, labels[bins, frames])
+    assert back[5:5, 0:16].shape == (0, 16)
 
 
 def test_label_file_header_layout(tmp_path):

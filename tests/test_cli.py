@@ -174,11 +174,16 @@ def test_exit_code_on_bad_configuration(workspace, tmp_path, capsys):
                      "--database", str(workspace["db"]), "--config", str(cfg),
                      "--output", str(tmp_path / "d.csv")]) == 2, key
         assert f"unknown 'run-config' keys: ['{key}']" in capsys.readouterr().err
-    # sweep matrix missing a required axis, or holding a key it does not know
+    # sweep matrix missing a required axis, holding a key it does not know,
+    # or naming an estimator that does not exist or twice
     matrix = tmp_path / "matrix.json"
+    cells = {"azimuths_deg": [35.0], "snrs_db": [30.0], "seeds": [1],
+             "duration_s": 2.0, "diffuse_order": 12}
     for data in ({"estimators": ["sc"]},
                  {"estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
-                  "seeds": [1], "detektor": "spp"}):
+                  "seeds": [1], "detektor": "spp"},
+                 {"estimators": ["sc", "cs_head"], **cells},
+                 {"estimators": ["sc", "sc"], **cells}):
         matrix.write_text(json.dumps(data))
         assert main(["sweep", "--matrix", str(matrix),
                      "--database", str(workspace["db"]),

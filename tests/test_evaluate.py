@@ -339,7 +339,12 @@ def test_run_sweep_cells_and_averages(database):
             if c["estimator"] == row["estimator"])
 
 
-def test_run_sweep_missing_axis(database):
+def test_run_sweep_missing_axis(database, monkeypatch):
+    # every case is rejected before any cell runs: a cell's render raises
+    def no_render(*args, **kwargs):
+        raise TypeError("a cell ran")
+
+    monkeypatch.setattr(evaluate, "render_azimuth_free", no_render)
     with pytest.raises(ConfigurationError):
         run_sweep({"estimators": ["sc"], "azimuths_deg": [0.0],
                    "snrs_db": [0.0]}, database)
@@ -360,6 +365,13 @@ def test_run_sweep_missing_axis(database):
                    "snrs_db": [0.0], "seeds": [1], "duration_s": 2.0,
                    "diffuse_order": 12, "reverb_proxies_db": [None],
                    "reverb_proxy_db": 3.0}, database)
+    # a misspelt or repeated estimator name: every cell's row used to hold
+    # the error, and the sweep still succeeded
+    for names in (["sc", "cs_head"], ["sc", "sc"]):
+        with pytest.raises(ConfigurationError, match="'estimators'"):
+            run_sweep({"estimators": names, "azimuths_deg": [0.0],
+                       "snrs_db": [0.0], "seeds": [1], "duration_s": 2.0,
+                       "diffuse_order": 12}, database)
 
 
 def test_run_sweep_captures_cell_failures(database):

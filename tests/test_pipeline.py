@@ -217,7 +217,6 @@ def test_cs_columns_are_the_tracker_reference_columns_bit_for_bit(rng,
         elif block in (3, 4, 5):
             masks[:] = False
         calls.clear()
-        step.start(n)
         step.step_block(y, masks)
         noisy, noise = [], []
         for i in range(n):
@@ -229,7 +228,7 @@ def test_cs_columns_are_the_tracker_reference_columns_bit_for_bit(rng,
             assert np.array_equal(np.concatenate(got).reshape(n, n_bins, m),
                                   want), block
         values, valid = batch_cs(np.concatenate(noisy), np.concatenate(noise))
-        store, ever, written = step.finish(0)
+        store, ever, written = step.finish(0, n)
         assert np.array_equal(written, valid.reshape(n, n_bins)), block
         assert np.array_equal(store[written],
                               values.astype(np.complex64)[valid]), block
@@ -247,9 +246,8 @@ def test_cs_step_holds_no_block_of_columns():
     tracemalloc.start()
     try:
         step = _cs_step(n_bins, n, SmoothingConfig(alpha_y=0.9, alpha_n=0.95))
-        step.start(n)
         step.step_block(y, masks)
-        step.finish(0)
+        step.finish(0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -669,25 +667,37 @@ def test_cw_head_decides_alike_with_and_without_external_channel(database):
     np.testing.assert_allclose(full.cost, head.cost, rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("detector", DETECTOR_NAMES)
-def test_sc_ignores_the_external_channel_40_db_down(database, detector):
-    # sc's estimate and its validity are ratios within the external
-    # column, so scaling the external microphone by 0.01 leaves its valid
-    # frames as they are; on this digest scene (3 s moving source at 0 dB,
-    # seed 31) every decision of the 123 valid frames agreed at the
-    # commit this test was written against, under either detector
+# per estimator and detector: the most valid frames whose decision may
+# change, and by how many degrees at most
+@pytest.mark.parametrize("estimator, detector, changed, largest_deg", [
+    ("sc", "oracle", 0, 0.0), ("sc", "spp", 0, 0.0),
+    ("cw-ext", "oracle", 0, 0.0), ("cw-ext", "spp", 6, 10.0)],
+    ids=["sc-oracle", "sc-spp", "cw-ext-oracle", "cw-ext-spp"])
+def test_the_external_channel_40_db_down(database, estimator, detector,
+                                         changed, largest_deg):
+    # scaling the external microphone by 0.01 on this digest scene (3 s
+    # moving source at 0 dB, seed 31) leaves the valid frames as they are
+    # under both detectors. sc's estimate and its validity are ratios within
+    # the external column, so all 123 valid decisions agree. So they do for
+    # cw-ext under the oracle labels. The exact CW is invariant to a
+    # channel's gain, but the tracked one starts phi_y at eps * I, which the
+    # gain does not scale: under SPP 6 of the 123 decisions moved, by up to
+    # 10 degrees, at the commit this test was written against, and all
+    # agreed once that start was scaled with the channel too
     out = synthesize(SceneSpec(seed=31, duration_s=3.0, snr_db=0.0,
                                source_trajectory=((0.0, -40.0), (3.0, 40.0))))
     labels = _labels(out)
     quiet = out.mixed.samples.copy()
     quiet[4] *= 0.01
-    config = RunConfig(estimator="sc", detector=detector)
+    config = RunConfig(estimator=estimator, detector=detector)
     full = track(out.mixed, database, config, labels=labels)
     down = track(AudioClip(quiet, FS), database, config, labels=labels)
     np.testing.assert_array_equal(full.valid, down.valid)
     assert full.valid.any()
-    agree = np.mean(full.azimuth_deg[full.valid] == down.azimuth_deg[full.valid])
-    assert agree >= 1.0, agree
+    errors = angular_errors(down.azimuth_deg[full.valid],
+                            full.azimuth_deg[full.valid])
+    assert np.count_nonzero(errors) <= changed, errors
+    assert errors.max() <= largest_deg, errors
 
 
 def test_cw_head_ignores_a_dead_external_channel(database):
