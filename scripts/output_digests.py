@@ -23,6 +23,10 @@ Prints one ``<name> <sha256>`` line per output, in a fixed order:
   message of the exception the run raised;
 * ``sweep/...``: the rows of ``run_sweep`` (four estimators, two
   azimuths, three SNRs, two seeds) under each detector;
+* ``source/...``: the same of ``sc`` and ``cw-ext`` under both
+  detectors on a 3 s static scene at 5 dB whose ``source_wav`` is a 2 s
+  mono file (so the source is tiled), written as 16- and as 24-bit PCM
+  by the tests' ``wavfiles.write_pcm`` and read by ``read_wav``;
 * ``estimate/...``: the CSV and the ``--cost-surface`` dump of
   ``rtfdoa estimate`` for every estimator and detector on three
   simulated recordings, written as 32-bit float WAVs, and on the first
@@ -55,7 +59,7 @@ from rtfdoa.doa import generate_prototypes, save_database
 from rtfdoa.evaluate import oracle_label_grid, run_sweep
 from rtfdoa.geometry import default_geometry
 from rtfdoa.pipeline import DETECTOR_NAMES, ESTIMATOR_NAMES, RunConfig, track_multi
-from rtfdoa.simulate import SceneSpec, synthesize
+from rtfdoa.simulate import SceneSpec, speech_shaped_noise, synthesize
 from rtfdoa.stft import AudioClip, write_wav
 from wavfiles import write_pcm
 
@@ -185,6 +189,25 @@ def sweep_digests(db) -> None:
         print(f"sweep/{detector} {hashlib.sha256(blob).hexdigest()}")
 
 
+def source_digests(db) -> None:
+    source = speech_shaped_noise(np.random.default_rng(51), 2 * 16000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "source.wav"
+        for bits in (16, 24):
+            write_pcm(path, source[None, :], bits)
+            scene = synthesize(SceneSpec(seed=51, duration_s=3.0, snr_db=5.0,
+                                         source_trajectory=((0.0, 35.0),),
+                                         source_wav=str(path)))
+            for detector in DETECTOR_NAMES:
+                config = RunConfig(detector=detector)
+                trajs = track_multi(scene.mixed, db, config, ("sc", "cw-ext"),
+                                    oracle_label_grid(scene, config),
+                                    keep_cost_surfaces=True)
+                for name, t in trajs.items():
+                    print(f"source/i{bits}/{detector}/{name} "
+                          f"{digest(t.azimuth_deg, t.cost, t.valid, t.cost_surface)}")
+
+
 def estimate_digests(db) -> None:
     specs = {
         "static-10dB": SceneSpec(seed=41, duration_s=4.0, snr_db=10.0,
@@ -237,6 +260,7 @@ def main() -> int:
     scene_digests(db)
     level_digests(db)
     sweep_digests(db)
+    source_digests(db)
     estimate_digests(db)
     return 0
 

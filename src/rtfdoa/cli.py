@@ -38,10 +38,6 @@ from .stft import (DEFAULT_SAMPLE_RATE, StftConfig, WavReader, frame_times,
 log = logging.getLogger(__name__)
 
 
-def run_config_from_dict(data: dict) -> RunConfig:
-    return config_from_dict(RunConfig, data, "run-config")
-
-
 def _load_json(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
@@ -69,7 +65,7 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             data[f.name] = value
-    return run_config_from_dict(data)
+    return config_from_dict(RunConfig, data, "run-config")
 
 
 def _cmd_prototypes(args: argparse.Namespace) -> int:

@@ -97,7 +97,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimators import DIAG_LOAD_REL
 
 DEFAULT_EPS_INIT = 1e-6
 
@@ -124,12 +123,16 @@ class SmoothingConfig:
                    alpha_n=math.exp(-hop / (sample_rate * tau_n_s)))
 
 
+# noise covariance loading relative to its mean eigenvalue: the floor of a
+# re-seeded inverse here, and the diagonal loading of the exact batch_cw
+# (the pipeline's tracked CW steps with the unloaded inverse)
+DIAG_LOAD_REL = 1e-10
+
 # A tracked inverse is re-seeded once tr(M) tr(phi) passes this bound. The
-# re-seed floors the eigenvalues of phi at _RESEED_FLOOR_REL of their mean
-# (the relative diagonal loading of the exact CW), which leaves the product
-# at most P^2 / _RESEED_FLOOR_REL, below the bound for P < 30.
+# re-seed floors the eigenvalues of phi at DIAG_LOAD_REL of their mean,
+# which leaves the product at most P^2 / DIAG_LOAD_REL, below the bound for
+# P < 30.
 _TRACE_PRODUCT_BOUND = 1e13
-_RESEED_FLOOR_REL = DIAG_LOAD_REL
 
 
 def _outer(y: np.ndarray) -> np.ndarray:
@@ -139,11 +142,11 @@ def _outer(y: np.ndarray) -> np.ndarray:
 
 def _floored_inverse(phi: np.ndarray) -> np.ndarray:
     """Exactly Hermitian inverses of a [K, P, P] stack of Hermitian
-    matrices, with their eigenvalues floored at ``_RESEED_FLOOR_REL`` of
+    matrices, with their eigenvalues floored at :data:`DIAG_LOAD_REL` of
     their mean (and at the smallest normal number, should ``phi`` have
     underflowed to zero)."""
     lam, vec = np.linalg.eigh(phi)
-    floor = np.maximum(_RESEED_FLOOR_REL * lam.mean(axis=1), np.finfo(np.float64).tiny)
+    floor = np.maximum(DIAG_LOAD_REL * lam.mean(axis=1), np.finfo(np.float64).tiny)
     scaled = vec / np.sqrt(np.maximum(lam, floor[:, None]))[:, None, :]
     return np.einsum("kpi,kqi->kpq", scaled, scaled.conj())
 

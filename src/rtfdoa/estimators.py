@@ -58,15 +58,12 @@ from __future__ import annotations
 import logging
 import numpy as np
 
+from .covariance import DIAG_LOAD_REL
 from .errors import ConfigurationError
 
 log = logging.getLogger(__name__)
 
 _TINY = np.finfo(np.float64).tiny
-
-# noise covariance loading of the exact batch_cw, relative to its mean
-# eigenvalue; the pipeline's tracked CW steps with the unloaded inverse
-DIAG_LOAD_REL = 1e-10
 
 # an estimate is invalid when its normalizer falls below this share of the
 # scale of what it is read from (the norm of the noisy column phi_y e_1 for

@@ -292,9 +292,9 @@ _SWEEP_SCENE_KEYS = ("reverb_proxy_db", "duration_s", "diffuse_order")
 
 def _check_sweep_matrix(matrix: dict) -> None:
     """Raise :class:`ConfigurationError`, naming the key, for an unknown
-    key, a missing required axis, an axis of the wrong shape or type, an
-    unknown or repeated estimator name, or the reverb proxy given both as
-    an axis and as a scalar.
+    key, a missing required axis, an empty axis or one of the wrong shape
+    or type, an unknown or repeated estimator name, or the reverb proxy
+    given both as an axis and as a scalar.
     The scalar scene entries are checked by the :class:`SceneSpec` they go
     into."""
     unknown = set(matrix) - set(_SWEEP_AXES) - set(_SWEEP_OVERRIDES) \
@@ -313,6 +313,8 @@ def _check_sweep_matrix(matrix: dict) -> None:
         if not isinstance(axis, (list, tuple)) or not all(map(check, axis)):
             raise ConfigurationError(
                 f"sweep matrix key '{key}' must be a list of {what}")
+        if not axis:
+            raise ConfigurationError(f"sweep matrix key '{key}' is empty")
     if len(set(matrix["estimators"])) != len(matrix["estimators"]):
         raise ConfigurationError("sweep matrix key 'estimators' repeats a name")
 
@@ -323,14 +325,17 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
 
     Required axes: ``estimators``, ``azimuths_deg``, ``snrs_db``,
     ``seeds``. Optional axes: ``reverb_proxies_db`` (default anechoic)
-    and ``externals`` as [azimuth_deg, distance_m] pairs. Besides the
-    axes a matrix may hold the run-config entries ``detector``,
-    ``tau_y_s``, ``tau_n_s``, ``eval_window`` and ``tolerance_deg``, which
-    override ``base_config``, and the scene entries ``reverb_proxy_db``
-    (only without ``reverb_proxies_db``), ``duration_s`` and
-    ``diffuse_order``. Every key is checked before any cell runs; an
-    unknown key, a missing axis, an axis that is not a list of entries of
-    its type (``estimators`` of distinct names in
+    and ``externals`` as [azimuth_deg, distance_m] pairs (default one
+    pair, the external position of a default
+    :class:`~rtfdoa.simulate.SceneSpec`). Besides the axes a matrix may
+    hold the run-config entries ``detector``, ``tau_y_s``, ``tau_n_s``,
+    ``eval_window`` and ``tolerance_deg``, which override
+    ``base_config``, and the scene entries ``reverb_proxy_db`` (only
+    without ``reverb_proxies_db``), ``duration_s`` and ``diffuse_order``,
+    which default to a :class:`~rtfdoa.simulate.SceneSpec`'s. Every key
+    is checked before any cell runs; an unknown key, a missing axis, an
+    axis that is empty or not a list of entries of its type
+    (``estimators`` of distinct names in
     :data:`~rtfdoa.pipeline.ESTIMATOR_NAMES`), or both reverb keys at once
     raise :class:`ConfigurationError` naming the keys.
 
@@ -345,11 +350,12 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     share, and groups run in the order they first occur: (seed,
     reverberant or not, external position)-major. Each process keeps the
     last render in a one-entry cache that lives only for the call, so
-    memory does not grow with the matrix. Cells that fail with
-    :class:`ConfigurationError` or :class:`NumericalFailure` are captured
-    as rows with an ``error`` note instead of aborting the sweep; any
-    other exception propagates. Averaged rows (seed and azimuth columns
-    ``avg``) are appended per remaining condition.
+    memory does not grow with the matrix; a render that fails is not
+    kept, so each cell of its group renders and fails again. Cells that
+    fail with :class:`ConfigurationError` or :class:`NumericalFailure`
+    are captured as rows with an ``error`` note instead of aborting the
+    sweep; any other exception propagates. Averaged rows (seed and
+    azimuth columns ``avg``) are appended per remaining condition.
 
     Cells run in as many forked worker processes as this process may use
     CPUs (``os.sched_getaffinity``), each worker with one BLAS thread and
@@ -367,12 +373,11 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
     azimuths = [float(a) for a in matrix["azimuths_deg"]]
     snrs = [None if s is None else float(s) for s in matrix["snrs_db"]]
     seeds = [int(s) for s in matrix["seeds"]]
-    if not (estimators and azimuths and snrs and seeds):
-        raise ConfigurationError("sweep axes must be non-empty")
     reverbs = matrix.get("reverb_proxies_db", [matrix.get("reverb_proxy_db")])
-    externals = [tuple(e) for e in matrix.get("externals", [(45.0, 1.6)])]
-    duration = matrix.get("duration_s", 30.0)
-    diffuse_order = matrix.get("diffuse_order", 96)
+    externals = [tuple(e) for e in matrix.get("externals", [(
+        SceneSpec.external_azimuth_deg, SceneSpec.external_distance_m)])]
+    duration = matrix.get("duration_s", SceneSpec.duration_s)
+    diffuse_order = matrix.get("diffuse_order", SceneSpec.diffuse_order)
     overrides = {k: matrix[k] for k in _SWEEP_OVERRIDES if k in matrix}
     if overrides:
         # reject entries of the wrong type as a run-config file would
@@ -441,8 +446,8 @@ def run_sweep(matrix: dict, db: PrototypeDatabase,
 class _SweepCells:
     """Rows of one sweep cell, given its scene spec.
 
-    Holds the last azimuth-free render, or the error that rendering it
-    raised, keyed by its :func:`~rtfdoa.simulate.azimuth_free` spec.
+    Holds the last azimuth-free render that succeeded, keyed by its
+    :func:`~rtfdoa.simulate.azimuth_free` spec.
     """
 
     def __init__(self, db: PrototypeDatabase, base: RunConfig,
@@ -455,31 +460,23 @@ class _SweepCells:
 
     def __call__(self, spec: SceneSpec) -> list[dict]:
         key = azimuth_free(spec)
-        if self._key != key:
-            self._key, self._parts = None, None  # free the old render first
-            try:
-                self._parts = render_azimuth_free(spec, self.base.stft)
-            except (ConfigurationError, NumericalFailure) as exc:
-                self._parts = exc
-            self._key = key
         cond = {"snr_db": spec.snr_db,
                 "azimuth_deg": spec.source_trajectory[0][1], "seed": spec.seed,
                 "reverb_proxy_db": spec.reverb_proxy_db,
                 "external_azimuth_deg": spec.external_azimuth_deg,
                 "external_distance_m": spec.external_distance_m}
-        failure = self._parts if isinstance(self._parts, Exception) else None
-        if failure is None:
-            try:
-                results = run_scene(compose(steer(self._parts, spec)),
-                                    self.db, self.base, self.estimators)
-            except (ConfigurationError, NumericalFailure) as exc:
-                failure = exc
-        if failure is not None:
-            log.warning("cell %s failed: %s", cond, failure)
+        try:
+            if self._key != key:
+                self._key, self._parts = None, None  # free the old render first
+                self._parts = render_azimuth_free(spec, self.base.stft)
+                self._key = key
+            results = run_scene(compose(steer(self._parts, spec)),
+                                self.db, self.base, self.estimators)
+        except (ConfigurationError, NumericalFailure) as exc:
+            log.warning("cell %s failed: %s", cond, exc)
             return [{"estimator": name, **cond, "frames_scored": 0,
                      "accuracy_pct": None, "rms_error_deg": None,
-                     "invalid_frames": 0,
-                     "error": f"{type(failure).__name__}: {failure}"}
+                     "invalid_frames": 0, "error": f"{type(exc).__name__}: {exc}"}
                     for name in self.estimators]
         return [{"estimator": name, **cond,
                  "frames_scored": metrics.frames_scored,

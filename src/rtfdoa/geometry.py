@@ -21,6 +21,10 @@ _MIN_MIC_DISTANCE = 1e-6
 # an ear's two mics, in meters
 EAR_DISTANCE_M = 0.16
 MIC_SPACING_M = 0.015
+# the external microphone's default place: its azimuth in degrees and its
+# distance from the center of the head in meters
+EXTERNAL_AZIMUTH_DEG = 45.0
+EXTERNAL_DISTANCE_M = 1.6
 
 
 def binaural_head_positions() -> np.ndarray:
@@ -88,15 +92,16 @@ class ArrayGeometry:
     def n_channels(self) -> int:
         return self.n_head + (0 if self.external_position is None else 1)
 
-    def positions(self, include_external: bool = True) -> np.ndarray:
+    def positions(self) -> np.ndarray:
         """All microphone positions [P,3]; the external mic comes last."""
-        if include_external and self.external_position is not None:
+        if self.external_position is not None:
             return np.vstack([self.head_positions, self.external_position[None, :]])
         return self.head_positions
 
 
-def default_geometry(external_azimuth_deg: float = 45.0,
-                     external_distance_m: float = 1.6) -> ArrayGeometry:
+def default_geometry(external_azimuth_deg: float = EXTERNAL_AZIMUTH_DEG,
+                     external_distance_m: float = EXTERNAL_DISTANCE_M
+                     ) -> ArrayGeometry:
     """Default binaural array with one external microphone in the far field."""
     ext = external_distance_m * azimuth_to_unit(external_azimuth_deg)
     return ArrayGeometry(

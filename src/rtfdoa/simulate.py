@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (ArrayGeometry, azimuth_to_unit, default_geometry,
-                       plane_wave_delays_3d)
+from .geometry import (EXTERNAL_AZIMUTH_DEG, EXTERNAL_DISTANCE_M, ArrayGeometry,
+                       azimuth_to_unit, default_geometry, plane_wave_delays_3d)
 from .stft import (DEFAULT_SAMPLE_RATE, AudioClip, StftConfig, analyze,
                    frame_times, num_frames, read_wav)
 
@@ -160,8 +160,8 @@ class SceneSpec:
     diffuse_order: int = 96
     reverb_proxy_db: float | None = None
     noise_azimuths_deg: tuple[float, ...] | None = None
-    external_azimuth_deg: float = 45.0
-    external_distance_m: float = 1.6
+    external_azimuth_deg: float = EXTERNAL_AZIMUTH_DEG
+    external_distance_m: float = EXTERNAL_DISTANCE_M
     sample_rate: int = DEFAULT_SAMPLE_RATE
     source_wav: str | None = None
 
@@ -190,6 +190,10 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SceneSpec":
+        """The spec a scene file holds. ``duration``, ``trajectory``,
+        ``reverb_proxy`` and ``snr`` may stand for their keys with a
+        suffix; a key that is no field, or a field given under both of its
+        spellings, raises :class:`ConfigurationError` naming the keys."""
         try:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
@@ -206,6 +210,10 @@ class SceneSpec:
             name = aliases.get(key, key)
             if name not in known:
                 raise ConfigurationError(f"unknown scene field '{key}'")
+            if name in kwargs:
+                both = [k for k in data if aliases.get(k, k) == name]
+                raise ConfigurationError(f"scene file holds both '{both[0]}' and "
+                                         f"'{both[1]}'; give one of them")
             kwargs[name] = value
         return cls(**kwargs)
 
@@ -398,7 +406,7 @@ def render_azimuth_free(spec: SceneSpec, stft_config: StftConfig | None = None
     """
     cfg = stft_config or StftConfig()
     geometry = spec.geometry()
-    positions = geometry.positions(include_external=True)
+    positions = geometry.positions()
     n_samples = int(round(spec.duration_s * spec.sample_rate))
     if n_samples < cfg.frame_len:
         raise ConfigurationError("scene shorter than one analysis frame")
@@ -446,7 +454,7 @@ def steer(parts: AzimuthFreeParts, spec: SceneSpec) -> SceneComponents:
                                  "trajectory, SNR and reverb level")
     cfg = parts.stft_config
     geometry = parts.geometry
-    positions = geometry.positions(include_external=True)
+    positions = geometry.positions()
     n_samples = parts.noise_unit.shape[1]
     freqs = np.fft.rfftfreq(cfg.fft_size, d=1.0 / spec.sample_rate)
     azimuths = _frame_azimuths(spec, parts.source_stft.shape[1], cfg)

@@ -15,8 +15,9 @@ A tracker that asks for the samples its last frames left unfinished gets
 blocks that it frames as it would the whole recording, without copying
 one block's end in front of the next: a clip's blocks are overlapping
 views of its samples, and a file's are views of one buffer into which
-each block is decoded behind the end of the one before it, which the next
-block overwrites (without an overlap, each of its blocks is a new array).
+each block is decoded behind the overlap kept from the one before it.
+The next block overwrites that buffer, with or without an overlap, so a
+caller uses or copies each block of a file before it draws the next.
 """
 from __future__ import annotations
 
@@ -269,12 +270,11 @@ class WavReader:
 
     def blocks(self, n: int, overlap: int = 0) -> Iterator[np.ndarray]:
         """The file's samples, ``n`` new ones a block, led by the
-        ``overlap`` before them (see the module docstring). With an
-        ``overlap``, the blocks are views of one [channels, overlap + n]
-        buffer, which the next block overwrites; without, each block is a
-        new array. The file is read into one buffer of bytes."""
+        ``overlap`` before them (see the module docstring). The blocks are
+        views of one [channels, overlap + n] buffer, which the next block
+        overwrites; the file is read into one buffer of bytes."""
         n = min(n, self.n_samples)
-        buffer = np.empty((self.n_channels, overlap + n)) if overlap else None
+        buffer = np.empty((self.n_channels, overlap + n))
         raw = memoryview(bytearray(n * self._frame_bytes))
         end = 0  # samples held in the buffer
         left = self.n_samples
@@ -286,8 +286,6 @@ class WavReader:
                 if fh.readinto(raw[:want]) < want:
                     raise ConfigurationError(f"{self.path} is truncated")
                 left -= count
-                if not overlap:
-                    buffer = np.empty((self.n_channels, count))
                 keep = min(overlap, end)
                 buffer[:, :keep] = buffer[:, end - keep:end]
                 end = keep + count

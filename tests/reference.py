@@ -106,8 +106,8 @@ def diffuse_field_check(noise: AudioClip, geometry: ArrayGeometry,
     """
     if noise.duration < 10.0:
         raise ConfigurationError("need at least 10 s of noise for coherence")
-    include_external = noise.n_channels == geometry.n_channels
-    positions = geometry.positions(include_external=include_external)
+    positions = (geometry.positions() if noise.n_channels == geometry.n_channels
+                 else geometry.head_positions)
     if noise.n_channels != positions.shape[0]:
         raise ConfigurationError("channel count does not match geometry")
     if pairs is None:

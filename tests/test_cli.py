@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from rtfdoa.activity import write_labels
-from rtfdoa.cli import main, run_config_from_dict
+from rtfdoa.cli import main
 from rtfdoa.errors import ConfigurationError
 from rtfdoa.evaluate import (angular_errors, read_trajectory_csv,
                              read_truth_csv, write_trajectory_csv)
-from rtfdoa.pipeline import BLOCK_FRAMES, DoaTrajectory, RunConfig
+from rtfdoa.pipeline import (BLOCK_FRAMES, DoaTrajectory, RunConfig,
+                             config_from_dict)
 from rtfdoa.stft import AudioClip, StftConfig, read_wav, write_wav
 from wavfiles import IEEE_FLOAT, fmt_chunk, wav_header
 
@@ -151,6 +152,32 @@ def test_sweep_rejects_estimator_flag(workspace, tmp_path, capsys):
     assert "--estimator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["externals", "reverb_proxies_db", "seeds",
+                                 "estimators"])
+def test_sweep_exits_2_on_an_empty_axis(workspace, tmp_path, capsys, key):
+    # an empty optional axis ran no cell: the sweep wrote a CSV of its
+    # header alone and exited 0
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({
+        "estimators": ["sc"], "azimuths_deg": [35.0], "snrs_db": [30.0],
+        "seeds": [1], "duration_s": 2.0, "diffuse_order": 12, key: []}))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--matrix", str(matrix),
+                 "--database", str(workspace["db"]), "--output", str(out)]) == 2
+    assert f"sweep matrix key '{key}' is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_exits_2_on_a_key_given_twice(tmp_path, capsys):
+    # the spelling that came last took effect
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"seed": 1, "duration": 8.0, "duration_s": 3.0}))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(scene), "--output-dir", str(out)]) == 2
+    assert "both 'duration' and 'duration_s'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_on_bad_configuration(workspace, tmp_path, capsys):
     # step that does not divide the circle
     assert main(["prototypes", "--output", str(tmp_path / "db"),
@@ -242,7 +269,7 @@ def test_exit_code_on_wrong_value_type(workspace, tmp_path, capsys):
                      "--output", str(tmp_path / "d.csv")]) == 2
         assert f"key '{key}' must be a" in capsys.readouterr().err
     # an int stands for a float
-    assert run_config_from_dict({"tau_y_s": 1}).tau_y_s == 1
+    assert config_from_dict(RunConfig, {"tau_y_s": 1}, "run-config").tau_y_s == 1
     # the run-config entries of a sweep matrix get the same check, and its
     # axes are checked before any cell runs
     matrix = tmp_path / "matrix.json"
@@ -398,13 +425,14 @@ def test_run_config_dict_roundtrip():
     leaves = list(_leaves(config))
     assert len(leaves) == 9
     assert [name for name, value, default in leaves if value == default] == []
-    back = run_config_from_dict(json.loads(json.dumps(dataclasses.asdict(config))))
+    data = json.loads(json.dumps(dataclasses.asdict(config)))
+    back = config_from_dict(RunConfig, data, "run-config")
     assert back == config
     assert hash(back) == hash(config)
     assert back != RunConfig()
     assert RunConfig() == RunConfig() and hash(RunConfig()) == hash(RunConfig())
     with pytest.raises(ConfigurationError):
-        run_config_from_dict({"no_such_key": 1})
+        config_from_dict(RunConfig, {"no_such_key": 1}, "run-config")
 
 
 def test_resolved_config_reproduces_the_estimate(workspace, tmp_path):

@@ -348,9 +348,14 @@ def test_run_sweep_missing_axis(database, monkeypatch):
     with pytest.raises(ConfigurationError):
         run_sweep({"estimators": ["sc"], "azimuths_deg": [0.0],
                    "snrs_db": [0.0]}, database)
-    with pytest.raises(ConfigurationError):
-        run_sweep({"estimators": [], "azimuths_deg": [0.0], "snrs_db": [0.0],
-                   "seeds": [1]}, database)
+    # an empty axis, required or optional: an empty optional axis ran no
+    # cell and gave no row
+    for key in ("estimators", "azimuths_deg", "snrs_db", "seeds",
+                "reverb_proxies_db", "externals"):
+        with pytest.raises(ConfigurationError, match=f"'{key}' is empty"):
+            run_sweep({"estimators": ["sc"], "azimuths_deg": [0.0],
+                       "snrs_db": [0.0], "seeds": [1], "duration_s": 2.0,
+                       "diffuse_order": 12, key: []}, database)
     # a key that is no axis, run-config override or scene entry: a
     # misspelt override or a singular axis name would otherwise be ignored
     for key, value in (("tau_n", 5.0), ("snr_db", [-20]), ("detektor", "spp")):
@@ -374,20 +379,26 @@ def test_run_sweep_missing_axis(database, monkeypatch):
                        "diffuse_order": 12}, database)
 
 
-def test_run_sweep_captures_cell_failures(database):
+def test_run_sweep_captures_cell_failures(database, monkeypatch):
+    # one failing render shared by four cells; no cell keeps its error, so
+    # each cell renders and fails again, in this process or in a worker
     matrix = {
-        "estimators": ["sc"],
-        "azimuths_deg": [35.0],
-        "snrs_db": [0.0],
+        "estimators": ["sc", "cw-ext"],
+        "azimuths_deg": [35.0, -35.0],
+        "snrs_db": [0.0, 10.0],
         "seeds": [1],
         "duration_s": 0.01,  # shorter than one frame: the render fails
         "diffuse_order": 12,
     }
-    rows = run_sweep(matrix, database)
-    assert rows, "failure must still produce rows"
-    assert all(r["error"] for r in rows)
-    assert all(r["accuracy_pct"] is None for r in rows)
-    assert not any(r["seed"] == "avg" for r in rows)
+    for cpus in (1, 2):
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        rows = run_sweep(matrix, database)
+        assert len(rows) == 2 * 2 * 2, "failure must still produce rows"
+        assert {r["error"] for r in rows} == {
+            "ConfigurationError: scene shorter than one analysis frame"}
+        assert all(r["accuracy_pct"] is None for r in rows)
+        assert not any(r["seed"] == "avg" for r in rows)
 
 
 def test_run_sweep_propagates_program_errors(database, monkeypatch):

@@ -57,7 +57,7 @@ def test_default_geometry_layout():
     # front mics sit toward +x
     assert geo.head_positions[0, 0] > 0
     assert geo.head_positions[2, 0] > 0
-    full = geo.positions(include_external=True)
+    full = geo.positions()
     assert full.shape == (5, 3)
     np.testing.assert_array_equal(full[:4], geo.head_positions)
 
@@ -101,5 +101,5 @@ def test_plane_wave_delay_scale():
     # delay differences never exceed aperture / c
     geo = default_geometry()
     for az in np.arange(-180.0, 180.0, 15.0):
-        tau = plane_wave_delays(geo.positions(include_external=True), az)
+        tau = plane_wave_delays(geo.positions(), az)
         assert np.ptp(tau) <= (2 * 1.6) / SPEED_OF_SOUND

@@ -70,6 +70,13 @@ def test_scene_spec_json_aliases(tmp_path):
     assert spec.snr_db == -5.0
     assert spec.source_trajectory == ((0.0, 35.0),)
     assert spec.reverb_proxy_db == 6.0
+    # a key under both spellings: the one that came last took effect
+    for data, keys in (({"snr": -5.0, "snr_db": 10.0}, "'snr' and 'snr_db'"),
+                       ({"duration_s": 3.0, "duration": 8.0},
+                        "'duration_s' and 'duration'")):
+        path.write_text(json.dumps({"seed": 1, **data}))
+        with pytest.raises(ConfigurationError, match=keys):
+            SceneSpec.from_json(path)
 
 
 def test_scene_spec_json_rejects_bad_files(tmp_path):

@@ -273,10 +273,17 @@ def test_wav_reads_extensible_five_channel_pcm_and_float(tmp_path, rng):
     clip = read_wav(path)
     assert (clip.n_channels, clip.n_samples, clip.sample_rate) == (5, 300, FS)
     np.testing.assert_array_equal(clip.samples, floats.astype(np.float64))
-    # blocks that do not divide the length concatenate to the whole file
-    blocks = list(WavReader(path).blocks(7))
+    # blocks that do not divide the length concatenate to the whole file;
+    # each is a view of one buffer, which the next block overwrites, so
+    # each is copied as it is drawn
+    views = []
+    blocks = []
+    for block in WavReader(path).blocks(7):
+        views.append(block)
+        blocks.append(block.copy())
     assert [b.shape for b in blocks[-2:]] == [(5, 7), (5, 300 % 7)]
     np.testing.assert_array_equal(np.concatenate(blocks, axis=1), clip.samples)
+    assert all(np.shares_memory(views[0], view) for view in views[1:])
 
 
 def test_overlapping_blocks_of_a_file_are_those_of_its_clip(tmp_path, rng):
